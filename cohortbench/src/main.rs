@@ -27,7 +27,7 @@ use std::time::Instant;
 use trace::{Layer, Tracer};
 use wbsn::archive::SolverReplayReport;
 use wbsn::cohort::{CohortReport, CohortRunConfig, CohortRunner, SessionPlan};
-use wbsn::ecg_synth::cohort::{CohortConfig, CohortGenerator, NoiseProfile, RhythmBurden};
+use wbsn::ecg_synth::cohort::CohortConfig;
 use wbsn::replay::CohortReplayer;
 
 const USAGE: &str = "usage: wbsn-cohortbench --workload <ward-events|ward-cs|replay> \
@@ -86,9 +86,9 @@ struct Shape {
 }
 
 const WARD_EVENTS_SHAPE: Shape = Shape {
-    sessions: 96,
+    sessions: 384,
     modeled_hours: 2,
-    segment_s: 60.0,
+    segment_s: 30.0,
 };
 
 const WARD_CS_SHAPE: Shape = Shape {
@@ -141,7 +141,19 @@ impl Args {
 }
 
 fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let [cmd, seed] = argv.as_slice() {
+        if cmd == RECORD {
+            return match record(seed) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("wbsn-cohortbench: {e}");
+                    ExitCode::FAILURE
+                }
+            };
+        }
+    }
+    let args = match Args::parse(argv.into_iter()) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("wbsn-cohortbench: {e}\n{USAGE}");
@@ -187,89 +199,74 @@ fn runner(workload: Workload, seed: u64) -> CohortRunner {
     })
 }
 
-/// The cohort's session plans with a fixed case mix: every (rhythm
-/// burden, lead count, noise environment) cell holds its expected share
-/// of the sessions under the configured weights, and the seed draws the
-/// patients that fill it. Sampled freely, a handful of brady-tachy,
-/// three-lead or motion-noise patients more or less would swing every
-/// metric from one seed to the next.
-fn ward_plans(runner: &CohortRunner) -> BenchResult<Vec<SessionPlan>> {
-    let cfg = &runner.config().cohort;
-    let generator = CohortGenerator::new(cfg.clone());
-    let three_lead = if cfg.cs_fraction >= 1.0 {
-        0.0
-    } else {
-        cfg.three_lead_fraction
-    };
-    let mut cells = Vec::new();
-    for (burden, wb) in RhythmBurden::ALL.into_iter().zip(cfg.burden_weights) {
-        for (leads, wl) in [(1, 1.0 - three_lead), (3, three_lead)] {
-            for (noise, wn) in NoiseProfile::ALL.into_iter().zip(cfg.noise_weights) {
-                cells.push(((burden, leads, noise), wb * wl * wn));
-            }
-        }
-    }
-    let weights: Vec<f64> = cells.iter().map(|c| c.1).collect();
-    let mut room = apportion(cfg.sessions, &weights);
-    let mut plans = Vec::with_capacity(cfg.sessions);
-    for index in 0..cfg.sessions * 10_000 {
-        if plans.len() == cfg.sessions {
-            break;
-        }
-        let profile = generator.profile(index);
-        let key = (profile.burden, profile.n_leads, profile.noise);
-        if let Some(c) = cells
-            .iter()
-            .position(|c| c.0 == key)
-            .filter(|&c| room[c] > 0)
-        {
-            room[c] -= 1;
-            let scripts = generator.session_scripts(&profile);
-            plans.push(SessionPlan { profile, scripts });
-        }
-    }
-    if plans.len() != cfg.sessions {
-        return Err(format!(
-            "drew only {} of {} sessions for the case mix",
-            plans.len(),
-            cfg.sessions
-        ));
-    }
-    Ok(plans)
-}
-
-/// Largest-remainder apportionment of `total` seats over `weights`.
-fn apportion(total: usize, weights: &[f64]) -> Vec<usize> {
-    let sum: f64 = weights.iter().sum();
-    let exact: Vec<f64> = weights.iter().map(|w| total as f64 * w / sum).collect();
-    let mut seats: Vec<usize> = exact.iter().map(|e| e.floor() as usize).collect();
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&a, &b| (exact[b] - exact[b].floor()).total_cmp(&(exact[a] - exact[a].floor())));
-    let short = total - seats.iter().sum::<usize>();
-    for &i in order.iter().take(short) {
-        seats[i] += 1;
-    }
-    seats
-}
-
 /// What a set-up hands to the passes.
 struct Setup {
     plans: Vec<SessionPlan>,
-    /// `replay` only: the live `ward-cs` report and its recording.
-    recording: Option<(CohortReport, Vec<u8>)>,
+    /// `replay` only.
+    recording: Option<Recording>,
 }
 
+/// A live recording of the `ward-cs` cohort.
+struct Recording {
+    /// The live run's report, as `CohortReport::to_json`.
+    report_json: String,
+    /// The archive.
+    bytes: Vec<u8>,
+}
+
+/// The program's plan generation and, for `replay`, the recording of
+/// the `ward-cs` cohort. The recording runs in a child process
+/// ([`RECORD`]), so that the memory the live run leaves in this
+/// process's allocator does not hide the replay pass's peak.
 fn set_up(workload: Workload, runner: &CohortRunner) -> BenchResult<Setup> {
-    let plans = ward_plans(runner)?;
+    let plans = runner.plans();
     let recording = if workload == Workload::Replay {
-        let rec = runner
-            .run_plans_recorded(&plans, Vec::new())
-            .map_err(|e| format!("recording the ward-cs cohort: {e}"))?;
-        Some(rec)
+        let exe = std::env::current_exe().map_err(|e| format!("locating the benchmark: {e}"))?;
+        let seed = runner.config().cohort.cohort_seed.to_string();
+        let out = std::process::Command::new(exe)
+            .args([RECORD, &seed])
+            .output()
+            .map_err(|e| format!("starting the recording: {e}"))?;
+        let mut stdout = out.stdout;
+        let newline = stdout.iter().position(|&b| b == b'\n');
+        let (true, Some(newline)) = (out.status.success(), newline) else {
+            return Err(format!(
+                "recording the ward-cs cohort failed ({}): {}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr).trim()
+            ));
+        };
+        let head: Vec<u8> = stdout.drain(..=newline).collect();
+        Some(Recording {
+            report_json: String::from_utf8_lossy(&head).trim_end().to_string(),
+            bytes: stdout,
+        })
     } else {
         None
     };
     Ok(Setup { plans, recording })
+}
+
+/// The subcommand the `replay` set-up runs in a child process:
+/// `record <seed>` records the `ward-cs` cohort of `seed` and writes
+/// the live report's JSON, a newline and the archive to standard
+/// output.
+const RECORD: &str = "record";
+
+fn record(seed: &str) -> BenchResult<()> {
+    use std::io::Write;
+    let seed = seed
+        .parse::<u64>()
+        .map_err(|e| format!("seed {seed:?}: {e}"))?;
+    let runner = runner(Workload::WardCs, seed);
+    let (report, bytes) = runner
+        .run_plans_recorded(&runner.plans(), Vec::new())
+        .map_err(|e| format!("recording the ward-cs cohort: {e}"))?;
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{}", report.to_json())
+        .and_then(|()| out.write_all(&bytes))
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("writing the recording: {e}"))
 }
 
 /// The outputs of one untraced pass.
@@ -305,8 +302,7 @@ fn run_pass(workload: Workload, runner: &CohortRunner, setup: &Setup) -> BenchRe
             (report, Some(bytes), None)
         }
         Workload::Replay => {
-            let (_, bytes) = recording(setup)?;
-            let replayer = CohortReplayer::from_bytes(bytes).map_err(err)?;
+            let replayer = CohortReplayer::from_bytes(&recording(setup)?.bytes).map_err(err)?;
             let report = replayer.report().map_err(err)?;
             let solver = replayer.solver_replay_archived().map_err(err)?;
             (report, None, Some(solver))
@@ -320,7 +316,7 @@ fn run_pass(workload: Workload, runner: &CohortRunner, setup: &Setup) -> BenchRe
     })
 }
 
-fn recording(setup: &Setup) -> BenchResult<&(CohortReport, Vec<u8>)> {
+fn recording(setup: &Setup) -> BenchResult<&Recording> {
     setup
         .recording
         .as_ref()
@@ -371,8 +367,11 @@ fn check_pass(
     }
     if workload == Workload::Replay {
         match (recording(setup), &pass.solver) {
-            (Ok((live, _)), Some(s)) => {
-                expect(r == live, "replayed report equals the live ward-cs report");
+            (Ok(live), Some(s)) => {
+                expect(
+                    r.to_json() == live.report_json,
+                    "replayed report equals the live ward-cs report",
+                );
                 expect(s.bit_identical, "solver replay bit-identical");
                 expect(s.compared > 0, "solver replay compared windows");
             }
@@ -472,32 +471,66 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-/// Steps per second [`machine_speed`]'s kernel ran at on the reference
-/// machine (2 vCPUs, Xeon at 2.0 GHz) while it was otherwise quiet.
-const NOMINAL_STEPS_PER_S: f64 = 4.5e8;
+/// Seconds [`machine_speed`]'s kernel takes on the reference machine
+/// (2 vCPUs, Xeon at 2.0 GHz), rounded up from its median there.
+const NOMINAL_KERNEL_S: f64 = 0.03;
 
 /// How fast this machine runs right now, as a fraction of nominal: a
-/// fixed kernel of xorshift updates to a 32 KiB table, timed alone. On
-/// a shared virtual machine the speed of the same code drifts by nearly
-/// 2× over minutes (other tenants; no steal time is reported), and the
-/// CPU time of a pass drifts with it. The kernel is the benchmark's own
-/// code, so no change to the program moves it; dividing a pass's
-/// throughput by the mean of the speeds measured just before and just
-/// after it cancels most of the drift.
-fn machine_speed() -> f64 {
-    const STEPS: u32 = 2_000_000;
-    let mut table = vec![0u64; 4096];
-    let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
-    let start = Instant::now();
-    for _ in 0..STEPS {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let j = (x % 4096) as usize;
-        table[j] = table[j].wrapping_add(x);
+/// fixed kernel of 4 M xorshift updates to a 32 KiB table (integer
+/// work in the L1 cache) and 200 f64 matrix-vector products with a
+/// 1 MiB matrix (floating point from the L2 cache and beyond), about
+/// 30 ms in all. On a shared virtual machine the speed of the same code
+/// moves by a quarter or more over minutes (other tenants; no steal
+/// time is reported), and the CPU time of a pass moves with it.
+///
+/// The kernel is the benchmark's code, and it runs only while this is
+/// the process's one thread, so the program cannot slow it: `None`
+/// when program threads outlive the pass that started them.
+fn machine_speed() -> BenchResult<Option<f64>> {
+    const TABLE: usize = 4096;
+    const ROWS: usize = 256;
+    const COLS: usize = 512;
+    if !alone()? {
+        return Ok(None);
     }
-    std::hint::black_box(&table);
-    f64::from(STEPS) / start.elapsed().as_secs_f64() / NOMINAL_STEPS_PER_S
+    let mut table = vec![1u64; TABLE];
+    let m = vec![0.5f64; ROWS * COLS];
+    let mut x = vec![1.0f64; COLS];
+    let mut y = vec![0.0f64; ROWS];
+    let start = Instant::now();
+    let mut z: u64 = 0x9E37_79B9_7F4A_7C15;
+    for _ in 0..4_000_000 {
+        z ^= z << 13;
+        z ^= z >> 7;
+        z ^= z << 17;
+        let j = (z % TABLE as u64) as usize;
+        table[j] = table[j].wrapping_add(z);
+    }
+    for _ in 0..200 {
+        for (yr, row) in y.iter_mut().zip(m.chunks_exact(COLS)) {
+            *yr = row.iter().zip(&x).map(|(a, b)| a * b).sum();
+        }
+        for (c, xc) in x.iter_mut().enumerate() {
+            *xc = 0.999 * *xc + 1e-6 * y[c % ROWS];
+        }
+    }
+    let wall = start.elapsed().as_secs_f64();
+    std::hint::black_box((&table, &x, &y));
+    Ok(Some(NOMINAL_KERNEL_S / wall))
+}
+
+/// Whether this is the process's only thread, allowing 100 ms for
+/// threads the program has just joined to leave `/proc/self/task`.
+fn alone() -> BenchResult<bool> {
+    for _ in 0..100 {
+        let tasks = std::fs::read_dir("/proc/self/task")
+            .map_err(|e| format!("listing /proc/self/task: {e}"))?;
+        if tasks.count() == 1 {
+            return Ok(true);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    Ok(false)
 }
 
 fn median(values: &[f64]) -> f64 {
@@ -521,16 +554,24 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Peak resident memory of this process, MiB (`VmHWM`).
-fn peak_rss_mib() -> BenchResult<f64> {
+/// A memory figure of this process from `/proc/self/status`, MiB:
+/// `VmHWM` (peak resident) or `VmRSS` (resident now).
+fn status_mib(key: &str) -> BenchResult<f64> {
     let status = std::fs::read_to_string("/proc/self/status")
         .map_err(|e| format!("reading /proc/self/status: {e}"))?;
     status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix(key)?.strip_prefix(':'))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         .map(|kib| kib / 1024.0)
-        .ok_or_else(|| "no VmHWM line in /proc/self/status".to_string())
+        .ok_or_else(|| format!("no {key} line in /proc/self/status"))
+}
+
+/// Lowers the process's `VmHWM` to its resident memory now, so that
+/// the next reading covers only what runs after the call. Returns
+/// whether the kernel took the reset.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// The clinical and link-quality figures of a report. They are exact
@@ -574,28 +615,42 @@ fn report_quality(r: &CohortReport) -> [(&'static str, f64, &'static str, &'stat
 
 fn run(args: &Args) -> BenchResult<Outcome> {
     let runner = runner(args.workload, args.seed);
+    // Measured before any program code runs: the fallback for passes
+    // whose own measurements are refused (see `machine_speed`).
+    let first_speed = machine_speed()?.ok_or("another thread runs at start-up")?;
     let mut setup_walls = Vec::new();
-    let mut setup = None;
+    let mut setup: Option<Setup> = None;
+    let mut recorded = None;
     for _ in 0..SETUP_REPEATS {
+        // The previous set-up goes before the next is built, so that
+        // two are never held at once.
+        drop(setup.take());
         let start = Instant::now();
         let s = set_up(args.workload, &runner)?;
         setup_walls.push(start.elapsed().as_secs_f64());
-        if let (Some(prev), Some(cur)) = (
-            setup.as_ref().and_then(|p: &Setup| p.recording.as_ref()),
-            s.recording.as_ref(),
-        ) {
-            if prev != cur {
-                return Err("two recordings of the same cohort differ".into());
-            }
+        let digest = s
+            .recording
+            .as_ref()
+            .map(|r| (r.report_json.clone(), fnv1a(&r.bytes)));
+        if recorded.is_some() && digest != recorded {
+            return Err("two recordings of the same cohort differ".into());
         }
+        recorded = digest;
         setup = Some(s);
     }
     let setup = setup.ok_or("no set-up ran")?;
     if args.trace {
         traced_run(args.workload, &runner, &setup)
     } else {
-        untraced_run(args, &runner, &setup, setup_walls)
+        untraced_run(args, &runner, &setup, setup_walls, first_speed)
     }
+}
+
+/// 64-bit FNV-1a digest, to compare recordings without keeping two.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
 }
 
 fn untraced_run(
@@ -603,18 +658,23 @@ fn untraced_run(
     runner: &CohortRunner,
     setup: &Setup,
     mut setup_walls: Vec<f64>,
+    mut speed_now: f64,
 ) -> BenchResult<Outcome> {
     let cheap_setup = median(&setup_walls) < SETUP_SLICE_S;
+    // Peak memory of one pass: the set-up's own peak (for `replay`, a
+    // live recording) is left out, what the pass keeps of it is not.
+    let rss_at_reset = status_mib("VmRSS")?;
+    let peak_reset = reset_peak_rss();
     let start = Instant::now();
     // Only the first pass is kept (later ones are checked against it
     // and dropped), so peak memory does not grow with the pass count.
     let mut first: Option<Pass> = None;
     let mut walls = Vec::new();
-    // Peak memory of set-up plus one pass: what one cohort evaluation
-    // costs. Later passes only add allocator fragmentation, which
-    // varies with thread timing.
+    // Later passes only add allocator fragmentation, which varies with
+    // thread timing, so the peak is read after the first.
     let mut peak_rss = None;
     let mut speeds = Vec::new();
+    let mut stale_speeds = 0;
     let (mut attempted, mut failed) = (0u64, 0u64);
     let mut violations = Vec::new();
     while walls.len() < MIN_PASSES || start.elapsed().as_secs_f64() < args.seconds {
@@ -624,9 +684,15 @@ fn untraced_run(
             set_up(args.workload, runner)?;
             setup_walls.push(t.elapsed().as_secs_f64());
         }
-        let before = machine_speed();
+        let before = machine_speed()?;
         let pass = run_pass(args.workload, runner, setup)?;
-        speeds.push((before + machine_speed()) / 2.0);
+        let measured: Vec<f64> = [before, machine_speed()?].into_iter().flatten().collect();
+        if measured.is_empty() {
+            stale_speeds += 1;
+        } else {
+            speed_now = measured.iter().sum::<f64>() / measured.len() as f64;
+        }
+        speeds.push(speed_now);
         let bad = check_pass(args.workload, runner, &pass, first.as_ref(), setup);
         attempted += pass.ops();
         if !bad.is_empty() {
@@ -639,7 +705,7 @@ fn untraced_run(
         walls.push(pass.wall_s);
         first.get_or_insert(pass);
         if peak_rss.is_none() {
-            peak_rss = Some(peak_rss_mib()?);
+            peak_rss = Some(status_mib("VmHWM")?);
         }
     }
     let r = &first.ok_or("no pass ran")?.report;
@@ -665,10 +731,16 @@ fn untraced_run(
             setup_walls.len()
         ),
         format!(
-            "machine speed {speed:.4} of nominal; unscaled realtime_x {}, setup_s {}",
+            "machine speed {speed:.4} of nominal, {stale_speeds} pass(es) \
+             with a stale speed; unscaled realtime_x {}, setup_s {}",
             fmt_value(median(&raw)),
             fmt_value(median(&setup_walls))
         ),
+        if peak_reset {
+            format!("peak_rss_mib counts from {rss_at_reset:.2} MiB resident after set-up")
+        } else {
+            "peak_rss_mib includes set-up: the kernel refused the VmHWM reset".to_string()
+        },
     ];
     for (name, value, unit, better) in report_quality(r) {
         notes.push(format!(
@@ -779,7 +851,8 @@ fn traced_run(workload: Workload, runner: &CohortRunner, setup: &Setup) -> Bench
         work = main.work;
         (main.wall_s, single.wall_s / main.wall_s)
     } else {
-        let (live, bytes) = recording(setup)?;
+        let live = recording(setup)?;
+        let bytes = &live.bytes;
         let start = Instant::now();
         let replayer = tr
             .time(Layer::ArchiveRead, || CohortReplayer::from_bytes(bytes))
@@ -792,7 +865,7 @@ fn traced_run(workload: Workload, runner: &CohortRunner, setup: &Setup) -> Bench
             .map_err(|e| e.to_string())?;
         let wall_s = start.elapsed().as_secs_f64();
         attempted += solver.compared;
-        if &report != live || report != reference.report {
+        if report.to_json() != live.report_json || report != reference.report {
             violations.push("traced replay report differs from the live ward-cs report".into());
         }
         if !solver.bit_identical {
