@@ -22,7 +22,7 @@ use std::sync::Arc;
 use wbsn_core::link::SessionHandshake;
 use wbsn_core::Result;
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::solver::{Fista, FistaConfig, FistaState};
+use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch, FistaState};
 use wbsn_gateway::{MatrixCache, MatrixKey};
 use wbsn_sigproc::stats::prd_percent;
 
@@ -126,6 +126,7 @@ pub fn replay_reconstruction(
     let mut replayed_sum = 0.0;
     let mut delta_sum = 0.0;
     let mut y_scratch: Vec<f64> = Vec::new();
+    let mut scratch = FistaScratch::new();
     for block in blocks {
         let ArchiveBlock::Epoch(rec) = block else {
             continue;
@@ -192,7 +193,8 @@ pub fn replay_reconstruction(
                     } else {
                         None
                     };
-                    let solve = fista.solve(enc.sensing_matrix(), &y_scratch, warm)?;
+                    let solve =
+                        fista.solve_with(&mut scratch, enc.sensing_matrix(), &y_scratch, warm)?;
                     report.windows_solved += 1;
                     report.solver_iters += solve.iters as u64;
                     let n = hs.cs_window as usize;

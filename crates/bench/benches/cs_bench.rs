@@ -3,7 +3,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::joint::{GroupFista, GroupFistaConfig};
-use wbsn_cs::solver::{Fista, FistaConfig};
+use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch};
 use wbsn_sigproc::SparseTernaryMatrix;
 
 fn window(n: usize) -> Vec<i32> {
@@ -31,6 +31,16 @@ fn bench_cs(c: &mut Criterion) {
     });
     g.bench_function("fista_50it_512", |b| {
         b.iter(|| fista.reconstruct(black_box(&enc), black_box(&y)).unwrap())
+    });
+    // Same solve on a reused scratch: the gateway's decode path.
+    let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
+    let mut scratch = FistaScratch::new();
+    g.bench_function("fista_50it_512_scratch", |b| {
+        b.iter(|| {
+            fista
+                .solve_with(&mut scratch, enc.sensing_matrix(), black_box(&yf), None)
+                .unwrap()
+        })
     });
     let phis: Vec<SparseTernaryMatrix> = (0..3)
         .map(|l| SparseTernaryMatrix::random(256, 512, 4, 50 + l).unwrap())

@@ -2,7 +2,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wbsn_sigproc::morphology::{dilate, erode, mmd_transform_unscaled, MorphologicalFilter};
-use wbsn_sigproc::wavelet::{wavedec, waverec, AtrousQspline, Wavelet};
+use wbsn_sigproc::wavelet::{
+    wavedec, wavedec_into, waverec, waverec_into, AtrousQspline, DwtScratch, Wavelet,
+};
 
 fn signal(n: usize) -> Vec<i32> {
     (0..n).map(|i| ((i * 37) % 211) as i32 - 100).collect()
@@ -28,6 +30,17 @@ fn bench_kernels(c: &mut Criterion) {
     let coeffs = wavedec(&xf, Wavelet::Db4, 5).unwrap();
     g.bench_function("waverec_db4_512", |b| {
         b.iter(|| waverec(black_box(&coeffs), Wavelet::Db4, 5).unwrap())
+    });
+    // The `_into` forms with warm scratch: the FISTA inner-loop kernels.
+    let mut scratch = DwtScratch::default();
+    let mut out = Vec::new();
+    g.bench_function("wavedec_into_db4_512", |b| {
+        b.iter(|| wavedec_into(black_box(&xf), Wavelet::Db4, 5, &mut scratch, &mut out).unwrap())
+    });
+    g.bench_function("waverec_into_db4_512", |b| {
+        b.iter(|| {
+            waverec_into(black_box(&coeffs), Wavelet::Db4, 5, &mut scratch, &mut out).unwrap()
+        })
     });
     g.finish();
 }

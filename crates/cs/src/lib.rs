@@ -53,7 +53,7 @@ pub mod sweep;
 
 pub use encoder::CsEncoder;
 pub use joint::{GroupFista, GroupFistaConfig};
-pub use solver::{Fista, FistaConfig, FistaSolve, FistaState};
+pub use solver::{Fista, FistaConfig, FistaScratch, FistaSolve, FistaState};
 
 /// Errors produced by the CS pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,6 +74,14 @@ pub enum CsError {
         /// Observed size.
         got: usize,
     },
+    /// An input held a NaN or infinity, which no solve can recover
+    /// from.
+    NonFinite {
+        /// What was being checked.
+        what: &'static str,
+        /// Index of the first non-finite entry.
+        index: usize,
+    },
     /// An underlying signal-processing primitive rejected its input.
     Sigproc(wbsn_sigproc::SigprocError),
 }
@@ -92,6 +100,9 @@ impl core::fmt::Display for CsError {
                 f,
                 "shape mismatch for {what}: expected {expected}, got {got}"
             ),
+            CsError::NonFinite { what, index } => {
+                write!(f, "non-finite value in {what} at index {index}")
+            }
             CsError::Sigproc(e) => write!(f, "sigproc error: {e}"),
         }
     }

@@ -60,6 +60,12 @@ impl Omp {
                 got: y.len(),
             });
         }
+        if let Some(index) = y.iter().position(|v| !v.is_finite()) {
+            return Err(CsError::NonFinite {
+                what: "measurement vector",
+                index,
+            });
+        }
         if n % (1 << self.cfg.levels) != 0 {
             return Err(CsError::InvalidParameter {
                 what: "levels",
@@ -71,13 +77,14 @@ impl Omp {
         // Column j of A = Φ Ψ e_j, materialized lazily and cached.
         let mut atom_cache: Vec<Option<Vec<f64>>> = vec![None; n];
         let atom = |j: usize, cache: &mut Vec<Option<Vec<f64>>>| -> Result<Vec<f64>> {
-            if cache[j].is_none() {
-                let mut e = vec![0.0; n];
-                e[j] = 1.0;
-                let col = phi.apply(&waverec(&e, w, lv)?);
-                cache[j] = Some(col);
+            if let Some(col) = &cache[j] {
+                return Ok(col.clone());
             }
-            Ok(cache[j].clone().expect("just inserted"))
+            let mut e = vec![0.0; n];
+            e[j] = 1.0;
+            let col = phi.apply(&waverec(&e, w, lv)?);
+            cache[j] = Some(col.clone());
+            Ok(col)
         };
 
         let y_norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -97,7 +104,9 @@ impl Omp {
                 .enumerate()
                 .filter(|(j, _)| !support.contains(j))
                 .map(|(j, &c)| (j, c.abs()))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"))
+                // `abs()` of a finite correlation is never NaN, where
+                // `total_cmp` orders exactly as `partial_cmp`.
+                .max_by(|a, b| a.1.total_cmp(&b.1))
                 .unwrap_or((0, 0.0));
             if best_val < 1e-12 {
                 break;
@@ -226,6 +235,18 @@ mod tests {
         let phi = SparseTernaryMatrix::random(32, 128, 4, 1).unwrap();
         let omp = Omp::new(OmpConfig::default());
         assert!(omp.reconstruct(&phi, &vec![0.0; 31]).is_err());
+    }
+
+    #[test]
+    fn non_finite_measurements_are_a_typed_error() {
+        let phi = SparseTernaryMatrix::random(32, 128, 4, 1).unwrap();
+        let omp = Omp::new(OmpConfig::default());
+        let mut y = vec![1.0; 32];
+        y[7] = f64::NAN;
+        assert!(matches!(
+            omp.reconstruct(&phi, &y),
+            Err(CsError::NonFinite { index: 7, .. })
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::encoder::CsEncoder;
 use crate::{CsError, Result};
-use wbsn_sigproc::wavelet::{wavedec, waverec, Wavelet};
+use wbsn_sigproc::wavelet::{wavedec_into, waverec_into, DwtScratch, Wavelet};
 use wbsn_sigproc::SparseTernaryMatrix;
 
 /// FISTA configuration.
@@ -71,12 +71,14 @@ impl Default for FistaConfig {
 /// The state is only valid for a fixed `(Φ, FistaConfig)` pair —
 /// [`FistaState::reset`] it when the sensing matrix changes (the
 /// gateway does so on any handshake change). A state whose cached
-/// shapes disagree with the solve at hand is ignored and rebuilt, so
-/// a stale state can degrade speed, never correctness.
+/// `(rows, cols)` disagree with the solve at hand is ignored and
+/// rebuilt — both the warm vector and the Lipschitz constant — so a
+/// stale state can degrade speed, never correctness.
 #[derive(Debug, Clone, Default)]
 pub struct FistaState {
-    /// Cached Lipschitz constant of `AᵀA` (`None` until first solve).
-    lip: Option<f64>,
+    /// Cached Lipschitz constant of `AᵀA`, keyed by the `(rows, cols)`
+    /// of the Φ it was computed for (`None` until first solve).
+    lip: Option<((usize, usize), f64)>,
     /// Previous solution in the coefficient domain.
     warm: Vec<f64>,
 }
@@ -97,6 +99,65 @@ impl FistaState {
     pub fn is_cold(&self) -> bool {
         self.warm.is_empty()
     }
+}
+
+/// Reusable working memory for [`Fista::solve_with`]: the DWT scratch
+/// plus the signal-, measurement- and coefficient-domain buffers of
+/// one iteration. One scratch serves any number of streams and shapes
+/// in turn (a gateway keeps one per decode worker, not per session);
+/// once warm, the iteration loop allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct FistaScratch {
+    dwt: DwtScratch,
+    /// Signal domain: `Ψz`, then `Φᵀr`.
+    sig: Vec<f64>,
+    /// Measurement domain: `ΦΨz`, then the residual `r`.
+    meas: Vec<f64>,
+    /// Coefficient domain: the gradient `ΨᵀΦᵀr`.
+    grad: Vec<f64>,
+    /// Current iterate `a`.
+    a: Vec<f64>,
+    /// Next iterate `a⁺`.
+    a_next: Vec<f64>,
+    /// Extrapolated point `z` (also the power-iteration vector).
+    z: Vec<f64>,
+}
+
+impl FistaScratch {
+    /// Empty scratch; buffers size themselves on first use.
+    pub fn new() -> Self {
+        FistaScratch::default()
+    }
+}
+
+/// `out = A v = Φ Ψ v`, through `sig`.
+fn apply_a(
+    phi: &SparseTernaryMatrix,
+    w: Wavelet,
+    lv: usize,
+    v: &[f64],
+    dwt: &mut DwtScratch,
+    sig: &mut Vec<f64>,
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    waverec_into(v, w, lv, dwt, sig)?;
+    phi.apply_into(sig, out);
+    Ok(())
+}
+
+/// `out = Aᵀ r = Ψᵀ Φᵀ r` (Ψ orthonormal), through `sig`.
+fn apply_at(
+    phi: &SparseTernaryMatrix,
+    w: Wavelet,
+    lv: usize,
+    r: &[f64],
+    dwt: &mut DwtScratch,
+    sig: &mut Vec<f64>,
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    phi.apply_t_into(r, sig);
+    wavedec_into(sig, w, lv, dwt, out)?;
+    Ok(())
 }
 
 /// One reconstruction plus its diagnostics.
@@ -164,14 +225,33 @@ impl Fista {
         Ok(self.solve(phi, y, None)?.x)
     }
 
-    /// The solver core: cold when `state` is `None` (or fresh),
-    /// warm-started otherwise.
+    /// The solver core with a fresh [`FistaScratch`]: cold when
+    /// `state` is `None` (or fresh), warm-started otherwise.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Fista::reconstruct`].
+    /// Same conditions as [`Fista::solve_with`].
     pub fn solve(
         &self,
+        phi: &SparseTernaryMatrix,
+        y: &[f64],
+        state: Option<&mut FistaState>,
+    ) -> Result<FistaSolve> {
+        self.solve_with(&mut FistaScratch::new(), phi, y, state)
+    }
+
+    /// [`Fista::solve`] on caller-owned working memory: with a warm
+    /// `scratch` the iteration loop performs no heap allocation, and
+    /// a solve allocates only its returned samples.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `y` does not have `phi.rows()` entries or holds a
+    /// non-finite value, or the window length is incompatible with the
+    /// configured levels.
+    pub fn solve_with(
+        &self,
+        scratch: &mut FistaScratch,
         phi: &SparseTernaryMatrix,
         y: &[f64],
         state: Option<&mut FistaState>,
@@ -185,6 +265,12 @@ impl Fista {
                 got: y.len(),
             });
         }
+        if let Some(index) = y.iter().position(|v| !v.is_finite()) {
+            return Err(CsError::NonFinite {
+                what: "measurement vector",
+                index,
+            });
+        }
         if n % (1 << self.cfg.levels) != 0 {
             return Err(CsError::InvalidParameter {
                 what: "levels",
@@ -193,27 +279,41 @@ impl Fista {
         }
         let w = self.cfg.wavelet;
         let lv = self.cfg.levels;
-        // A a  = Φ Ψ a ; Aᵀ r = Ψᵀ Φᵀ r (Ψ orthonormal).
-        let apply = |a: &[f64]| -> Result<Vec<f64>> { Ok(phi.apply(&waverec(a, w, lv)?)) };
-        let apply_t = |r: &[f64]| -> Result<Vec<f64>> { Ok(wavedec(&phi.apply_t(r), w, lv)?) };
+        let FistaScratch {
+            dwt,
+            sig,
+            meas,
+            grad,
+            a,
+            a_next,
+            z,
+        } = scratch;
+
+        // A state is trusted only for the shape it was built on; a
+        // mismatched one is stale, so both its Lipschitz constant and
+        // its warm vector are ignored (and overwritten below).
+        let cached = state.as_ref().and_then(|s| match s.lip {
+            Some((shape, lip)) if shape == (m, n) && s.warm.len() == n => Some((lip, &s.warm)),
+            _ => None,
+        });
 
         // Lipschitz constant of ∇f via power iteration on AᵀA — a
         // property of the fixed operator, so a warm state pays it once
-        // per stream.
-        let cached_lip = state.as_ref().and_then(|s| s.lip);
-        let lip = match cached_lip {
-            Some(l) => l,
+        // per stream. `z` doubles as the power-iteration vector.
+        let lip = match cached {
+            Some((l, _)) => l,
             None => {
-                let mut v = vec![1.0; n];
+                z.clear();
+                z.resize(n, 1.0);
                 let mut lam = 1.0f64;
                 for _ in 0..12 {
-                    let av = apply(&v)?;
-                    let atav = apply_t(&av)?;
-                    lam = atav.iter().map(|x| x * x).sum::<f64>().sqrt();
+                    apply_a(phi, w, lv, z, dwt, sig, meas)?;
+                    apply_at(phi, w, lv, meas, dwt, sig, grad)?;
+                    lam = grad.iter().map(|x| x * x).sum::<f64>().sqrt();
                     if lam <= 0.0 {
                         break;
                     }
-                    for (vi, &ai) in v.iter_mut().zip(&atav) {
+                    for (vi, &ai) in z.iter_mut().zip(grad.iter()) {
                         *vi = ai / lam;
                     }
                 }
@@ -222,32 +322,36 @@ impl Fista {
         };
         let step = 1.0 / lip;
 
-        let aty = apply_t(y)?;
-        let linf = aty.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
+        apply_at(phi, w, lv, y, dwt, sig, grad)?;
+        let linf = grad.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
         let lambda = self.cfg.lambda_rel * linf;
 
-        // Warm start: the previous window's solution, when its shape
-        // matches this solve (a mismatched state is stale — ignore it).
-        let mut a = match state.as_ref() {
-            Some(s) if s.warm.len() == n => s.warm.clone(),
-            _ => vec![0.0; n],
-        };
-        let mut z = a.clone();
+        // Warm start from the previous window's solution, or cold
+        // from zeros.
+        a.clear();
+        match cached {
+            Some((_, warm)) => a.extend_from_slice(warm),
+            None => a.resize(n, 0.0),
+        }
+        z.clear();
+        z.extend_from_slice(a);
+        a_next.resize(n, 0.0);
         let mut t = 1.0f64;
         let mut prev_norm = 0.0f64;
         let mut iters = 0usize;
         for _ in 0..self.cfg.max_iters {
             iters += 1;
-            let az = apply(&z)?;
-            let resid: Vec<f64> = az.iter().zip(y).map(|(p, q)| p - q).collect();
-            let grad = apply_t(&resid)?;
-            let mut a_next: Vec<f64> = z
-                .iter()
-                .zip(&grad)
-                .map(|(&zi, &gi)| soft_threshold(zi - step * gi, step * lambda))
-                .collect();
+            // r = A z − y, then ∇ = Aᵀ r.
+            apply_a(phi, w, lv, z, dwt, sig, meas)?;
+            for (p, q) in meas.iter_mut().zip(y) {
+                *p -= q;
+            }
+            apply_at(phi, w, lv, meas, dwt, sig, grad)?;
+            for ((an, &zi), &gi) in a_next.iter_mut().zip(z.iter()).zip(grad.iter()) {
+                *an = soft_threshold(zi - step * gi, step * lambda);
+            }
             if self.cfg.tree_model {
-                enforce_tree(&mut a_next, n, lv);
+                enforce_tree(a_next, n, lv);
             }
             // Gradient restart: when the momentum direction `a⁺ − a`
             // opposes the step the prox-gradient actually took from z,
@@ -255,8 +359,8 @@ impl Fista {
             if self.cfg.restart {
                 let overshoot: f64 = z
                     .iter()
-                    .zip(&a_next)
-                    .zip(&a)
+                    .zip(a_next.iter())
+                    .zip(a.iter())
                     .map(|((&zi, &an), &ao)| (zi - an) * (an - ao))
                     .sum();
                 if overshoot > 0.0 {
@@ -265,29 +369,29 @@ impl Fista {
             }
             let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
             let beta = (t - 1.0) / t_next;
-            z = a_next
-                .iter()
-                .zip(&a)
-                .map(|(&an, &ao)| an + beta * (an - ao))
-                .collect();
+            for ((zi, &an), &ao) in z.iter_mut().zip(a_next.iter()).zip(a.iter()) {
+                *zi = an + beta * (an - ao);
+            }
             let change: f64 = a_next
                 .iter()
-                .zip(&a)
+                .zip(a.iter())
                 .map(|(x, y)| (x - y) * (x - y))
                 .sum::<f64>()
                 .sqrt();
             let norm: f64 = a_next.iter().map(|x| x * x).sum::<f64>().sqrt();
-            a = a_next;
+            core::mem::swap(a, a_next);
             t = t_next;
             if norm > 0.0 && change / norm.max(prev_norm) < self.cfg.tol {
                 break;
             }
             prev_norm = norm;
         }
-        let x = waverec(&a, w, lv)?;
+        let mut x = Vec::with_capacity(n);
+        waverec_into(a, w, lv, dwt, &mut x)?;
         if let Some(s) = state {
-            s.lip = Some(lip);
-            s.warm = a;
+            s.lip = Some(((m, n), lip));
+            s.warm.clear();
+            s.warm.extend_from_slice(a);
         }
         Ok(FistaSolve { x, iters })
     }
@@ -485,5 +589,81 @@ mod tests {
         let warm_bits: Vec<u64> = warm.x.iter().map(|v| v.to_bits()).collect();
         let cold_bits: Vec<u64> = cold.iter().map(|v| v.to_bits()).collect();
         assert_eq!(warm_bits, cold_bits);
+    }
+
+    #[test]
+    fn mismatched_state_is_rebuilt_without_reset() {
+        // Same window length, different measurement count: the warm
+        // vector's length still fits, so only the stored (rows, cols)
+        // can tell the cached Lipschitz constant is stale. The solve
+        // must then match a cold one bit for bit, and leave a state
+        // keyed to the new shape.
+        let solver = Fista::new(FistaConfig::default());
+        let x = ecg_like(256);
+        let wide = CsEncoder::new(256, 160, 4, 5).unwrap();
+        let mut state = FistaState::new();
+        solver
+            .reconstruct_warm(&wide, &wide.encode(&x).unwrap(), &mut state)
+            .unwrap();
+        let narrow = CsEncoder::new(256, 64, 4, 5).unwrap();
+        let y = narrow.encode(&x).unwrap();
+        let warm = solver.reconstruct_warm(&narrow, &y, &mut state).unwrap();
+        let cold = solver.reconstruct(&narrow, &y).unwrap();
+        let warm_bits: Vec<u64> = warm.x.iter().map(|v| v.to_bits()).collect();
+        let cold_bits: Vec<u64> = cold.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(warm_bits, cold_bits);
+        assert_eq!(state.lip.map(|(shape, _)| shape), Some((64, 256)));
+    }
+
+    #[test]
+    fn non_finite_measurements_are_a_typed_error() {
+        let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
+        let solver = Fista::new(FistaConfig::default());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut y = vec![0.0; 64];
+            y[11] = bad;
+            let mut state = FistaState::new();
+            let err = solver
+                .solve(enc.sensing_matrix(), &y, Some(&mut state))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CsError::NonFinite {
+                    what: "measurement vector",
+                    index: 11
+                }
+            );
+            // A rejected window leaves the stream's state untouched.
+            assert!(state.is_cold());
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_across_shapes_matches_fresh_solves() {
+        // One scratch serving windows of different shapes in turn (as a
+        // gateway worker does across sessions) gives the same bits as a
+        // fresh scratch per solve.
+        let solver = Fista::new(FistaConfig {
+            max_iters: 60,
+            ..FistaConfig::default()
+        });
+        let mut scratch = FistaScratch::new();
+        for (n, m) in [(256, 128), (128, 48), (512, 192), (256, 100)] {
+            let enc = CsEncoder::new(n, m, 4, 9).unwrap();
+            let y: Vec<f64> = enc
+                .encode(&ecg_like(n))
+                .unwrap()
+                .iter()
+                .map(|&v| v as f64)
+                .collect();
+            let reused = solver
+                .solve_with(&mut scratch, enc.sensing_matrix(), &y, None)
+                .unwrap();
+            let fresh = solver.solve(enc.sensing_matrix(), &y, None).unwrap();
+            assert_eq!(reused.iters, fresh.iters);
+            let a: Vec<u64> = reused.x.iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u64> = fresh.x.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "n={n} m={m}");
+        }
     }
 }

@@ -38,7 +38,7 @@ use wbsn_core::link::{
 use wbsn_core::{Payload, WbsnError};
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::omp::{Omp, OmpConfig};
-use wbsn_cs::solver::{Fista, FistaConfig, FistaState};
+use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch, FistaState};
 use wbsn_sigproc::stats::prd_percent;
 
 /// Which `wbsn-cs` decoder the gateway runs per CS window.
@@ -390,8 +390,6 @@ struct SessionState {
     windows: BTreeMap<(u8, u32), Vec<f64>>,
     // Optional per-lead reference signals for PRD reporting.
     references: BTreeMap<u8, LeadReference>,
-    // Reused measurement buffer.
-    y_scratch: Vec<i64>,
 }
 
 impl SessionState {
@@ -419,7 +417,6 @@ impl SessionState {
             fista: Vec::new(),
             windows: BTreeMap::new(),
             references: BTreeMap::new(),
-            y_scratch: Vec::new(),
         })
     }
 }
@@ -436,19 +433,16 @@ impl SolverImpl {
     fn reconstruct(
         &self,
         enc: &CsEncoder,
-        y: &[i64],
+        y: &[f64],
         state: Option<&mut FistaState>,
+        scratch: &mut FistaScratch,
     ) -> Result<(Vec<f64>, usize)> {
         match self {
             SolverImpl::Fista(f) => {
-                let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
-                let solve = f.solve(enc.sensing_matrix(), &yf, state)?;
+                let solve = f.solve_with(scratch, enc.sensing_matrix(), y, state)?;
                 Ok((solve.x, solve.iters))
             }
-            SolverImpl::Omp(o) => {
-                let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
-                Ok((o.reconstruct(enc.sensing_matrix(), &yf)?, 0))
-            }
+            SolverImpl::Omp(o) => Ok((o.reconstruct(enc.sensing_matrix(), y)?, 0)),
         }
     }
 }
@@ -466,6 +460,11 @@ pub struct Gateway {
     /// per-session) so items surfaced by a session's closing flush
     /// survive the session-state teardown.
     tap: Vec<(u64, TapItem)>,
+    /// Solver working memory, shared by every session this gateway
+    /// (one decode worker) serves: solves run one at a time.
+    fista_scratch: FistaScratch,
+    /// Reused solver input: the window's measurements as `f64`.
+    y_scratch: Vec<f64>,
 }
 
 impl Default for Gateway {
@@ -500,6 +499,8 @@ impl Gateway {
             sessions: BTreeMap::new(),
             stats: GatewayStats::default(),
             tap: Vec::new(),
+            fista_scratch: FistaScratch::new(),
+            y_scratch: Vec::new(),
         }
     }
 
@@ -1088,16 +1089,22 @@ impl Gateway {
                         enc
                     }
                 };
-                state.y_scratch.clear();
-                state
-                    .y_scratch
-                    .extend(measurements.iter().map(|&v| v as i64));
+                // The value path i16 → i64 (reassembly) → f64 (solver
+                // front end) is exact at every step.
+                self.y_scratch.clear();
+                self.y_scratch
+                    .extend(measurements.iter().map(|&v| v as i64 as f64));
                 let warm = if self.cfg.warm_start {
                     Some(&mut state.fista[lead as usize])
                 } else {
                     None
                 };
-                let (xr, iters) = self.solver.reconstruct(&enc, &state.y_scratch, warm)?;
+                let (xr, iters) = self.solver.reconstruct(
+                    &enc,
+                    &self.y_scratch,
+                    warm,
+                    &mut self.fista_scratch,
+                )?;
                 self.stats.solver_iters += iters as u64;
                 let n = hs.cs_window as usize;
                 let prd = state.references.get(&lead).and_then(|reference| {

@@ -471,9 +471,14 @@ impl SparseTernaryMatrix {
         self.d_per_col
     }
 
-    /// Column `c`'s row indices as `(positives, negatives)` slices.
+    /// Column `c`'s row indices as `(positives, negatives)` slices, in
+    /// stored order (the order every kernel visits and sums them).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `c >= cols`.
     #[inline]
-    fn column(&self, c: usize) -> (&[u32], &[u32]) {
+    pub fn column(&self, c: usize) -> (&[u32], &[u32]) {
         let start = self.col_ptr[c] as usize;
         let end = self.col_ptr[c + 1] as usize;
         let split = start + self.pos_len[c] as usize;
@@ -531,14 +536,29 @@ impl SparseTernaryMatrix {
         y
     }
 
-    /// Float encode `y = Φ x`.
+    /// Float encode `y = Φ x`. Allocates; repeated products should
+    /// prefer [`SparseTernaryMatrix::apply_into`].
     ///
     /// # Panics
     ///
     /// Panics when `x.len() != cols`.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = Vec::new();
+        self.apply_into(x, &mut y);
+        y
+    }
+
+    /// [`SparseTernaryMatrix::apply`] into a caller-owned buffer,
+    /// cleared and resized to `rows` first: a warm caller allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != cols`.
+    pub fn apply_into(&self, x: &[f64], y: &mut Vec<f64>) {
         assert_eq!(x.len(), self.cols, "apply shape");
-        let mut y = vec![0.0; self.rows];
+        y.clear();
+        y.resize(self.rows, 0.0);
         for (col, &xv) in x.iter().enumerate() {
             let (pos, neg) = self.column(col);
             for &r in pos {
@@ -548,24 +568,35 @@ impl SparseTernaryMatrix {
                 y[r as usize] -= xv;
             }
         }
-        y
     }
 
-    /// Adjoint `Φᵀ y`.
+    /// Adjoint `Φᵀ y`. Allocates; repeated products should prefer
+    /// [`SparseTernaryMatrix::apply_t_into`].
     ///
     /// # Panics
     ///
     /// Panics when `y.len() != rows`.
     pub fn apply_t(&self, y: &[f64]) -> Vec<f64> {
+        let mut x = Vec::new();
+        self.apply_t_into(y, &mut x);
+        x
+    }
+
+    /// [`SparseTernaryMatrix::apply_t`] into a caller-owned buffer
+    /// (resized to `cols`; every entry is overwritten).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `y.len() != rows`.
+    pub fn apply_t_into(&self, y: &[f64], x: &mut Vec<f64>) {
         assert_eq!(y.len(), self.rows, "apply_t shape");
-        let mut x = vec![0.0; self.cols];
+        x.resize(self.cols, 0.0);
         for (col, out) in x.iter_mut().enumerate() {
             let (pos, neg) = self.column(col);
             let p: f64 = pos.iter().map(|&r| y[r as usize]).sum();
             let n: f64 = neg.iter().map(|&r| y[r as usize]).sum();
             *out = p - n;
         }
-        x
     }
 
     /// Expands to dense (verification only).

@@ -46,16 +46,14 @@ impl Wavelet {
     }
 
     /// Wavelet (high-pass) decomposition filter via the quadrature
-    /// mirror relation `g[n] = (-1)^n h[L-1-n]`.
-    pub fn wavelet_filter(self) -> Vec<f64> {
-        let h = self.scaling_filter();
-        let l = h.len();
-        (0..l)
-            .map(|n| {
-                let sign = if n % 2 == 0 { 1.0 } else { -1.0 };
-                sign * h[l - 1 - n]
-            })
-            .collect()
+    /// mirror relation `g[n] = (-1)^n h[L-1-n]`, precomputed as a
+    /// static table.
+    pub fn wavelet_filter(self) -> &'static [f64] {
+        match self {
+            Wavelet::Haar => &HAAR_G,
+            Wavelet::Db2 => &DB2_G,
+            Wavelet::Db4 => &DB4_G,
+        }
     }
 }
 
@@ -77,99 +75,254 @@ static DB4: [f64; 8] = [
     0.032883011666982945,
     -0.010597401784997278,
 ];
+static HAAR_G: [f64; 2] = qmf(&HAAR);
+static DB2_G: [f64; 4] = qmf(&DB2);
+static DB4_G: [f64; 8] = qmf(&DB4);
+
+/// Quadrature mirror of a scaling filter, `g[n] = (-1)^n h[L-1-n]`
+/// (negation is exact, so the table equals the `±1.0 · h` product).
+const fn qmf<const L: usize>(h: &[f64; L]) -> [f64; L] {
+    let mut g = [0.0; L];
+    let mut n = 0;
+    while n < L {
+        g[n] = if n % 2 == 0 {
+            h[L - 1 - n]
+        } else {
+            -h[L - 1 - n]
+        };
+        n += 1;
+    }
+    g
+}
+
+/// Reusable working memory for [`wavedec_into`] and [`waverec_into`]:
+/// the periodically extended level input of the analysis bank and the
+/// approximation ping-pong buffers of the synthesis bank. Any size
+/// may follow any other; buffers only ever grow.
+#[derive(Debug, Clone, Default)]
+pub struct DwtScratch {
+    ext: Vec<f64>,
+    approx: Vec<f64>,
+    next: Vec<f64>,
+}
+
+fn check_dwt_args(n: usize, levels: usize, what: &'static str) -> Result<()> {
+    if levels == 0 {
+        return Err(SigprocError::InvalidParameter {
+            what: "levels",
+            detail: "must be >= 1",
+        });
+    }
+    if n == 0 || n % (1 << levels) != 0 {
+        return Err(SigprocError::InvalidLength { what, got: n });
+    }
+    Ok(())
+}
 
 /// Multi-level periodized DWT (analysis). Returns coefficients packed
 /// as `[a_L | d_L | d_{L-1} | ... | d_1]`, total length = input length.
 ///
 /// This is the orthonormal analysis operator Ψᵀ; [`waverec`] is its
-/// exact inverse (and adjoint) Ψ.
+/// exact inverse (and adjoint) Ψ. Allocates; repeated transforms
+/// should prefer [`wavedec_into`].
 ///
 /// # Errors
 ///
 /// The input length must be divisible by `2^levels` and `levels ≥ 1`.
 pub fn wavedec(x: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
-    if levels == 0 {
-        return Err(SigprocError::InvalidParameter {
-            what: "levels",
-            detail: "must be >= 1",
-        });
-    }
-    if x.is_empty() || x.len() % (1 << levels) != 0 {
-        return Err(SigprocError::InvalidLength {
-            what: "wavedec input (must be divisible by 2^levels)",
-            got: x.len(),
-        });
-    }
-    let h = wavelet.scaling_filter();
-    let g = wavelet.wavelet_filter();
-    let mut approx = x.to_vec();
-    let mut details: Vec<Vec<f64>> = Vec::with_capacity(levels);
-    for _ in 0..levels {
-        let n = approx.len();
-        let half = n / 2;
-        let mut a = vec![0.0; half];
-        let mut d = vec![0.0; half];
-        for k in 0..half {
-            let mut sa = 0.0;
-            let mut sd = 0.0;
-            for (j, (&hj, &gj)) in h.iter().zip(&g).enumerate() {
-                let idx = (2 * k + j) % n;
-                sa += hj * approx[idx];
-                sd += gj * approx[idx];
-            }
-            a[k] = sa;
-            d[k] = sd;
-        }
-        details.push(d);
-        approx = a;
-    }
-    let mut out = approx;
-    for d in details.into_iter().rev() {
-        out.extend(d);
-    }
+    let mut out = Vec::new();
+    wavedec_into(x, wavelet, levels, &mut DwtScratch::default(), &mut out)?;
     Ok(out)
 }
 
+/// [`wavedec`] into a caller-owned buffer (resized to `x.len()`), with
+/// reusable `scratch`: a warm caller allocates nothing.
+///
+/// Each level copies its input into a periodically extended buffer,
+/// so every filter tap is a plain forward read with no `% n` wrap;
+/// the taps and their summation order are those of the textbook
+/// periodized loop, so the output is bit-identical to it.
+///
+/// # Errors
+///
+/// Same length constraints as [`wavedec`].
+pub fn wavedec_into(
+    x: &[f64],
+    wavelet: Wavelet,
+    levels: usize,
+    scratch: &mut DwtScratch,
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    check_dwt_args(
+        x.len(),
+        levels,
+        "wavedec input (must be divisible by 2^levels)",
+    )?;
+    match wavelet {
+        Wavelet::Haar => analysis_bank(x, &HAAR, &HAAR_G, levels, &mut scratch.ext, out),
+        Wavelet::Db2 => analysis_bank(x, &DB2, &DB2_G, levels, &mut scratch.ext, out),
+        Wavelet::Db4 => analysis_bank(x, &DB4, &DB4_G, levels, &mut scratch.ext, out),
+    }
+    Ok(())
+}
+
+/// The analysis bank for an `L`-tap filter pair. Level `ℓ` reads its
+/// input (`x`, then the previous level's approximation already stored
+/// in `out[..n_in]`) through the extended copy `ext` and writes
+/// `a_ℓ` to `out[..n_in/2]` and `d_ℓ` to `out[n_in/2..n_in]` — the
+/// packed layout falls out with no final gather.
+fn analysis_bank<const L: usize>(
+    x: &[f64],
+    h: &[f64; L],
+    g: &[f64; L],
+    levels: usize,
+    ext: &mut Vec<f64>,
+    out: &mut Vec<f64>,
+) {
+    out.resize(x.len(), 0.0);
+    let mut n_in = x.len();
+    for level in 0..levels {
+        let src = if level == 0 { x } else { &out[..n_in] };
+        // The last output k = n_in/2 - 1 reads up to index n_in + L - 3;
+        // levels shorter than the filter wrap more than once.
+        let need = n_in + L - 2;
+        ext.clear();
+        while ext.len() < need {
+            let take = (need - ext.len()).min(n_in);
+            ext.extend_from_slice(&src[..take]);
+        }
+        let (a, d) = out[..n_in].split_at_mut(n_in / 2);
+        for ((win, ak), dk) in ext.windows(L).step_by(2).zip(a).zip(d) {
+            let mut sa = 0.0;
+            let mut sd = 0.0;
+            for ((&hj, &gj), &xj) in h.iter().zip(g).zip(win) {
+                sa += hj * xj;
+                sd += gj * xj;
+            }
+            *ak = sa;
+            *dk = sd;
+        }
+        n_in /= 2;
+    }
+}
+
 /// Multi-level periodized inverse DWT (synthesis), inverse of
-/// [`wavedec`] with the same `wavelet` and `levels`.
+/// [`wavedec`] with the same `wavelet` and `levels`. Allocates;
+/// repeated transforms should prefer [`waverec_into`].
 ///
 /// # Errors
 ///
 /// Same length constraints as [`wavedec`].
 pub fn waverec(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
-    if levels == 0 {
-        return Err(SigprocError::InvalidParameter {
-            what: "levels",
-            detail: "must be >= 1",
-        });
+    let mut out = Vec::new();
+    waverec_into(
+        coeffs,
+        wavelet,
+        levels,
+        &mut DwtScratch::default(),
+        &mut out,
+    )?;
+    Ok(out)
+}
+
+/// [`waverec`] into a caller-owned buffer (resized to `coeffs.len()`),
+/// with reusable `scratch`: a warm caller allocates nothing.
+///
+/// Each level runs its scatter loop over `k` in two consecutive
+/// ranges: a wrap-free steady state whose `L` taps land contiguously
+/// at `2k..2k+L`, then the short tail whose taps wrap modulo the level
+/// length. Every output still accumulates its contributions in the
+/// original `(k, j)` order, so the result is bit-identical to the
+/// single `% n` loop.
+///
+/// # Errors
+///
+/// Same length constraints as [`wavedec`].
+pub fn waverec_into(
+    coeffs: &[f64],
+    wavelet: Wavelet,
+    levels: usize,
+    scratch: &mut DwtScratch,
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    check_dwt_args(
+        coeffs.len(),
+        levels,
+        "waverec input (must be divisible by 2^levels)",
+    )?;
+    match wavelet {
+        Wavelet::Haar => synthesis_bank(coeffs, &HAAR, &HAAR_G, levels, scratch, out),
+        Wavelet::Db2 => synthesis_bank(coeffs, &DB2, &DB2_G, levels, scratch, out),
+        Wavelet::Db4 => synthesis_bank(coeffs, &DB4, &DB4_G, levels, scratch, out),
     }
+    Ok(())
+}
+
+/// The synthesis bank for an `L`-tap filter pair: the coarsest
+/// approximation is read straight from `coeffs`, intermediate levels
+/// ping-pong through `scratch`, and the finest level lands in `out`.
+fn synthesis_bank<const L: usize>(
+    coeffs: &[f64],
+    h: &[f64; L],
+    g: &[f64; L],
+    levels: usize,
+    scratch: &mut DwtScratch,
+    out: &mut Vec<f64>,
+) {
     let n = coeffs.len();
-    if n == 0 || n % (1 << levels) != 0 {
-        return Err(SigprocError::InvalidLength {
-            what: "waverec input (must be divisible by 2^levels)",
-            got: n,
-        });
-    }
-    let h = wavelet.scaling_filter();
-    let g = wavelet.wavelet_filter();
-    let coarsest = n >> levels;
-    let mut approx = coeffs[..coarsest].to_vec();
-    let mut offset = coarsest;
+    out.resize(n, 0.0);
+    let DwtScratch { approx, next, .. } = scratch;
+    let mut offset = n >> levels;
     for lev in (0..levels).rev() {
         let dn = n >> (lev + 1);
+        let out_n = dn * 2;
         let d = &coeffs[offset..offset + dn];
         offset += dn;
-        let out_n = dn * 2;
-        let mut out = vec![0.0; out_n];
-        for k in 0..dn {
-            for (j, (&hj, &gj)) in h.iter().zip(&g).enumerate() {
-                let idx = (2 * k + j) % out_n;
-                out[idx] += hj * approx[k] + gj * d[k];
-            }
+        let src = if lev + 1 == levels {
+            &coeffs[..dn]
+        } else {
+            &approx[..dn]
+        };
+        let dst = if lev == 0 {
+            &mut out[..]
+        } else {
+            next.resize(out_n, 0.0);
+            &mut next[..out_n]
+        };
+        synthesis_level(src, d, h, g, dst);
+        if lev > 0 {
+            core::mem::swap(approx, next);
         }
-        approx = out;
     }
-    Ok(approx)
+}
+
+/// One synthesis level: `dst[(2k+j) mod out_n] += h[j]·a[k] + g[j]·d[k]`
+/// over `k` ascending, `j` ascending.
+fn synthesis_level<const L: usize>(
+    a: &[f64],
+    d: &[f64],
+    h: &[f64; L],
+    g: &[f64; L],
+    dst: &mut [f64],
+) {
+    let out_n = dst.len();
+    dst.fill(0.0);
+    // k < steady touches only 2k+L-1 < out_n: no wrap.
+    let steady = if out_n >= L {
+        ((out_n - L) / 2 + 1).min(a.len())
+    } else {
+        0
+    };
+    for (k, (&ak, &dk)) in a[..steady].iter().zip(&d[..steady]).enumerate() {
+        for (o, (&hj, &gj)) in dst[2 * k..2 * k + L].iter_mut().zip(h.iter().zip(g)) {
+            *o += hj * ak + gj * dk;
+        }
+    }
+    for (k, (&ak, &dk)) in a.iter().zip(d).enumerate().skip(steady) {
+        for j in 0..L {
+            dst[(2 * k + j) % out_n] += h[j] * ak + g[j] * dk;
+        }
+    }
 }
 
 /// Integer à-trous quadratic-spline dyadic wavelet transform.
@@ -384,11 +537,17 @@ mod tests {
             let h = w.scaling_filter();
             let g = w.wavelet_filter();
             // Orthogonality of h and g.
-            let dot: f64 = h.iter().zip(&g).map(|(a, b)| a * b).sum();
+            let dot: f64 = h.iter().zip(g).map(|(a, b)| a * b).sum();
             assert!(dot.abs() < 1e-12, "{w:?}");
             // Unit norm.
             let nh: f64 = h.iter().map(|v| v * v).sum();
             assert!((nh - 1.0).abs() < 1e-10, "{w:?}");
+            // The static table is bit for bit the runtime QMF product.
+            let l = h.len();
+            for (n, &gn) in g.iter().enumerate() {
+                let sign = if n % 2 == 0 { 1.0 } else { -1.0 };
+                assert_eq!(gn.to_bits(), (sign * h[l - 1 - n]).to_bits(), "{w:?}");
+            }
         }
     }
 

@@ -1,7 +1,10 @@
 //! Property-based tests on the DSP substrate's invariants, including
 //! the bit-exact equivalence of every block kernel
 //! (`process_block_into` / `apply_i32_into`) with its per-sample
-//! reference loop.
+//! reference loop, and of the scratch-based DWT and Φ/Φᵀ kernels
+//! (`wavedec_into` / `waverec_into` / `apply_into` / `apply_t_into`)
+//! with the straightforward `%`-indexed, allocating loops kept below as
+//! oracles.
 
 use proptest::prelude::*;
 use wbsn_sigproc::combine::{rms_combine, RmsCombiner};
@@ -11,7 +14,7 @@ use wbsn_sigproc::iir::{Biquad, BiquadCascade};
 use wbsn_sigproc::matrix::{PackedTernaryMatrix, SparseTernaryMatrix};
 use wbsn_sigproc::morphology::{close, dilate, erode, open, sliding_extreme_naive};
 use wbsn_sigproc::stats::{isqrt_u64, prd_percent, snr_db};
-use wbsn_sigproc::wavelet::{wavedec, waverec, Wavelet};
+use wbsn_sigproc::wavelet::{wavedec, wavedec_into, waverec, waverec_into, DwtScratch, Wavelet};
 use wbsn_sigproc::{RingBuffer, Q15};
 
 proptest! {
@@ -292,5 +295,182 @@ proptest! {
             let snr2 = -20.0 * (prd / 100.0).log10();
             prop_assert!((snr - snr2).abs() < 1e-9);
         }
+    }
+}
+
+// ---- Oracles: the textbook kernels the scratch forms must match bit
+// for bit (periodic wrap by `% n` on every tap, a fresh `Vec` per
+// level, the QMF high-pass filter recomputed per call). ----
+
+fn ref_wavelet_filter(w: Wavelet) -> Vec<f64> {
+    let h = w.scaling_filter();
+    let l = h.len();
+    (0..l)
+        .map(|n| {
+            let sign = if n % 2 == 0 { 1.0 } else { -1.0 };
+            sign * h[l - 1 - n]
+        })
+        .collect()
+}
+
+fn ref_wavedec(x: &[f64], wavelet: Wavelet, levels: usize) -> Vec<f64> {
+    let h = wavelet.scaling_filter();
+    let g = ref_wavelet_filter(wavelet);
+    let mut approx = x.to_vec();
+    let mut details: Vec<Vec<f64>> = Vec::with_capacity(levels);
+    for _ in 0..levels {
+        let n = approx.len();
+        let half = n / 2;
+        let mut a = vec![0.0; half];
+        let mut d = vec![0.0; half];
+        for k in 0..half {
+            let mut sa = 0.0;
+            let mut sd = 0.0;
+            for (j, (&hj, &gj)) in h.iter().zip(&g).enumerate() {
+                let idx = (2 * k + j) % n;
+                sa += hj * approx[idx];
+                sd += gj * approx[idx];
+            }
+            a[k] = sa;
+            d[k] = sd;
+        }
+        details.push(d);
+        approx = a;
+    }
+    let mut out = approx;
+    for d in details.into_iter().rev() {
+        out.extend(d);
+    }
+    out
+}
+
+fn ref_waverec(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Vec<f64> {
+    let n = coeffs.len();
+    let h = wavelet.scaling_filter();
+    let g = ref_wavelet_filter(wavelet);
+    let coarsest = n >> levels;
+    let mut approx = coeffs[..coarsest].to_vec();
+    let mut offset = coarsest;
+    for lev in (0..levels).rev() {
+        let dn = n >> (lev + 1);
+        let d = &coeffs[offset..offset + dn];
+        offset += dn;
+        let out_n = dn * 2;
+        let mut out = vec![0.0; out_n];
+        for k in 0..dn {
+            for (j, (&hj, &gj)) in h.iter().zip(&g).enumerate() {
+                let idx = (2 * k + j) % out_n;
+                out[idx] += hj * approx[k] + gj * d[k];
+            }
+        }
+        approx = out;
+    }
+    approx
+}
+
+fn ref_apply(phi: &SparseTernaryMatrix, x: &[f64]) -> Vec<f64> {
+    let mut y = vec![0.0; phi.rows()];
+    for (col, &xv) in x.iter().enumerate() {
+        let (pos, neg) = phi.column(col);
+        for &r in pos {
+            y[r as usize] += xv;
+        }
+        for &r in neg {
+            y[r as usize] -= xv;
+        }
+    }
+    y
+}
+
+fn ref_apply_t(phi: &SparseTernaryMatrix, y: &[f64]) -> Vec<f64> {
+    let mut x = vec![0.0; phi.cols()];
+    for (col, out) in x.iter_mut().enumerate() {
+        let (pos, neg) = phi.column(col);
+        let p: f64 = pos.iter().map(|&r| y[r as usize]).sum();
+        let n: f64 = neg.iter().map(|&r| y[r as usize]).sum();
+        *out = p - n;
+    }
+    x
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+const WAVELETS: [Wavelet; 3] = [Wavelet::Haar, Wavelet::Db2, Wavelet::Db4];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Every family and depth, at lengths down to one sample per
+    // deepest band (`n = 2^levels`), where Db4's deep levels are far
+    // shorter than the filter and each tap wraps several times. One
+    // dirty scratch and one pair of output buffers serve every size
+    // in turn, largest first, so reuse across shrinking and growing
+    // shapes is covered.
+    #[test]
+    fn dwt_into_forms_match_modulo_oracle_bitwise(
+        raw in prop::collection::vec(-3000.0f64..3000.0, 16 * 32),
+        levels in 1usize..6,
+        mults in prop::collection::vec(1usize..17, 1..5),
+    ) {
+        let mut scratch = DwtScratch::default();
+        let mut coeffs = vec![f64::NAN; 3];
+        let mut rec = vec![f64::NAN; 700];
+        for &w in &WAVELETS {
+            for &k in &mults {
+                let n = k << levels;
+                let x = &raw[..n];
+                let want_c = ref_wavedec(x, w, levels);
+                wavedec_into(x, w, levels, &mut scratch, &mut coeffs).unwrap();
+                prop_assert_eq!(bits(&want_c), bits(&coeffs), "{:?} L{} n={} dec", w, levels, n);
+                prop_assert_eq!(bits(&want_c), bits(&wavedec(x, w, levels).unwrap()));
+                // Synthesis of arbitrary coefficients (not only of
+                // analysis outputs) exercises every accumulation order.
+                let want_x = ref_waverec(x, w, levels);
+                waverec_into(x, w, levels, &mut scratch, &mut rec).unwrap();
+                prop_assert_eq!(bits(&want_x), bits(&rec), "{:?} L{} n={} rec", w, levels, n);
+                prop_assert_eq!(bits(&want_x), bits(&waverec(x, w, levels).unwrap()));
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_into_forms_match_allocating_oracle_bitwise(
+        seed in 0u64..1000,
+        rows in 1usize..40,
+        cols in 1usize..80,
+        vals in prop::collection::vec(-5000.0f64..5000.0, 80),
+    ) {
+        let d = 1 + (seed as usize % rows.min(6));
+        let phi = SparseTernaryMatrix::random(rows, cols, d, seed).unwrap();
+        let x = &vals[..cols];
+        let y = &vals[..rows];
+        // Dirty, wrongly sized buffers must be fully overwritten.
+        let mut ax = vec![f64::NAN; 2 * rows + 1];
+        let mut aty = vec![f64::INFINITY; 1];
+        phi.apply_into(x, &mut ax);
+        phi.apply_t_into(y, &mut aty);
+        prop_assert_eq!(bits(&ref_apply(&phi, x)), bits(&ax));
+        prop_assert_eq!(bits(&ref_apply_t(&phi, y)), bits(&aty));
+        prop_assert_eq!(bits(&ref_apply(&phi, x)), bits(&phi.apply(x)));
+        prop_assert_eq!(bits(&ref_apply_t(&phi, y)), bits(&phi.apply_t(y)));
+    }
+}
+
+#[test]
+fn dwt_wraps_more_than_once_at_n32_db4() {
+    // n = 32 at 5 levels: the level inputs are 32, 16, 8, 4 and 2
+    // samples long, so the 8-tap filter wraps up to four times.
+    let x: Vec<f64> = (0..32)
+        .map(|i| ((i * 37 % 23) as f64 - 11.0) * 0.7)
+        .collect();
+    for levels in 1..=5 {
+        let c = wavedec(&x, Wavelet::Db4, levels).unwrap();
+        assert_eq!(bits(&ref_wavedec(&x, Wavelet::Db4, levels)), bits(&c));
+        assert_eq!(
+            bits(&ref_waverec(&c, Wavelet::Db4, levels)),
+            bits(&waverec(&c, Wavelet::Db4, levels).unwrap())
+        );
     }
 }

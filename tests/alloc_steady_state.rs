@@ -16,6 +16,10 @@
 //! capacity, appending an epoch block performs zero heap allocations,
 //! so memory stays O(epoch) at any recording length.
 //!
+//! The gateway's decode path makes it per solver iteration: a FISTA
+//! solve on a warm `FistaScratch` allocates a small constant (its
+//! returned samples), the same at 20 iterations as at 400.
+//!
 //! All scenarios live in ONE `#[test]` so the counter is never
 //! polluted by a concurrently running test.
 //!
@@ -33,6 +37,8 @@ use wbsn_archive::{ArchiveWriter, EpochItem, EpochRecord, RunMeta};
 use wbsn_core::fleet::NodeFleet;
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::MonitorBuilder;
+use wbsn_cs::encoder::CsEncoder;
+use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch, FistaState};
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
 
@@ -190,4 +196,54 @@ fn steady_state_ingest_is_allocation_free() {
         "steady-state ArchiveWriter::epoch allocated {writer_allocs} times over 16 \
          appends; the recording hot path must reuse its scratch buffers"
     );
+
+    // ---- 4. Gateway decode: a FISTA solve on a warm scratch
+    // allocates a per-solve constant, never per iteration. `tol = 0`
+    // never fires, so each solve runs exactly `max_iters`. ----
+    let rec = RecordBuilder::new(0xF157A)
+        .duration_s(3.0)
+        .n_leads(1)
+        .noise(NoiseConfig::ambulatory(24.0))
+        .build();
+    let enc = CsEncoder::new(512, 192, 4, 0xF157A).expect("valid encoder");
+    let y: Vec<f64> = enc
+        .encode(&rec.lead(0)[..512])
+        .expect("encodes")
+        .iter()
+        .map(|&v| v as f64)
+        .collect();
+    let solve_allocs = |max_iters: usize, warm: bool| -> (u64, usize) {
+        let fista = Fista::new(FistaConfig {
+            max_iters,
+            tol: 0.0,
+            restart: true,
+            ..FistaConfig::default()
+        });
+        let mut scratch = FistaScratch::new();
+        let mut state = FistaState::new();
+        // Warm-up: sizes the scratch (and the state's warm vector).
+        fista
+            .solve_with(&mut scratch, enc.sensing_matrix(), &y, Some(&mut state))
+            .expect("solves");
+        let st = warm.then_some(&mut state);
+        let before = allocs();
+        let solve = fista
+            .solve_with(&mut scratch, enc.sensing_matrix(), &y, st)
+            .expect("solves");
+        (allocs() - before, solve.iters)
+    };
+    for warm in [false, true] {
+        let (short, short_iters) = solve_allocs(20, warm);
+        let (long, long_iters) = solve_allocs(400, warm);
+        assert_eq!((short_iters, long_iters), (20, 400));
+        assert_eq!(
+            short, long,
+            "FISTA on a warm scratch allocated {short} times at 20 iterations but {long} \
+             at 400 (warm start: {warm}); the iteration loop must not allocate"
+        );
+        assert!(
+            short <= 2,
+            "a warm-scratch solve should allocate only its output, got {short}"
+        );
+    }
 }
