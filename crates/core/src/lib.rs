@@ -143,11 +143,13 @@ pub enum WbsnError {
         /// The offending id.
         id: u64,
     },
-    /// A [`fleet::ShardedFleet`] worker thread is unreachable — it
-    /// failed to spawn or terminated unexpectedly (panic), so its
-    /// shard's sessions can no longer be served.
+    /// A worker thread is unreachable — it failed to spawn or
+    /// terminated unexpectedly (panic), so its shard's sessions can no
+    /// longer be served. Raised by [`fleet::ShardedFleet`], the sharded
+    /// gateway, and the cohort runner's node-side threads.
     WorkerLost {
-        /// Index of the unreachable shard.
+        /// Index of the unreachable shard (for the cohort runner, the
+        /// chunk of the batch the thread was given).
         shard: usize,
     },
     /// Decoding ran out of bytes: the input is shorter than its own

@@ -129,32 +129,24 @@ impl RecordBuilder {
         let schedule = self.rhythm.schedule(self.duration_s, &mut rng);
 
         // Per-record morphology instances, perturbed once per record.
-        let mut morphs: Vec<(BeatType, BeatMorphology)> = BeatType::ALL
-            .iter()
-            .map(|&t| (t, BeatMorphology::for_type(t)))
-            .collect();
+        // Indexed by `BeatType::index`, which enumerates `ALL` in order.
+        let mut morphs: [BeatMorphology; BeatType::ALL.len()] =
+            BeatType::ALL.map(BeatMorphology::for_type);
         if self.morph_variability > 0.0 {
             let amp_gain = 1.0 + self.morph_variability * symmetric(&mut rng);
             let width_gain = 1.0 + 0.5 * self.morph_variability * symmetric(&mut rng);
-            for (_, m) in &mut morphs {
+            for m in &mut morphs {
                 m.scale_amplitudes(amp_gain);
                 m.scale_widths(width_gain);
             }
         }
-        let morph_of = |t: BeatType| -> &BeatMorphology {
-            &morphs
-                .iter()
-                .find(|(mt, _)| *mt == t)
-                .expect("all types present")
-                .1
-        };
 
         // Render clean leads and collect annotations.
         let mut clean_mv: Vec<Vec<f64>> = vec![vec![0.0; n]; self.leads.len()];
         let mut annotations: Vec<Annotation> = Vec::new();
         let mut beats: Vec<Beat> = Vec::new();
         for sb in schedule.iter() {
-            let morph = morph_of(sb.beat_type);
+            let morph = &morphs[sb.beat_type.index()];
             let qt_stretch = (sb.rr_prev_s / RR_REF_S).max(0.25).sqrt();
             // Render each wave on each lead.
             for (kind, wave) in morph.iter() {

@@ -350,6 +350,14 @@ mod tests {
     use super::*;
 
     #[test]
+    fn beat_type_index_enumerates_all_in_order() {
+        // The generator's per-record morphology table relies on this.
+        for (i, t) in BeatType::ALL.iter().enumerate() {
+            assert_eq!(t.index(), i, "{t:?}");
+        }
+    }
+
+    #[test]
     fn normal_beat_has_all_five_waves() {
         let m = BeatMorphology::normal();
         assert_eq!(m.iter().count(), 5);

@@ -161,13 +161,18 @@ fn powerline(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
 
 /// Broadband EMG: white Gaussian noise high-passed by first difference
 /// then lightly smoothed (concentrates energy in the 20–100 Hz band).
+/// The `n + 2` white samples are drawn in order through a rolling
+/// three-value window, so no white-noise buffer is kept.
 fn emg(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
     let _ = fs_hz;
-    let white: Vec<f64> = (0..n + 2).map(|_| gauss(rng)).collect();
+    let mut w0 = gauss(rng);
+    let mut w1 = gauss(rng);
     (0..n)
-        .map(|i| {
-            let d1 = white[i + 1] - white[i];
-            let d2 = white[i + 2] - white[i + 1];
+        .map(|_| {
+            let w2 = gauss(rng);
+            let d1 = w1 - w0;
+            let d2 = w2 - w1;
+            (w0, w1) = (w1, w2);
             0.5 * (d1 + d2)
         })
         .collect()
@@ -285,6 +290,35 @@ mod tests {
             diff(&bw),
             diff(&em)
         );
+    }
+
+    #[test]
+    fn streamed_emg_matches_the_buffered_form_bit_for_bit() {
+        // The buffered form `emg` replaced, kept as the oracle.
+        fn emg_buffered(n: usize, rng: &mut StdRng) -> Vec<f64> {
+            let white: Vec<f64> = (0..n + 2).map(|_| gauss(rng)).collect();
+            (0..n)
+                .map(|i| {
+                    let d1 = white[i + 1] - white[i];
+                    let d2 = white[i + 2] - white[i + 1];
+                    0.5 * (d1 + d2)
+                })
+                .collect()
+        }
+        for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
+            for n in [0usize, 1, 2, 3, 7, 250, 7500] {
+                let (mut a, mut b) = (rng(seed), rng(seed));
+                let streamed: Vec<u64> =
+                    emg(n, 250.0, &mut a).iter().map(|v| v.to_bits()).collect();
+                let buffered: Vec<u64> = emg_buffered(n, &mut b)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(streamed, buffered, "seed {seed} n {n}");
+                // Both drew exactly n + 2 Gaussians.
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "seed {seed} n {n}");
+            }
+        }
     }
 
     #[test]

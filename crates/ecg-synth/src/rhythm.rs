@@ -171,7 +171,7 @@ impl Rhythm {
                     t = end;
                     in_af = !in_af;
                 }
-                beats.sort_by(|a, b| a.r_time_s.partial_cmp(&b.r_time_s).expect("no NaN"));
+                beats.sort_by(|a, b| a.r_time_s.total_cmp(&b.r_time_s));
                 fix_rr(&mut beats);
                 beats
             }
@@ -190,7 +190,7 @@ impl Rhythm {
                     beats.extend(chunk);
                     t += span;
                 }
-                beats.sort_by(|a, b| a.r_time_s.partial_cmp(&b.r_time_s).expect("no NaN"));
+                beats.sort_by(|a, b| a.r_time_s.total_cmp(&b.r_time_s));
                 fix_rr(&mut beats);
                 beats
             }
@@ -203,7 +203,7 @@ impl Rhythm {
                         b.r_time_s -= 0.15;
                     }
                 }
-                beats.sort_by(|a, b| a.r_time_s.partial_cmp(&b.r_time_s).expect("no NaN"));
+                beats.sort_by(|a, b| a.r_time_s.total_cmp(&b.r_time_s));
                 fix_rr(&mut beats);
                 beats
             }
@@ -357,7 +357,7 @@ fn brady_tachy_schedule(
         t += span;
         tachy = !tachy;
     }
-    beats.sort_by(|a, b| a.r_time_s.partial_cmp(&b.r_time_s).expect("no NaN"));
+    beats.sort_by(|a, b| a.r_time_s.total_cmp(&b.r_time_s));
     fix_rr(&mut beats);
     beats
 }

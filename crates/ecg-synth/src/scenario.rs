@@ -228,7 +228,7 @@ impl Script {
             .iter()
             .filter(|ta| !ta.adversity.is_signal())
             .collect();
-        rt.sort_by(|a, b| a.start_s.partial_cmp(&b.start_s).expect("no NaN"));
+        rt.sort_by(|a, b| a.start_s.total_cmp(&b.start_s));
         rt.into_iter()
     }
 

@@ -27,12 +27,26 @@
 //! Everything is deterministic: the entire run — gateway events,
 //! downlink bytes, retransmit accounting, every report number — is a
 //! pure function of the plans, and replays bit-identically at any
-//! gateway worker count (`tests/cohort_determinism.rs` pins 1/2/4).
+//! worker count (`tests/cohort_determinism.rs` pins 1/2/3/4/5/17).
+//!
+//! [`CohortRunConfig::workers`] sets both the gateway's decode workers
+//! and the node-side threads. Each modeled hour, the batch's records
+//! are rendered on up to `workers` scoped threads (the calling thread
+//! takes the first contiguous chunk of nodes); each pump, the governed
+//! monitors, framers and retransmit buffers run the same way, every
+//! node writing its own outbound packets. Everything that talks to the
+//! gateway stays on the calling thread in session order: truth
+//! harvest, PRD reference attach, reboots (re-registration), the
+//! concatenated uplink batch, downlink pumping and archive writes. So
+//! the gateway sees the same calls with the same bytes at any worker
+//! count, and every thread is joined before a run returns.
 //!
 //! Memory stays bounded by construction: sessions run in batches of
 //! [`CohortRunConfig::batch_sessions`], each node holds only its
-//! current hour's record, per-segment PRD references supersede each
-//! other on the gateway
+//! current hour's interleaved samples, at most `workers` records are
+//! in flight at once (each rendering thread reduces its record to
+//! those samples and the rhythm spans before rendering the next),
+//! per-segment PRD references supersede each other on the gateway
 //! ([`attach_reference_at`](wbsn_gateway::ShardedGateway::attach_reference_at)
 //! prunes windows behind the new offset), and finished sessions are
 //! [`close_session`](wbsn_gateway::ShardedGateway::close_session)ed
@@ -49,11 +63,11 @@ use wbsn_core::monitor::MonitorBuilder;
 use wbsn_core::retransmit::{
     DirectiveHandler, RetransmitBuffer, RetransmitConfig, RetransmitEvent,
 };
-use wbsn_core::Result;
+use wbsn_core::{Result, WbsnError};
 use wbsn_cs::solver::FistaConfig;
 use wbsn_ecg_synth::cohort::{CohortConfig, CohortGenerator, PatientProfile, RhythmBurden};
 use wbsn_ecg_synth::scenario::{Adversity, Script};
-use wbsn_ecg_synth::{Record, RhythmLabel};
+use wbsn_ecg_synth::{RhythmLabel, RhythmSpan};
 use wbsn_gateway::channel::{ChannelConfig, DuplexChannel};
 use wbsn_gateway::controller::ControllerConfig;
 use wbsn_gateway::gateway::{GatewayConfig, GatewayEvent, ReconstructionSolver, SessionReport};
@@ -88,7 +102,10 @@ pub struct SessionPlan {
 pub struct CohortRunConfig {
     /// The cohort to generate (see [`CohortConfig`]).
     pub cohort: CohortConfig,
-    /// Gateway decode workers (≥ 1). The report is invariant in this.
+    /// Parallelism of a run (≥ 1): the gateway's decode workers and
+    /// the threads that render records and run the node side (monitor,
+    /// framing, retransmit, channel). The report and the recorded
+    /// archive bytes are invariant in this.
     pub workers: usize,
     /// Sessions run concurrently per batch (bounds peak memory).
     pub batch_sessions: usize,
@@ -498,10 +515,16 @@ impl CohortRunner {
         let hours = batch.iter().map(|p| p.scripts.len()).max().unwrap_or(0);
 
         for hour in 0..hours {
-            // Load the hour's segment on every node that still has one.
-            for (node, plan) in nodes.iter_mut().zip(batch) {
-                if let Some(script) = plan.scripts.get(hour) {
-                    node.load_segment(script, gw)?;
+            // Render the hour's segment for every node that still has
+            // one, then load them in session order.
+            let mut scripts: Vec<Option<&Script>> =
+                batch.iter().map(|p| p.scripts.get(hour)).collect();
+            let segments = map_on_workers(self.cfg.workers, &mut scripts, |script| {
+                Ok(script.map(Segment::render))
+            })?;
+            for (node, segment) in nodes.iter_mut().zip(segments) {
+                if let Some(segment) = segment {
+                    node.load_segment(segment, gw)?;
                 }
             }
             let pumps = nodes
@@ -510,10 +533,12 @@ impl CohortRunner {
                 .max()
                 .unwrap_or(0);
             for pump in 0..pumps {
-                let mut up = Vec::new();
                 for node in &mut nodes {
-                    node.pump_uplink(pump, gw, &mut up)?;
+                    node.pump_prologue(pump, gw)?;
                 }
+                let outbound =
+                    map_on_workers(self.cfg.workers, &mut nodes, |node| node.pump_uplink(pump))?;
+                let up: Vec<Vec<u8>> = outbound.into_iter().flatten().collect();
                 let mut alerts = Vec::new();
                 // Transport errors are channel damage, not harness
                 // bugs — the loss shows up in the link rollup.
@@ -604,6 +629,73 @@ impl CohortRunner {
             outcomes.push(outcome);
         }
         Ok(())
+    }
+}
+
+/// Maps `f` over `items` on up to `workers` scoped threads: the
+/// calling thread takes the first contiguous chunk and one helper
+/// thread takes each further chunk. Results come back in item order,
+/// and every helper is joined before this returns, so no thread
+/// outlives the call. The first error in item order wins; a helper
+/// that fails to spawn or panics becomes [`WbsnError::WorkerLost`]
+/// (its chunk index as the shard).
+fn map_on_workers<T, R, F>(workers: usize, items: &mut [T], f: F) -> Result<Vec<R>>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut T) -> Result<R> + Sync,
+{
+    let chunk = items.len().div_ceil(workers.max(1)).max(1);
+    let run = |part: &mut [T]| part.iter_mut().map(&f).collect::<Result<Vec<R>>>();
+    std::thread::scope(|s| {
+        let mut parts = items.chunks_mut(chunk);
+        let head = parts.next();
+        let helpers: Vec<_> = parts
+            .map(|part| std::thread::Builder::new().spawn_scoped(s, move || run(part)))
+            .collect();
+        let mut out = head.map_or_else(|| Ok(Vec::new()), run);
+        for (i, helper) in helpers.into_iter().enumerate() {
+            let lost = || WbsnError::WorkerLost { shard: i + 1 };
+            let part = helper
+                .map_err(|_| lost())
+                .and_then(|handle| handle.join().map_err(|_| lost())?);
+            out = out.and_then(|mut acc| {
+                acc.extend(part?);
+                Ok(acc)
+            });
+        }
+        out
+    })
+}
+
+/// What the runner keeps of one node's rendered hour: the record
+/// reduced to its interleaved samples and ground truth on the thread
+/// that rendered it, which drops the full `Record` there.
+struct Segment {
+    /// Frame-major interleaved samples (lead 0 is every
+    /// `n_leads`-th value, starting at 0).
+    frames: Vec<i32>,
+    n_frames: usize,
+    n_leads: usize,
+    fs: u32,
+    spans: Vec<RhythmSpan>,
+}
+
+impl Segment {
+    fn render(script: &Script) -> Segment {
+        let rec = script.record();
+        Segment {
+            frames: rec.interleaved_frames(),
+            n_frames: rec.n_samples(),
+            n_leads: rec.n_leads().max(1),
+            fs: rec.fs(),
+            spans: rec.rhythm_spans().to_vec(),
+        }
+    }
+
+    /// Lead 0 of the segment, in ADC counts.
+    fn lead0(&self) -> impl Iterator<Item = i32> + '_ {
+        self.frames.iter().step_by(self.n_leads).copied()
     }
 }
 
@@ -1023,14 +1115,11 @@ impl NodeState {
         self.abs_frames as f64 / f64::from(self.fs)
     }
 
-    /// Synthesizes the hour's record, harvests ground truth, and
-    /// (re-)anchors the gateway PRD reference.
-    fn load_segment(&mut self, script: &Script, gw: &mut ShardedGateway) -> Result<()> {
-        let rec = script.record();
+    /// Loads a rendered hour: harvests ground truth and (re-)anchors
+    /// the gateway PRD reference.
+    fn load_segment(&mut self, segment: Segment, gw: &mut ShardedGateway) -> Result<()> {
         let base_s = self.abs_seconds();
-        self.harvest_truth(&rec, base_s);
-        self.seg = rec.interleaved_frames();
-        self.seg_frames = rec.n_samples();
+        self.harvest_truth(&segment.spans, segment.fs, base_s);
         self.seg_base_frames = self.abs_frames;
         if self.cs && self.seg_base_frames >= self.window_base_abs {
             // Window w of the current incarnation covers absolute
@@ -1041,24 +1130,26 @@ impl NodeState {
                 self.session,
                 0,
                 self.seg_base_frames - self.window_base_abs,
-                rec.lead(0).iter().map(|&v| f64::from(v)).collect(),
+                segment.lead0().map(f64::from).collect(),
             )?;
             if self.recording {
                 self.log.push(EpochItem::Reference {
                     lead: 0,
                     offset: self.seg_base_frames - self.window_base_abs,
-                    samples: rec.lead(0).to_vec(),
+                    samples: segment.lead0().collect(),
                 });
             }
         }
+        self.seg = segment.frames;
+        self.seg_frames = segment.n_frames;
         Ok(())
     }
 
     /// Extends the session ground truth with the segment's AF and
     /// flutter spans (merged across adjacent spans later, at finish).
-    fn harvest_truth(&mut self, rec: &Record, base_s: f64) {
-        let fs = f64::from(rec.fs());
-        for span in rec.rhythm_spans() {
+    fn harvest_truth(&mut self, spans: &[RhythmSpan], fs: u32, base_s: f64) {
+        let fs = f64::from(fs);
+        for span in spans {
             let s = base_s + span.start_sample as f64 / fs;
             let e = base_s + span.end_sample as f64 / fs;
             let flutter = match span.label {
@@ -1082,19 +1173,20 @@ impl NodeState {
         }
     }
 
-    /// One uplink turn: enact due reboots and channel regimes, push the
-    /// pump's block through the governed monitor, frame and send.
-    fn pump_uplink(
-        &mut self,
-        pump: usize,
-        gw: &mut ShardedGateway,
-        up: &mut Vec<Vec<u8>>,
-    ) -> Result<()> {
+    /// The pump's `[lo, hi)` frame range within the current segment,
+    /// or `None` once the segment is exhausted.
+    fn pump_range(&self, pump: usize) -> Option<(usize, usize)> {
         let lo = pump * self.pump_frames();
-        if lo >= self.seg_frames {
+        (lo < self.seg_frames).then(|| (lo, (lo + self.pump_frames()).min(self.seg_frames)))
+    }
+
+    /// The serial half of an uplink turn, run in session order: enact
+    /// due reboots (they re-register with the gateway) and set the
+    /// pump's channel drop rate.
+    fn pump_prologue(&mut self, pump: usize, gw: &mut ShardedGateway) -> Result<()> {
+        let Some((lo, hi)) = self.pump_range(pump) else {
             return Ok(());
-        }
-        let hi = (lo + self.pump_frames()).min(self.seg_frames);
+        };
         let t0 = (self.seg_base_frames + lo as u64) as f64 / f64::from(self.fs);
         let t1 = (self.seg_base_frames + hi as u64) as f64 / f64::from(self.fs);
 
@@ -1111,7 +1203,17 @@ impl NodeState {
         }
         self.duplex.up().set_drop_rate(drop)?;
         self.duplex.down().set_drop_rate(drop)?;
+        Ok(())
+    }
 
+    /// The node-local half of an uplink turn, safe to run on any
+    /// thread: push the pump's block through the governed monitor,
+    /// frame, record and tick the retransmit buffer, and send. Returns
+    /// the packets that survive the uplink channel.
+    fn pump_uplink(&mut self, pump: usize) -> Result<Vec<Vec<u8>>> {
+        let Some((lo, hi)) = self.pump_range(pump) else {
+            return Ok(Vec::new());
+        };
         let n_leads = self.gm.monitor().config().n_leads;
         let block = &self.seg[lo * n_leads..hi * n_leads];
         let payloads = self.gm.push_block(block, hi - lo)?;
@@ -1125,8 +1227,7 @@ impl NodeState {
             tx.extend(pk);
         }
         self.buf.tick(&mut tx, &mut self.rt_events);
-        up.extend(self.duplex.up().send_all(tx));
-        Ok(())
+        Ok(self.duplex.up().send_all(tx))
     }
 
     /// Handles a downlink frame burst: ACK/NACK bookkeeping first, then

@@ -73,3 +73,55 @@ fn worker_count_never_changes_the_report() {
         assert_eq!(reference.to_json(), replay.to_json());
     }
 }
+
+#[test]
+fn awkward_batch_shapes_never_change_the_report_or_archive() {
+    // Seven sessions in batches of five (5 + 2): most worker counts in
+    // the sweep split a batch unevenly, and 17 workers leave most
+    // threads without a node. Two plans are cut short so that, in the
+    // second modeled hour, some chunks hold nodes with no segment.
+    let cfg = CohortRunConfig {
+        cohort: CohortConfig {
+            cohort_seed: 0xA3C,
+            sessions: 7,
+            modeled_hours: 2,
+            segment_s: 30.0,
+            cs_fraction: 0.4,
+            reboot_rate: 0.3,
+            regime_shift_rate: 0.4,
+            ..CohortConfig::default()
+        },
+        workers: 1,
+        batch_sessions: 5,
+        reconstruct_every: 2,
+        ..CohortRunConfig::default()
+    };
+    let runner = CohortRunner::new(cfg.clone());
+    let mut plans = runner.plans();
+    plans[1].scripts.truncate(1);
+    plans[5].scripts.truncate(1);
+    let reference = runner.run_plans(&plans).unwrap();
+    let (recorded, archive) = runner.run_plans_recorded(&plans, Vec::new()).unwrap();
+    assert_eq!(reference, recorded);
+    assert_eq!(reference.sessions, 7);
+    assert_eq!(reference.modeled_hours, 2);
+    assert!(reference.link.messages > 0);
+    for workers in [2usize, 3, 5, 17] {
+        let runner = CohortRunner::new(CohortRunConfig {
+            workers,
+            ..cfg.clone()
+        });
+        let report = runner.run_plans(&plans).unwrap();
+        assert_eq!(reference, report, "report diverged at {workers} workers");
+        assert_eq!(reference.to_json(), report.to_json());
+        let (report, bytes) = runner.run_plans_recorded(&plans, Vec::new()).unwrap();
+        assert_eq!(
+            reference, report,
+            "recorded report diverged at {workers} workers"
+        );
+        assert!(
+            bytes == archive,
+            "archive bytes diverged at {workers} workers"
+        );
+    }
+}
