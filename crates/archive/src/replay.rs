@@ -5,22 +5,32 @@
 //!
 //! - [`replay_reconstruction`] re-runs CS reconstruction from the
 //!   archived measurements. At the archived settings it reproduces the
-//!   live PRDs **bit for bit** (same matrices through the same shared
-//!   [`MatrixCache`], same warm-start state evolution, same arrival
-//!   order); at different settings (fewer iterations, cold starts, a
-//!   different probing stride) it reports per-window PRD deltas
-//!   against the recorded live values — the solver-regression loop
-//!   ROADMAP item 5 asks for.
+//!   live PRDs **bit for bit** (same matrices through a shared
+//!   [`MatrixCache`], same warm-start state evolution per session);
+//!   at different settings (fewer iterations, cold starts, a different
+//!   probing stride) it reports per-window PRD deltas against the
+//!   recorded live values — the solver-regression loop ROADMAP item 5
+//!   asks for.
+//!
+//!   Sessions are solved in parallel, and that split is exact:
+//!   everything carried from one window to the next (the handshake,
+//!   the per-lead encoders, the FISTA warm vector and Lipschitz
+//!   constant, the PRD references) belongs to one session, and the
+//!   cache returns a matrix that depends only on its key. So each
+//!   session's stream is replayed on its own on a worker thread, and
+//!   the per-window PRDs are folded back in archive order, which keeps
+//!   the report bit-identical at any worker count.
 //! - [`replay_policy`] re-runs an alert policy over the archived
 //!   rhythm stream and compares the alerts it would have raised with
 //!   the alerts the live gateway did raise.
 
-use crate::format::{ArchiveBlock, EpochItem};
+use crate::format::{ArchiveBlock, EpochItem, EpochRecord};
 use crate::ArchiveError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wbsn_core::link::SessionHandshake;
-use wbsn_core::Result;
+use wbsn_core::workers::map_on_workers;
+use wbsn_core::{Result, WbsnError};
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch, FistaState};
 use wbsn_gateway::{MatrixCache, MatrixKey};
@@ -100,16 +110,193 @@ impl SessStream {
     }
 }
 
+/// One session's epoch records in stream order, each paired with the
+/// ordinal of its first CS window: that window's position among all
+/// [`EpochItem::CsWindow`] items of the archive, in block order.
+type SessionRecords<'a> = Vec<(u64, &'a EpochRecord)>;
+
+/// What one session's replay contributes to the report.
+#[derive(Debug, Default)]
+struct SessionReplay {
+    seen: u64,
+    solved: u64,
+    skipped: u64,
+    iters: u64,
+    /// `(ordinal, live, replayed)` for each window both runs scored.
+    compared: Vec<(u64, f64, f64)>,
+}
+
+/// The settings and the matrix cache every session's replay shares.
+struct SolverRun {
+    cache: MatrixCache,
+    fista: Fista,
+    every: u32,
+    warm_start: bool,
+}
+
+impl SolverRun {
+    /// Replays one session's window stream with its own reconstruction
+    /// state and solver scratch, which are dropped when it returns. A
+    /// failure stops the stream and carries its window's ordinal.
+    fn session(
+        &self,
+        session: u64,
+        records: &[(u64, &EpochRecord)],
+    ) -> std::result::Result<SessionReplay, (u64, WbsnError)> {
+        let mut sess = SessStream::default();
+        let mut out = SessionReplay::default();
+        let mut y_scratch: Vec<f64> = Vec::new();
+        let mut scratch = FistaScratch::new();
+        for &(first, rec) in records {
+            let mut ordinal = first;
+            for item in &rec.items {
+                match item {
+                    EpochItem::Handshake(hs) => sess.install_handshake(*hs),
+                    EpochItem::Reference {
+                        lead,
+                        offset,
+                        samples,
+                    } => {
+                        let as_f64: Vec<f64> = samples.iter().map(|&v| f64::from(v)).collect();
+                        sess.refs.insert(*lead, (*offset, as_f64));
+                    }
+                    EpochItem::CsWindow {
+                        lead,
+                        window_seq,
+                        prd: live_prd,
+                        measurements,
+                        ..
+                    } => {
+                        let at = ordinal;
+                        ordinal += 1;
+                        out.seen += 1;
+                        if self.every > 1 && window_seq % self.every != 0 {
+                            out.skipped += 1;
+                            continue;
+                        }
+                        let Some(hs) = sess.handshake else {
+                            let err = ArchiveError::Malformed {
+                                what: "archive replay",
+                                detail: format!(
+                                    "session {session} has a CS window before any handshake"
+                                ),
+                            };
+                            return Err((at, err.into()));
+                        };
+                        let lead_ix = *lead as usize;
+                        if sess.encoders.len() <= lead_ix {
+                            sess.encoders.resize(lead_ix + 1, None);
+                            sess.fista.resize(lead_ix + 1, FistaState::new());
+                        }
+                        let enc = match &sess.encoders[lead_ix] {
+                            Some(enc) => Arc::clone(enc),
+                            None => {
+                                let enc = self
+                                    .cache
+                                    .get_or_build(MatrixKey {
+                                        window: hs.cs_window,
+                                        measurements: hs.cs_measurements,
+                                        d_per_col: hs.cs_d_per_col,
+                                        seed: hs.seed,
+                                        lead: *lead,
+                                    })
+                                    .map_err(|e| (at, e))?;
+                                sess.encoders[lead_ix] = Some(Arc::clone(&enc));
+                                enc
+                            }
+                        };
+                        // Mirror the live pipeline's value path exactly:
+                        // i16 → i64 (reassembly) → f64 (solver front end).
+                        y_scratch.clear();
+                        y_scratch.extend(measurements.iter().map(|&v| v as i64 as f64));
+                        let warm = if self.warm_start {
+                            sess.fista.get_mut(lead_ix)
+                        } else {
+                            None
+                        };
+                        let solve = self
+                            .fista
+                            .solve_with(&mut scratch, enc.sensing_matrix(), &y_scratch, warm)
+                            .map_err(|e| (at, e.into()))?;
+                        out.solved += 1;
+                        out.iters += solve.iters as u64;
+                        let n = hs.cs_window as usize;
+                        let replayed_prd = sess.refs.get(lead).and_then(|(offset, samples)| {
+                            let start =
+                                (u64::from(*window_seq) * n as u64).checked_sub(*offset)? as usize;
+                            let orig = samples.get(start..start + n)?;
+                            if orig.iter().all(|&v| v == 0.0) {
+                                return None;
+                            }
+                            Some(prd_percent(orig, &solve.x))
+                        });
+                        if let (Some(live), Some(replayed)) = (live_prd, replayed_prd) {
+                            out.compared.push((at, *live, replayed));
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
 /// Re-runs CS reconstruction from archived measurements at `cfg`'s
 /// settings, comparing per-window PRD with the archived live values.
+///
+/// Each session's window stream is solved on one of up to `workers`
+/// threads ([`map_on_workers`]; 0 counts as 1), sessions dealt out
+/// interleaved so that thread `k` takes sessions `k`, `k + w`, … in
+/// ascending session order. The report is folded afterwards in archive
+/// order, so it is bit-identical at any worker count.
+///
+/// # Errors
+///
+/// The error of the first failing CS window in archive order: a window
+/// before its session's handshake, a matrix that cannot be built, or
+/// a solver failure; or [`WbsnError::WorkerLost`] for a lost thread.
 pub fn replay_reconstruction(
     blocks: &[ArchiveBlock],
     cfg: &SolverReplayConfig,
+    workers: usize,
 ) -> Result<SolverReplayReport> {
-    let cache = MatrixCache::new();
-    let fista = Fista::new(cfg.solver);
-    let every = cfg.reconstruct_every.max(1);
-    let mut sessions: BTreeMap<u64, SessStream> = BTreeMap::new();
+    let mut by_session: BTreeMap<u64, SessionRecords<'_>> = BTreeMap::new();
+    let mut ordinal = 0u64;
+    for block in blocks {
+        let ArchiveBlock::Epoch(rec) = block else {
+            continue;
+        };
+        by_session
+            .entry(rec.session)
+            .or_default()
+            .push((ordinal, rec));
+        ordinal += rec
+            .items
+            .iter()
+            .filter(|item| matches!(item, EpochItem::CsWindow { .. }))
+            .count() as u64;
+    }
+    let sessions: Vec<(u64, SessionRecords<'_>)> = by_session.into_iter().collect();
+    // Session costs are uneven; dealing them out round-robin balances
+    // the threads better than contiguous halves.
+    let w = workers.clamp(1, sessions.len().max(1));
+    let mut deals: Vec<Vec<&(u64, SessionRecords<'_>)>> = (0..w)
+        .map(|k| sessions.iter().skip(k).step_by(w).collect())
+        .collect();
+    let run = SolverRun {
+        cache: MatrixCache::new(),
+        fista: Fista::new(cfg.solver),
+        every: cfg.reconstruct_every.max(1),
+        warm_start: cfg.warm_start,
+    };
+    let dealt = map_on_workers(w, &mut deals, |deal| {
+        Ok(deal
+            .iter()
+            .map(|(session, records)| run.session(*session, records))
+            .collect::<Vec<_>>())
+    })?;
+
     let mut report = SolverReplayReport {
         windows_seen: 0,
         windows_solved: 0,
@@ -122,107 +309,43 @@ pub fn replay_reconstruction(
         max_abs_delta: 0.0,
         bit_identical: true,
     };
+    let mut compared = Vec::new();
+    let mut first_failure: Option<(u64, WbsnError)> = None;
+    for outcome in dealt.into_iter().flatten() {
+        match outcome {
+            Ok(s) => {
+                report.windows_seen += s.seen;
+                report.windows_solved += s.solved;
+                report.windows_skipped += s.skipped;
+                report.solver_iters += s.iters;
+                compared.extend(s.compared);
+            }
+            Err((at, err)) => {
+                if first_failure.as_ref().is_none_or(|(first, _)| at < *first) {
+                    first_failure = Some((at, err));
+                }
+            }
+        }
+    }
+    if let Some((_, err)) = first_failure {
+        return Err(err);
+    }
+    // Sum in archive order, as a single sequential pass would.
+    compared.sort_unstable_by_key(|&(at, ..)| at);
     let mut live_sum = 0.0;
     let mut replayed_sum = 0.0;
     let mut delta_sum = 0.0;
-    let mut y_scratch: Vec<f64> = Vec::new();
-    let mut scratch = FistaScratch::new();
-    for block in blocks {
-        let ArchiveBlock::Epoch(rec) = block else {
-            continue;
-        };
-        let sess = sessions.entry(rec.session).or_default();
-        for item in &rec.items {
-            match item {
-                EpochItem::Handshake(hs) => sess.install_handshake(*hs),
-                EpochItem::Reference {
-                    lead,
-                    offset,
-                    samples,
-                } => {
-                    let as_f64: Vec<f64> = samples.iter().map(|&v| f64::from(v)).collect();
-                    sess.refs.insert(*lead, (*offset, as_f64));
-                }
-                EpochItem::CsWindow {
-                    lead,
-                    window_seq,
-                    prd: live_prd,
-                    measurements,
-                    ..
-                } => {
-                    report.windows_seen += 1;
-                    if every > 1 && window_seq % every != 0 {
-                        report.windows_skipped += 1;
-                        continue;
-                    }
-                    let Some(hs) = sess.handshake else {
-                        return Err(ArchiveError::Malformed {
-                            what: "archive replay",
-                            detail: format!(
-                                "session {} has a CS window before any handshake",
-                                rec.session
-                            ),
-                        }
-                        .into());
-                    };
-                    let lead_ix = *lead as usize;
-                    if sess.encoders.len() <= lead_ix {
-                        sess.encoders.resize(lead_ix + 1, None);
-                        sess.fista.resize(lead_ix + 1, FistaState::new());
-                    }
-                    let enc = match &sess.encoders[lead_ix] {
-                        Some(enc) => Arc::clone(enc),
-                        None => {
-                            let enc = cache.get_or_build(MatrixKey {
-                                window: hs.cs_window,
-                                measurements: hs.cs_measurements,
-                                d_per_col: hs.cs_d_per_col,
-                                seed: hs.seed,
-                                lead: *lead,
-                            })?;
-                            sess.encoders[lead_ix] = Some(Arc::clone(&enc));
-                            enc
-                        }
-                    };
-                    // Mirror the live pipeline's value path exactly:
-                    // i16 → i64 (reassembly) → f64 (solver front end).
-                    y_scratch.clear();
-                    y_scratch.extend(measurements.iter().map(|&v| v as i64 as f64));
-                    let warm = if cfg.warm_start {
-                        sess.fista.get_mut(lead_ix)
-                    } else {
-                        None
-                    };
-                    let solve =
-                        fista.solve_with(&mut scratch, enc.sensing_matrix(), &y_scratch, warm)?;
-                    report.windows_solved += 1;
-                    report.solver_iters += solve.iters as u64;
-                    let n = hs.cs_window as usize;
-                    let replayed_prd = sess.refs.get(lead).and_then(|(offset, samples)| {
-                        let start =
-                            (u64::from(*window_seq) * n as u64).checked_sub(*offset)? as usize;
-                        let orig = samples.get(start..start + n)?;
-                        if orig.iter().all(|&v| v == 0.0) {
-                            return None;
-                        }
-                        Some(prd_percent(orig, &solve.x))
-                    });
-                    if let (Some(live), Some(replayed)) = (live_prd, replayed_prd) {
-                        report.compared += 1;
-                        live_sum += live;
-                        replayed_sum += replayed;
-                        let delta = replayed - live;
-                        delta_sum += delta;
-                        if delta.abs() > report.max_abs_delta {
-                            report.max_abs_delta = delta.abs();
-                        }
-                        if live.to_bits() != replayed.to_bits() {
-                            report.bit_identical = false;
-                        }
-                    }
-                }
-                _ => {}
-            }
+    for (_, live, replayed) in compared {
+        report.compared += 1;
+        live_sum += live;
+        replayed_sum += replayed;
+        let delta = replayed - live;
+        delta_sum += delta;
+        if delta.abs() > report.max_abs_delta {
+            report.max_abs_delta = delta.abs();
+        }
+        if live.to_bits() != replayed.to_bits() {
+            report.bit_identical = false;
         }
     }
     if report.compared > 0 {

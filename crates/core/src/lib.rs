@@ -42,6 +42,10 @@
 //! * [`apps`] — the application layer the paper motivates: arrhythmia
 //!   /AF monitoring, sleep/HRV analysis, and PAT-based blood-pressure
 //!   trending.
+//! * [`workers`] — [`workers::map_on_workers`], the one scoped-thread
+//!   helper the cohort runner and the archive's solver replay share:
+//!   contiguous chunks, results in item order, every thread joined
+//!   before it returns.
 //!
 //! ## Quickstart
 //!
@@ -95,6 +99,7 @@ pub mod monitor;
 pub mod payload;
 pub mod retransmit;
 pub mod stage;
+pub mod workers;
 
 pub use energy::EnergyReport;
 pub use fleet::{FleetEnergyReport, NodeFleet, SessionId, Shard, ShardRouter, ShardedFleet};
@@ -146,10 +151,11 @@ pub enum WbsnError {
     /// A worker thread is unreachable — it failed to spawn or
     /// terminated unexpectedly (panic), so its shard's sessions can no
     /// longer be served. Raised by [`fleet::ShardedFleet`], the sharded
-    /// gateway, and the cohort runner's node-side threads.
+    /// gateway, and [`workers::map_on_workers`] (the cohort runner's
+    /// node-side threads and the archive's solver replay).
     WorkerLost {
-        /// Index of the unreachable shard (for the cohort runner, the
-        /// chunk of the batch the thread was given).
+        /// Index of the unreachable shard (for
+        /// [`workers::map_on_workers`], the chunk the thread was given).
         shard: usize,
     },
     /// Decoding ran out of bytes: the input is shorter than its own

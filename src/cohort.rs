@@ -63,7 +63,8 @@ use wbsn_core::monitor::MonitorBuilder;
 use wbsn_core::retransmit::{
     DirectiveHandler, RetransmitBuffer, RetransmitConfig, RetransmitEvent,
 };
-use wbsn_core::{Result, WbsnError};
+use wbsn_core::workers::map_on_workers;
+use wbsn_core::Result;
 use wbsn_cs::solver::FistaConfig;
 use wbsn_ecg_synth::cohort::{CohortConfig, CohortGenerator, PatientProfile, RhythmBurden};
 use wbsn_ecg_synth::scenario::{Adversity, Script};
@@ -630,42 +631,6 @@ impl CohortRunner {
         }
         Ok(())
     }
-}
-
-/// Maps `f` over `items` on up to `workers` scoped threads: the
-/// calling thread takes the first contiguous chunk and one helper
-/// thread takes each further chunk. Results come back in item order,
-/// and every helper is joined before this returns, so no thread
-/// outlives the call. The first error in item order wins; a helper
-/// that fails to spawn or panics becomes [`WbsnError::WorkerLost`]
-/// (its chunk index as the shard).
-fn map_on_workers<T, R, F>(workers: usize, items: &mut [T], f: F) -> Result<Vec<R>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&mut T) -> Result<R> + Sync,
-{
-    let chunk = items.len().div_ceil(workers.max(1)).max(1);
-    let run = |part: &mut [T]| part.iter_mut().map(&f).collect::<Result<Vec<R>>>();
-    std::thread::scope(|s| {
-        let mut parts = items.chunks_mut(chunk);
-        let head = parts.next();
-        let helpers: Vec<_> = parts
-            .map(|part| std::thread::Builder::new().spawn_scoped(s, move || run(part)))
-            .collect();
-        let mut out = head.map_or_else(|| Ok(Vec::new()), run);
-        for (i, helper) in helpers.into_iter().enumerate() {
-            let lost = || WbsnError::WorkerLost { shard: i + 1 };
-            let part = helper
-                .map_err(|_| lost())
-                .and_then(|handle| handle.join().map_err(|_| lost())?);
-            out = out.and_then(|mut acc| {
-                acc.extend(part?);
-                Ok(acc)
-            });
-        }
-        out
-    })
 }
 
 /// What the runner keeps of one node's rendered hour: the record

@@ -174,12 +174,19 @@ impl CohortReplayer {
     /// `cfg`'s solver settings, reporting per-window PRD deltas
     /// against the recorded live values.
     ///
+    /// Sessions are solved on scoped worker threads, one per core that
+    /// [`std::thread::available_parallelism`] reports (1 if it cannot
+    /// tell), all joined before this returns. The report is the same
+    /// at any thread count: see [`replay_reconstruction`].
+    ///
     /// # Errors
     ///
-    /// Solver/matrix construction failures, or a recording whose CS
-    /// windows precede any handshake.
+    /// Solver/matrix construction failures, a recording whose CS
+    /// windows precede any handshake (the first such window in archive
+    /// order wins), or [`WbsnError::WorkerLost`] for a lost thread.
     pub fn solver_replay(&self, cfg: &SolverReplayConfig) -> Result<SolverReplayReport> {
-        replay_reconstruction(&self.blocks, cfg)
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        replay_reconstruction(&self.blocks, cfg, workers)
     }
 
     /// [`Self::solver_replay`] at the recording's own settings — the

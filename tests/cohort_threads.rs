@@ -1,7 +1,8 @@
 //! The cohort runner spreads node-side work over scoped threads and a
-//! sharded gateway; every one of them must be gone by the time a run
-//! returns, so a caller that measures or forks between runs sees a
-//! single-threaded process again.
+//! sharded gateway, and the archive's solver replay spreads sessions
+//! over scoped threads; every one of them must be gone by the time a
+//! run or a replay returns, so a caller that measures or forks between
+//! runs sees a single-threaded process again.
 
 /// Threads of this process, from `/proc/self/task`.
 #[cfg(target_os = "linux")]
@@ -13,6 +14,7 @@ fn thread_count() -> usize {
 #[test]
 fn runs_leave_no_threads_behind() {
     use wbsn::cohort::{CohortRunConfig, CohortRunner};
+    use wbsn::replay::CohortReplayer;
     use wbsn_ecg_synth::cohort::CohortConfig;
 
     let runner = CohortRunner::new(CohortRunConfig {
@@ -32,11 +34,19 @@ fn runs_leave_no_threads_behind() {
     let before = thread_count();
     let report = runner.run_plans(&plans).unwrap();
     assert_eq!(thread_count(), before, "run_plans left threads running");
-    let (recorded, _) = runner.run_plans_recorded(&plans, Vec::new()).unwrap();
+    let (recorded, bytes) = runner.run_plans_recorded(&plans, Vec::new()).unwrap();
     assert_eq!(
         thread_count(),
         before,
         "run_plans_recorded left threads running"
     );
     assert_eq!(report, recorded);
+    let replayer = CohortReplayer::from_bytes(&bytes).unwrap();
+    let replay = replayer.solver_replay_archived().unwrap();
+    assert_eq!(
+        thread_count(),
+        before,
+        "solver_replay_archived left threads running"
+    );
+    assert!(replay.windows_solved > 0 && replay.bit_identical);
 }
