@@ -1,6 +1,8 @@
-//! Timing of the sigproc primitives the node runs per sample.
+//! Timing of the sigproc primitives the node runs per sample, and of
+//! the DWT and Φ/Φᵀ kernels every FISTA iteration runs at the gateway.
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use wbsn_sigproc::matrix::SparseTernaryMatrix;
 use wbsn_sigproc::morphology::{dilate, erode, mmd_transform_unscaled, MorphologicalFilter};
 use wbsn_sigproc::wavelet::{
     wavedec, wavedec_into, waverec, waverec_into, AtrousQspline, DwtScratch, Wavelet,
@@ -41,6 +43,16 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| {
             waverec_into(black_box(&coeffs), Wavelet::Db4, 5, &mut scratch, &mut out).unwrap()
         })
+    });
+    // A CR-50 sensing matrix at the gateway's window: Φ·v and Φᵀ·r.
+    let phi = SparseTernaryMatrix::random(256, 512, 4, 0x5EED).unwrap();
+    let mut meas = Vec::new();
+    g.bench_function("sparse_apply_into_512x256_d4", |b| {
+        b.iter(|| phi.apply_into(black_box(&xf), &mut meas))
+    });
+    let r = phi.apply(&xf);
+    g.bench_function("sparse_apply_t_into_512x256_d4", |b| {
+        b.iter(|| phi.apply_t_into(black_box(&r), &mut out))
     });
     g.finish();
 }

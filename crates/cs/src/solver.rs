@@ -38,6 +38,35 @@ pub struct FistaConfig {
     pub tree_model: bool,
 }
 
+impl FistaConfig {
+    /// `Ok` when the configuration describes a solve that can run:
+    /// `levels` at least 1 and small enough for `2^levels` to fit a
+    /// `usize`, `max_iters` at least 1, `lambda_rel` and `tol`
+    /// finite and non-negative. `tol == 0` is valid: it runs every one
+    /// of `max_iters`.
+    fn validate(&self) -> Result<()> {
+        let invalid = |what, detail: &str| {
+            Err(CsError::InvalidParameter {
+                what,
+                detail: detail.to_string(),
+            })
+        };
+        if self.levels == 0 || self.levels >= usize::BITS as usize {
+            return invalid("levels", "must be at least 1 and below the word size");
+        }
+        if self.max_iters == 0 {
+            return invalid("max_iters", "must be at least 1");
+        }
+        if !(self.lambda_rel.is_finite() && self.lambda_rel >= 0.0) {
+            return invalid("lambda_rel", "must be finite and non-negative");
+        }
+        if !(self.tol.is_finite() && self.tol >= 0.0) {
+            return invalid("tol", "must be finite and non-negative");
+        }
+        Ok(())
+    }
+}
+
 impl Default for FistaConfig {
     fn default() -> Self {
         FistaConfig {
@@ -246,9 +275,13 @@ impl Fista {
     ///
     /// # Errors
     ///
-    /// Fails when `y` does not have `phi.rows()` entries or holds a
-    /// non-finite value, or the window length is incompatible with the
-    /// configured levels.
+    /// [`CsError::InvalidParameter`] before any work when the
+    /// configuration is degenerate: `levels` or `max_iters` is zero,
+    /// `2^levels` overflows a `usize`, or `lambda_rel` or `tol` is
+    /// negative or non-finite (`tol == 0` is valid). Also fails when `y` does not have `phi.rows()` entries
+    /// or holds a non-finite value, or when the window length is
+    /// incompatible with the configured levels. A rejected solve leaves
+    /// `state` untouched.
     pub fn solve_with(
         &self,
         scratch: &mut FistaScratch,
@@ -256,6 +289,7 @@ impl Fista {
         y: &[f64],
         state: Option<&mut FistaState>,
     ) -> Result<FistaSolve> {
+        self.cfg.validate()?;
         let n = phi.cols();
         let m = phi.rows();
         if y.len() != m {
@@ -353,32 +387,33 @@ impl Fista {
             if self.cfg.tree_model {
                 enforce_tree(a_next, n, lv);
             }
+            // One pass, three independent ordered sums, each starting
+            // at −0.0 and adding in index order exactly as `f64`'s
+            // `Sum` would over its own pass:
+            // * the restart test `⟨z − a⁺, a⁺ − a⟩`,
+            // * `‖a⁺ − a‖²` and `‖a⁺‖²` for the movement tolerance.
+            let mut overshoot = -0.0f64;
+            let mut change2 = -0.0f64;
+            let mut norm2 = -0.0f64;
+            for ((&zi, &an), &ao) in z.iter().zip(a_next.iter()).zip(a.iter()) {
+                let step_taken = an - ao;
+                overshoot += (zi - an) * step_taken;
+                change2 += step_taken * step_taken;
+                norm2 += an * an;
+            }
             // Gradient restart: when the momentum direction `a⁺ − a`
             // opposes the step the prox-gradient actually took from z,
             // the extrapolation is overshooting — drop it.
-            if self.cfg.restart {
-                let overshoot: f64 = z
-                    .iter()
-                    .zip(a_next.iter())
-                    .zip(a.iter())
-                    .map(|((&zi, &an), &ao)| (zi - an) * (an - ao))
-                    .sum();
-                if overshoot > 0.0 {
-                    t = 1.0;
-                }
+            if self.cfg.restart && overshoot > 0.0 {
+                t = 1.0;
             }
             let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
             let beta = (t - 1.0) / t_next;
             for ((zi, &an), &ao) in z.iter_mut().zip(a_next.iter()).zip(a.iter()) {
                 *zi = an + beta * (an - ao);
             }
-            let change: f64 = a_next
-                .iter()
-                .zip(a.iter())
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum::<f64>()
-                .sqrt();
-            let norm: f64 = a_next.iter().map(|x| x * x).sum::<f64>().sqrt();
+            let change = change2.sqrt();
+            let norm = norm2.sqrt();
             core::mem::swap(a, a_next);
             t = t_next;
             if norm > 0.0 && change / norm.max(prev_norm) < self.cfg.tol {
@@ -636,6 +671,109 @@ mod tests {
             // A rejected window leaves the stream's state untouched.
             assert!(state.is_cold());
         }
+    }
+
+    #[test]
+    fn degenerate_configs_are_typed_errors_before_any_work() {
+        let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
+        let y: Vec<f64> = enc
+            .encode(&ecg_like(128))
+            .unwrap()
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        let base = FistaConfig::default();
+        let cases = [
+            ("levels", FistaConfig { levels: 0, ..base }),
+            ("levels", FistaConfig { levels: 64, ..base }),
+            (
+                "max_iters",
+                FistaConfig {
+                    max_iters: 0,
+                    ..base
+                },
+            ),
+            (
+                "lambda_rel",
+                FistaConfig {
+                    lambda_rel: -1e-3,
+                    ..base
+                },
+            ),
+            (
+                "lambda_rel",
+                FistaConfig {
+                    lambda_rel: f64::NAN,
+                    ..base
+                },
+            ),
+            (
+                "lambda_rel",
+                FistaConfig {
+                    lambda_rel: f64::INFINITY,
+                    ..base
+                },
+            ),
+            ("tol", FistaConfig { tol: -1e-5, ..base }),
+            (
+                "tol",
+                FistaConfig {
+                    tol: f64::NAN,
+                    ..base
+                },
+            ),
+            (
+                "tol",
+                FistaConfig {
+                    tol: f64::INFINITY,
+                    ..base
+                },
+            ),
+        ];
+        // A warm state, so "untouched" is observable beyond coldness.
+        let mut warm = FistaState::new();
+        Fista::new(base)
+            .solve(enc.sensing_matrix(), &y, Some(&mut warm))
+            .unwrap();
+        for (what, cfg) in cases {
+            assert!(
+                matches!(cfg.validate(), Err(CsError::InvalidParameter { what: w, .. }) if w == what),
+                "{cfg:?}"
+            );
+            for mut state in [FistaState::new(), warm.clone()] {
+                let before = (state.lip, state.warm.clone());
+                // Measurements of the wrong length too: the
+                // configuration is checked before the input.
+                for y in [&y[..], &y[1..]] {
+                    let err = Fista::new(cfg)
+                        .solve(enc.sensing_matrix(), y, Some(&mut state))
+                        .unwrap_err();
+                    assert!(
+                        matches!(err, CsError::InvalidParameter { what: w, .. } if w == what),
+                        "{cfg:?}: {err:?}"
+                    );
+                }
+                assert_eq!(state.lip, before.0, "{what}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&state.warm), bits(&before.1), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_tolerance_runs_every_iteration() {
+        let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
+        let y = enc.encode(&ecg_like(128)).unwrap();
+        let cfg = FistaConfig {
+            tol: 0.0,
+            max_iters: 7,
+            ..FistaConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+        let solve = Fista::new(cfg)
+            .reconstruct_warm(&enc, &y, &mut FistaState::new())
+            .unwrap();
+        assert_eq!(solve.iters, 7);
     }
 
     #[test]

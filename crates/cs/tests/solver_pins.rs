@@ -35,12 +35,17 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// Five consecutive windows of one ambulatory lead, as measurements.
 fn windows() -> (CsEncoder, Vec<Vec<i64>>) {
+    windows_at(M)
+}
+
+/// [`windows`] encoded with `m` measurements per window.
+fn windows_at(m: usize) -> (CsEncoder, Vec<Vec<i64>>) {
     let rec = RecordBuilder::new(SEED)
         .duration_s(12.0)
         .n_leads(1)
         .noise(NoiseConfig::ambulatory(24.0))
         .build();
-    let enc = CsEncoder::for_lead(WINDOW, M, D_PER_COL, SEED, 0).unwrap();
+    let enc = CsEncoder::for_lead(WINDOW, m, D_PER_COL, SEED, 0).unwrap();
     let ys = rec
         .lead(0)
         .chunks_exact(WINDOW)
@@ -76,9 +81,9 @@ fn cold_default_solve_is_pinned() {
     assert_eq!(h, PIN_COLD_DEFAULT, "cold default solve: {h:#018x}");
 }
 
-#[test]
-fn warm_gateway_chain_is_pinned() {
-    let (enc, ys) = windows();
+/// Hash of a warm gateway-config chain over [`windows_at`]`(m)`.
+fn warm_chain_hash(m: usize) -> u64 {
+    let (enc, ys) = windows_at(m);
     let fista = Fista::new(gateway_config());
     let mut state = FistaState::new();
     let mut h = FNV_OFFSET;
@@ -86,7 +91,27 @@ fn warm_gateway_chain_is_pinned() {
         let solve = fista.reconstruct_warm(&enc, y, &mut state).unwrap();
         fold(&mut h, &solve);
     }
+    h
+}
+
+#[test]
+fn warm_gateway_chain_is_pinned() {
+    let h = warm_chain_hash(M);
     assert_eq!(h, PIN_WARM_CHAIN, "warm gateway chain: {h:#018x}");
+}
+
+/// The link controller's CR ladder (45/50/54 %) at n = 512: the
+/// measurement counts every streamed window is actually solved at.
+#[test]
+fn warm_gateway_chains_at_the_cr_ladder_are_pinned() {
+    for (m, pin) in [
+        (282, PIN_WARM_CHAIN_M282),
+        (256, PIN_WARM_CHAIN_M256),
+        (236, PIN_WARM_CHAIN_M236),
+    ] {
+        let h = warm_chain_hash(m);
+        assert_eq!(h, pin, "warm gateway chain at m = {m}: {h:#018x}");
+    }
 }
 
 #[test]
@@ -121,3 +146,6 @@ const PIN_COLD_DEFAULT: u64 = 0x0c23_5a69_3bfe_34d6;
 const PIN_WARM_CHAIN: u64 = 0x3e46_df05_8aa8_5061;
 const PIN_TREE_MODEL: u64 = 0x47de_a759_2e4f_9771;
 const PIN_RECONSTRUCT_F64: u64 = 0x65c1_f4c1_63a7_985d;
+const PIN_WARM_CHAIN_M282: u64 = 0x0125_f07b_eb2c_6cb4;
+const PIN_WARM_CHAIN_M256: u64 = 0xd88c_e8cb_a26d_d2e5;
+const PIN_WARM_CHAIN_M236: u64 = 0xd889_982d_c602_a431;

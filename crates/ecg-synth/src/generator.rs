@@ -145,21 +145,27 @@ impl RecordBuilder {
         let mut clean_mv: Vec<Vec<f64>> = vec![vec![0.0; n]; self.leads.len()];
         let mut annotations: Vec<Annotation> = Vec::new();
         let mut beats: Vec<Beat> = Vec::new();
+        let mut profile: Vec<f64> = Vec::new();
         for sb in schedule.iter() {
             let morph = &morphs[sb.beat_type.index()];
             let qt_stretch = (sb.rr_prev_s / RR_REF_S).max(0.25).sqrt();
-            // Render each wave on each lead.
+            // Render each wave once, then add it to every lead that
+            // sees it, scaled by that lead's gain.
             for (kind, wave) in morph.iter() {
                 let mut w = *wave;
                 if kind == WaveKind::T {
                     w.offset_s *= qt_stretch;
                 }
+                let lo = wave_profile(&mut profile, n, self.fs, sb.r_time_s, &w);
                 for (li, proj) in self.leads.iter().enumerate() {
                     let gain = proj.gain(kind);
                     if gain == 0.0 {
                         continue;
                     }
-                    render_wave(&mut clean_mv[li], self.fs, sb.r_time_s, &w, gain);
+                    let scale = gain * w.amplitude_mv;
+                    for (b, &e) in clean_mv[li].iter_mut().skip(lo).zip(&profile) {
+                        *b += scale * e;
+                    }
                 }
             }
             // Ground-truth annotations (lead-independent timing).
@@ -243,17 +249,22 @@ impl RecordBuilder {
     }
 }
 
-/// Adds one Gaussian wave (±4σ support) to a millivolt buffer.
-fn render_wave(buf: &mut [f64], fs: u32, r_time_s: f64, wave: &Wave, gain: f64) {
+/// Fills `profile` with the unit Gaussian `exp(−½d²)` of one wave over
+/// its ±4σ support, clipped to `len` samples, and returns the index of
+/// the support's first sample. A lead adds the wave as
+/// `gain · amplitude · profile[i]`.
+fn wave_profile(profile: &mut Vec<f64>, len: usize, fs: u32, r_time_s: f64, wave: &Wave) -> usize {
     let fs_f = fs as f64;
     let center_s = r_time_s + wave.offset_s;
     let lo = (((center_s - 4.0 * wave.sigma_s) * fs_f).floor()).max(0.0) as usize;
-    let hi = ((((center_s + 4.0 * wave.sigma_s) * fs_f).ceil()) as usize).min(buf.len());
-    for (i, b) in buf.iter_mut().enumerate().take(hi).skip(lo) {
+    let hi = ((((center_s + 4.0 * wave.sigma_s) * fs_f).ceil()) as usize).min(len);
+    profile.clear();
+    profile.extend((lo..hi).map(|i| {
         let t = i as f64 / fs_f;
         let d = (t - center_s) / wave.sigma_s;
-        *b += gain * wave.amplitude_mv * (-0.5 * d * d).exp();
-    }
+        (-0.5 * d * d).exp()
+    }));
+    lo
 }
 
 /// Exact fiducial annotations for one scheduled beat.
@@ -530,5 +541,55 @@ mod tests {
                 assert_eq!(rec.rhythm_at(mid), span.label);
             }
         }
+    }
+
+    /// FNV-1a over the bits of every clean and digitized sample.
+    fn record_hash(rec: &Record) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for b in word.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for l in 0..rec.n_leads() {
+            rec.clean_lead_mv(l).iter().for_each(|v| fold(v.to_bits()));
+            rec.lead(l).iter().for_each(|&v| fold(v as u64));
+        }
+        h
+    }
+
+    #[test]
+    fn three_lead_ambulatory_records_are_bit_pinned() {
+        // Pinned on a renderer that evaluated every Gaussian once per
+        // lead: sharing one profile across leads must not move a single
+        // bit of any lead, clean or digitized.
+        let ectopic = RecordBuilder::new(0x5EED)
+            .duration_s(20.0)
+            .n_leads(3)
+            .rhythm(Rhythm::SinusWithEctopy {
+                mean_hr_bpm: 78.0,
+                pvc_rate: 0.1,
+                apc_rate: 0.05,
+            })
+            .noise(NoiseConfig::ambulatory(18.0))
+            .build();
+        let af = RecordBuilder::new(0xAF)
+            .duration_s(20.0)
+            .n_leads(3)
+            .rhythm(Rhythm::EpisodicAf {
+                sinus_hr_bpm: 70.0,
+                af_hr_bpm: 100.0,
+                episode_len_s: 6.0,
+                gap_len_s: 6.0,
+            })
+            .noise(NoiseConfig::ambulatory(24.0))
+            .build();
+        let got = [record_hash(&ectopic), record_hash(&af)];
+        assert_eq!(
+            got,
+            [0x4e31_b954_1853_4b08, 0x385a_8d7d_81fa_ec7c],
+            "{got:#018x?}"
+        );
     }
 }

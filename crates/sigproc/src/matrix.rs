@@ -378,22 +378,44 @@ impl PackedTernaryMatrix {
 /// random rows of each column. Encoding `y = Φx` costs `n·d` signed
 /// additions — the ultra-low-power CS encoder of references \[4\]/\[16\].
 ///
-/// Stored in **CSC layout split by sign**: column `c`'s non-zero row
-/// indices occupy `row_idx[col_ptr[c]..col_ptr[c+1]]`, positives first
-/// (`pos_len[c]` of them) then negatives. The encode kernel is a pure
-/// add/sub sweep over two contiguous index runs per column — no sign
-/// values are stored, loaded or multiplied.
+/// Stored in **fixed-stride CSC layout split by sign**: every column
+/// has exactly `d` non-zeros, so column `c`'s row indices occupy
+/// `row_idx[c·d..c·d + d]`, positives first (`pos_len[c]` of them) then
+/// negatives. No sign values are stored, loaded or multiplied: the f64
+/// kernels derive each entry's sign from its position in the run and
+/// `pos_len[c]` with bit operations, not a branch, so the random sign
+/// split of the columns costs no mispredictions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseTernaryMatrix {
     rows: usize,
     cols: usize,
-    /// CSC column extents into `row_idx` (`cols + 1` entries).
-    col_ptr: Vec<u32>,
     /// Count of positive entries at the head of each column's run.
     pos_len: Vec<u32>,
-    /// Row indices, per column: positives first, then negatives.
+    /// Row indices, `d_per_col` per column: positives first, then
+    /// negatives.
     row_idx: Vec<u32>,
     d_per_col: usize,
+}
+
+/// Bits of `−0.0`: the IEEE sign bit alone.
+const NEG_ZERO: u64 = 1 << 63;
+
+/// The column weight the f64 kernels are compiled for as a constant:
+/// the paper's `d = 4`, which every gateway handshake uses. With the
+/// run length known, each column's loop unrolls and its slice bounds
+/// checks fold away; any other weight runs the same kernel with a
+/// runtime trip count.
+const UNROLLED_D: usize = 4;
+
+/// Sign mask of entry `k` of a column whose run starts with `pos_len`
+/// positives: all zeros for a positive, all ones for a negative.
+///
+/// It is the sign of `pos_len − 1 − k` spread by an arithmetic shift,
+/// not a comparison, so the compiler keeps the selects it feeds in
+/// integer registers (`cmov`) instead of lowering them to a branch.
+#[inline(always)]
+fn neg_mask(pos_len: u32, k: usize) -> u64 {
+    (u64::from(pos_len).wrapping_sub(1).wrapping_sub(k as u64) as i64 >> 63) as u64
 }
 
 impl SparseTernaryMatrix {
@@ -417,12 +439,10 @@ impl SparseTernaryMatrix {
             });
         }
         let mut rng = XorShift64::new(seed);
-        let mut col_ptr = Vec::with_capacity(cols + 1);
         let mut pos_len = Vec::with_capacity(cols);
         let mut row_idx = Vec::with_capacity(cols * d_per_col);
         let mut scratch: Vec<u32> = Vec::with_capacity(d_per_col);
         let mut negs: Vec<u32> = Vec::with_capacity(d_per_col);
-        col_ptr.push(0);
         for _ in 0..cols {
             scratch.clear();
             // Rejection-sample d distinct rows (RNG consumption is
@@ -444,12 +464,10 @@ impl SparseTernaryMatrix {
             }
             pos_len.push((d_per_col - negs.len()) as u32);
             row_idx.extend_from_slice(&negs);
-            col_ptr.push(row_idx.len() as u32);
         }
         Ok(SparseTernaryMatrix {
             rows,
             cols,
-            col_ptr,
             pos_len,
             row_idx,
             d_per_col,
@@ -479,10 +497,19 @@ impl SparseTernaryMatrix {
     /// Panics when `c >= cols`.
     #[inline]
     pub fn column(&self, c: usize) -> (&[u32], &[u32]) {
-        let start = self.col_ptr[c] as usize;
-        let end = self.col_ptr[c + 1] as usize;
-        let split = start + self.pos_len[c] as usize;
-        (&self.row_idx[start..split], &self.row_idx[split..end])
+        let d = self.d_per_col;
+        self.row_idx[c * d..c * d + d].split_at(self.pos_len[c] as usize)
+    }
+
+    /// Every column's run of `d` row indices paired with its
+    /// `pos_len`, in column order; `d` is always `d_per_col`, passed in
+    /// so a caller can make it a compile-time constant.
+    #[inline(always)]
+    fn runs(&self, d: usize) -> impl Iterator<Item = (&[u32], u32)> + '_ {
+        debug_assert_eq!(d, self.d_per_col);
+        self.row_idx
+            .chunks_exact(d)
+            .zip(self.pos_len.iter().copied())
     }
 
     /// Integer encode `y = Φ x` into a caller-owned buffer (cleared and
@@ -510,14 +537,12 @@ impl SparseTernaryMatrix {
         assert_eq!(x.len(), self.cols, "apply shape");
         assert_eq!(y.len(), self.rows, "apply output shape");
         y.fill(0);
-        for (col, &xv) in x.iter().enumerate() {
-            let xv = xv as i64;
-            let (pos, neg) = self.column(col);
-            for &r in pos {
-                y[r as usize] += xv;
-            }
-            for &r in neg {
-                y[r as usize] -= xv;
+        for ((run, pos_len), &xv) in self.runs(self.d_per_col).zip(x) {
+            let xv = i64::from(xv);
+            for (k, &r) in run.iter().enumerate() {
+                // Two's complement: `(v ^ −1) − (−1)` is `−v`.
+                let neg = neg_mask(pos_len, k) as i64;
+                y[r as usize] += (xv ^ neg) - neg;
             }
         }
     }
@@ -559,13 +584,24 @@ impl SparseTernaryMatrix {
         assert_eq!(x.len(), self.cols, "apply shape");
         y.clear();
         y.resize(self.rows, 0.0);
-        for (col, &xv) in x.iter().enumerate() {
-            let (pos, neg) = self.column(col);
-            for &r in pos {
-                y[r as usize] += xv;
-            }
-            for &r in neg {
-                y[r as usize] -= xv;
+        match self.d_per_col {
+            UNROLLED_D => self.apply_runs(UNROLLED_D, x, y),
+            d => self.apply_runs(d, x, y),
+        }
+    }
+
+    /// The [`SparseTernaryMatrix::apply_into`] sweep over zeroed `y`.
+    ///
+    /// `y − x` is by IEEE definition `y + (−x)`, and a column's rows
+    /// are distinct, so adding `x` with its sign bit flipped by the mask
+    /// gives every bit of an add-the-positives, subtract-the-negatives
+    /// sweep.
+    #[inline(always)]
+    fn apply_runs(&self, d: usize, x: &[f64], y: &mut [f64]) {
+        for ((run, pos_len), &xv) in self.runs(d).zip(x) {
+            let xb = xv.to_bits();
+            for (k, &r) in run.iter().enumerate() {
+                y[r as usize] += f64::from_bits(xb ^ (neg_mask(pos_len, k) & NEG_ZERO));
             }
         }
     }
@@ -591,10 +627,30 @@ impl SparseTernaryMatrix {
     pub fn apply_t_into(&self, y: &[f64], x: &mut Vec<f64>) {
         assert_eq!(y.len(), self.rows, "apply_t shape");
         x.resize(self.cols, 0.0);
-        for (col, out) in x.iter_mut().enumerate() {
-            let (pos, neg) = self.column(col);
-            let p: f64 = pos.iter().map(|&r| y[r as usize]).sum();
-            let n: f64 = neg.iter().map(|&r| y[r as usize]).sum();
+        match self.d_per_col {
+            UNROLLED_D => self.apply_t_runs(UNROLLED_D, y, x),
+            d => self.apply_t_runs(d, y, x),
+        }
+    }
+
+    /// The [`SparseTernaryMatrix::apply_t_into`] sweep.
+    ///
+    /// Two ordered sums per column, one over the positives and one over
+    /// the negatives, each fed every entry through the mask: an entry
+    /// of the other sign arrives as −0.0, the identity of IEEE
+    /// addition. Both start at −0.0 like `f64`'s `Sum`, so a column
+    /// with no negatives still ends `p − (−0.0)`, bit for bit.
+    #[inline(always)]
+    fn apply_t_runs(&self, d: usize, y: &[f64], x: &mut [f64]) {
+        for ((run, pos_len), out) in self.runs(d).zip(x.iter_mut()) {
+            let mut p = -0.0f64;
+            let mut n = -0.0f64;
+            for (k, &r) in run.iter().enumerate() {
+                let v = y[r as usize].to_bits();
+                let neg = neg_mask(pos_len, k);
+                p += f64::from_bits((v & !neg) | (NEG_ZERO & neg));
+                n += f64::from_bits((v & neg) | (NEG_ZERO & !neg));
+            }
             *out = p - n;
         }
     }
@@ -722,6 +778,37 @@ mod tests {
         let yf = s.apply(&xf);
         for (a, b) in yi.iter().zip(&yf) {
             assert_eq!(*a as f64, *b);
+        }
+    }
+
+    #[test]
+    fn single_sign_columns_keep_the_sign_of_a_zero_sum() {
+        // Over a zero residual an all-negative column is `−0.0 − (+0.0)`
+        // = −0.0 and an all-positive one `+0.0 − (−0.0)` = +0.0; over
+        // −0.0 both are +0.0. Seeding either accumulator (or the masked
+        // filler) with +0.0 flips one of these signs. `d = 4` runs the
+        // unrolled kernel, `d = 1` the runtime-length one.
+        for (rows, d) in [(4, 4), (1, 1)] {
+            let phi = SparseTernaryMatrix::random(rows, 64, d, 29).unwrap();
+            let (mut all_pos, mut all_neg) = (0, 0);
+            for (zero, pos_col, neg_col) in [(0.0f64, 0.0f64, -0.0f64), (-0.0, 0.0, 0.0)] {
+                let x = phi.apply_t(&vec![zero; rows]);
+                for (c, v) in x.iter().enumerate() {
+                    let want = match phi.column(c) {
+                        (_, []) => pos_col,
+                        ([], _) => neg_col,
+                        _ => continue,
+                    };
+                    assert_eq!(
+                        v.to_bits(),
+                        want.to_bits(),
+                        "d={d} column {c} over {zero:?}"
+                    );
+                    all_pos += usize::from(phi.column(c).1.is_empty());
+                    all_neg += usize::from(phi.column(c).0.is_empty());
+                }
+            }
+            assert!(all_pos > 0 && all_neg > 0, "d={d}: {all_pos} / {all_neg}");
         }
     }
 

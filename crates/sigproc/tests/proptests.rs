@@ -435,17 +435,41 @@ proptest! {
         }
     }
 
+    // The masked kernels against the two-loop oracles, down to the sign
+    // of zero: ±0.0 entries, all-zero inputs, and column weights up to
+    // `rows`, where whole columns are positive or negative (every
+    // column is at `d = 1`). `d = 4` runs the unrolled kernel.
     #[test]
     fn sparse_into_forms_match_allocating_oracle_bitwise(
         seed in 0u64..1000,
         rows in 1usize..40,
         cols in 1usize..80,
+        d_pick in 0usize..64,
         vals in prop::collection::vec(-5000.0f64..5000.0, 80),
+        zero_picks in prop::collection::vec(0u8..6, 80),
+        zero_inputs in 0u8..4,
     ) {
-        let d = 1 + (seed as usize % rows.min(6));
+        let d = match d_pick % 4 {
+            0 => 4.min(rows),
+            1 => 1,
+            _ => 1 + d_pick % rows,
+        };
         let phi = SparseTernaryMatrix::random(rows, cols, d, seed).unwrap();
-        let x = &vals[..cols];
-        let y = &vals[..rows];
+        let signed: Vec<f64> = vals
+            .iter()
+            .zip(&zero_picks)
+            .map(|(&v, &z)| match z {
+                0 => 0.0,
+                1 => -0.0,
+                _ => v,
+            })
+            .collect();
+        let zeros: Vec<f64> = zero_picks
+            .iter()
+            .map(|&z| if z % 2 == 0 { 0.0 } else { -0.0 })
+            .collect();
+        let x = if zero_inputs & 1 == 0 { &signed[..cols] } else { &zeros[..cols] };
+        let y = if zero_inputs & 2 == 0 { &signed[..rows] } else { &zeros[..rows] };
         // Dirty, wrongly sized buffers must be fully overwritten.
         let mut ax = vec![f64::NAN; 2 * rows + 1];
         let mut aty = vec![f64::INFINITY; 1];
