@@ -218,11 +218,13 @@ impl FuzzyClassifier {
     ///
     /// Panics when `x.len() != dims`.
     pub fn predict(&self, x: &[f64]) -> usize {
+        // `total_cmp` keeps a NaN score (a NaN feature) deterministic;
+        // training guarantees at least one class, so label 0 only
+        // keeps the fold total.
         self.scores(x)
             .into_iter()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN scores"))
-            .map(|(l, _)| l)
-            .expect("at least one class")
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or(0, |(l, _)| l)
     }
 
     /// Approximate MCU operations per classified beat: one subtract,

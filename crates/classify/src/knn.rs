@@ -72,16 +72,19 @@ impl KnnClassifier {
                 (d, y)
             })
             .collect();
-        dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("no NaN distances"));
+        // `total_cmp` orders NaN distances (a NaN feature) after every
+        // number, so a NaN input still gets a deterministic vote.
+        dists.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut votes = std::collections::HashMap::new();
         for &(_, y) in dists.iter().take(self.k) {
             *votes.entry(y).or_insert(0usize) += 1;
         }
+        // Training guarantees k >= 1 over a non-empty set, so there is
+        // always a vote; label 0 only keeps the fold total.
         votes
             .into_iter()
             .max_by_key(|&(label, count)| (count, usize::MAX - label))
-            .map(|(label, _)| label)
-            .expect("k >= 1")
+            .map_or(0, |(label, _)| label)
     }
 }
 

@@ -6,6 +6,7 @@ use wbsn_classify::af::{AfBeat, AfConfig, AfDetector};
 use wbsn_classify::eval::ConfusionMatrix;
 use wbsn_classify::features::{BeatFeatureExtractor, FeatureConfig};
 use wbsn_classify::fuzzy::{FuzzyClassifier, MembershipMode};
+use wbsn_classify::knn::KnnClassifier;
 use wbsn_delineation::qrs::QrsConfig;
 use wbsn_delineation::wavelet::WaveletConfig;
 use wbsn_delineation::{QrsDetector, WaveletDelineator};
@@ -136,4 +137,31 @@ fn af_records_separate_from_sinus_records() {
         }
     }
     assert!(correct >= 7, "correct {correct}/8");
+}
+
+#[test]
+fn nan_features_get_a_deterministic_label() {
+    let xs = vec![
+        vec![0.0, 0.0],
+        vec![0.1, -0.1],
+        vec![-0.1, 0.1],
+        vec![2.0, 2.0],
+        vec![2.1, 1.9],
+        vec![1.9, 2.1],
+    ];
+    let ys = vec![0, 0, 0, 1, 1, 1];
+    let knn = KnnClassifier::train(&xs, &ys, 3).unwrap();
+    let fuzzy = |mode| FuzzyClassifier::train(&xs, &ys, mode).unwrap();
+    let exact = fuzzy(MembershipMode::ExactGaussian);
+    let pwl = fuzzy(MembershipMode::PiecewiseLinear);
+    for x in [[f64::NAN, f64::NAN], [f64::NAN, 2.0], [2.0, f64::NAN]] {
+        // Every distance and score is NaN, so all candidates tie: kNN
+        // votes over the first k training beats and the fuzzy
+        // classifier keeps the first class. Same answer every call.
+        for _ in 0..2 {
+            assert_eq!(knn.predict(&x), 0, "{x:?}");
+            assert_eq!(exact.predict(&x), 0, "{x:?}");
+            assert_eq!(pwl.predict(&x), 0, "{x:?}");
+        }
+    }
 }

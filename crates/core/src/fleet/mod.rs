@@ -1,31 +1,20 @@
-//! The serving layer: many monitoring sessions in one process.
+//! The node fleet: many monitoring sessions in one process.
 //!
-//! A base station (or a cloud replay service) terminates the streams
-//! of many wearable nodes at once. The layer is split into three
-//! explicit pieces:
-//!
-//! * **[`Shard`]** ([`shard`]) — a single-threaded group of sessions:
-//!   storage sorted by id, per-session ingestion, flushing, and
-//!   counter/energy snapshots. The unit of work a driver schedules.
-//! * **[`ShardRouter`]** ([`router`]) — the stable
-//!   `SessionId → shard` mapping: placement is `id.raw() % n_shards`,
-//!   and because raw ids are monotonic and never reused it survives
-//!   any sequence of adds and removes without moving a session.
-//! * **Drivers** — [`NodeFleet`] runs one shard inline on the calling
-//!   thread; [`ShardedFleet`] ([`sharded`]) runs N shards on N worker
-//!   threads behind per-shard work queues.
+//! [`NodeFleet`] multiplexes N independent [`CardiacMonitor`] sessions
+//! behind one ingestion front end, run inline on the calling thread.
+//! Sessions are stored sorted by id; ids are handed out monotonically
+//! and never reused, so lookup is a binary search and iteration order
+//! is insertion order.
 //!
 //! ## The determinism guarantee
 //!
 //! Sessions are fully isolated and every per-session computation is
-//! deterministic, so **a fleet produces byte-identical payloads to
-//! the same monitors run sequentially — regardless of driver and
-//! worker count**. Cross-session results are always merged in a fixed
-//! global order (batch order for ingestion, ascending session id —
-//! which equals insertion order — for flushes and reports), and both
-//! drivers share the exact same aggregation folds, so aggregated
-//! counters and energy reports are bit-identical too. The property is
-//! pinned by `tests/fleet_determinism.rs`.
+//! deterministic, so **a fleet produces byte-identical payloads to the
+//! same monitors run sequentially**. Cross-session results come back
+//! in a fixed order (batch order for ingestion, ascending session id —
+//! which equals insertion order — for flushes and reports), so
+//! aggregated counters and energy reports are bit-identical too. The
+//! property is pinned by `tests/fleet_determinism.rs`.
 //!
 //! ```
 //! use wbsn_core::fleet::NodeFleet;
@@ -41,28 +30,6 @@
 //! let report = fleet.energy_report();
 //! assert_eq!(report.sessions, 1);
 //! ```
-//!
-//! Scaling across cores is one line away:
-//!
-//! ```
-//! use wbsn_core::fleet::ShardedFleet;
-//! use wbsn_core::monitor::MonitorBuilder;
-//!
-//! let mut fleet = ShardedFleet::new(4).unwrap();
-//! let ids = fleet.add_sessions(&MonitorBuilder::new(), 8).unwrap();
-//! let frames = [0i32; 3 * 250];
-//! let batch: Vec<_> = ids.iter().map(|&id| (id, &frames[..])).collect();
-//! let results = fleet.ingest_batch(&batch).unwrap();
-//! assert_eq!(results.len(), 8);
-//! ```
-
-pub mod router;
-pub mod shard;
-pub mod sharded;
-
-pub use router::ShardRouter;
-pub use shard::{SessionSnapshot, Shard};
-pub use sharded::ShardedFleet;
 
 use crate::energy::EnergyReport;
 use crate::level::{OperatingMode, ProcessingLevel};
@@ -75,16 +42,11 @@ use crate::{Result, WbsnError};
 pub struct SessionId(u64);
 
 impl SessionId {
-    /// Raw id value, stable for logging and sharding: ids are handed
-    /// out monotonically and never reused, and a [`ShardedFleet`]
-    /// places a session on shard `raw % num_workers` for its whole
-    /// lifetime.
+    /// Raw id value, stable for logging: ids are handed out
+    /// monotonically and never reused, so ascending raw ids are a
+    /// fleet's insertion order.
     pub fn raw(self) -> u64 {
         self.0
-    }
-
-    pub(crate) fn from_raw(raw: u64) -> Self {
-        SessionId(raw)
     }
 }
 
@@ -110,48 +72,27 @@ pub struct FleetEnergyReport {
     pub min_lifetime_days: f64,
 }
 
-/// The one fleet-level aggregation fold, shared by both drivers so
-/// their reports are bit-identical: `snapshots` must be in ascending
-/// session-id (= insertion) order.
-pub(crate) fn fold_fleet_energy(snapshots: &[SessionSnapshot]) -> FleetEnergyReport {
-    let sessions = snapshots.len();
-    let counters = snapshots
-        .iter()
-        .fold(ActivityCounters::default(), |acc, s| {
-            acc.merged(&s.counters)
-        });
-    let total_power_mw: f64 = snapshots
-        .iter()
-        .map(|s| s.energy.breakdown.avg_power_mw())
-        .sum();
-    let min_lifetime_days = snapshots
-        .iter()
-        .map(|s| s.energy.lifetime_days)
-        .fold(f64::INFINITY, f64::min);
-    FleetEnergyReport {
-        sessions,
-        counters,
-        total_power_mw,
-        mean_power_mw: if sessions == 0 {
-            0.0
-        } else {
-            total_power_mw / sessions as f64
-        },
-        min_lifetime_days: if sessions == 0 {
-            0.0
-        } else {
-            min_lifetime_days
-        },
+struct Session {
+    id: SessionId,
+    monitor: CardiacMonitor,
+}
+
+impl core::fmt::Debug for Session {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("Session")
+            .field("id", &self.id)
+            .field("level", &self.monitor.config().level)
+            .finish()
     }
 }
 
 /// N independent monitoring sessions behind one ingestion front end,
-/// run inline on the calling thread — the sequential driver over a
-/// single [`Shard`], and the reference the multi-threaded
-/// [`ShardedFleet`] is byte-compared against.
+/// run inline on the calling thread.
 #[derive(Debug, Default)]
 pub struct NodeFleet {
-    shard: Shard,
+    // Sorted by id; ids are assigned monotonically, so insertion order
+    // and ascending-id order coincide.
+    sessions: Vec<Session>,
     next_id: u64,
 }
 
@@ -164,24 +105,33 @@ impl NodeFleet {
     /// Empty fleet with room for `n` sessions.
     pub fn with_capacity(n: usize) -> Self {
         NodeFleet {
-            shard: Shard::with_capacity(n),
+            sessions: Vec::with_capacity(n),
             next_id: 0,
         }
     }
 
     /// Number of live sessions.
     pub fn len(&self) -> usize {
-        self.shard.len()
+        self.sessions.len()
     }
 
     /// True when no sessions are registered.
     pub fn is_empty(&self) -> bool {
-        self.shard.is_empty()
+        self.sessions.is_empty()
     }
 
     /// Live session ids in insertion order.
     pub fn session_ids(&self) -> impl Iterator<Item = SessionId> + '_ {
-        self.shard.session_ids()
+        self.sessions.iter().map(|s| s.id)
+    }
+
+    /// Stores a monitor under the next id; ids only grow, so pushing
+    /// keeps `sessions` sorted.
+    fn insert(&mut self, monitor: CardiacMonitor) -> SessionId {
+        let id = SessionId(self.next_id);
+        self.next_id += 1;
+        self.sessions.push(Session { id, monitor });
+        id
     }
 
     /// Builds and registers a new session.
@@ -192,10 +142,7 @@ impl NodeFleet {
     /// on error.
     pub fn add_session(&mut self, builder: MonitorBuilder) -> Result<SessionId> {
         let monitor = builder.build()?;
-        let id = SessionId(self.next_id);
-        self.next_id += 1;
-        self.shard.insert(id, monitor);
-        Ok(id)
+        Ok(self.insert(monitor))
     }
 
     /// Builds and registers `n` identically-configured sessions.
@@ -209,31 +156,34 @@ impl NodeFleet {
         let monitors: Vec<CardiacMonitor> = (0..n)
             .map(|_| builder.clone().build())
             .collect::<Result<_>>()?;
-        Ok(monitors
-            .into_iter()
-            .map(|monitor| {
-                let id = SessionId(self.next_id);
-                self.next_id += 1;
-                self.shard.insert(id, monitor);
-                id
-            })
-            .collect())
+        Ok(monitors.into_iter().map(|m| self.insert(m)).collect())
+    }
+
+    fn index_of(&self, id: SessionId) -> Option<usize> {
+        self.sessions.binary_search_by_key(&id, |s| s.id).ok()
     }
 
     /// Removes a session, returning its monitor so the caller can
     /// flush it; `None` when the id is unknown.
     pub fn remove_session(&mut self, id: SessionId) -> Option<CardiacMonitor> {
-        self.shard.take(id)
+        let idx = self.index_of(id)?;
+        Some(self.sessions.remove(idx).monitor)
     }
 
     /// Read access to one session.
     pub fn session(&self, id: SessionId) -> Option<&CardiacMonitor> {
-        self.shard.get(id)
+        self.index_of(id).map(|i| &self.sessions[i].monitor)
     }
 
     /// Mutable access to one session.
     pub fn session_mut(&mut self, id: SessionId) -> Option<&mut CardiacMonitor> {
-        self.shard.get_mut(id)
+        self.index_of(id)
+            .map(move |i| &mut self.sessions[i].monitor)
+    }
+
+    fn monitor_mut(&mut self, id: SessionId) -> Result<&mut CardiacMonitor> {
+        self.session_mut(id)
+            .ok_or(WbsnError::UnknownSession { id: id.raw() })
     }
 
     /// Pushes one frame into one session.
@@ -243,11 +193,15 @@ impl NodeFleet {
     /// [`WbsnError::UnknownSession`] for a stale id, plus the
     /// session's own ingestion errors.
     pub fn push_frame(&mut self, id: SessionId, frame: &[i32]) -> Result<Vec<Payload>> {
-        self.shard.push_frame(id, frame)
+        self.monitor_mut(id)?.try_push(frame)
     }
 
     /// Batched ingestion into one session (see
-    /// [`CardiacMonitor::push_block`]).
+    /// [`CardiacMonitor::push_block`]). Routes through the stage's
+    /// block kernel: in the steady state (warm session, no payload
+    /// due) this performs **zero heap allocations per frame** — pinned
+    /// by the counting-allocator harness in
+    /// `tests/alloc_steady_state.rs`.
     ///
     /// # Errors
     ///
@@ -259,7 +213,7 @@ impl NodeFleet {
         frames: &[i32],
         n_frames: usize,
     ) -> Result<Vec<Payload>> {
-        self.shard.push_block(id, frames, n_frames)
+        self.monitor_mut(id)?.push_block(frames, n_frames)
     }
 
     /// Cross-session batched ingestion: entries are processed in batch
@@ -301,8 +255,7 @@ impl NodeFleet {
     ) -> Result<Vec<(SessionId, Vec<Payload>)>> {
         for &(id, frames) in batch {
             let monitor = self
-                .shard
-                .get(id)
+                .session(id)
                 .ok_or(WbsnError::UnknownSession { id: id.raw() })?;
             let n_leads = monitor.config().n_leads;
             if frames.len() % n_leads != 0 {
@@ -317,7 +270,11 @@ impl NodeFleet {
         }
         batch
             .iter()
-            .map(|&(id, frames)| self.shard.ingest_one(id, frames).map(|p| (id, p)))
+            .map(|&(id, frames)| {
+                let monitor = self.monitor_mut(id)?;
+                let n_frames = frames.len() / monitor.config().n_leads;
+                Ok((id, monitor.push_block(frames, n_frames)?))
+            })
             .collect()
     }
 
@@ -327,14 +284,14 @@ impl NodeFleet {
     /// switched session is bit-identical to a fresh one at the new
     /// mode from the same boundary (see
     /// [`CardiacMonitor::switch_mode`]), so fleet determinism is
-    /// preserved for any driver and worker count.
+    /// preserved.
     ///
     /// # Errors
     ///
     /// [`WbsnError::UnknownSession`] for a stale id, plus mode
     /// validation errors (the session is untouched on error).
     pub fn switch_mode(&mut self, id: SessionId, mode: OperatingMode) -> Result<Vec<Payload>> {
-        self.shard.switch_mode(id, mode)
+        self.monitor_mut(id)?.switch_mode(mode)
     }
 
     /// Renegotiates one session's CS compression ratio live — the
@@ -348,7 +305,7 @@ impl NodeFleet {
     /// [`WbsnError::UnknownSession`] for a stale id, plus ratio
     /// validation errors (the session is untouched on error).
     pub fn switch_cs_cr(&mut self, id: SessionId, cr_percent: f64) -> Result<bool> {
-        self.shard.switch_cs_cr(id, cr_percent)
+        self.monitor_mut(id)?.switch_cs_cr(cr_percent)
     }
 
     /// Switches one session's processing level, keeping its powered
@@ -358,49 +315,77 @@ impl NodeFleet {
     ///
     /// As [`Self::switch_mode`].
     pub fn switch_level(&mut self, id: SessionId, level: ProcessingLevel) -> Result<Vec<Payload>> {
-        let active = self
-            .shard
-            .get(id)
-            .ok_or(WbsnError::UnknownSession { id: id.raw() })?
-            .active_leads();
-        self.shard.switch_mode(
-            id,
-            OperatingMode {
-                level,
-                active_leads: active,
-            },
-        )
+        let monitor = self.monitor_mut(id)?;
+        let active_leads = monitor.active_leads();
+        monitor.switch_mode(OperatingMode {
+            level,
+            active_leads,
+        })
     }
 
     /// Flushes every session, returning whatever payloads were still
-    /// buffered, tagged by session.
+    /// buffered, tagged by session (insertion order, non-empty only).
     ///
     /// # Errors
     ///
     /// The first stage failure aborts the sweep.
     pub fn flush_all(&mut self) -> Result<Vec<(SessionId, Vec<Payload>)>> {
-        self.shard.flush_all()
+        let mut out = Vec::with_capacity(self.sessions.len());
+        for s in &mut self.sessions {
+            let payloads = s.monitor.flush()?;
+            if !payloads.is_empty() {
+                out.push((s.id, payloads));
+            }
+        }
+        Ok(out)
     }
 
-    /// Element-wise sum of every session's [`ActivityCounters`]
-    /// (`seconds` therefore counts session-seconds).
+    /// Element-wise sum of every session's [`ActivityCounters`] in
+    /// insertion order (`seconds` therefore counts session-seconds).
     pub fn aggregate_counters(&self) -> ActivityCounters {
-        self.shard.aggregate_counters()
+        self.sessions
+            .iter()
+            .fold(ActivityCounters::default(), |acc, s| {
+                acc.merged(&s.monitor.counters())
+            })
     }
 
     /// Per-session energy reports (insertion order), priced on the
     /// default node model.
     pub fn session_energy_reports(&self) -> Vec<(SessionId, EnergyReport)> {
-        self.shard
-            .snapshots()
-            .into_iter()
-            .map(|s| (s.id, s.energy))
+        self.sessions
+            .iter()
+            .map(|s| (s.id, s.monitor.energy_report()))
             .collect()
     }
 
     /// Aggregated fleet energy report on the default node model.
     pub fn energy_report(&self) -> FleetEnergyReport {
-        fold_fleet_energy(&self.shard.snapshots())
+        let reports = self.session_energy_reports();
+        let sessions = reports.len();
+        let total_power_mw: f64 = reports
+            .iter()
+            .map(|(_, e)| e.breakdown.avg_power_mw())
+            .sum();
+        let min_lifetime_days = reports
+            .iter()
+            .map(|(_, e)| e.lifetime_days)
+            .fold(f64::INFINITY, f64::min);
+        FleetEnergyReport {
+            sessions,
+            counters: self.aggregate_counters(),
+            total_power_mw,
+            mean_power_mw: if sessions == 0 {
+                0.0
+            } else {
+                total_power_mw / sessions as f64
+            },
+            min_lifetime_days: if sessions == 0 {
+                0.0
+            } else {
+                min_lifetime_days
+            },
+        }
     }
 }
 
@@ -452,6 +437,35 @@ mod tests {
             fleet.push_frame(a, &[0, 0, 0]),
             Err(WbsnError::UnknownSession { .. })
         ));
+    }
+
+    #[test]
+    fn remove_session_returns_the_monitor() {
+        let mut fleet = NodeFleet::new();
+        let id = fleet.add_session(MonitorBuilder::new()).unwrap();
+        fleet.push_block(id, &[0; 9], 3).unwrap();
+        let monitor = fleet.remove_session(id).unwrap();
+        assert_eq!(monitor.counters().samples_in, 9);
+        assert!(fleet.is_empty());
+        assert!(fleet.remove_session(id).is_none());
+        assert!(matches!(
+            fleet.push_frame(id, &[0, 0, 0]),
+            Err(WbsnError::UnknownSession { id: raw }) if raw == id.raw()
+        ));
+    }
+
+    #[test]
+    fn insert_keeps_sessions_sorted_by_id() {
+        let mut fleet = NodeFleet::new();
+        let ids = fleet.add_sessions(&MonitorBuilder::new(), 4).unwrap();
+        fleet.remove_session(ids[1]).unwrap();
+        let late = fleet.add_session(MonitorBuilder::new()).unwrap();
+        // Ids are never reused: the newcomer sorts after every survivor.
+        let raw: Vec<u64> = fleet.session_ids().map(SessionId::raw).collect();
+        assert_eq!(raw, vec![0, 2, 3, 4]);
+        assert_eq!(late.raw(), 4);
+        assert!(fleet.session(ids[1]).is_none());
+        assert!(fleet.session(late).is_some());
     }
 
     #[test]
@@ -531,7 +545,7 @@ mod tests {
         let (buf, _) = interleaved(22, 1.0);
         let mut fleet = NodeFleet::new();
         let id = fleet.add_session(MonitorBuilder::new()).unwrap();
-        let ghost = SessionId::from_raw(99);
+        let ghost = SessionId(99);
         let batch: Vec<(SessionId, &[i32])> = vec![(id, &buf[..]), (ghost, &buf[..])];
         assert!(matches!(
             fleet.ingest_batch(&batch),
@@ -564,9 +578,7 @@ mod tests {
         assert_send::<CardiacMonitor>();
         assert_send::<MonitorBuilder>();
         assert_send::<Payload>();
-        assert_send::<Shard>();
         assert_send::<NodeFleet>();
-        assert_send::<ShardedFleet>();
         assert_send::<crate::stage::RawForwarder>();
         assert_send::<crate::stage::CsStage>();
         assert_send::<crate::stage::DelineationStage>();

@@ -44,12 +44,11 @@
 //! Decisions are pure functions of the governor state and the
 //! observation, so governed sessions keep the fleet's determinism
 //! guarantee: the same frames produce the same switches, payloads and
-//! counters on every driver.
+//! counters every run.
 //!
 //! [`GovernedMonitor`] packages the loop around one
-//! [`CardiacMonitor`]; the serving layer applies the same switches
-//! through [`NodeFleet::switch_mode`](crate::fleet::NodeFleet::switch_mode)
-//! / [`ShardedFleet::switch_mode`](crate::fleet::ShardedFleet::switch_mode).
+//! [`CardiacMonitor`]; the node fleet applies the same switches
+//! through [`NodeFleet::switch_mode`](crate::fleet::NodeFleet::switch_mode).
 
 use crate::energy::{workload_from_counters, CycleCosts};
 use crate::level::{OperatingMode, ProcessingLevel};

@@ -23,12 +23,9 @@
 //!   with the validating [`MonitorBuilder`], fed through the fallible
 //!   [`CardiacMonitor::try_push`] or the batched
 //!   [`CardiacMonitor::push_block`] hot path.
-//! * [`fleet`] — the server-side serving layer, split into three
-//!   explicit pieces: a [`fleet::Shard`] (single-threaded group of
-//!   sessions), the [`fleet::ShardRouter`] (stable `SessionId → shard`
-//!   placement), and two drivers — the sequential [`fleet::NodeFleet`]
-//!   and the multi-threaded [`fleet::ShardedFleet`], which produce
-//!   byte-identical results for the same input.
+//! * [`fleet`] — [`fleet::NodeFleet`]: many monitoring sessions
+//!   behind one ingestion front end, run on the calling thread, with
+//!   payloads byte-identical to the same monitors run one by one.
 //! * [`payload`] — the on-air payload formats with exact byte costs.
 //! * [`energy`] — per-stage cycle accounting composed with the
 //!   `wbsn-platform` node model into Figure 6-style breakdowns and
@@ -42,10 +39,11 @@
 //! * [`apps`] — the application layer the paper motivates: arrhythmia
 //!   /AF monitoring, sleep/HRV analysis, and PAT-based blood-pressure
 //!   trending.
-//! * [`workers`] — [`workers::map_on_workers`], the one scoped-thread
-//!   helper the cohort runner and the archive's solver replay share:
-//!   contiguous chunks, results in item order, every thread joined
-//!   before it returns.
+//! * [`workers`] — [`workers::map_on_workers`], the workspace's one
+//!   thread model: every library thread — the cohort runner's node
+//!   side, the sharded gateway's decode and the archive's solver
+//!   replay — comes from this scoped helper: contiguous chunks,
+//!   results in item order, every thread joined before it returns.
 //!
 //! ## Quickstart
 //!
@@ -102,7 +100,7 @@ pub mod stage;
 pub mod workers;
 
 pub use energy::EnergyReport;
-pub use fleet::{FleetEnergyReport, NodeFleet, SessionId, Shard, ShardRouter, ShardedFleet};
+pub use fleet::{FleetEnergyReport, NodeFleet, SessionId};
 pub use governor::{GovernedMonitor, GovernorConfig, PowerGovernor};
 pub use level::{OperatingMode, ProcessingLevel};
 pub use link::{
@@ -148,14 +146,13 @@ pub enum WbsnError {
         /// The offending id.
         id: u64,
     },
-    /// A worker thread is unreachable — it failed to spawn or
-    /// terminated unexpectedly (panic), so its shard's sessions can no
-    /// longer be served. Raised by [`fleet::ShardedFleet`], the sharded
-    /// gateway, and [`workers::map_on_workers`] (the cohort runner's
-    /// node-side threads and the archive's solver replay).
+    /// A worker thread was lost — it failed to spawn or panicked —
+    /// so the work it was given has no result. Raised by
+    /// [`workers::map_on_workers`], which runs every library thread:
+    /// the cohort runner's node side, the sharded gateway's decode
+    /// and the archive's solver replay.
     WorkerLost {
-        /// Index of the unreachable shard (for
-        /// [`workers::map_on_workers`], the chunk the thread was given).
+        /// Index of the chunk the lost thread was given.
         shard: usize,
     },
     /// Decoding ran out of bytes: the input is shorter than its own
@@ -219,7 +216,7 @@ impl core::fmt::Display for WbsnError {
             }
             WbsnError::UnknownSession { id } => write!(f, "unknown session id {id}"),
             WbsnError::WorkerLost { shard } => {
-                write!(f, "fleet shard worker {shard} is unreachable")
+                write!(f, "worker thread for chunk {shard} was lost")
             }
             WbsnError::Truncated { what, needed, got } => {
                 write!(f, "truncated {what}: needed {needed} bytes, got {got}")

@@ -1074,7 +1074,6 @@ impl Uplink {
 
     /// Frames a fleet ingestion result (the
     /// [`NodeFleet::ingest_batch`](crate::fleet::NodeFleet::ingest_batch)
-    /// / [`ShardedFleet::ingest_batch`](crate::fleet::ShardedFleet::ingest_batch)
     /// output shape) in batch order.
     ///
     /// # Errors

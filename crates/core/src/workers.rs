@@ -1,10 +1,12 @@
 //! One scoped-thread helper for the workspace's data-parallel loops.
 //!
-//! [`map_on_workers`] is shared by the cohort runner (record rendering
-//! and the per-node uplink) and the archive's solver replay (one
-//! session's window stream per item). It spawns nothing that outlives
-//! the call, keeps results in item order, and turns a lost thread into
-//! a typed [`WbsnError::WorkerLost`], so callers stay deterministic and
+//! [`map_on_workers`] is the only place library code spawns threads.
+//! It is shared by the cohort runner (record rendering and the
+//! per-node uplink), the sharded gateway (one shard's packets per
+//! item) and the archive's solver replay (one session's window stream
+//! per item). It spawns nothing that outlives the call, keeps results
+//! in item order, and turns a lost thread into a typed
+//! [`WbsnError::WorkerLost`], so callers stay deterministic and
 //! panic-free at any worker count.
 
 use crate::{Result, WbsnError};

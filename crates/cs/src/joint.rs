@@ -9,6 +9,7 @@
 //! leads, and the proximal step shrinks whole groups, so a wave that is
 //! strong in one lead rescues its (noisier) siblings.
 
+use crate::solver::validate_iteration;
 use crate::{CsError, Result};
 use wbsn_sigproc::wavelet::{wavedec, waverec, Wavelet};
 use wbsn_sigproc::SparseTernaryMatrix;
@@ -65,13 +66,18 @@ impl GroupFista {
     ///
     /// # Errors
     ///
-    /// Fails when lead counts or shapes disagree, or the window length
-    /// is incompatible with the configured levels.
+    /// [`CsError::InvalidParameter`] before any work for a degenerate
+    /// configuration: `levels` of 0 or at least the word size,
+    /// `max_iters` of 0, or a negative or non-finite `lambda_rel` or
+    /// `tol`. Also fails when lead counts or shapes disagree, or the
+    /// window length is incompatible with the configured levels.
     pub fn reconstruct(
         &self,
         phis: &[&SparseTernaryMatrix],
         ys: &[Vec<f64>],
     ) -> Result<Vec<Vec<f64>>> {
+        let cfg = &self.cfg;
+        validate_iteration(cfg.levels, cfg.max_iters, cfg.lambda_rel, cfg.tol)?;
         if phis.is_empty() || phis.len() != ys.len() {
             return Err(CsError::ShapeMismatch {
                 what: "lead count",
@@ -282,6 +288,80 @@ mod tests {
             let snr = snr_db(&xs[l], &xr[l]);
             assert!(snr > 18.0, "lead {l}: {snr} dB");
         }
+    }
+
+    #[test]
+    fn degenerate_configs_are_typed_errors_before_any_work() {
+        let phi = SparseTernaryMatrix::random(64, 128, 4, 3).unwrap();
+        let y = phi.apply(&leads(128)[0]);
+        let base = GroupFistaConfig::default();
+        let cases = [
+            ("levels", GroupFistaConfig { levels: 0, ..base }),
+            ("levels", GroupFistaConfig { levels: 64, ..base }),
+            (
+                "levels",
+                GroupFistaConfig {
+                    levels: usize::MAX,
+                    ..base
+                },
+            ),
+            (
+                "max_iters",
+                GroupFistaConfig {
+                    max_iters: 0,
+                    ..base
+                },
+            ),
+            (
+                "lambda_rel",
+                GroupFistaConfig {
+                    lambda_rel: -1e-3,
+                    ..base
+                },
+            ),
+            (
+                "lambda_rel",
+                GroupFistaConfig {
+                    lambda_rel: f64::NAN,
+                    ..base
+                },
+            ),
+            (
+                "lambda_rel",
+                GroupFistaConfig {
+                    lambda_rel: f64::INFINITY,
+                    ..base
+                },
+            ),
+            ("tol", GroupFistaConfig { tol: -1e-5, ..base }),
+            (
+                "tol",
+                GroupFistaConfig {
+                    tol: f64::NAN,
+                    ..base
+                },
+            ),
+            (
+                "tol",
+                GroupFistaConfig {
+                    tol: f64::INFINITY,
+                    ..base
+                },
+            ),
+        ];
+        for (what, cfg) in cases {
+            // Mismatched shapes too: the configuration is checked
+            // before the input.
+            for ys in [vec![y.clone()], vec![y[1..].to_vec()], Vec::new()] {
+                let err = GroupFista::new(cfg).reconstruct(&[&phi], &ys).unwrap_err();
+                assert!(
+                    matches!(err, CsError::InvalidParameter { what: w, .. } if w == what),
+                    "{cfg:?}: {err:?}"
+                );
+            }
+        }
+        // The base configuration itself solves.
+        assert!(GroupFista::new(base).reconstruct(&[&phi], &[y]).is_ok());
     }
 
     #[test]

@@ -45,26 +45,39 @@ impl FistaConfig {
     /// finite and non-negative. `tol == 0` is valid: it runs every one
     /// of `max_iters`.
     fn validate(&self) -> Result<()> {
-        let invalid = |what, detail: &str| {
-            Err(CsError::InvalidParameter {
-                what,
-                detail: detail.to_string(),
-            })
-        };
-        if self.levels == 0 || self.levels >= usize::BITS as usize {
-            return invalid("levels", "must be at least 1 and below the word size");
-        }
-        if self.max_iters == 0 {
-            return invalid("max_iters", "must be at least 1");
-        }
-        if !(self.lambda_rel.is_finite() && self.lambda_rel >= 0.0) {
-            return invalid("lambda_rel", "must be finite and non-negative");
-        }
-        if !(self.tol.is_finite() && self.tol >= 0.0) {
-            return invalid("tol", "must be finite and non-negative");
-        }
-        Ok(())
+        validate_iteration(self.levels, self.max_iters, self.lambda_rel, self.tol)
     }
+}
+
+/// The checks [`FistaConfig`] and
+/// [`GroupFista`](crate::joint::GroupFista)'s configuration share: `levels`
+/// in `1..usize::BITS` (so `1 << levels` cannot overflow), `max_iters`
+/// at least 1, `lambda_rel` and `tol` finite and non-negative.
+pub(crate) fn validate_iteration(
+    levels: usize,
+    max_iters: usize,
+    lambda_rel: f64,
+    tol: f64,
+) -> Result<()> {
+    let invalid = |what, detail: &str| {
+        Err(CsError::InvalidParameter {
+            what,
+            detail: detail.to_string(),
+        })
+    };
+    if levels == 0 || levels >= usize::BITS as usize {
+        return invalid("levels", "must be at least 1 and below the word size");
+    }
+    if max_iters == 0 {
+        return invalid("max_iters", "must be at least 1");
+    }
+    if !(lambda_rel.is_finite() && lambda_rel >= 0.0) {
+        return invalid("lambda_rel", "must be finite and non-negative");
+    }
+    if !(tol.is_finite() && tol >= 0.0) {
+        return invalid("tol", "must be finite and non-negative");
+    }
+    Ok(())
 }
 
 impl Default for FistaConfig {

@@ -125,6 +125,15 @@ impl MovingSum {
     }
 }
 
+/// Exact divider for a moving-window width; a zero width is a typed
+/// error rather than a panic.
+fn divider(width: usize) -> Result<ExactDiv> {
+    ExactDiv::new(width).ok_or(DelineationError::InvalidParameter {
+        what: "window width",
+        detail: "moving-window widths must be non-zero",
+    })
+}
+
 impl QrsDetector {
     /// Creates a detector.
     ///
@@ -154,9 +163,9 @@ impl QrsDetector {
             ma_long: MovingSum::new(w_long),
             bp_hist: [0; 5],
             mwi: MovingSum::new(w_mwi),
-            inv_short: ExactDiv::new(w_short).expect("width >= 2"),
-            inv_long: ExactDiv::new(w_long).expect("width >= 8"),
-            inv_mwi: ExactDiv::new(w_mwi).expect("width >= 4"),
+            inv_short: divider(w_short)?,
+            inv_long: divider(w_long)?,
+            inv_mwi: divider(w_mwi)?,
             bp_ring: vec![0; ring_len],
             bp_pos: 0,
             mwi_prev: 0,

@@ -69,7 +69,10 @@ impl WaveletDelineator {
                 detail: "must be at least 100 Hz",
             });
         }
-        let transform = AtrousQspline::new(4).expect("4 levels always valid");
+        let transform = AtrousQspline::new(4).map_err(|_| DelineationError::InvalidParameter {
+            what: "levels",
+            detail: "the à trous transform takes 1 to 8 levels",
+        })?;
         Ok(WaveletDelineator {
             cfg,
             transform,

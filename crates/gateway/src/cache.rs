@@ -3,8 +3,8 @@
 //! Every CS session's handshake names its sensing matrix by value —
 //! `(window, measurements, density, seed, lead)` — and fleets are
 //! provisioned in bulk, so many sessions (and, in the sharded
-//! gateway, many worker threads) keep asking for the *same* Φ. A
-//! `SparseTernaryMatrix` for a 256×128 window costs ~1 k RNG draws to
+//! gateway, many shards on worker threads) keep asking for the *same*
+//! Φ. A `SparseTernaryMatrix` for a 256×128 window costs ~1 k RNG draws to
 //! build and ~8 kB to hold; regenerating it per session wastes both.
 //! [`MatrixCache`] shares one immutable copy per distinct key across
 //! every [`Gateway`](crate::Gateway) that holds a handle.
@@ -55,7 +55,7 @@ struct CacheInner {
 }
 
 /// A process-wide cache of per-lead sensing matrices, shared across
-/// gateways and across the sharded gateway's workers.
+/// gateways and across the sharded gateway's shards.
 #[derive(Debug, Default)]
 pub struct MatrixCache {
     inner: Mutex<CacheInner>,

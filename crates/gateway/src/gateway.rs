@@ -483,8 +483,8 @@ impl Gateway {
     }
 
     /// Gateway sharing an existing sensing-matrix cache — how the
-    /// sharded gateway's workers (and any co-located gateways) avoid
-    /// rebuilding identical Φ per worker.
+    /// sharded gateway's shards (and any co-located gateways) avoid
+    /// rebuilding identical Φ per shard.
     pub fn with_cache(mut cfg: GatewayConfig, cache: Arc<MatrixCache>) -> Self {
         cfg.reorder_window = cfg.reorder_window.max(1);
         cfg.reconstruct_every = cfg.reconstruct_every.max(1);
@@ -702,7 +702,7 @@ impl Gateway {
 
     /// [`Gateway::flush_sessions`] with each session's events grouped
     /// under its id (ids ascending). The sharded gateway merges its
-    /// workers' flushes through this form so the merged order is
+    /// shards' flushes through this form so the merged order is
     /// identical to a single gateway's.
     pub fn flush_sessions_tagged(&mut self) -> Vec<(u64, Vec<GatewayEvent>)> {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
@@ -737,7 +737,7 @@ impl Gateway {
     ///
     /// Deterministic: same ingest history, same pump cadence → the
     /// same frames, bit for bit. The sharded gateway merges its
-    /// workers' pumps by ascending session id into the identical
+    /// shards' pumps by ascending session id into the identical
     /// sequence.
     pub fn pump_downlink(&mut self) -> Vec<(u64, Vec<Vec<u8>>)> {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();

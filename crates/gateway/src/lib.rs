@@ -46,11 +46,13 @@
 //!   the controller's CR directives, per session.
 //! * [`cache`] — the [`MatrixCache`]: one sensing matrix per distinct
 //!   handshake geometry `(window, m, density, seed, lead)`, shared by
-//!   every session — and every worker — that announces it.
-//! * [`fleet`] — the [`ShardedGateway`]: N worker threads each owning
-//!   a plain [`Gateway`], a session-id router in front, and merge
-//!   rules that keep the combined event stream byte-identical to the
-//!   single-threaded service at any worker count.
+//!   every session — and every shard — that announces it.
+//! * [`fleet`] — the [`ShardedGateway`]: N plain [`Gateway`] shards
+//!   keyed by `session % n`, whose FISTA-bearing calls fan out over
+//!   `wbsn-core`'s scoped-thread helper
+//!   ([`map_on_workers`](wbsn_core::workers::map_on_workers)), with
+//!   merge rules that keep the combined event stream byte-identical to
+//!   the single-threaded service at any worker count.
 //!
 //! Corruption can never surface as a wrong payload: every packet is
 //! CRC32-checked before any field is trusted, and a flipped bit is a
@@ -109,7 +111,7 @@ pub use cache::{MatrixCache, MatrixCacheStats, MatrixKey};
 pub use channel::{ChannelConfig, ChannelStats, DuplexChannel, LossyChannel};
 pub use controller::{ControlDecision, ControllerConfig, LinkController};
 pub use decoder::{SessionDecoder, SessionItem};
-pub use fleet::{GatewayRouter, ShardedGateway};
+pub use fleet::ShardedGateway;
 pub use gateway::{
     Gateway, GatewayConfig, GatewayEvent, GatewayStats, ReconstructionSolver, RhythmState,
     SessionReport,

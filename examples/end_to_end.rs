@@ -8,15 +8,15 @@
 //! receives them:
 //!
 //! ```text
-//!   synth ECG ─► ShardedFleet ─► Uplink framer ─► LossyChannel ─► Gateway
-//!   (4 nodes)    (serving layer)  (MTU packets,    (1% drop,       (reassembly,
-//!                                  CRC32)           corruption,     alarms, CS
-//!                                                   reordering)     reconstruction)
+//!   synth ECG ─► NodeFleet ─► Uplink framer ─► LossyChannel ─► Gateway
+//!   (3 nodes)    (sessions)   (MTU packets,    (1% drop,       (reassembly,
+//!                              CRC32)           corruption,     alarms, CS
+//!                                               reordering)     reconstruction)
 //! ```
 //!
 //! Run with: `cargo run --release --example end_to_end`
 
-use wbsn_core::fleet::ShardedFleet;
+use wbsn_core::fleet::NodeFleet;
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::link::{SessionHandshake, Uplink};
 use wbsn_core::monitor::MonitorBuilder;
@@ -27,7 +27,7 @@ use wbsn_gateway::channel::{ChannelConfig, LossyChannel};
 use wbsn_gateway::gateway::{Gateway, GatewayConfig, GatewayEvent};
 
 fn main() {
-    // ---- the ward: four wearable nodes with different jobs ----
+    // ---- the ward: three wearable nodes with different jobs ----
     let records: Vec<Record> = vec![
         // An AF patient monitored at the classified level: 40 s of
         // sinus rhythm, then the arrhythmia starts.
@@ -65,7 +65,7 @@ fn main() {
             .level(ProcessingLevel::Delineated)
             .n_leads(3),
     ];
-    let mut fleet = ShardedFleet::new(2).expect("spawn workers");
+    let mut fleet = NodeFleet::new();
     let ids: Vec<_> = builders
         .iter()
         .map(|b| fleet.add_session(b.clone()).expect("valid config"))

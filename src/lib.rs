@@ -17,9 +17,10 @@
 //! * [`platform`] — node hardware energy/timing models.
 //! * [`multicore`] — cycle-stepped multi-core WBSN simulator.
 //! * [`core`] — the session pipeline ([`core::CardiacMonitor`],
-//!   [`core::MonitorBuilder`], [`core::stage`]), the serving layer
-//!   ([`core::fleet::NodeFleet`]) and the uplink wire layer
-//!   ([`core::link`]).
+//!   [`core::MonitorBuilder`], [`core::stage`]), the node fleet
+//!   ([`core::fleet::NodeFleet`]), the uplink wire layer
+//!   ([`core::link`]) and the one scoped-thread helper every library
+//!   thread comes from ([`core::workers`]).
 //! * [`gateway`] — the base-station side: lossy-channel simulation,
 //!   per-session reassembly/decoding, rhythm/alert state and CS
 //!   reconstruction ([`gateway::Gateway`]).

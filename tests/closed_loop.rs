@@ -205,7 +205,7 @@ impl Driver {
     fn session_reports(&self) -> Vec<SessionReport> {
         match self {
             Driver::Seq(gw) => gw.session_reports(),
-            Driver::Sharded(gw) => gw.session_reports().unwrap(),
+            Driver::Sharded(gw) => gw.session_reports(),
         }
     }
 }
@@ -500,7 +500,7 @@ fn closed_loop_replay_is_bit_identical_across_worker_counts() {
     assert!(reference.fingerprint.contains(":dl:"));
     assert!(reference.fingerprint.contains("MessageLost"));
 
-    for workers in [1usize, 2, 4] {
+    for workers in [1usize, 2, 3, 5, 17] {
         let mut sharded = Driver::Sharded(
             ShardedGateway::new(gateway_config(Policy::Adaptive), workers).unwrap(),
         );

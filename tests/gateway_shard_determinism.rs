@@ -6,11 +6,10 @@
 //! while sessions are registered and closed mid-stream and the link
 //! drops, corrupts and reorders packets.
 //!
-//! Mirrors `tests/fleet_determinism.rs` on the node side: one scripted
-//! feeding schedule drives every driver, so the comparison is
-//! like-for-like by construction. The packet stream is built once
-//! (node fleet → uplink framer → seeded `LossyChannel`) and replayed
-//! into each driver.
+//! One scripted feeding schedule drives every driver, so the
+//! comparison is like-for-like by construction. The packet stream is
+//! built once (node fleet → uplink framer → seeded `LossyChannel`) and
+//! replayed into each driver.
 //!
 //! The downlink is live throughout: every batch is followed by a
 //! [`Gateway::pump_downlink`] whose ACK/NACK/directive frames go into
@@ -315,24 +314,17 @@ impl Driver {
     fn session_ids(&self) -> Vec<u64> {
         let mut ids = match self {
             Driver::Seq(g) => g.session_ids().collect::<Vec<_>>(),
-            Driver::Sharded(g) => g.session_ids().unwrap(),
+            Driver::Sharded(g) => g.session_ids(),
         };
         ids.sort_unstable();
         ids
     }
 
     fn windows_bits(&self, session: u64, lead: u8) -> Vec<(u32, Vec<u64>)> {
+        let bits = |(seq, w): (u32, &[f64])| (seq, w.iter().map(|v| v.to_bits()).collect());
         match self {
-            Driver::Seq(g) => g
-                .reconstructed_windows(session, lead)
-                .map(|(seq, w)| (seq, w.iter().map(|v| v.to_bits()).collect()))
-                .collect(),
-            Driver::Sharded(g) => g
-                .reconstructed_windows(session, lead)
-                .unwrap()
-                .into_iter()
-                .map(|(seq, w)| (seq, w.iter().map(|v| v.to_bits()).collect()))
-                .collect(),
+            Driver::Seq(g) => g.reconstructed_windows(session, lead).map(bits).collect(),
+            Driver::Sharded(g) => g.reconstructed_windows(session, lead).map(bits).collect(),
         }
     }
 }
@@ -449,7 +441,9 @@ fn sharded_gateway_matches_sequential_for_any_worker_count() {
     assert_eq!(reference.cache.entries, 3);
     assert_eq!(reference.cache.hits, 1);
 
-    for workers in [1usize, 2, 4] {
+    // 17 workers is more than there are sessions: empty shards and
+    // uneven chunks on the scoped threads.
+    for workers in [1usize, 2, 3, 5, 17] {
         let sharded = run(Some(workers), &input);
         assert_eq!(
             sharded, reference,
@@ -461,9 +455,11 @@ fn sharded_gateway_matches_sequential_for_any_worker_count() {
 #[test]
 fn sharded_lossy_replays_are_bit_identical() {
     // Two independent end-to-end replays — fresh channel, fresh
-    // workers, fresh cache — must agree bit for bit, reconstructed
+    // shards, fresh cache — must agree bit for bit, reconstructed
     // samples included (`Outcome` compares them as raw f64 bits).
-    let a = run(Some(4), &build_input());
-    let b = run(Some(4), &build_input());
-    assert_eq!(a, b);
+    for workers in [1usize, 2, 3, 5, 17] {
+        let a = run(Some(workers), &build_input());
+        let b = run(Some(workers), &build_input());
+        assert_eq!(a, b, "{workers} workers");
+    }
 }
