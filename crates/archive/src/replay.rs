@@ -90,7 +90,8 @@ pub struct SolverReplayReport {
 #[derive(Debug, Default)]
 struct SessStream {
     handshake: Option<SessionHandshake>,
-    encoders: Vec<Option<Arc<CsEncoder>>>,
+    /// Per-lead matrices with the Lipschitz constant FISTA steps by.
+    encoders: Vec<Option<(Arc<CsEncoder>, f64)>>,
     fista: Vec<FistaState>,
     /// Per-lead PRD reference: `(offset, samples)`.
     refs: BTreeMap<u8, (u64, Vec<f64>)>,
@@ -188,20 +189,23 @@ impl SolverRun {
                             sess.encoders.resize(lead_ix + 1, None);
                             sess.fista.resize(lead_ix + 1, FistaState::new());
                         }
-                        let enc = match &sess.encoders[lead_ix] {
-                            Some(enc) => Arc::clone(enc),
+                        let (enc, lip) = match &sess.encoders[lead_ix] {
+                            Some(enc) => enc.clone(),
                             None => {
                                 let enc = self
                                     .cache
-                                    .get_or_build(MatrixKey {
-                                        window: hs.cs_window,
-                                        measurements: hs.cs_measurements,
-                                        d_per_col: hs.cs_d_per_col,
-                                        seed: hs.seed,
-                                        lead: *lead,
-                                    })
+                                    .get_or_build_for(
+                                        MatrixKey {
+                                            window: hs.cs_window,
+                                            measurements: hs.cs_measurements,
+                                            d_per_col: hs.cs_d_per_col,
+                                            seed: hs.seed,
+                                            lead: *lead,
+                                        },
+                                        &self.fista,
+                                    )
                                     .map_err(|e| (at, e))?;
-                                sess.encoders[lead_ix] = Some(Arc::clone(&enc));
+                                sess.encoders[lead_ix] = Some(enc.clone());
                                 enc
                             }
                         };
@@ -216,7 +220,7 @@ impl SolverRun {
                         };
                         let solve = self
                             .fista
-                            .solve_with(&mut scratch, enc.sensing_matrix(), &y_scratch, warm)
+                            .solve_with(&mut scratch, enc.sensing_matrix(), &y_scratch, lip, warm)
                             .map_err(|e| (at, e.into()))?;
                         out.solved += 1;
                         out.iters += solve.iters as u64;

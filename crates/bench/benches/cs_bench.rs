@@ -32,13 +32,21 @@ fn bench_cs(c: &mut Criterion) {
     g.bench_function("fista_50it_512", |b| {
         b.iter(|| fista.reconstruct(black_box(&enc), black_box(&y)).unwrap())
     });
-    // Same solve on a reused scratch: the gateway's decode path.
+    // Same solve on a reused scratch with the Lipschitz constant
+    // computed once: the gateway's decode path.
     let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
+    let lip = fista.lipschitz(enc.sensing_matrix()).unwrap();
     let mut scratch = FistaScratch::new();
     g.bench_function("fista_50it_512_scratch", |b| {
         b.iter(|| {
             fista
-                .solve_with(&mut scratch, enc.sensing_matrix(), black_box(&yf), None)
+                .solve_with(
+                    &mut scratch,
+                    enc.sensing_matrix(),
+                    black_box(&yf),
+                    lip,
+                    None,
+                )
                 .unwrap()
         })
     });

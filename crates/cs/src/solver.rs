@@ -98,29 +98,19 @@ impl Default for FistaConfig {
 ///
 /// A gateway decodes one window after another through the *same*
 /// sensing matrix, and consecutive ECG windows share most of their
-/// wavelet support. The state carries the two quantities that makes
-/// the next solve cheap:
-///
-/// * the **Lipschitz constant** of `A = ΦΨ` — a property of the fixed
-///   matrix, so the 12-round power iteration (24 operator
-///   applications, ≈12 FISTA iterations' worth of work) runs once per
-///   stream instead of once per window;
-/// * the **previous window's coefficient solution**, which seeds the
-///   next solve far closer to its optimum than the cold all-zeros
-///   start, so the early-exit tolerance fires after a fraction of the
-///   cold iteration count (pinned ≥2× by `tests/warm_start.rs`).
+/// wavelet support. The state carries the previous window's
+/// coefficient solution, which seeds the next solve instead of the
+/// cold all-zeros start. The Lipschitz constant of the operator is not
+/// part of it: it belongs to the matrix, and [`Fista::lipschitz`]
+/// computes it once per matrix for every stream that shares it.
 ///
 /// The state is only valid for a fixed `(Φ, FistaConfig)` pair —
 /// [`FistaState::reset`] it when the sensing matrix changes (the
-/// gateway does so on any handshake change). A state whose cached
-/// `(rows, cols)` disagree with the solve at hand is ignored and
-/// rebuilt — both the warm vector and the Lipschitz constant — so a
-/// stale state can degrade speed, never correctness.
+/// gateway does so on any handshake change). A warm vector whose
+/// length disagrees with the solve at hand is ignored and rebuilt, so
+/// a stale state can degrade speed, never correctness.
 #[derive(Debug, Clone, Default)]
 pub struct FistaState {
-    /// Cached Lipschitz constant of `AᵀA`, keyed by the `(rows, cols)`
-    /// of the Φ it was computed for (`None` until first solve).
-    lip: Option<((usize, usize), f64)>,
     /// Previous solution in the coefficient domain.
     warm: Vec<f64>,
 }
@@ -133,7 +123,6 @@ impl FistaState {
 
     /// Forgets everything — required when the sensing matrix changes.
     pub fn reset(&mut self) {
-        self.lip = None;
         self.warm.clear();
     }
 
@@ -241,9 +230,9 @@ impl Fista {
     }
 
     /// Warm-started solve: seeds from `state` (previous window's
-    /// solution + cached Lipschitz constant) and updates it for the
-    /// next window. The first call on a fresh state is an ordinary
-    /// cold solve that additionally fills the state.
+    /// solution) and updates it for the next window. The first call on
+    /// a fresh state is an ordinary cold solve that additionally fills
+    /// the state.
     ///
     /// # Errors
     ///
@@ -256,6 +245,55 @@ impl Fista {
     ) -> Result<FistaSolve> {
         let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
         self.solve(encoder.sensing_matrix(), &yf, Some(state))
+    }
+
+    /// The Lipschitz constant of `∇f` for `A = ΦΨ` under this
+    /// configuration's wavelet and levels: 12 rounds of power iteration
+    /// on `AᵀA` from the all-ones vector. It depends only on Φ and the
+    /// dictionary, so a caller that solves many windows through one Φ
+    /// computes it once and hands it to [`Fista::solve_with`].
+    ///
+    /// # Errors
+    ///
+    /// [`CsError::InvalidParameter`] for a degenerate configuration or
+    /// a window length incompatible with the configured levels.
+    pub fn lipschitz(&self, phi: &SparseTernaryMatrix) -> Result<f64> {
+        self.cfg.validate()?;
+        self.check_levels(phi.cols())?;
+        let FistaScratch {
+            dwt,
+            sig,
+            meas,
+            grad,
+            z,
+            ..
+        } = &mut FistaScratch::new();
+        let (w, lv) = (self.cfg.wavelet, self.cfg.levels);
+        z.resize(phi.cols(), 1.0);
+        let mut lam = 1.0f64;
+        for _ in 0..12 {
+            apply_a(phi, w, lv, z, dwt, sig, meas)?;
+            apply_at(phi, w, lv, meas, dwt, sig, grad)?;
+            lam = grad.iter().map(|x| x * x).sum::<f64>().sqrt();
+            if lam <= 0.0 {
+                break;
+            }
+            for (vi, &ai) in z.iter_mut().zip(grad.iter()) {
+                *vi = ai / lam;
+            }
+        }
+        Ok(lam.max(1e-12))
+    }
+
+    /// `Ok` when a window of `n` samples divides by `2^levels`.
+    fn check_levels(&self, n: usize) -> Result<()> {
+        if n % (1 << self.cfg.levels) != 0 {
+            return Err(CsError::InvalidParameter {
+                what: "levels",
+                detail: format!("window {n} not divisible by 2^{}", self.cfg.levels),
+            });
+        }
+        Ok(())
     }
 
     /// Float-measurement variant (used by the sweep machinery).
@@ -279,30 +317,41 @@ impl Fista {
         y: &[f64],
         state: Option<&mut FistaState>,
     ) -> Result<FistaSolve> {
-        self.solve_with(&mut FistaScratch::new(), phi, y, state)
+        let lip = self.lipschitz(phi)?;
+        self.solve_with(&mut FistaScratch::new(), phi, y, lip, state)
     }
 
-    /// [`Fista::solve`] on caller-owned working memory: with a warm
-    /// `scratch` the iteration loop performs no heap allocation, and
-    /// a solve allocates only its returned samples.
+    /// [`Fista::solve`] on caller-owned working memory, stepping by a
+    /// `lipschitz` constant the caller computed once for `phi` with
+    /// [`Fista::lipschitz`]: with a warm `scratch` the iteration loop
+    /// performs no heap allocation, and a solve allocates only its
+    /// returned samples.
     ///
     /// # Errors
     ///
     /// [`CsError::InvalidParameter`] before any work when the
     /// configuration is degenerate: `levels` or `max_iters` is zero,
     /// `2^levels` overflows a `usize`, or `lambda_rel` or `tol` is
-    /// negative or non-finite (`tol == 0` is valid). Also fails when `y` does not have `phi.rows()` entries
-    /// or holds a non-finite value, or when the window length is
-    /// incompatible with the configured levels. A rejected solve leaves
-    /// `state` untouched.
+    /// negative or non-finite (`tol == 0` is valid); or when
+    /// `lipschitz` is not finite and positive. Also fails when `y` does
+    /// not have `phi.rows()` entries or holds a non-finite value, or
+    /// when the window length is incompatible with the configured
+    /// levels. A rejected solve leaves `state` untouched.
     pub fn solve_with(
         &self,
         scratch: &mut FistaScratch,
         phi: &SparseTernaryMatrix,
         y: &[f64],
+        lipschitz: f64,
         state: Option<&mut FistaState>,
     ) -> Result<FistaSolve> {
         self.cfg.validate()?;
+        if !(lipschitz.is_finite() && lipschitz > 0.0) {
+            return Err(CsError::InvalidParameter {
+                what: "lipschitz",
+                detail: format!("{lipschitz} is not finite and positive"),
+            });
+        }
         let n = phi.cols();
         let m = phi.rows();
         if y.len() != m {
@@ -318,12 +367,7 @@ impl Fista {
                 index,
             });
         }
-        if n % (1 << self.cfg.levels) != 0 {
-            return Err(CsError::InvalidParameter {
-                what: "levels",
-                detail: format!("window {n} not divisible by 2^{}", self.cfg.levels),
-            });
-        }
+        self.check_levels(n)?;
         let w = self.cfg.wavelet;
         let lv = self.cfg.levels;
         let FistaScratch {
@@ -336,38 +380,14 @@ impl Fista {
             z,
         } = scratch;
 
-        // A state is trusted only for the shape it was built on; a
-        // mismatched one is stale, so both its Lipschitz constant and
-        // its warm vector are ignored (and overwritten below).
-        let cached = state.as_ref().and_then(|s| match s.lip {
-            Some((shape, lip)) if shape == (m, n) && s.warm.len() == n => Some((lip, &s.warm)),
-            _ => None,
-        });
-
-        // Lipschitz constant of ∇f via power iteration on AᵀA — a
-        // property of the fixed operator, so a warm state pays it once
-        // per stream. `z` doubles as the power-iteration vector.
-        let lip = match cached {
-            Some((l, _)) => l,
-            None => {
-                z.clear();
-                z.resize(n, 1.0);
-                let mut lam = 1.0f64;
-                for _ in 0..12 {
-                    apply_a(phi, w, lv, z, dwt, sig, meas)?;
-                    apply_at(phi, w, lv, meas, dwt, sig, grad)?;
-                    lam = grad.iter().map(|x| x * x).sum::<f64>().sqrt();
-                    if lam <= 0.0 {
-                        break;
-                    }
-                    for (vi, &ai) in z.iter_mut().zip(grad.iter()) {
-                        *vi = ai / lam;
-                    }
-                }
-                lam.max(1e-12)
-            }
-        };
-        let step = 1.0 / lip;
+        // A warm vector is trusted only for the window length it was
+        // built on; a mismatched one is stale and ignored (and
+        // overwritten below).
+        let warm = state
+            .as_ref()
+            .map(|s| &s.warm)
+            .filter(|warm| warm.len() == n);
+        let step = 1.0 / lipschitz;
 
         apply_at(phi, w, lv, y, dwt, sig, grad)?;
         let linf = grad.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
@@ -376,8 +396,8 @@ impl Fista {
         // Warm start from the previous window's solution, or cold
         // from zeros.
         a.clear();
-        match cached {
-            Some((_, warm)) => a.extend_from_slice(warm),
+        match warm {
+            Some(warm) => a.extend_from_slice(warm),
             None => a.resize(n, 0.0),
         }
         z.clear();
@@ -437,7 +457,6 @@ impl Fista {
         let mut x = Vec::with_capacity(n);
         waverec_into(a, w, lv, dwt, &mut x)?;
         if let Some(s) = state {
-            s.lip = Some(((m, n), lip));
             s.warm.clear();
             s.warm.extend_from_slice(a);
         }
@@ -640,30 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_state_is_rebuilt_without_reset() {
-        // Same window length, different measurement count: the warm
-        // vector's length still fits, so only the stored (rows, cols)
-        // can tell the cached Lipschitz constant is stale. The solve
-        // must then match a cold one bit for bit, and leave a state
-        // keyed to the new shape.
-        let solver = Fista::new(FistaConfig::default());
-        let x = ecg_like(256);
-        let wide = CsEncoder::new(256, 160, 4, 5).unwrap();
-        let mut state = FistaState::new();
-        solver
-            .reconstruct_warm(&wide, &wide.encode(&x).unwrap(), &mut state)
-            .unwrap();
-        let narrow = CsEncoder::new(256, 64, 4, 5).unwrap();
-        let y = narrow.encode(&x).unwrap();
-        let warm = solver.reconstruct_warm(&narrow, &y, &mut state).unwrap();
-        let cold = solver.reconstruct(&narrow, &y).unwrap();
-        let warm_bits: Vec<u64> = warm.x.iter().map(|v| v.to_bits()).collect();
-        let cold_bits: Vec<u64> = cold.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(warm_bits, cold_bits);
-        assert_eq!(state.lip.map(|(shape, _)| shape), Some((64, 256)));
-    }
-
-    #[test]
     fn non_finite_measurements_are_a_typed_error() {
         let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
         let solver = Fista::new(FistaConfig::default());
@@ -754,7 +749,7 @@ mod tests {
                 "{cfg:?}"
             );
             for mut state in [FistaState::new(), warm.clone()] {
-                let before = (state.lip, state.warm.clone());
+                let before = state.warm.clone();
                 // Measurements of the wrong length too: the
                 // configuration is checked before the input.
                 for y in [&y[..], &y[1..]] {
@@ -766,9 +761,8 @@ mod tests {
                         "{cfg:?}: {err:?}"
                     );
                 }
-                assert_eq!(state.lip, before.0, "{what}");
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&state.warm), bits(&before.1), "{what}");
+                assert_eq!(bits(&state.warm), bits(&before), "{what}");
             }
         }
     }
@@ -807,8 +801,9 @@ mod tests {
                 .iter()
                 .map(|&v| v as f64)
                 .collect();
+            let lip = solver.lipschitz(enc.sensing_matrix()).unwrap();
             let reused = solver
-                .solve_with(&mut scratch, enc.sensing_matrix(), &y, None)
+                .solve_with(&mut scratch, enc.sensing_matrix(), &y, lip, None)
                 .unwrap();
             let fresh = solver.solve(enc.sensing_matrix(), &y, None).unwrap();
             assert_eq!(reused.iters, fresh.iters);

@@ -9,15 +9,23 @@
 //! [`MatrixCache`] shares one immutable copy per distinct key across
 //! every [`Gateway`](crate::Gateway) that holds a handle.
 //!
+//! An entry also holds the Lipschitz constant FISTA steps by, which
+//! depends only on Φ and the solver's wavelet dictionary: the 12-round
+//! power iteration that finds it (24 operator applications) runs once
+//! per entry and dictionary, not once per session or window
+//! ([`MatrixCache::get_or_build_for`]).
+//!
 //! Determinism: construction happens *inside* the lock, so however
 //! many workers race for a key, exactly one miss builds it and every
 //! later lookup hits — [`MatrixCacheStats`] totals are identical for
 //! any worker count, which the shard-determinism suite pins.
 
 use crate::Result;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 use wbsn_cs::encoder::CsEncoder;
+use wbsn_cs::solver::Fista;
+use wbsn_sigproc::wavelet::Wavelet;
 
 /// Everything that identifies one sensing matrix: the CS geometry
 /// from the session handshake plus the lead index (lead `l` senses
@@ -47,11 +55,45 @@ pub struct MatrixCacheStats {
     pub entries: u64,
 }
 
+/// One cached matrix and the Lipschitz constants computed for it, one
+/// per `(wavelet, levels)` dictionary a solver asked with.
+#[derive(Debug)]
+struct Entry {
+    encoder: Arc<CsEncoder>,
+    lipschitz: Vec<((Wavelet, usize), f64)>,
+}
+
 #[derive(Debug, Default)]
 struct CacheInner {
-    matrices: BTreeMap<MatrixKey, Arc<CsEncoder>>,
+    matrices: BTreeMap<MatrixKey, Entry>,
     hits: u64,
     misses: u64,
+}
+
+impl CacheInner {
+    /// The entry for `key`, counting the lookup as a hit or a miss.
+    fn entry(&mut self, key: MatrixKey) -> Result<&mut Entry> {
+        match self.matrices.entry(key) {
+            btree_map::Entry::Occupied(e) => {
+                self.hits += 1;
+                Ok(e.into_mut())
+            }
+            btree_map::Entry::Vacant(slot) => {
+                let encoder = Arc::new(CsEncoder::for_lead(
+                    key.window as usize,
+                    key.measurements as usize,
+                    key.d_per_col as usize,
+                    key.seed,
+                    key.lead,
+                )?);
+                self.misses += 1;
+                Ok(slot.insert(Entry {
+                    encoder,
+                    lipschitz: Vec::new(),
+                }))
+            }
+        }
+    }
 }
 
 /// A process-wide cache of per-lead sensing matrices, shared across
@@ -86,21 +128,37 @@ impl MatrixCache {
     /// Propagates [`CsEncoder::for_lead`] rejections (zero or
     /// inconsistent dimensions) without caching anything.
     pub fn get_or_build(&self, key: MatrixKey) -> Result<Arc<CsEncoder>> {
+        Ok(Arc::clone(&self.lock().entry(key)?.encoder))
+    }
+
+    /// [`MatrixCache::get_or_build`] plus the Lipschitz constant
+    /// `solver` steps by on that matrix ([`Fista::lipschitz`]),
+    /// computed on the first request for the solver's `(wavelet,
+    /// levels)` and shared afterwards. Counts one lookup, as
+    /// [`MatrixCache::get_or_build`] does.
+    ///
+    /// # Errors
+    ///
+    /// As [`MatrixCache::get_or_build`], or the solver's rejection of
+    /// its configuration or of the window length; a rejected constant
+    /// is not cached.
+    pub fn get_or_build_for(
+        &self,
+        key: MatrixKey,
+        solver: &Fista,
+    ) -> Result<(Arc<CsEncoder>, f64)> {
         let mut inner = self.lock();
-        if let Some(enc) = inner.matrices.get(&key).map(Arc::clone) {
-            inner.hits += 1;
-            return Ok(enc);
-        }
-        let enc = Arc::new(CsEncoder::for_lead(
-            key.window as usize,
-            key.measurements as usize,
-            key.d_per_col as usize,
-            key.seed,
-            key.lead,
-        )?);
-        inner.misses += 1;
-        inner.matrices.insert(key, Arc::clone(&enc));
-        Ok(enc)
+        let entry = inner.entry(key)?;
+        let basis = (solver.config().wavelet, solver.config().levels);
+        let lip = match entry.lipschitz.iter().find(|(b, _)| *b == basis) {
+            Some(&(_, lip)) => lip,
+            None => {
+                let lip = solver.lipschitz(entry.encoder.sensing_matrix())?;
+                entry.lipschitz.push((basis, lip));
+                lip
+            }
+        };
+        Ok((Arc::clone(&entry.encoder), lip))
     }
 
     /// Counters so far.
@@ -164,6 +222,46 @@ mod tests {
         let other = cache.get_or_build(key(10, 0)).unwrap();
         assert_eq!(other.sensing_matrix(), l1.sensing_matrix());
         assert_eq!(cache.stats().entries, 3);
+    }
+
+    #[test]
+    fn lipschitz_constant_is_computed_once_per_dictionary_and_counts_one_lookup() {
+        use wbsn_cs::solver::FistaConfig;
+        let cache = MatrixCache::new();
+        let db4 = Fista::new(FistaConfig::default());
+        let haar = Fista::new(FistaConfig {
+            wavelet: Wavelet::Haar,
+            ..FistaConfig::default()
+        });
+        let (enc, lip) = cache.get_or_build_for(key(3, 0), &db4).unwrap();
+        assert_eq!(
+            lip.to_bits(),
+            db4.lipschitz(enc.sensing_matrix()).unwrap().to_bits()
+        );
+        let (again, lip_again) = cache.get_or_build_for(key(3, 0), &db4).unwrap();
+        assert!(Arc::ptr_eq(&enc, &again));
+        assert_eq!(lip.to_bits(), lip_again.to_bits());
+        let (_, lip_haar) = cache.get_or_build_for(key(3, 0), &haar).unwrap();
+        assert_eq!(
+            lip_haar.to_bits(),
+            haar.lipschitz(enc.sensing_matrix()).unwrap().to_bits()
+        );
+        assert_eq!(
+            cache.stats(),
+            MatrixCacheStats {
+                hits: 2,
+                misses: 1,
+                entries: 1
+            }
+        );
+        // A dictionary the window cannot carry is an error, and the
+        // matrix lookup still counts.
+        let deep = Fista::new(FistaConfig {
+            levels: 9,
+            ..FistaConfig::default()
+        });
+        assert!(cache.get_or_build_for(key(3, 0), &deep).is_err());
+        assert_eq!(cache.stats().hits, 3);
     }
 
     #[test]

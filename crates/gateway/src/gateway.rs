@@ -379,12 +379,13 @@ struct SessionState {
     feedback: LinkFeedback,
     controller: Option<LinkController>,
     rhythm: RhythmState,
-    // Per-lead CS encoders, shared out of the gateway's MatrixCache
-    // on first use (lead l seeds with seed + l, matching the node's
-    // CsStage — see CsEncoder::for_lead).
-    encoders: Vec<Option<Arc<CsEncoder>>>,
-    // Per-lead warm-start state (previous window's solution + cached
-    // Lipschitz constant); only valid for the current handshake's Φ.
+    // Per-lead CS encoders with the Lipschitz constant FISTA steps by
+    // on them, shared out of the gateway's MatrixCache on first use
+    // (lead l seeds with seed + l, matching the node's CsStage — see
+    // CsEncoder::for_lead).
+    encoders: Vec<Option<LeadMatrix>>,
+    // Per-lead warm-start state (previous window's solution); only
+    // valid for the current handshake's Φ.
     fista: Vec<FistaState>,
     // Reconstructed windows, keyed by (lead, window_seq).
     windows: BTreeMap<(u8, u32), Vec<f64>>,
@@ -421,6 +422,10 @@ impl SessionState {
     }
 }
 
+/// A lead's sensing matrix and the Lipschitz constant FISTA steps by
+/// on it (1 under OMP, which takes no step).
+type LeadMatrix = (Arc<CsEncoder>, f64);
+
 #[derive(Debug)]
 enum SolverImpl {
     Fista(Fista),
@@ -428,18 +433,27 @@ enum SolverImpl {
 }
 
 impl SolverImpl {
+    /// The matrix for `key` out of `cache`, with FISTA's Lipschitz
+    /// constant on it.
+    fn resolve(&self, cache: &MatrixCache, key: MatrixKey) -> Result<LeadMatrix> {
+        match self {
+            SolverImpl::Fista(f) => cache.get_or_build_for(key, f),
+            SolverImpl::Omp(_) => Ok((cache.get_or_build(key)?, 1.0)),
+        }
+    }
+
     /// Reconstructs one window, warm-started when a state is given.
     /// Returns the samples plus the iterations spent (0 for OMP).
     fn reconstruct(
         &self,
-        enc: &CsEncoder,
+        (enc, lip): &LeadMatrix,
         y: &[f64],
         state: Option<&mut FistaState>,
         scratch: &mut FistaScratch,
     ) -> Result<(Vec<f64>, usize)> {
         match self {
             SolverImpl::Fista(f) => {
-                let solve = f.solve_with(scratch, enc.sensing_matrix(), y, state)?;
+                let solve = f.solve_with(scratch, enc.sensing_matrix(), y, *lip, state)?;
                 Ok((solve.x, solve.iters))
             }
             SolverImpl::Omp(o) => Ok((o.reconstruct(enc.sensing_matrix(), y)?, 0)),
@@ -1073,19 +1087,22 @@ impl Gateway {
                     state.fista.resize(lead as usize + 1, FistaState::new());
                 }
                 let enc = match &state.encoders[lead as usize] {
-                    Some(enc) => Arc::clone(enc),
+                    Some(enc) => enc.clone(),
                     // Resolve the node's sensing matrix through the
                     // shared cache (lead l seeds with seed + l,
                     // matching the node's CsStage).
                     None => {
-                        let enc = cache.get_or_build(MatrixKey {
-                            window: hs.cs_window,
-                            measurements: hs.cs_measurements,
-                            d_per_col: hs.cs_d_per_col,
-                            seed: hs.seed,
-                            lead,
-                        })?;
-                        state.encoders[lead as usize] = Some(Arc::clone(&enc));
+                        let enc = self.solver.resolve(
+                            &cache,
+                            MatrixKey {
+                                window: hs.cs_window,
+                                measurements: hs.cs_measurements,
+                                d_per_col: hs.cs_d_per_col,
+                                seed: hs.seed,
+                                lead,
+                            },
+                        )?;
+                        state.encoders[lead as usize] = Some(enc.clone());
                         enc
                     }
                 };

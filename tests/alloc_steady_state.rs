@@ -219,16 +219,23 @@ fn steady_state_ingest_is_allocation_free() {
             restart: true,
             ..FistaConfig::default()
         });
+        let lip = fista.lipschitz(enc.sensing_matrix()).expect("lipschitz");
         let mut scratch = FistaScratch::new();
         let mut state = FistaState::new();
         // Warm-up: sizes the scratch (and the state's warm vector).
         fista
-            .solve_with(&mut scratch, enc.sensing_matrix(), &y, Some(&mut state))
+            .solve_with(
+                &mut scratch,
+                enc.sensing_matrix(),
+                &y,
+                lip,
+                Some(&mut state),
+            )
             .expect("solves");
         let st = warm.then_some(&mut state);
         let before = allocs();
         let solve = fista
-            .solve_with(&mut scratch, enc.sensing_matrix(), &y, st)
+            .solve_with(&mut scratch, enc.sensing_matrix(), &y, lip, st)
             .expect("solves");
         (allocs() - before, solve.iters)
     };
