@@ -28,7 +28,7 @@ use crate::codec::{
 };
 use crate::{ArchiveError, Result};
 use wbsn_core::link::SessionHandshake;
-use wbsn_cs::solver::FistaConfig;
+use wbsn_cs::solver::{Continuation, FistaConfig};
 use wbsn_delineation::fiducials::BeatFiducials;
 use wbsn_gateway::record::TapItem;
 use wbsn_gateway::SessionReport;
@@ -36,8 +36,10 @@ use wbsn_sigproc::wavelet::Wavelet;
 
 /// Stream magic: the first four bytes of every archive.
 pub const MAGIC: [u8; 4] = *b"WBSA";
-/// Format version this build writes and the highest it reads.
-pub const FORMAT_VERSION: u16 = 1;
+/// Format version this build writes and the only one it reads.
+/// Version 2 replaced version 1's warm-start flag in [`RunMeta`] with
+/// the solver's λ-continuation schedule.
+pub const FORMAT_VERSION: u16 = 2;
 /// Fixed bytes of a block header (`kind`, `session`, `epoch`, `len`).
 pub const BLOCK_HEADER_LEN: usize = 1 + 8 + 4 + 4;
 /// Upper bound on a single block payload. A real epoch is far below
@@ -68,9 +70,8 @@ pub struct RunMeta {
     pub min_episode_s: f64,
     /// The gateway solved every k-th CS window.
     pub reconstruct_every: u32,
-    /// Whether FISTA solves were warm-started.
-    pub warm_start: bool,
-    /// The exact solver configuration of the live run.
+    /// The exact solver configuration of the live run, continuation
+    /// schedule included.
     pub solver: FistaConfig,
 }
 
@@ -100,7 +101,6 @@ impl RunMeta {
         write_f64_bits(out, self.alert_grace_s);
         write_f64_bits(out, self.min_episode_s);
         write_uvarint(out, u64::from(self.reconstruct_every));
-        out.push(u8::from(self.warm_start));
         out.push(wavelet_tag(self.solver.wavelet));
         write_uvarint(out, self.solver.levels as u64);
         write_f64_bits(out, self.solver.lambda_rel);
@@ -108,6 +108,15 @@ impl RunMeta {
         write_f64_bits(out, self.solver.tol);
         out.push(u8::from(self.solver.restart));
         out.push(u8::from(self.solver.tree_model));
+        match &self.solver.continuation {
+            None => out.push(0),
+            Some(c) => {
+                out.push(1);
+                write_f64_bits(out, c.start_rel);
+                write_f64_bits(out, c.factor);
+                write_f64_bits(out, c.stage_tol);
+            }
+        }
     }
 
     /// Decodes metadata from a header payload.
@@ -116,7 +125,6 @@ impl RunMeta {
         let alert_grace_s = read_f64_bits(bytes, pos)?;
         let min_episode_s = read_f64_bits(bytes, pos)?;
         let reconstruct_every = read_u32(bytes, pos)?;
-        let warm_start = read_bool(bytes, pos)?;
         let wavelet = wavelet_from_tag(read_u8(bytes, pos)?)?;
         let levels = read_uvarint(bytes, pos)? as usize;
         let lambda_rel = read_f64_bits(bytes, pos)?;
@@ -124,11 +132,19 @@ impl RunMeta {
         let tol = read_f64_bits(bytes, pos)?;
         let restart = read_bool(bytes, pos)?;
         let tree_model = read_bool(bytes, pos)?;
+        let continuation = if read_bool(bytes, pos)? {
+            Some(Continuation {
+                start_rel: read_f64_bits(bytes, pos)?,
+                factor: read_f64_bits(bytes, pos)?,
+                stage_tol: read_f64_bits(bytes, pos)?,
+            })
+        } else {
+            None
+        };
         Ok(RunMeta {
             alert_grace_s,
             min_episode_s,
             reconstruct_every,
-            warm_start,
             solver: FistaConfig {
                 wavelet,
                 levels,
@@ -137,6 +153,7 @@ impl RunMeta {
                 tol,
                 restart,
                 tree_model,
+                continuation,
             },
         })
     }

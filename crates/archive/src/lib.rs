@@ -60,11 +60,11 @@ pub enum ArchiveError {
     Io(std::io::ErrorKind),
     /// The stream does not start with the `WBSA` magic.
     BadMagic,
-    /// The stream's format version is newer than this build speaks.
+    /// The stream's format version is not the one this build reads.
     UnsupportedVersion {
         /// Version the stream announced.
         got: u16,
-        /// Highest version this build supports.
+        /// The version this build reads and writes.
         supported: u16,
     },
     /// The stream ended mid-block.
@@ -96,7 +96,7 @@ impl std::fmt::Display for ArchiveError {
             ArchiveError::UnsupportedVersion { got, supported } => {
                 write!(
                     f,
-                    "archive format version {got} (this build supports ≤{supported})"
+                    "archive format version {got} (this build reads version {supported})"
                 )
             }
             ArchiveError::Truncated { offset, what } => {

@@ -100,7 +100,10 @@ impl<R: Read> ArchiveReader<R> {
             return Err(ArchiveError::BadMagic);
         }
         let version = u16::from_le_bytes([fixed[4], fixed[5]]);
-        if version > FORMAT_VERSION {
+        // A version-1 stream has no continuation schedule in its
+        // header (and a warm-start flag in its place): this build
+        // reads only the version it writes.
+        if version != FORMAT_VERSION {
             return Err(ArchiveError::UnsupportedVersion {
                 got: version,
                 supported: FORMAT_VERSION,

@@ -5,18 +5,19 @@
 //!
 //! - [`replay_reconstruction`] re-runs CS reconstruction from the
 //!   archived measurements. At the archived settings it reproduces the
-//!   live PRDs **bit for bit** (same matrices through a shared
-//!   [`MatrixCache`], same warm-start state evolution per session);
-//!   at different settings (fewer iterations, cold starts, a different
-//!   probing stride) it reports per-window PRD deltas against the
-//!   recorded live values — the solver-regression loop ROADMAP item 5
-//!   asks for.
+//!   live PRDs **bit for bit** (same matrices and Lipschitz constants
+//!   through a shared [`MatrixCache`], same solver settings, the
+//!   continuation schedule included); at different settings (fewer
+//!   iterations, another tolerance or schedule, a different probing
+//!   stride) it reports per-window PRD deltas against the recorded live
+//!   values, as means, 95th percentiles and the largest change — the
+//!   loop `examples/solver_frontier.rs` chooses solver defaults on.
 //!
 //!   Sessions are solved in parallel, and that split is exact:
 //!   everything carried from one window to the next (the handshake,
-//!   the per-lead encoders, the FISTA warm vector and Lipschitz
-//!   constant, the PRD references) belongs to one session, and the
-//!   cache returns a matrix that depends only on its key. So each
+//!   the per-lead encoders, the PRD references) belongs to one
+//!   session, and the cache returns a matrix and constant that depend
+//!   only on the key and the solver's dictionary. So each
 //!   session's stream is replayed on its own on a worker thread, and
 //!   the per-window PRDs are folded back in archive order, which keeps
 //!   the report bit-identical at any worker count.
@@ -32,7 +33,7 @@ use wbsn_core::link::SessionHandshake;
 use wbsn_core::workers::map_on_workers;
 use wbsn_core::{Result, WbsnError};
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch, FistaState};
+use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch};
 use wbsn_gateway::{MatrixCache, MatrixKey};
 use wbsn_sigproc::stats::prd_percent;
 
@@ -41,8 +42,6 @@ use wbsn_sigproc::stats::prd_percent;
 pub struct SolverReplayConfig {
     /// FISTA configuration to solve with.
     pub solver: FistaConfig,
-    /// Warm-start each stream's solves from its previous window.
-    pub warm_start: bool,
     /// Solve every k-th window (mirrors the gateway's periodic
     /// probing; values of 0 are clamped to 1).
     pub reconstruct_every: u32,
@@ -54,7 +53,6 @@ impl SolverReplayConfig {
     pub fn archived(meta: &crate::format::RunMeta) -> Self {
         SolverReplayConfig {
             solver: meta.solver,
-            warm_start: meta.warm_start,
             reconstruct_every: meta.reconstruct_every,
         }
     }
@@ -81,6 +79,15 @@ pub struct SolverReplayReport {
     pub mean_delta: f64,
     /// Largest `|replayed − live|` over the compared windows.
     pub max_abs_delta: f64,
+    /// Nearest-rank 95th percentile of the live PRDs over the compared
+    /// windows (%), as the cohort report computes its PRD p95.
+    pub live_prd_p95: f64,
+    /// Nearest-rank 95th percentile of the replayed PRDs over the
+    /// compared windows (%).
+    pub replayed_prd_p95: f64,
+    /// Nearest-rank 95th percentile of `|replayed − live|` over the
+    /// compared windows.
+    pub p95_abs_delta: f64,
     /// Whether every compared PRD matched the live value bit for bit.
     pub bit_identical: bool,
 }
@@ -92,20 +99,18 @@ struct SessStream {
     handshake: Option<SessionHandshake>,
     /// Per-lead matrices with the Lipschitz constant FISTA steps by.
     encoders: Vec<Option<(Arc<CsEncoder>, f64)>>,
-    fista: Vec<FistaState>,
     /// Per-lead PRD reference: `(offset, samples)`.
     refs: BTreeMap<u8, (u64, Vec<f64>)>,
 }
 
 impl SessStream {
     /// Mirrors the gateway's `install_handshake`: a changed handshake
-    /// invalidates matrices and warm state, an identical re-announce
+    /// invalidates the matrices, an identical re-announce
     /// (post-reboot) does not. References survive either way — the
     /// recorded `Reference` item stream replays the attachments.
     fn install_handshake(&mut self, hs: SessionHandshake) {
         if self.handshake != Some(hs) {
             self.encoders.clear();
-            self.fista.clear();
         }
         self.handshake = Some(hs);
     }
@@ -132,7 +137,6 @@ struct SolverRun {
     cache: MatrixCache,
     fista: Fista,
     every: u32,
-    warm_start: bool,
 }
 
 impl SolverRun {
@@ -187,7 +191,6 @@ impl SolverRun {
                         let lead_ix = *lead as usize;
                         if sess.encoders.len() <= lead_ix {
                             sess.encoders.resize(lead_ix + 1, None);
-                            sess.fista.resize(lead_ix + 1, FistaState::new());
                         }
                         let (enc, lip) = match &sess.encoders[lead_ix] {
                             Some(enc) => enc.clone(),
@@ -213,14 +216,9 @@ impl SolverRun {
                         // i16 → i64 (reassembly) → f64 (solver front end).
                         y_scratch.clear();
                         y_scratch.extend(measurements.iter().map(|&v| v as i64 as f64));
-                        let warm = if self.warm_start {
-                            sess.fista.get_mut(lead_ix)
-                        } else {
-                            None
-                        };
                         let solve = self
                             .fista
-                            .solve_with(&mut scratch, enc.sensing_matrix(), &y_scratch, lip, warm)
+                            .solve_with(&mut scratch, enc.sensing_matrix(), &y_scratch, lip)
                             .map_err(|e| (at, e.into()))?;
                         out.solved += 1;
                         out.iters += solve.iters as u64;
@@ -292,7 +290,6 @@ pub fn replay_reconstruction(
         cache: MatrixCache::new(),
         fista: Fista::new(cfg.solver),
         every: cfg.reconstruct_every.max(1),
-        warm_start: cfg.warm_start,
     };
     let dealt = map_on_workers(w, &mut deals, |deal| {
         Ok(deal
@@ -311,6 +308,9 @@ pub fn replay_reconstruction(
         replayed_prd_mean: 0.0,
         mean_delta: 0.0,
         max_abs_delta: 0.0,
+        live_prd_p95: 0.0,
+        replayed_prd_p95: 0.0,
+        p95_abs_delta: 0.0,
         bit_identical: true,
     };
     let mut compared = Vec::new();
@@ -339,12 +339,18 @@ pub fn replay_reconstruction(
     let mut live_sum = 0.0;
     let mut replayed_sum = 0.0;
     let mut delta_sum = 0.0;
+    let mut lives = Vec::with_capacity(compared.len());
+    let mut replays = Vec::with_capacity(compared.len());
+    let mut abs_deltas = Vec::with_capacity(compared.len());
     for (_, live, replayed) in compared {
         report.compared += 1;
         live_sum += live;
         replayed_sum += replayed;
         let delta = replayed - live;
         delta_sum += delta;
+        lives.push(live);
+        replays.push(replayed);
+        abs_deltas.push(delta.abs());
         if delta.abs() > report.max_abs_delta {
             report.max_abs_delta = delta.abs();
         }
@@ -357,8 +363,19 @@ pub fn replay_reconstruction(
         report.live_prd_mean = live_sum / n;
         report.replayed_prd_mean = replayed_sum / n;
         report.mean_delta = delta_sum / n;
+        report.live_prd_p95 = p95(lives);
+        report.replayed_prd_p95 = p95(replays);
+        report.p95_abs_delta = p95(abs_deltas);
     }
     Ok(report)
+}
+
+/// Nearest-rank 95th percentile, as the cohort report ranks PRDs; 0
+/// for no values.
+fn p95(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let rank = (values.len().saturating_sub(1) as f64 * 0.95).round() as usize;
+    values.get(rank).copied().unwrap_or(0.0)
 }
 
 /// An alert-onset policy over the archived rhythm stream.

@@ -40,13 +40,7 @@ fn bench_cs(c: &mut Criterion) {
     g.bench_function("fista_50it_512_scratch", |b| {
         b.iter(|| {
             fista
-                .solve_with(
-                    &mut scratch,
-                    enc.sensing_matrix(),
-                    black_box(&yf),
-                    lip,
-                    None,
-                )
+                .solve_with(&mut scratch, enc.sensing_matrix(), black_box(&yf), lip)
                 .unwrap()
         })
     });

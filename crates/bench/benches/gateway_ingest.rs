@@ -4,15 +4,15 @@
 //! * `reassemble_s{S}_w{W}`: cross-session `ingest_batch` throughput
 //!   with reconstruction **off** — the pure packet path (CRC, routing,
 //!   reassembly, payload decode) over a sessions × workers matrix.
-//! * `reconstruct_cold_10w` vs `reconstruct_warm_10w`: one CS session,
-//!   ten windows, through a sequential `Gateway` — the pre-PR decoder
-//!   (fixed-budget cold FISTA, tol 1e-7, no restart, no warm state)
-//!   against the current defaults (gradient restart + early exit +
-//!   per-stream warm state + cached Lipschitz constant). Median ÷ 10
-//!   is the per-window cost; supported realtime sessions-per-core is
-//!   `window_period / per_window` (a 512-sample window at 250 Hz is
-//!   2.048 s of signal).
-//! * `reconstruct_warm_s8_w{W}`: eight CS sessions sharing one Φ
+//! * `reconstruct_cold_10w` vs `reconstruct_default_10w`: one CS
+//!   session, ten windows, through a sequential `Gateway` — the
+//!   original fixed-budget decoder (FISTA at tol 1e-7, no restart, no
+//!   continuation) against the current defaults (gradient restart +
+//!   λ-continuation + early exit + the matrix cache's Lipschitz
+//!   constant). Median ÷ 10 is the per-window cost; supported realtime
+//!   sessions-per-core is `window_period / per_window` (a 512-sample
+//!   window at 250 Hz is 2.048 s of signal).
+//! * `reconstruct_default_s8_w{W}`: eight CS sessions sharing one Φ
 //!   through the matrix cache, sharded over W workers with
 //!   reconstruction **on** — the machine-level scaling of the full
 //!   decode pipeline.
@@ -28,9 +28,9 @@ use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
 use wbsn_gateway::{Gateway, GatewayConfig, ReconstructionSolver, ShardedGateway};
 
-/// The pre-PR gateway decoder: fixed-budget cold FISTA. The movement
+/// The original gateway decoder: fixed-budget FISTA. The movement
 /// tolerance never fires at 1e-7 on these problems, so every window
-/// costs `max_iters` plus a fresh Lipschitz power iteration.
+/// costs `max_iters`.
 fn legacy_cfg() -> GatewayConfig {
     GatewayConfig {
         solver: ReconstructionSolver::Fista(FistaConfig {
@@ -39,7 +39,6 @@ fn legacy_cfg() -> GatewayConfig {
             tol: 1e-7,
             ..FistaConfig::default()
         }),
-        warm_start: false,
         ..GatewayConfig::default()
     }
 }
@@ -145,15 +144,15 @@ fn bench_gateway_ingest(c: &mut Criterion) {
     g.bench_function("reconstruct_cold_10w", |b| {
         b.iter(|| drive_sequential(legacy_cfg(), black_box(&one)))
     });
-    g.bench_function("reconstruct_warm_10w", |b| {
+    g.bench_function("reconstruct_default_10w", |b| {
         b.iter(|| drive_sequential(GatewayConfig::default(), black_box(&one)))
     });
 
     // Machine-level decode scaling: eight CS sessions, five windows
-    // each, full warm+cache pipeline over the worker matrix.
+    // each, the default decode pipeline over the worker matrix.
     let eight = cs_stream(8, 10.24);
     for &workers in &[1usize, 2, 4] {
-        g.bench_function(format!("reconstruct_warm_s8_w{workers}"), |b| {
+        g.bench_function(format!("reconstruct_default_s8_w{workers}"), |b| {
             b.iter(|| drive_sharded(GatewayConfig::default(), workers, black_box(&eight)))
         });
     }

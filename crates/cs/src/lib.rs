@@ -53,7 +53,7 @@ pub mod sweep;
 
 pub use encoder::CsEncoder;
 pub use joint::{GroupFista, GroupFistaConfig};
-pub use solver::{Fista, FistaConfig, FistaScratch, FistaSolve, FistaState};
+pub use solver::{Continuation, Fista, FistaConfig, FistaScratch, FistaSolve};
 
 /// Errors produced by the CS pipeline.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,6 +6,21 @@
 //! is the standard decoder in the ECG-CS literature the paper builds
 //! on; an optional wavelet-tree constraint implements the connected
 //! tree model of Duarte et al. (reference \[17\]).
+//!
+//! Two options cut the iterations a solve needs to reach its ℓ1
+//! optimum. Gradient restart (O'Donoghue & Candès 2015) drops the
+//! momentum whenever it overshoots. λ-continuation (Hale, Yin & Zhang's
+//! fixed-point continuation, 2008) solves a short sequence of problems
+//! with shrinking λ, each started from the last one's solution, and
+//! stops on the movement tolerance only at the target λ: the large-λ
+//! stages find the sparse support cheaply, and the final stage refines
+//! it. The gateway runs both ([`FistaConfig`]'s `Default` runs neither,
+//! which keeps the historical iterate sequence).
+//!
+//! The Lipschitz constant the iteration steps by depends only on Φ and
+//! the dictionary, so [`Fista::solve_with`] takes it from the caller:
+//! the gateway's matrix cache computes it once per matrix
+//! ([`Fista::lipschitz`]).
 
 use crate::encoder::CsEncoder;
 use crate::{CsError, Result};
@@ -21,32 +36,65 @@ pub struct FistaConfig {
     pub levels: usize,
     /// λ as a fraction of `‖Aᵀy‖∞` (adaptive regularization).
     pub lambda_rel: f64,
-    /// Maximum iterations.
+    /// Maximum iterations, over every continuation stage together.
     pub max_iters: usize,
-    /// Relative-change stopping tolerance.
+    /// Relative-change stopping tolerance, tested at the target λ.
     pub tol: f64,
     /// Adaptive (gradient) restart, O'Donoghue & Candès 2015: reset
     /// the momentum whenever it points against the descent direction
     /// (`⟨z − a⁺, a⁺ − a⟩ > 0`). Suppresses FISTA's objective ripples,
     /// giving near-monotone, locally linear convergence — which is
     /// what lets the movement tolerance [`FistaConfig::tol`] fire
-    /// after a handful of iterations when a solve is warm-started
-    /// close to its optimum. `false` preserves the historical
-    /// plain-FISTA iterate sequence bit for bit.
+    /// close to the optimum instead of on a ripple. `false` preserves
+    /// the historical plain-FISTA iterate sequence bit for bit.
     pub restart: bool,
     /// Enforce the parent-child wavelet tree model after shrinkage.
     pub tree_model: bool,
+    /// λ-continuation schedule; `None` solves at the target λ from the
+    /// first iteration.
+    pub continuation: Option<Continuation>,
+}
+
+/// A λ-continuation schedule (Hale, Yin & Zhang 2008).
+///
+/// The solve starts at `λ = max(λ_target, start_rel·‖Aᵀy‖∞)`. While
+/// `λ > λ_target`, each time the relative change falls below
+/// `stage_tol` the stage ends: `λ ← max(factor·λ, λ_target)` and the
+/// momentum resets. [`FistaConfig::tol`] applies only at `λ_target`,
+/// and [`FistaConfig::max_iters`] caps all stages together.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Continuation {
+    /// First stage's λ as a fraction of `‖Aᵀy‖∞`; at least
+    /// [`FistaConfig::lambda_rel`].
+    pub start_rel: f64,
+    /// Factor λ shrinks by from one stage to the next, in `(0, 1)`.
+    pub factor: f64,
+    /// Relative-change tolerance that ends a stage above the target λ.
+    pub stage_tol: f64,
 }
 
 impl FistaConfig {
     /// `Ok` when the configuration describes a solve that can run:
     /// `levels` at least 1 and small enough for `2^levels` to fit a
     /// `usize`, `max_iters` at least 1, `lambda_rel` and `tol`
-    /// finite and non-negative. `tol == 0` is valid: it runs every one
-    /// of `max_iters`.
+    /// finite and non-negative, and a continuation schedule that
+    /// [`validate_continuation`] accepts. `tol == 0` is valid: it runs
+    /// every one of `max_iters` unless the iterate reaches an exact
+    /// fixed point.
     fn validate(&self) -> Result<()> {
-        validate_iteration(self.levels, self.max_iters, self.lambda_rel, self.tol)
+        validate_iteration(self.levels, self.max_iters, self.lambda_rel, self.tol)?;
+        match &self.continuation {
+            Some(c) => validate_continuation(c, self.lambda_rel),
+            None => Ok(()),
+        }
     }
+}
+
+fn invalid(what: &'static str, detail: &str) -> Result<()> {
+    Err(CsError::InvalidParameter {
+        what,
+        detail: detail.to_string(),
+    })
 }
 
 /// The checks [`FistaConfig`] and
@@ -59,12 +107,6 @@ pub(crate) fn validate_iteration(
     lambda_rel: f64,
     tol: f64,
 ) -> Result<()> {
-    let invalid = |what, detail: &str| {
-        Err(CsError::InvalidParameter {
-            what,
-            detail: detail.to_string(),
-        })
-    };
     if levels == 0 || levels >= usize::BITS as usize {
         return invalid("levels", "must be at least 1 and below the word size");
     }
@@ -80,6 +122,26 @@ pub(crate) fn validate_iteration(
     Ok(())
 }
 
+/// A continuation schedule can run when `factor` lies in `(0, 1)` (so
+/// λ shrinks and reaches the target), `start_rel` is finite and at
+/// least `lambda_rel` (the schedule starts at or above the target),
+/// and `stage_tol` is finite and non-negative.
+fn validate_continuation(c: &Continuation, lambda_rel: f64) -> Result<()> {
+    if !(c.factor > 0.0 && c.factor < 1.0) {
+        return invalid("continuation.factor", "must lie in (0, 1)");
+    }
+    if !(c.start_rel.is_finite() && c.start_rel >= lambda_rel) {
+        return invalid(
+            "continuation.start_rel",
+            "must be finite and at least lambda_rel",
+        );
+    }
+    if !(c.stage_tol.is_finite() && c.stage_tol >= 0.0) {
+        return invalid("continuation.stage_tol", "must be finite and non-negative");
+    }
+    Ok(())
+}
+
 impl Default for FistaConfig {
     fn default() -> Self {
         FistaConfig {
@@ -90,45 +152,8 @@ impl Default for FistaConfig {
             tol: 1e-5,
             restart: false,
             tree_model: false,
+            continuation: None,
         }
-    }
-}
-
-/// Reusable per-stream solver state for warm-started solves.
-///
-/// A gateway decodes one window after another through the *same*
-/// sensing matrix, and consecutive ECG windows share most of their
-/// wavelet support. The state carries the previous window's
-/// coefficient solution, which seeds the next solve instead of the
-/// cold all-zeros start. The Lipschitz constant of the operator is not
-/// part of it: it belongs to the matrix, and [`Fista::lipschitz`]
-/// computes it once per matrix for every stream that shares it.
-///
-/// The state is only valid for a fixed `(Φ, FistaConfig)` pair —
-/// [`FistaState::reset`] it when the sensing matrix changes (the
-/// gateway does so on any handshake change). A warm vector whose
-/// length disagrees with the solve at hand is ignored and rebuilt, so
-/// a stale state can degrade speed, never correctness.
-#[derive(Debug, Clone, Default)]
-pub struct FistaState {
-    /// Previous solution in the coefficient domain.
-    warm: Vec<f64>,
-}
-
-impl FistaState {
-    /// Fresh (cold) state.
-    pub fn new() -> Self {
-        FistaState::default()
-    }
-
-    /// Forgets everything — required when the sensing matrix changes.
-    pub fn reset(&mut self) {
-        self.warm.clear();
-    }
-
-    /// True when the next solve will start cold.
-    pub fn is_cold(&self) -> bool {
-        self.warm.is_empty()
     }
 }
 
@@ -229,24 +254,6 @@ impl Fista {
         self.reconstruct_f64(encoder.sensing_matrix(), &yf)
     }
 
-    /// Warm-started solve: seeds from `state` (previous window's
-    /// solution) and updates it for the next window. The first call on
-    /// a fresh state is an ordinary cold solve that additionally fills
-    /// the state.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Fista::reconstruct`].
-    pub fn reconstruct_warm(
-        &self,
-        encoder: &CsEncoder,
-        y: &[i64],
-        state: &mut FistaState,
-    ) -> Result<FistaSolve> {
-        let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
-        self.solve(encoder.sensing_matrix(), &yf, Some(state))
-    }
-
     /// The Lipschitz constant of `∇f` for `A = ΦΨ` under this
     /// configuration's wavelet and levels: 12 rounds of power iteration
     /// on `AᵀA` from the all-ones vector. It depends only on Φ and the
@@ -302,48 +309,48 @@ impl Fista {
     ///
     /// Same conditions as [`Fista::reconstruct`].
     pub fn reconstruct_f64(&self, phi: &SparseTernaryMatrix, y: &[f64]) -> Result<Vec<f64>> {
-        Ok(self.solve(phi, y, None)?.x)
+        Ok(self.solve(phi, y)?.x)
     }
 
-    /// The solver core with a fresh [`FistaScratch`]: cold when
-    /// `state` is `None` (or fresh), warm-started otherwise.
+    /// The solver core with a fresh [`FistaScratch`] and the Lipschitz
+    /// constant computed for this one solve.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Fista::solve_with`].
-    pub fn solve(
-        &self,
-        phi: &SparseTernaryMatrix,
-        y: &[f64],
-        state: Option<&mut FistaState>,
-    ) -> Result<FistaSolve> {
+    pub fn solve(&self, phi: &SparseTernaryMatrix, y: &[f64]) -> Result<FistaSolve> {
         let lip = self.lipschitz(phi)?;
-        self.solve_with(&mut FistaScratch::new(), phi, y, lip, state)
+        self.solve_with(&mut FistaScratch::new(), phi, y, lip)
     }
 
     /// [`Fista::solve`] on caller-owned working memory, stepping by a
     /// `lipschitz` constant the caller computed once for `phi` with
     /// [`Fista::lipschitz`]: with a warm `scratch` the iteration loop
     /// performs no heap allocation, and a solve allocates only its
-    /// returned samples.
+    /// returned samples. Every solve starts cold, from zeros.
+    ///
+    /// Besides the tolerance and the iteration cap, a solve stops at an
+    /// exact fixed point: when a step taken from the current iterate
+    /// returns it bit for bit, every later iteration would too (an
+    /// all-zero `y` gets there on the first iteration).
     ///
     /// # Errors
     ///
     /// [`CsError::InvalidParameter`] before any work when the
     /// configuration is degenerate: `levels` or `max_iters` is zero,
-    /// `2^levels` overflows a `usize`, or `lambda_rel` or `tol` is
-    /// negative or non-finite (`tol == 0` is valid); or when
-    /// `lipschitz` is not finite and positive. Also fails when `y` does
-    /// not have `phi.rows()` entries or holds a non-finite value, or
-    /// when the window length is incompatible with the configured
-    /// levels. A rejected solve leaves `state` untouched.
+    /// `2^levels` overflows a `usize`, `lambda_rel` or `tol` is
+    /// negative or non-finite (`tol == 0` is valid), or the
+    /// continuation schedule is degenerate (see [`Continuation`]); or
+    /// when `lipschitz` is not finite and positive. Also fails when `y`
+    /// does not have `phi.rows()` entries or holds a non-finite value,
+    /// or when the window length is incompatible with the configured
+    /// levels.
     pub fn solve_with(
         &self,
         scratch: &mut FistaScratch,
         phi: &SparseTernaryMatrix,
         y: &[f64],
         lipschitz: f64,
-        state: Option<&mut FistaState>,
     ) -> Result<FistaSolve> {
         self.cfg.validate()?;
         if !(lipschitz.is_finite() && lipschitz > 0.0) {
@@ -379,33 +386,27 @@ impl Fista {
             a_next,
             z,
         } = scratch;
-
-        // A warm vector is trusted only for the window length it was
-        // built on; a mismatched one is stale and ignored (and
-        // overwritten below).
-        let warm = state
-            .as_ref()
-            .map(|s| &s.warm)
-            .filter(|warm| warm.len() == n);
         let step = 1.0 / lipschitz;
 
         apply_at(phi, w, lv, y, dwt, sig, grad)?;
         let linf = grad.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
-        let lambda = self.cfg.lambda_rel * linf;
+        let target = self.cfg.lambda_rel * linf;
+        let mut lambda = match &self.cfg.continuation {
+            Some(c) => target.max(c.start_rel * linf),
+            None => target,
+        };
 
-        // Warm start from the previous window's solution, or cold
-        // from zeros.
         a.clear();
-        match warm {
-            Some(warm) => a.extend_from_slice(warm),
-            None => a.resize(n, 0.0),
-        }
+        a.resize(n, 0.0);
         z.clear();
-        z.extend_from_slice(a);
+        z.resize(n, 0.0);
         a_next.resize(n, 0.0);
         let mut t = 1.0f64;
         let mut prev_norm = 0.0f64;
         let mut iters = 0usize;
+        // Whether `z == a` bit for bit: the next step is taken from the
+        // current iterate itself, with no momentum.
+        let mut from_a = true;
         for _ in 0..self.cfg.max_iters {
             iters += 1;
             // r = A z − y, then ∇ = Aᵀ r.
@@ -434,10 +435,27 @@ impl Fista {
                 change2 += step_taken * step_taken;
                 norm2 += an * an;
             }
+            let change = change2.sqrt();
+            let norm = norm2.sqrt();
+            // `a⁺ == a` bit for bit (the sum is only zero when nothing
+            // moved, or moved below f64's square range).
+            let still = change2 == 0.0
+                && a_next
+                    .iter()
+                    .zip(a.iter())
+                    .all(|(x, y)| x.to_bits() == y.to_bits());
+            let above_target = lambda > target;
+            let tol = match &self.cfg.continuation {
+                Some(c) if above_target => c.stage_tol,
+                _ => self.cfg.tol,
+            };
+            let settled = (from_a && still) || (norm > 0.0 && change / norm.max(prev_norm) < tol);
             // Gradient restart: when the momentum direction `a⁺ − a`
             // opposes the step the prox-gradient actually took from z,
-            // the extrapolation is overshooting — drop it.
-            if self.cfg.restart && overshoot > 0.0 {
+            // the extrapolation is overshooting — drop it. A finished
+            // continuation stage drops it too: the next stage solves a
+            // different problem.
+            if (self.cfg.restart && overshoot > 0.0) || (above_target && settled) {
                 t = 1.0;
             }
             let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
@@ -445,21 +463,21 @@ impl Fista {
             for ((zi, &an), &ao) in z.iter_mut().zip(a_next.iter()).zip(a.iter()) {
                 *zi = an + beta * (an - ao);
             }
-            let change = change2.sqrt();
-            let norm = norm2.sqrt();
+            // With β = 0 or a⁺ = a the update wrote z = a⁺ exactly
+            // (soft-thresholding never yields −0.0).
+            from_a = beta == 0.0 || still;
             core::mem::swap(a, a_next);
             t = t_next;
-            if norm > 0.0 && change / norm.max(prev_norm) < self.cfg.tol {
-                break;
+            if settled {
+                match &self.cfg.continuation {
+                    Some(c) if above_target => lambda = target.max(c.factor * lambda),
+                    _ => break,
+                }
             }
             prev_norm = norm;
         }
         let mut x = Vec::with_capacity(n);
         waverec_into(a, w, lv, dwt, &mut x)?;
-        if let Some(s) = state {
-            s.warm.clear();
-            s.warm.extend_from_slice(a);
-        }
         Ok(FistaSolve { x, iters })
     }
 }
@@ -587,75 +605,111 @@ mod tests {
 
     #[test]
     fn zero_measurements_give_zero_signal() {
+        // λ = 0 and the iterate never leaves zero: an exact fixed point
+        // on the first step, not `max_iters` of idling.
         let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
+        let y = vec![0.0; 64];
+        for cfg in [
+            FistaConfig::default(),
+            FistaConfig {
+                max_iters: 800,
+                tol: 0.0,
+                restart: true,
+                continuation: Some(schedule()),
+                ..FistaConfig::default()
+            },
+        ] {
+            let solve = Fista::new(cfg).solve(enc.sensing_matrix(), &y).unwrap();
+            assert!(solve.iters <= 2, "{} iterations on y = 0", solve.iters);
+            assert!(solve.x.iter().all(|&v| v.to_bits() == 0), "{cfg:?}");
+        }
         let solver = Fista::new(FistaConfig::default());
         let xr = solver.reconstruct(&enc, &vec![0i64; 64]).unwrap();
         assert!(xr.iter().all(|&v| v.abs() < 1e-9));
     }
 
-    #[test]
-    fn warm_first_solve_matches_cold_bit_for_bit() {
-        // A fresh state changes nothing about the first solve: same
-        // power iteration, same zero start, same iterates.
-        let n = 256;
-        let x = ecg_like(n);
-        let enc = CsEncoder::new(n, 128, 4, 11).unwrap();
-        let y = enc.encode(&x).unwrap();
-        let solver = Fista::new(FistaConfig::default());
-        let cold = solver.reconstruct(&enc, &y).unwrap();
-        let mut state = FistaState::new();
-        assert!(state.is_cold());
-        let warm = solver.reconstruct_warm(&enc, &y, &mut state).unwrap();
-        assert!(!state.is_cold());
-        let cold_bits: Vec<u64> = cold.iter().map(|v| v.to_bits()).collect();
-        let warm_bits: Vec<u64> = warm.x.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(cold_bits, warm_bits);
+    /// A continuation schedule in the gateway's range.
+    fn schedule() -> Continuation {
+        Continuation {
+            start_rel: 0.01,
+            factor: 0.3,
+            stage_tol: 3e-3,
+        }
     }
 
     #[test]
-    fn warm_second_solve_converges_faster_on_a_repeated_window() {
+    fn continuation_reaches_the_plain_optimum_in_fewer_iterations() {
         let n = 256;
         let x = ecg_like(n);
-        let enc = CsEncoder::new(n, 128, 4, 11).unwrap();
-        let y = enc.encode(&x).unwrap();
-        let solver = Fista::new(FistaConfig::default());
-        let mut state = FistaState::new();
-        let first = solver.reconstruct_warm(&enc, &y, &mut state).unwrap();
-        let second = solver.reconstruct_warm(&enc, &y, &mut state).unwrap();
-        assert!(
-            second.iters * 2 <= first.iters,
-            "warm restart on an identical window should converge ≥2× \
-             faster: cold {} iters, warm {}",
-            first.iters,
-            second.iters
-        );
         let xf: Vec<f64> = x.iter().map(|&v| v as f64).collect();
-        assert!(snr_db(&xf, &second.x) + 0.5 >= snr_db(&xf, &first.x));
+        let enc = CsEncoder::new(n, 128, 4, 11).unwrap();
+        let y: Vec<f64> = enc.encode(&x).unwrap().iter().map(|&v| v as f64).collect();
+        let plain = FistaConfig {
+            lambda_rel: 0.001,
+            max_iters: 800,
+            tol: 3e-5,
+            restart: true,
+            ..FistaConfig::default()
+        };
+        let cold = Fista::new(plain).solve(enc.sensing_matrix(), &y).unwrap();
+        let staged = Fista::new(FistaConfig {
+            continuation: Some(schedule()),
+            tol: 1e-4,
+            ..plain
+        })
+        .solve(enc.sensing_matrix(), &y)
+        .unwrap();
+        assert!(
+            staged.iters < cold.iters,
+            "continuation {} iterations vs plain {}",
+            staged.iters,
+            cold.iters
+        );
+        let (snr_cold, snr_staged) = (snr_db(&xf, &cold.x), snr_db(&xf, &staged.x));
+        assert!(
+            snr_staged + 0.5 >= snr_cold,
+            "continuation {snr_staged:.2} dB vs plain {snr_cold:.2} dB"
+        );
     }
 
     #[test]
-    fn stale_state_shape_is_ignored_not_trusted() {
-        // A state warmed on a 256-window must not poison a 128-window
-        // solve; the solver falls back to a cold start.
-        let solver = Fista::new(FistaConfig::default());
-        let big = CsEncoder::new(256, 128, 4, 5).unwrap();
-        let mut state = FistaState::new();
-        let x = ecg_like(256);
-        let y = big.encode(&x).unwrap();
-        solver.reconstruct_warm(&big, &y, &mut state).unwrap();
-        // Lipschitz constants differ between the operators, so the
-        // stale cached value must be dropped along with the warm
-        // vector for the result to stay correct — reset does both.
-        state.reset();
-        assert!(state.is_cold());
-        let small = CsEncoder::new(128, 64, 4, 5).unwrap();
-        let xs = ecg_like(128);
-        let ys = small.encode(&xs).unwrap();
-        let warm = solver.reconstruct_warm(&small, &ys, &mut state).unwrap();
-        let cold = solver.reconstruct(&small, &ys).unwrap();
-        let warm_bits: Vec<u64> = warm.x.iter().map(|v| v.to_bits()).collect();
-        let cold_bits: Vec<u64> = cold.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(warm_bits, cold_bits);
+    fn continuation_stages_share_the_iteration_cap() {
+        let enc = CsEncoder::new(256, 128, 4, 11).unwrap();
+        let y: Vec<f64> = enc
+            .encode(&ecg_like(256))
+            .unwrap()
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        // A schedule whose stages never end by tolerance still stops
+        // at `max_iters`.
+        let cfg = FistaConfig {
+            max_iters: 9,
+            continuation: Some(Continuation {
+                stage_tol: 0.0,
+                ..schedule()
+            }),
+            ..FistaConfig::default()
+        };
+        let solve = Fista::new(cfg).solve(enc.sensing_matrix(), &y).unwrap();
+        assert_eq!(solve.iters, 9);
+        // A schedule starting at the target λ is plain FISTA, bit for
+        // bit.
+        let plain = FistaConfig::default();
+        let at_target = FistaConfig {
+            continuation: Some(Continuation {
+                start_rel: plain.lambda_rel,
+                ..schedule()
+            }),
+            ..plain
+        };
+        let a = Fista::new(plain).solve(enc.sensing_matrix(), &y).unwrap();
+        let b = Fista::new(at_target)
+            .solve(enc.sensing_matrix(), &y)
+            .unwrap();
+        assert_eq!(a.iters, b.iters);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.x), bits(&b.x));
     }
 
     #[test]
@@ -665,10 +719,7 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut y = vec![0.0; 64];
             y[11] = bad;
-            let mut state = FistaState::new();
-            let err = solver
-                .solve(enc.sensing_matrix(), &y, Some(&mut state))
-                .unwrap_err();
+            let err = solver.solve(enc.sensing_matrix(), &y).unwrap_err();
             assert_eq!(
                 err,
                 CsError::NonFinite {
@@ -676,8 +727,6 @@ mod tests {
                     index: 11
                 }
             );
-            // A rejected window leaves the stream's state untouched.
-            assert!(state.is_cold());
         }
     }
 
@@ -738,32 +787,144 @@ mod tests {
                 },
             ),
         ];
-        // A warm state, so "untouched" is observable beyond coldness.
-        let mut warm = FistaState::new();
-        Fista::new(base)
-            .solve(enc.sensing_matrix(), &y, Some(&mut warm))
-            .unwrap();
         for (what, cfg) in cases {
             assert!(
                 matches!(cfg.validate(), Err(CsError::InvalidParameter { what: w, .. }) if w == what),
                 "{cfg:?}"
             );
-            for mut state in [FistaState::new(), warm.clone()] {
-                let before = state.warm.clone();
-                // Measurements of the wrong length too: the
-                // configuration is checked before the input.
-                for y in [&y[..], &y[1..]] {
-                    let err = Fista::new(cfg)
-                        .solve(enc.sensing_matrix(), y, Some(&mut state))
-                        .unwrap_err();
-                    assert!(
-                        matches!(err, CsError::InvalidParameter { what: w, .. } if w == what),
-                        "{cfg:?}: {err:?}"
-                    );
-                }
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&state.warm), bits(&before), "{what}");
+            // Measurements of the wrong length too: the configuration
+            // is checked before the input.
+            for y in [&y[..], &y[1..]] {
+                let err = Fista::new(cfg).solve(enc.sensing_matrix(), y).unwrap_err();
+                assert!(
+                    matches!(err, CsError::InvalidParameter { what: w, .. } if w == what),
+                    "{cfg:?}: {err:?}"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn degenerate_continuation_schedules_are_typed_errors_before_any_work() {
+        let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
+        let y = vec![1.0; 64];
+        let base = FistaConfig::default();
+        let with = |c: Continuation| FistaConfig {
+            continuation: Some(c),
+            ..base
+        };
+        let s = schedule();
+        let cases = [
+            (
+                "continuation.factor",
+                with(Continuation { factor: 0.0, ..s }),
+            ),
+            (
+                "continuation.factor",
+                with(Continuation { factor: 1.0, ..s }),
+            ),
+            (
+                "continuation.factor",
+                with(Continuation { factor: -0.5, ..s }),
+            ),
+            (
+                "continuation.factor",
+                with(Continuation {
+                    factor: f64::NAN,
+                    ..s
+                }),
+            ),
+            (
+                "continuation.start_rel",
+                with(Continuation {
+                    start_rel: base.lambda_rel / 2.0,
+                    ..s
+                }),
+            ),
+            (
+                "continuation.start_rel",
+                with(Continuation {
+                    start_rel: f64::INFINITY,
+                    ..s
+                }),
+            ),
+            (
+                "continuation.start_rel",
+                with(Continuation {
+                    start_rel: f64::NAN,
+                    ..s
+                }),
+            ),
+            (
+                "continuation.stage_tol",
+                with(Continuation {
+                    stage_tol: -1e-3,
+                    ..s
+                }),
+            ),
+            (
+                "continuation.stage_tol",
+                with(Continuation {
+                    stage_tol: f64::NAN,
+                    ..s
+                }),
+            ),
+            (
+                "continuation.stage_tol",
+                with(Continuation {
+                    stage_tol: f64::INFINITY,
+                    ..s
+                }),
+            ),
+        ];
+        for (what, cfg) in cases {
+            assert!(
+                matches!(cfg.validate(), Err(CsError::InvalidParameter { what: w, .. }) if w == what),
+                "{cfg:?}"
+            );
+            for y in [&y[..], &y[1..]] {
+                let err = Fista::new(cfg).solve(enc.sensing_matrix(), y).unwrap_err();
+                assert!(
+                    matches!(err, CsError::InvalidParameter { what: w, .. } if w == what),
+                    "{cfg:?}: {err:?}"
+                );
+            }
+        }
+        // The edges that do describe a schedule.
+        for c in [
+            Continuation {
+                start_rel: base.lambda_rel,
+                ..s
+            },
+            Continuation {
+                stage_tol: 0.0,
+                ..s
+            },
+            Continuation { factor: 1e-9, ..s },
+        ] {
+            assert_eq!(with(c).validate(), Ok(()), "{c:?}");
+        }
+    }
+
+    #[test]
+    fn non_positive_lipschitz_constants_are_typed_errors() {
+        let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
+        let y = vec![1.0; 64];
+        let solver = Fista::new(FistaConfig::default());
+        for lip in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = solver
+                .solve_with(&mut FistaScratch::new(), enc.sensing_matrix(), &y, lip)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CsError::InvalidParameter {
+                        what: "lipschitz",
+                        ..
+                    }
+                ),
+                "{lip}: {err:?}"
+            );
         }
     }
 
@@ -777,9 +938,8 @@ mod tests {
             ..FistaConfig::default()
         };
         assert_eq!(cfg.validate(), Ok(()));
-        let solve = Fista::new(cfg)
-            .reconstruct_warm(&enc, &y, &mut FistaState::new())
-            .unwrap();
+        let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
+        let solve = Fista::new(cfg).solve(enc.sensing_matrix(), &yf).unwrap();
         assert_eq!(solve.iters, 7);
     }
 
@@ -788,28 +948,31 @@ mod tests {
         // One scratch serving windows of different shapes in turn (as a
         // gateway worker does across sessions) gives the same bits as a
         // fresh scratch per solve.
-        let solver = Fista::new(FistaConfig {
-            max_iters: 60,
-            ..FistaConfig::default()
-        });
-        let mut scratch = FistaScratch::new();
-        for (n, m) in [(256, 128), (128, 48), (512, 192), (256, 100)] {
-            let enc = CsEncoder::new(n, m, 4, 9).unwrap();
-            let y: Vec<f64> = enc
-                .encode(&ecg_like(n))
-                .unwrap()
-                .iter()
-                .map(|&v| v as f64)
-                .collect();
-            let lip = solver.lipschitz(enc.sensing_matrix()).unwrap();
-            let reused = solver
-                .solve_with(&mut scratch, enc.sensing_matrix(), &y, lip, None)
-                .unwrap();
-            let fresh = solver.solve(enc.sensing_matrix(), &y, None).unwrap();
-            assert_eq!(reused.iters, fresh.iters);
-            let a: Vec<u64> = reused.x.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u64> = fresh.x.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "n={n} m={m}");
+        for continuation in [None, Some(schedule())] {
+            let solver = Fista::new(FistaConfig {
+                max_iters: 60,
+                continuation,
+                ..FistaConfig::default()
+            });
+            let mut scratch = FistaScratch::new();
+            for (n, m) in [(256, 128), (128, 48), (512, 192), (256, 100)] {
+                let enc = CsEncoder::new(n, m, 4, 9).unwrap();
+                let y: Vec<f64> = enc
+                    .encode(&ecg_like(n))
+                    .unwrap()
+                    .iter()
+                    .map(|&v| v as f64)
+                    .collect();
+                let lip = solver.lipschitz(enc.sensing_matrix()).unwrap();
+                let reused = solver
+                    .solve_with(&mut scratch, enc.sensing_matrix(), &y, lip)
+                    .unwrap();
+                let fresh = solver.solve(enc.sensing_matrix(), &y).unwrap();
+                assert_eq!(reused.iters, fresh.iters);
+                let a: Vec<u64> = reused.x.iter().map(|v| v.to_bits()).collect();
+                let b: Vec<u64> = fresh.x.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(a, b, "n={n} m={m}");
+            }
         }
     }
 }

@@ -5,10 +5,13 @@
 //! allocating, `%`-indexed solver that preceded the in-place hot path,
 //! so any change to a float expression or a summation order anywhere
 //! in the solve — DWT taps, Φ/Φᵀ sweeps, the iterate updates, the
-//! Lipschitz power iteration — moves a pin.
+//! Lipschitz power iteration — moves a pin. The gateway-shaped chains
+//! were recorded from the warm-start solver that preceded
+//! λ-continuation, run cold; the continuation chains pin the schedule
+//! path itself.
 
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::solver::{Fista, FistaConfig, FistaSolve, FistaState};
+use wbsn_cs::solver::{Continuation, Fista, FistaConfig, FistaScratch, FistaSolve};
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
 
@@ -60,7 +63,8 @@ fn as_f64(y: &[i64]) -> Vec<f64> {
     y.iter().map(|&v| v as f64).collect()
 }
 
-fn gateway_config() -> FistaConfig {
+/// The gateway's solver before λ-continuation.
+fn plain_gateway_config() -> FistaConfig {
     FistaConfig {
         lambda_rel: 0.001,
         max_iters: 800,
@@ -70,47 +74,77 @@ fn gateway_config() -> FistaConfig {
     }
 }
 
+/// The gateway's default schedule (`GatewayConfig::default_solver`).
+fn continuation_config() -> FistaConfig {
+    FistaConfig {
+        tol: 1e-4,
+        continuation: Some(Continuation {
+            start_rel: 0.01,
+            factor: 0.5,
+            stage_tol: 3e-3,
+        }),
+        ..plain_gateway_config()
+    }
+}
+
 #[test]
 fn cold_default_solve_is_pinned() {
     let (enc, ys) = windows();
     let solve = Fista::new(FistaConfig::default())
-        .solve(enc.sensing_matrix(), &as_f64(&ys[0]), None)
+        .solve(enc.sensing_matrix(), &as_f64(&ys[0]))
         .unwrap();
     let mut h = FNV_OFFSET;
     fold(&mut h, &solve);
     assert_eq!(h, PIN_COLD_DEFAULT, "cold default solve: {h:#018x}");
 }
 
-/// Hash of a warm gateway-config chain over [`windows_at`]`(m)`.
-fn warm_chain_hash(m: usize) -> u64 {
+/// Hash of a chain of `cfg` solves over [`windows_at`]`(m)`, each
+/// window solved through one scratch with the constant computed once,
+/// as the gateway does.
+fn chain_hash(cfg: FistaConfig, m: usize) -> u64 {
     let (enc, ys) = windows_at(m);
-    let fista = Fista::new(gateway_config());
-    let mut state = FistaState::new();
+    let fista = Fista::new(cfg);
+    let lip = fista.lipschitz(enc.sensing_matrix()).unwrap();
+    let mut scratch = FistaScratch::new();
     let mut h = FNV_OFFSET;
     for y in &ys {
-        let solve = fista.reconstruct_warm(&enc, y, &mut state).unwrap();
+        let solve = fista
+            .solve_with(&mut scratch, enc.sensing_matrix(), &as_f64(y), lip)
+            .unwrap();
         fold(&mut h, &solve);
     }
     h
 }
 
 #[test]
-fn warm_gateway_chain_is_pinned() {
-    let h = warm_chain_hash(M);
-    assert_eq!(h, PIN_WARM_CHAIN, "warm gateway chain: {h:#018x}");
+fn cold_gateway_chain_is_pinned() {
+    let h = chain_hash(plain_gateway_config(), M);
+    assert_eq!(h, PIN_COLD_CHAIN, "cold gateway chain: {h:#018x}");
 }
 
 /// The link controller's CR ladder (45/50/54 %) at n = 512: the
 /// measurement counts every streamed window is actually solved at.
 #[test]
-fn warm_gateway_chains_at_the_cr_ladder_are_pinned() {
+fn cold_gateway_chains_at_the_cr_ladder_are_pinned() {
     for (m, pin) in [
-        (282, PIN_WARM_CHAIN_M282),
-        (256, PIN_WARM_CHAIN_M256),
-        (236, PIN_WARM_CHAIN_M236),
+        (282, PIN_COLD_CHAIN_M282),
+        (256, PIN_COLD_CHAIN_M256),
+        (236, PIN_COLD_CHAIN_M236),
     ] {
-        let h = warm_chain_hash(m);
-        assert_eq!(h, pin, "warm gateway chain at m = {m}: {h:#018x}");
+        let h = chain_hash(plain_gateway_config(), m);
+        assert_eq!(h, pin, "cold gateway chain at m = {m}: {h:#018x}");
+    }
+}
+
+#[test]
+fn continuation_chains_at_the_cr_ladder_are_pinned() {
+    for (m, pin) in [
+        (282, PIN_CONTINUATION_M282),
+        (256, PIN_CONTINUATION_M256),
+        (236, PIN_CONTINUATION_M236),
+    ] {
+        let h = chain_hash(continuation_config(), m);
+        assert_eq!(h, pin, "continuation chain at m = {m}: {h:#018x}");
     }
 }
 
@@ -122,7 +156,7 @@ fn tree_model_solve_is_pinned() {
         lambda_rel: 0.02,
         ..FistaConfig::default()
     })
-    .solve(enc.sensing_matrix(), &as_f64(&ys[1]), None)
+    .solve(enc.sensing_matrix(), &as_f64(&ys[1]))
     .unwrap();
     let mut h = FNV_OFFSET;
     fold(&mut h, &solve);
@@ -143,9 +177,12 @@ fn reconstruct_f64_is_pinned() {
 }
 
 const PIN_COLD_DEFAULT: u64 = 0x0c23_5a69_3bfe_34d6;
-const PIN_WARM_CHAIN: u64 = 0x3e46_df05_8aa8_5061;
+const PIN_COLD_CHAIN: u64 = 0x1a26_4119_f3b6_7799;
 const PIN_TREE_MODEL: u64 = 0x47de_a759_2e4f_9771;
 const PIN_RECONSTRUCT_F64: u64 = 0x65c1_f4c1_63a7_985d;
-const PIN_WARM_CHAIN_M282: u64 = 0x0125_f07b_eb2c_6cb4;
-const PIN_WARM_CHAIN_M256: u64 = 0xd88c_e8cb_a26d_d2e5;
-const PIN_WARM_CHAIN_M236: u64 = 0xd889_982d_c602_a431;
+const PIN_COLD_CHAIN_M282: u64 = 0x0464_3866_c6b0_88d2;
+const PIN_COLD_CHAIN_M256: u64 = 0x48c8_3103_ae06_92b8;
+const PIN_COLD_CHAIN_M236: u64 = 0x150d_6f46_00b3_d098;
+const PIN_CONTINUATION_M282: u64 = 0xcbd3_3078_0d4a_b8d3;
+const PIN_CONTINUATION_M256: u64 = 0x294c_a2e2_9ed8_2913;
+const PIN_CONTINUATION_M236: u64 = 0x5534_deeb_8b23_9d34;

@@ -18,7 +18,7 @@
 //! shards in turn.
 //!
 //! Sessions are fully isolated (separate reassemblers, decoders,
-//! rhythm state, warm solver state) and every per-session computation
+//! rhythm state, sensing matrices) and every per-session computation
 //! is deterministic, so the merges only restore the sequential order:
 //! ingest results by batch index, flushes and reports by ascending
 //! session id, counters by commutative sums. The result is

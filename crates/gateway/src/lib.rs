@@ -36,9 +36,9 @@
 //! * [`gateway`] — the [`Gateway`] service: routes packets from many
 //!   interleaved sessions, keeps per-session rhythm/alert state from
 //!   `Events` payloads, and reconstructs CS windows through the
-//!   `wbsn-cs` solvers (warm-started across consecutive windows of a
-//!   stream) using the sensing matrix regenerated by seed from the
-//!   session handshake, reporting per-window PRD against an attached
+//!   `wbsn-cs` solvers (FISTA with λ-continuation by default) using
+//!   the sensing matrix regenerated by seed from the session
+//!   handshake, reporting per-window PRD against an attached
 //!   reference. [`Gateway::pump_downlink`](gateway::Gateway::pump_downlink)
 //!   closes the loop: cumulative ACKs, selective NACKs (recovered
 //!   retransmissions surface as

@@ -85,7 +85,6 @@ fn main() {
     assert!(exact.bit_identical);
     let mut starved = SolverReplayConfig::archived(replayer.meta());
     starved.solver.max_iters = 4;
-    starved.warm_start = false;
     let starved = replayer
         .solver_replay(&starved)
         .expect("solver replay failed");

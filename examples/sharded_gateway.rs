@@ -10,13 +10,14 @@
 //!   synth ECG ─► CS nodes ─► Uplink framer ─► ShardedGateway
 //!   (8 wards)    (CR 50%)    (MTU packets)     router ─► N × Gateway
 //!                                              one shared MatrixCache
-//!                                              warm-started FISTA
+//!                                              FISTA with λ-continuation
 //! ```
 //!
 //! The run demonstrates the three server-side cost levers and the
 //! determinism guarantee: identical handshake geometry collapses onto
-//! one cached Φ, warm-started solves spend a fraction of the cold
-//! iteration budget, and the 4-worker event stream is byte-identical
+//! one cached Φ (and its Lipschitz constant), λ-continuation solves
+//! spend a fraction of the fixed iteration budget, and the 4-worker
+//! event stream is byte-identical
 //! to the single-threaded gateway's.
 //!
 //! Run with: `cargo run --release --example sharded_gateway`
@@ -83,7 +84,7 @@ fn main() {
     println!("\n4-worker gateway:");
     println!("  windows reconstructed : {windows}");
     println!(
-        "  solver iterations     : {} ({:.0} per window, warm-started)",
+        "  solver iterations     : {} ({:.0} per window, λ-continuation)",
         stats.solver_iters,
         stats.solver_iters as f64 / windows as f64
     );

@@ -123,6 +123,9 @@ pub struct CohortRunConfig {
     /// An alert up to this long after an episode ends still counts as
     /// detecting it (seconds) — covers payload/link latency.
     pub alert_grace_s: f64,
+    /// The gateway's FISTA settings ([`GatewayConfig::default_solver`]
+    /// by default); a recording stores them in its header.
+    pub solver: FistaConfig,
 }
 
 impl Default for CohortRunConfig {
@@ -136,6 +139,7 @@ impl Default for CohortRunConfig {
             cs_cr_percent: 50.0,
             min_episode_s: 20.0,
             alert_grace_s: 45.0,
+            solver: GatewayConfig::default_solver(),
         }
     }
 }
@@ -426,19 +430,11 @@ impl CohortRunner {
     /// parameters and the exact gateway solver settings, everything
     /// replay needs without access to this configuration.
     pub fn run_meta(&self) -> RunMeta {
-        let gw_cfg = self.gateway_config(false);
-        let solver = match gw_cfg.solver {
-            ReconstructionSolver::Fista(f) => f,
-            // The cohort gateway always runs FISTA; the arm exists
-            // only because the enum does.
-            ReconstructionSolver::Omp(_) => FistaConfig::default(),
-        };
         RunMeta {
             alert_grace_s: self.cfg.alert_grace_s,
             min_episode_s: self.cfg.min_episode_s,
             reconstruct_every: self.cfg.reconstruct_every,
-            warm_start: gw_cfg.warm_start,
-            solver,
+            solver: self.cfg.solver,
         }
     }
 
@@ -452,6 +448,7 @@ impl CohortRunner {
             reconstruct_every: self.cfg.reconstruct_every,
             controller: Some(ControllerConfig::default()),
             tap,
+            solver: ReconstructionSolver::Fista(self.cfg.solver),
             ..GatewayConfig::default()
         }
     }

@@ -38,7 +38,7 @@ use wbsn_core::fleet::NodeFleet;
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::MonitorBuilder;
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch, FistaState};
+use wbsn_cs::solver::{Continuation, Fista, FistaConfig, FistaScratch};
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
 
@@ -178,7 +178,6 @@ fn steady_state_ingest_is_allocation_free() {
         alert_grace_s: 30.0,
         min_episode_s: 20.0,
         reconstruct_every: 8,
-        warm_start: true,
         solver: wbsn_cs::solver::FistaConfig::default(),
     };
     let mut w = ArchiveWriter::new(std::io::sink(), &meta).expect("writer opens");
@@ -212,41 +211,39 @@ fn steady_state_ingest_is_allocation_free() {
         .iter()
         .map(|&v| v as f64)
         .collect();
-    let solve_allocs = |max_iters: usize, warm: bool| -> (u64, usize) {
+    let solve_allocs = |max_iters: usize, continuation: Option<Continuation>| -> (u64, usize) {
         let fista = Fista::new(FistaConfig {
             max_iters,
             tol: 0.0,
             restart: true,
+            continuation,
             ..FistaConfig::default()
         });
         let lip = fista.lipschitz(enc.sensing_matrix()).expect("lipschitz");
         let mut scratch = FistaScratch::new();
-        let mut state = FistaState::new();
-        // Warm-up: sizes the scratch (and the state's warm vector).
+        // Warm-up: sizes the scratch.
         fista
-            .solve_with(
-                &mut scratch,
-                enc.sensing_matrix(),
-                &y,
-                lip,
-                Some(&mut state),
-            )
+            .solve_with(&mut scratch, enc.sensing_matrix(), &y, lip)
             .expect("solves");
-        let st = warm.then_some(&mut state);
         let before = allocs();
         let solve = fista
-            .solve_with(&mut scratch, enc.sensing_matrix(), &y, lip, st)
+            .solve_with(&mut scratch, enc.sensing_matrix(), &y, lip)
             .expect("solves");
         (allocs() - before, solve.iters)
     };
-    for warm in [false, true] {
-        let (short, short_iters) = solve_allocs(20, warm);
-        let (long, long_iters) = solve_allocs(400, warm);
+    let schedule = Continuation {
+        start_rel: 0.01,
+        factor: 0.3,
+        stage_tol: 0.0,
+    };
+    for continuation in [None, Some(schedule)] {
+        let (short, short_iters) = solve_allocs(20, continuation);
+        let (long, long_iters) = solve_allocs(400, continuation);
         assert_eq!((short_iters, long_iters), (20, 400));
         assert_eq!(
             short, long,
             "FISTA on a warm scratch allocated {short} times at 20 iterations but {long} \
-             at 400 (warm start: {warm}); the iteration loop must not allocate"
+             at 400 (continuation: {continuation:?}); the iteration loop must not allocate"
         );
         assert!(
             short <= 2,

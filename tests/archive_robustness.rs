@@ -25,7 +25,6 @@ fn meta() -> RunMeta {
         alert_grace_s: 30.0,
         min_episode_s: 20.0,
         reconstruct_every: 8,
-        warm_start: true,
         solver: FistaConfig::default(),
     }
 }

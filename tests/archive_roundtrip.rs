@@ -11,6 +11,8 @@
 //!   `i32` windows and on `f64` windows drawn from **raw random bit
 //!   patterns** — NaNs, infinities, signed zeros and subnormals
 //!   included (compared by bit pattern, since NaN ≠ NaN).
+//! * The version-2 header carries the solver's continuation schedule
+//!   bit for bit, and a version-1 stream is a typed rejection.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,13 +20,15 @@ use rand::{Rng, RngCore, SeedableRng};
 use wbsn_archive::codec::{
     read_f64_section, read_i32_section, write_f64_section, write_i32_section,
 };
+use wbsn_archive::format::FORMAT_VERSION;
 use wbsn_archive::reader::read_archive;
 use wbsn_archive::{
-    ArchiveBlock, ArchiveWriter, CodecStats, EpochItem, EpochRecord, RunMeta, RunTrailer,
-    SessionEnd, SessionMeta,
+    ArchiveBlock, ArchiveError, ArchiveReader, ArchiveWriter, CodecStats, EpochItem, EpochRecord,
+    RunMeta, RunTrailer, SessionEnd, SessionMeta,
 };
+use wbsn_core::link::crc32;
 use wbsn_core::link::SessionHandshake;
-use wbsn_cs::solver::FistaConfig;
+use wbsn_cs::solver::{Continuation, FistaConfig};
 use wbsn_delineation::BeatFiducials;
 use wbsn_gateway::SessionReport;
 use wbsn_sigproc::wavelet::Wavelet;
@@ -158,7 +162,6 @@ fn random_meta(rng: &mut StdRng) -> RunMeta {
         alert_grace_s: finite_f64(rng),
         min_episode_s: finite_f64(rng),
         reconstruct_every: rng.next_u32() % 1000,
-        warm_start: rng.gen_bool(0.5),
         solver: FistaConfig {
             wavelet: [Wavelet::Haar, Wavelet::Db2, Wavelet::Db4][(rng.next_u64() % 3) as usize],
             levels: (rng.next_u64() % 9) as usize,
@@ -167,6 +170,11 @@ fn random_meta(rng: &mut StdRng) -> RunMeta {
             tol: finite_f64(rng),
             restart: rng.gen_bool(0.5),
             tree_model: rng.gen_bool(0.5),
+            continuation: rng.gen_bool(0.5).then(|| Continuation {
+                start_rel: finite_f64(rng),
+                factor: finite_f64(rng),
+                stage_tol: finite_f64(rng),
+            }),
         },
     }
 }
@@ -306,5 +314,84 @@ proptest! {
         for (a, b) in back.iter().zip(&window) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+}
+
+/// A gateway-shaped header: FISTA with a continuation schedule.
+fn continuation_meta() -> RunMeta {
+    RunMeta {
+        alert_grace_s: 30.0,
+        min_episode_s: 20.0,
+        reconstruct_every: 1,
+        solver: FistaConfig {
+            lambda_rel: 0.001,
+            max_iters: 800,
+            tol: 1e-4,
+            restart: true,
+            continuation: Some(Continuation {
+                start_rel: 0.01,
+                factor: 0.3,
+                stage_tol: 3e-3,
+            }),
+            ..FistaConfig::default()
+        },
+    }
+}
+
+/// An empty stream (header and trailer) written under `meta`.
+fn empty_stream(meta: &RunMeta) -> Vec<u8> {
+    let trailer = RunTrailer {
+        sessions: 0,
+        modeled_hours: 0,
+        windows_skipped: 0,
+    };
+    ArchiveWriter::new(Vec::new(), meta)
+        .expect("writer opens")
+        .finish(&trailer)
+        .expect("trailer writes")
+}
+
+#[test]
+fn version_2_header_carries_the_continuation_schedule() {
+    assert_eq!(FORMAT_VERSION, 2);
+    let with = continuation_meta();
+    let without = RunMeta {
+        solver: FistaConfig {
+            continuation: None,
+            ..with.solver
+        },
+        ..with.clone()
+    };
+    for meta in [with, without] {
+        let mut payload = Vec::new();
+        meta.encode(&mut payload);
+        assert_eq!(RunMeta::decode(&payload).expect("meta decodes"), meta);
+        let bytes = empty_stream(&meta);
+        assert_eq!(bytes[4..6], FORMAT_VERSION.to_le_bytes());
+        let (back, _) = read_archive(&bytes[..]).expect("stream reads back");
+        assert_eq!(back, meta);
+    }
+}
+
+#[test]
+fn version_1_streams_are_rejected_with_a_typed_error() {
+    let mut bytes = empty_stream(&continuation_meta());
+    // Re-stamp the header as version 1 with a valid header CRC, so only
+    // the version can be at fault.
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let meta_len = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
+    let crc = crc32(&bytes[..10 + meta_len]);
+    bytes[10 + meta_len..14 + meta_len].copy_from_slice(&crc.to_le_bytes());
+    for version in [1u16, FORMAT_VERSION + 1] {
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        let err = ArchiveReader::new(&bytes[..]).err();
+        assert_eq!(
+            err,
+            Some(ArchiveError::UnsupportedVersion {
+                got: version,
+                supported: FORMAT_VERSION,
+            }),
+            "version {version}"
+        );
     }
 }

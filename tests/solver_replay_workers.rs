@@ -5,8 +5,11 @@
 //!
 //! * The smoke recording's reports at 1, 2, 3, 5 and 17 workers equal
 //!   pinned values, under three solver settings (archived, a starved
-//!   cold solve, a sparser probing stride). The pins are the reports
-//!   of the single-threaded replay this one replaced.
+//!   4-iteration solve, a sparser probing stride), p95 fields
+//!   included. The pins are the single-threaded replay's reports of a
+//!   recording made at the gateway's default solver. Every solve
+//!   starts cold, so the sparser stride reproduces the live PRDs of
+//!   the windows it still solves bit for bit.
 //! * When several sessions fail, the error of the first failing window
 //!   in archive order comes back, at every worker count.
 
@@ -45,6 +48,9 @@ struct Pin {
     replayed_prd_mean: u64,
     mean_delta: u64,
     max_abs_delta: u64,
+    live_prd_p95: u64,
+    replayed_prd_p95: u64,
+    p95_abs_delta: u64,
     bit_identical: bool,
 }
 
@@ -60,6 +66,9 @@ impl From<&SolverReplayReport> for Pin {
             replayed_prd_mean: r.replayed_prd_mean.to_bits(),
             mean_delta: r.mean_delta.to_bits(),
             max_abs_delta: r.max_abs_delta.to_bits(),
+            live_prd_p95: r.live_prd_p95.to_bits(),
+            replayed_prd_p95: r.replayed_prd_p95.to_bits(),
+            p95_abs_delta: r.p95_abs_delta.to_bits(),
             bit_identical: r.bit_identical,
         }
     }
@@ -80,12 +89,15 @@ fn archived_settings_report_is_pinned_at_every_worker_count() {
         seen: 116,
         solved: 20,
         skipped: 96,
-        iters: 5620,
+        iters: 3666,
         compared: 20,
-        live_prd_mean: 0x401f_25e7_47ad_0f83,
-        replayed_prd_mean: 0x401f_25e7_47ad_0f83,
+        live_prd_mean: 0x401f_32a7_13a5_0bdb,
+        replayed_prd_mean: 0x401f_32a7_13a5_0bdb,
         mean_delta: 0,
         max_abs_delta: 0,
+        live_prd_p95: 0x4029_9d76_4539_fdb7,
+        replayed_prd_p95: 0x4029_9d76_4539_fdb7,
+        p95_abs_delta: 0,
         bit_identical: true,
     };
     assert_pinned("archived", &cfg, &pin);
@@ -96,17 +108,19 @@ fn starved_cold_report_is_pinned_at_every_worker_count() {
     let mut cfg = SolverReplayConfig::archived(replayer().meta());
     cfg.solver.max_iters = 4;
     cfg.solver.tol = 0.0;
-    cfg.warm_start = false;
     let pin = Pin {
         seen: 116,
         solved: 20,
         skipped: 96,
         iters: 80,
         compared: 20,
-        live_prd_mean: 0x401f_25e7_47ad_0f83,
-        replayed_prd_mean: 0x4052_77d4_eb7e_4ac1,
-        mean_delta: 0x4050_8576_7703_79c9,
-        max_abs_delta: 0x4051_f33f_b838_f066,
+        live_prd_mean: 0x401f_32a7_13a5_0bdb,
+        replayed_prd_mean: 0x4052_0ef8_994f_4c84,
+        mean_delta: 0x4050_1bce_2814_fbc7,
+        max_abs_delta: 0x4051_979e_21cf_6751,
+        live_prd_p95: 0x4029_9d76_4539_fdb7,
+        replayed_prd_p95: 0x4053_1644_0b55_9a4e,
+        p95_abs_delta: 0x4051_02e5_2440_ee99,
         bit_identical: false,
     };
     assert_pinned("cold 4-iteration", &cfg, &pin);
@@ -120,13 +134,16 @@ fn sparser_stride_report_is_pinned_at_every_worker_count() {
         seen: 116,
         solved: 10,
         skipped: 106,
-        iters: 2908,
+        iters: 1919,
         compared: 10,
-        live_prd_mean: 0x401f_0385_34a2_1fa3,
-        replayed_prd_mean: 0x401f_0c4f_ebb9_be2d,
-        mean_delta: 0x3f81_956e_2f3d_17cd,
-        max_abs_delta: 0x3fbf_b2d0_3b6a_3480,
-        bit_identical: false,
+        live_prd_mean: 0x401e_ef80_e18f_c78a,
+        replayed_prd_mean: 0x401e_ef80_e18f_c78a,
+        mean_delta: 0,
+        max_abs_delta: 0,
+        live_prd_p95: 0x4029_a2d1_d457_8a1e,
+        replayed_prd_p95: 0x4029_a2d1_d457_8a1e,
+        p95_abs_delta: 0,
+        bit_identical: true,
     };
     assert_pinned("reconstruct_every x2", &cfg, &pin);
 }
