@@ -35,7 +35,7 @@ use wbsn_core::{Result, WbsnError};
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch};
 use wbsn_gateway::{MatrixCache, MatrixKey};
-use wbsn_sigproc::stats::prd_percent;
+use wbsn_sigproc::stats::{percentile95_sorted, prd_percent};
 
 /// Solver settings for a reconstruction replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -370,12 +370,10 @@ pub fn replay_reconstruction(
     Ok(report)
 }
 
-/// Nearest-rank 95th percentile, as the cohort report ranks PRDs; 0
-/// for no values.
+/// Nearest-rank 95th percentile, as the cohort report ranks PRDs.
 fn p95(mut values: Vec<f64>) -> f64 {
     values.sort_by(f64::total_cmp);
-    let rank = (values.len().saturating_sub(1) as f64 * 0.95).round() as usize;
-    values.get(rank).copied().unwrap_or(0.0)
+    percentile95_sorted(&values)
 }
 
 /// An alert-onset policy over the archived rhythm stream.

@@ -98,6 +98,13 @@ pub fn percentile(x: &[f64], p: f64) -> f64 {
     }
 }
 
+/// Nearest-rank 95th percentile of an ascending-sorted slice (the
+/// value at rank `round(0.95·(n − 1))`); 0 for an empty slice.
+pub fn percentile95_sorted(sorted: &[f64]) -> f64 {
+    let rank = (sorted.len().saturating_sub(1) as f64 * 0.95).round() as usize;
+    sorted.get(rank).copied().unwrap_or(0.0)
+}
+
 /// Output signal-to-noise ratio in dB between an original and its
 /// reconstruction: `10·log10(Σx² / Σ(x−x̂)²)`.
 ///
@@ -199,6 +206,15 @@ mod tests {
         assert_eq!(percentile(&x, 0.0), 10.0);
         assert_eq!(percentile(&x, 100.0), 40.0);
         assert_eq!(percentile(&x, 50.0), 25.0);
+    }
+
+    #[test]
+    fn percentile95_sorted_takes_the_nearest_rank() {
+        let x: Vec<f64> = (1..=20).map(f64::from).collect();
+        // Rank round(0.95 · 19) = 18.
+        assert_eq!(percentile95_sorted(&x), 19.0);
+        assert_eq!(percentile95_sorted(&[7.0]), 7.0);
+        assert_eq!(percentile95_sorted(&[]), 0.0);
     }
 
     #[test]

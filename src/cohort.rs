@@ -75,6 +75,7 @@ use wbsn_gateway::gateway::{GatewayConfig, GatewayEvent, ReconstructionSolver, S
 use wbsn_gateway::ShardedGateway;
 use wbsn_platform::battery::Battery;
 use wbsn_platform::NodeModel;
+use wbsn_sigproc::stats::percentile95_sorted;
 
 /// Link-pump cadence: the runner frames, sends and pumps the downlink
 /// once per this many seconds of signal. The governed monitor handles
@@ -830,7 +831,7 @@ fn score_detection(outcomes: &[&SessionOutcome], modeled_days: f64, grace: f64) 
     } else {
         latencies.iter().sum::<f64>() / latencies.len() as f64
     };
-    let latency_p95_s = percentile95(&latencies);
+    let latency_p95_s = percentile95_sorted(&latencies);
     DetectionStats {
         episodes,
         detected,
@@ -855,17 +856,8 @@ fn prd_stats(prds: &[f64]) -> PrdStats {
     PrdStats {
         windows: prds.len() as u64,
         mean_percent: prds.iter().sum::<f64>() / prds.len() as f64,
-        p95_percent: percentile95(&sorted),
+        p95_percent: percentile95_sorted(&sorted),
     }
-}
-
-/// Nearest-rank 95th percentile of an ascending-sorted slice.
-fn percentile95(sorted: &[f64]) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * 0.95).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Per-session result accumulator. Crate-visible so the archive
