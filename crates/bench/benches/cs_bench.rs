@@ -4,6 +4,7 @@ use std::hint::black_box;
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::joint::{GroupFista, GroupFistaConfig};
 use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch};
+use wbsn_gateway::GatewayConfig;
 use wbsn_sigproc::SparseTernaryMatrix;
 
 fn window(n: usize) -> Vec<i32> {
@@ -32,8 +33,9 @@ fn bench_cs(c: &mut Criterion) {
     g.bench_function("fista_50it_512", |b| {
         b.iter(|| fista.reconstruct(black_box(&enc), black_box(&y)).unwrap())
     });
-    // Same solve on a reused scratch with the Lipschitz constant
-    // computed once: the gateway's decode path.
+    // The same 50 plain-FISTA iterations on a reused scratch with the
+    // Lipschitz constant computed once: the kernels' cost per
+    // iteration, without the power iteration or any allocation.
     let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
     let lip = fista.lipschitz(enc.sensing_matrix()).unwrap();
     let mut scratch = FistaScratch::new();
@@ -41,6 +43,23 @@ fn bench_cs(c: &mut Criterion) {
         b.iter(|| {
             fista
                 .solve_with(&mut scratch, enc.sensing_matrix(), black_box(&yf), lip)
+                .unwrap()
+        })
+    });
+    // The gateway's decode path: a solve to convergence at the
+    // gateway's default settings (restart and λ-continuation), on a
+    // reused scratch with the constant its matrix cache would hold.
+    let gateway = Fista::new(GatewayConfig::default_solver());
+    let gateway_lip = gateway.lipschitz(enc.sensing_matrix()).unwrap();
+    g.bench_function("fista_gateway_default_512", |b| {
+        b.iter(|| {
+            gateway
+                .solve_with(
+                    &mut scratch,
+                    enc.sensing_matrix(),
+                    black_box(&yf),
+                    gateway_lip,
+                )
                 .unwrap()
         })
     });

@@ -381,10 +381,16 @@ impl PackedTernaryMatrix {
 /// Stored in **fixed-stride CSC layout split by sign**: every column
 /// has exactly `d` non-zeros, so column `c`'s row indices occupy
 /// `row_idx[c·d..c·d + d]`, positives first (`pos_len[c]` of them) then
-/// negatives. No sign values are stored, loaded or multiplied: the f64
-/// kernels derive each entry's sign from its position in the run and
-/// `pos_len[c]` with bit operations, not a branch, so the random sign
-/// split of the columns costs no mispredictions.
+/// negatives. No sign values are stored, loaded or multiplied. The
+/// encode kernels derive each entry's sign from its position in the
+/// run and `pos_len[c]` with bit operations, not a branch, so the
+/// random sign split of the columns costs no mispredictions.
+///
+/// The adjoint instead walks the columns **by sign class**: at
+/// construction the matrix also stores its column order grouped by
+/// `pos_len` (one `u32` per column, ascending within a class) and the
+/// `d + 1` class bounds. Within a class the split point of every run
+/// is the same, so each column's two sums read only their own entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparseTernaryMatrix {
     rows: usize,
@@ -395,6 +401,12 @@ pub struct SparseTernaryMatrix {
     /// negatives.
     row_idx: Vec<u32>,
     d_per_col: usize,
+    /// Column indices sorted stably by `pos_len`.
+    class_cols: Vec<u32>,
+    /// End of each class in `class_cols`, `d_per_col + 1` entries: the
+    /// columns with `P` positives are `class_cols[class_end[P − 1]..
+    /// class_end[P]]` (from 0 for `P = 0`).
+    class_end: Vec<u32>,
 }
 
 /// Bits of `−0.0`: the IEEE sign bit alone.
@@ -402,9 +414,9 @@ const NEG_ZERO: u64 = 1 << 63;
 
 /// The column weight the f64 kernels are compiled for as a constant:
 /// the paper's `d = 4`, which every gateway handshake uses. With the
-/// run length known, each column's loop unrolls and its slice bounds
-/// checks fold away; any other weight runs the same kernel with a
-/// runtime trip count.
+/// run length (and, in the adjoint, each class's sign split) known,
+/// each column's loops unroll and its slice bounds checks fold away;
+/// any other weight runs the same kernel with runtime trip counts.
 const UNROLLED_D: usize = 4;
 
 /// Sign mask of entry `k` of a column whose run starts with `pos_len`
@@ -438,6 +450,12 @@ impl SparseTernaryMatrix {
                 detail: "must be in 1..=rows",
             });
         }
+        let Ok(cols_u32) = u32::try_from(cols) else {
+            return Err(SigprocError::InvalidParameter {
+                what: "cols",
+                detail: "must fit in u32",
+            });
+        };
         let mut rng = XorShift64::new(seed);
         let mut pos_len = Vec::with_capacity(cols);
         let mut row_idx = Vec::with_capacity(cols * d_per_col);
@@ -465,12 +483,19 @@ impl SparseTernaryMatrix {
             pos_len.push((d_per_col - negs.len()) as u32);
             row_idx.extend_from_slice(&negs);
         }
+        let mut class_cols: Vec<u32> = (0..cols_u32).collect();
+        class_cols.sort_by_key(|&c| pos_len[c as usize]);
+        let class_end = (0..=d_per_col as u32)
+            .map(|p| class_cols.partition_point(|&c| pos_len[c as usize] <= p) as u32)
+            .collect();
         Ok(SparseTernaryMatrix {
             rows,
             cols,
             pos_len,
             row_idx,
             d_per_col,
+            class_cols,
+            class_end,
         })
     }
 
@@ -627,31 +652,42 @@ impl SparseTernaryMatrix {
     pub fn apply_t_into(&self, y: &[f64], x: &mut Vec<f64>) {
         assert_eq!(y.len(), self.rows, "apply_t shape");
         x.resize(self.cols, 0.0);
-        match self.d_per_col {
-            UNROLLED_D => self.apply_t_runs(UNROLLED_D, y, x),
-            d => self.apply_t_runs(d, y, x),
+        let mut start = 0;
+        for (pos, &end) in self.class_end.iter().enumerate() {
+            let cols = &self.class_cols[start as usize..end as usize];
+            start = end;
+            match (self.d_per_col, pos) {
+                (UNROLLED_D, 0) => self.apply_t_class(UNROLLED_D, 0, cols, y, x),
+                (UNROLLED_D, 1) => self.apply_t_class(UNROLLED_D, 1, cols, y, x),
+                (UNROLLED_D, 2) => self.apply_t_class(UNROLLED_D, 2, cols, y, x),
+                (UNROLLED_D, 3) => self.apply_t_class(UNROLLED_D, 3, cols, y, x),
+                (UNROLLED_D, 4) => self.apply_t_class(UNROLLED_D, 4, cols, y, x),
+                (d, pos) => self.apply_t_class(d, pos, cols, y, x),
+            }
         }
     }
 
-    /// The [`SparseTernaryMatrix::apply_t_into`] sweep.
+    /// The [`SparseTernaryMatrix::apply_t_into`] sweep over the columns
+    /// `cols` of one sign class, whose runs of `d` start with `pos`
+    /// positives; both are passed in so a caller can make them
+    /// compile-time constants.
     ///
     /// Two ordered sums per column, one over the positives and one over
-    /// the negatives, each fed every entry through the mask: an entry
-    /// of the other sign arrives as −0.0, the identity of IEEE
-    /// addition. Both start at −0.0 like `f64`'s `Sum`, so a column
-    /// with no negatives still ends `p − (−0.0)`, bit for bit.
+    /// the negatives. Both start at −0.0 like `f64`'s `Sum`, so a
+    /// column with no negatives still ends `p − (−0.0)`, bit for bit.
     #[inline(always)]
-    fn apply_t_runs(&self, d: usize, y: &[f64], x: &mut [f64]) {
-        for ((run, pos_len), out) in self.runs(d).zip(x.iter_mut()) {
+    fn apply_t_class(&self, d: usize, pos: usize, cols: &[u32], y: &[f64], x: &mut [f64]) {
+        for &c in cols {
+            let (pos_rows, neg_rows) = self.row_idx[c as usize * d..][..d].split_at(pos);
             let mut p = -0.0f64;
-            let mut n = -0.0f64;
-            for (k, &r) in run.iter().enumerate() {
-                let v = y[r as usize].to_bits();
-                let neg = neg_mask(pos_len, k);
-                p += f64::from_bits((v & !neg) | (NEG_ZERO & neg));
-                n += f64::from_bits((v & neg) | (NEG_ZERO & !neg));
+            for &r in pos_rows {
+                p += y[r as usize];
             }
-            *out = p - n;
+            let mut n = -0.0f64;
+            for &r in neg_rows {
+                n += y[r as usize];
+            }
+            x[c as usize] = p - n;
         }
     }
 
@@ -678,8 +714,74 @@ impl SparseTernaryMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The masked adjoint the sign-class kernel replaced, kept as its
+    /// oracle: every entry of a run feeds both sums, the entry of the
+    /// other sign arriving as the −0.0 filler.
+    fn masked_apply_t(phi: &SparseTernaryMatrix, y: &[f64]) -> Vec<f64> {
+        let mut x = vec![0.0; phi.cols];
+        for ((run, pos_len), out) in phi.runs(phi.d_per_col).zip(x.iter_mut()) {
+            let mut p = -0.0f64;
+            let mut n = -0.0f64;
+            for (k, &r) in run.iter().enumerate() {
+                let v = y[r as usize].to_bits();
+                let neg = neg_mask(pos_len, k);
+                p += f64::from_bits((v & !neg) | (NEG_ZERO & neg));
+                n += f64::from_bits((v & neg) | (NEG_ZERO & !neg));
+            }
+            *out = p - n;
+        }
+        x
+    }
+
+    /// `len` values drawn to stress the sign of zero and gradual
+    /// underflow: ±0.0, ±subnormals, ±the smallest normal, and ordinary
+    /// magnitudes, each about equally often.
+    pub(crate) fn awkward_values(len: usize, seed: u64) -> Vec<f64> {
+        let mut rng = XorShift64::new(seed);
+        (0..len)
+            .map(|_| {
+                let sign = rng.next_u64() & NEG_ZERO;
+                let magnitude = match rng.next_below(5) {
+                    0 => 0.0,
+                    1 => f64::from_bits(rng.next_below(1 << 52)),
+                    2 => f64::MIN_POSITIVE,
+                    3 => f64::MIN_POSITIVE * (1.0 + rng.next_f64()),
+                    _ => 1e3 * rng.next_f64(),
+                };
+                f64::from_bits(magnitude.to_bits() | sign)
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // Column weights 1..=6 (`d = 4` runs the constant-bound
+        // kernel) at random shapes `d ≤ m ≤ n`.
+        #[test]
+        fn sign_class_adjoint_matches_the_masked_oracle_bitwise(
+            d in 1usize..7,
+            n_pick in 0usize..96,
+            m_pick in 0usize..96,
+            seed in 0u64..u64::MAX,
+        ) {
+            let n = d + n_pick;
+            let m = d + m_pick % (n - d + 1);
+            let phi = SparseTernaryMatrix::random(m, n, d, seed).unwrap();
+            let y = awkward_values(m, seed ^ 0x5EED);
+            let mut x = vec![f64::NAN; 3];
+            phi.apply_t_into(&y, &mut x);
+            prop_assert_eq!(bits(&masked_apply_t(&phi, &y)), bits(&x), "m={} n={} d={}", m, n, d);
+        }
+    }
 
     #[test]
     fn dense_matvec_small_example() {

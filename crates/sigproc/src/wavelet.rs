@@ -107,10 +107,11 @@ pub struct DwtScratch {
 }
 
 fn check_dwt_args(n: usize, levels: usize, what: &'static str) -> Result<()> {
-    if levels == 0 {
+    // Below the word size, so `1 << levels` cannot overflow.
+    if levels == 0 || levels >= usize::BITS as usize {
         return Err(SigprocError::InvalidParameter {
             what: "levels",
-            detail: "must be >= 1",
+            detail: "must be at least 1 and below the word size",
         });
     }
     if n == 0 || n % (1 << levels) != 0 {
@@ -228,12 +229,11 @@ pub fn waverec(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f6
 /// [`waverec`] into a caller-owned buffer (resized to `coeffs.len()`),
 /// with reusable `scratch`: a warm caller allocates nothing.
 ///
-/// Each level runs its scatter loop over `k` in two consecutive
-/// ranges: a wrap-free steady state whose `L` taps land contiguously
-/// at `2k..2k+L`, then the short tail whose taps wrap modulo the level
-/// length. Every output still accumulates its contributions in the
-/// original `(k, j)` order, so the result is bit-identical to the
-/// single `% n` loop.
+/// Each level gathers: every output keeps one register accumulator
+/// and adds the `L/2` filter terms that reach it, in the `(k, j)`
+/// order of the textbook scatter loop
+/// `out[(2k+j) mod n] += h[j]·a[k] + g[j]·d[k]`, so the result is
+/// bit-identical to it.
 ///
 /// # Errors
 ///
@@ -296,8 +296,16 @@ fn synthesis_bank<const L: usize>(
     }
 }
 
-/// One synthesis level: `dst[(2k+j) mod out_n] += h[j]·a[k] + g[j]·d[k]`
-/// over `k` ascending, `j` ascending.
+/// One synthesis level, `dst[i] = Σ h[j]·a[k] + g[j]·d[k]` over the
+/// `(k, j)` with `(2k+j) mod out_n = i`: each output starts from +0.0
+/// and adds its terms in ascending `k` (ascending `j` within a `k`),
+/// the order in which the scatter loop over `k`, then `j`, reaches it.
+///
+/// With `out_n ≥ L`, output `2m` takes the even taps `j = 2t` and
+/// output `2m+1` the odd taps `j = 2t+1`, each at `k = m − t` for
+/// `t < L/2`, so ascending `k` is descending `t`. For `m < L/2 − 1` the
+/// taps with `t > m` wrap to `k = m − t + out_n/2`, past every
+/// unwrapped `k`, and come last.
 fn synthesis_level<const L: usize>(
     a: &[f64],
     d: &[f64],
@@ -306,22 +314,63 @@ fn synthesis_level<const L: usize>(
     dst: &mut [f64],
 ) {
     let out_n = dst.len();
-    dst.fill(0.0);
-    // k < steady touches only 2k+L-1 < out_n: no wrap.
-    let steady = if out_n >= L {
-        ((out_n - L) / 2 + 1).min(a.len())
-    } else {
-        0
-    };
-    for (k, (&ak, &dk)) in a[..steady].iter().zip(&d[..steady]).enumerate() {
-        for (o, (&hj, &gj)) in dst[2 * k..2 * k + L].iter_mut().zip(h.iter().zip(g)) {
-            *o += hj * ak + gj * dk;
-        }
+    if out_n < L {
+        return synthesis_level_short(a, d, h, g, dst);
     }
-    for (k, (&ak, &dk)) in a.iter().zip(d).enumerate().skip(steady) {
-        for j in 0..L {
-            dst[(2 * k + j) % out_n] += h[j] * ak + g[j] * dk;
+    let half = out_n / 2;
+    let taps = L / 2;
+    // Outputs `2m` and `2m+1` read the window `a[m+1−taps..=m]`, whose
+    // offset `s` meets tap `t = taps−1−s`. Head: `m < taps − 1`, whose
+    // window wraps.
+    for m in 0..taps - 1 {
+        let split = taps - 1 - m;
+        let (mut even, mut odd) = (0.0, 0.0);
+        for s in (split..taps).chain(0..split) {
+            let k = (m + half + s + 1 - taps) % half;
+            let t = taps - 1 - s;
+            even += h[2 * t] * a[k] + g[2 * t] * d[k];
+            odd += h[2 * t + 1] * a[k] + g[2 * t + 1] * d[k];
         }
+        dst[2 * m] = even;
+        dst[2 * m + 1] = odd;
+    }
+    // Steady state: the window is in range and ascending `k` is
+    // ascending `s`.
+    let steady = dst[2 * (taps - 1)..].chunks_exact_mut(2);
+    for ((aw, dw), pair) in a.windows(taps).zip(d.windows(taps)).zip(steady) {
+        let (aw, dw) = (&aw[..taps], &dw[..taps]);
+        let (mut even, mut odd) = (0.0, 0.0);
+        for s in 0..taps {
+            let t = taps - 1 - s;
+            even += h[2 * t] * aw[s] + g[2 * t] * dw[s];
+            odd += h[2 * t + 1] * aw[s] + g[2 * t + 1] * dw[s];
+        }
+        pair[0] = even;
+        pair[1] = odd;
+    }
+}
+
+/// [`synthesis_level`] for a level shorter than the filter, where one
+/// `k` can reach an output more than once: the same rule, with each
+/// output's terms found by walking every `(k, j)` in order.
+fn synthesis_level_short<const L: usize>(
+    a: &[f64],
+    d: &[f64],
+    h: &[f64; L],
+    g: &[f64; L],
+    dst: &mut [f64],
+) {
+    let out_n = dst.len();
+    for (i, o) in dst.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (k, (&ak, &dk)) in a.iter().zip(d).enumerate() {
+            for j in 0..L {
+                if (2 * k + j) % out_n == i {
+                    acc += h[j] * ak + g[j] * dk;
+                }
+            }
+        }
+        *o = acc;
     }
 }
 
@@ -459,6 +508,111 @@ impl AtrousQspline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::tests::awkward_values;
+    use proptest::prelude::*;
+
+    /// The scatter synthesis level the gather kernel replaced, kept as
+    /// its oracle: `dst[(2k+j) mod out_n] += h[j]·a[k] + g[j]·d[k]` over
+    /// `k` ascending, `j` ascending, a wrap-free steady state first.
+    fn scatter_level<const L: usize>(
+        a: &[f64],
+        d: &[f64],
+        h: &[f64; L],
+        g: &[f64; L],
+        dst: &mut [f64],
+    ) {
+        let out_n = dst.len();
+        dst.fill(0.0);
+        // k < steady touches only 2k+L-1 < out_n: no wrap.
+        let steady = if out_n >= L {
+            ((out_n - L) / 2 + 1).min(a.len())
+        } else {
+            0
+        };
+        for (k, (&ak, &dk)) in a[..steady].iter().zip(&d[..steady]).enumerate() {
+            for (o, (&hj, &gj)) in dst[2 * k..2 * k + L].iter_mut().zip(h.iter().zip(g)) {
+                *o += hj * ak + gj * dk;
+            }
+        }
+        for (k, (&ak, &dk)) in a.iter().zip(d).enumerate().skip(steady) {
+            for j in 0..L {
+                dst[(2 * k + j) % out_n] += h[j] * ak + g[j] * dk;
+            }
+        }
+    }
+
+    /// [`waverec`] through [`scatter_level`].
+    fn scatter_waverec(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Vec<f64> {
+        fn bank<const L: usize>(c: &[f64], h: &[f64; L], g: &[f64; L], levels: usize) -> Vec<f64> {
+            let n = c.len();
+            let mut approx = c[..n >> levels].to_vec();
+            let mut offset = n >> levels;
+            for lev in (0..levels).rev() {
+                let dn = n >> (lev + 1);
+                let mut next = vec![0.0; 2 * dn];
+                scatter_level(&approx, &c[offset..offset + dn], h, g, &mut next);
+                offset += dn;
+                approx = next;
+            }
+            approx
+        }
+        match wavelet {
+            Wavelet::Haar => bank(coeffs, &HAAR, &HAAR_G, levels),
+            Wavelet::Db2 => bank(coeffs, &DB2, &DB2_G, levels),
+            Wavelet::Db4 => bank(coeffs, &DB4, &DB4_G, levels),
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        // Every family at levels 1..=6 and window lengths `q·2^levels`
+        // for q in 1..=5: the coarse levels of the short windows are
+        // shorter than the Db2 and Db4 filters. One scratch serves
+        // every shape in turn.
+        #[test]
+        fn gather_synthesis_matches_the_scatter_oracle_bitwise(seed in 0u64..u64::MAX) {
+            let mut scratch = DwtScratch::default();
+            let mut out = vec![f64::NAN; 5];
+            for w in [Wavelet::Haar, Wavelet::Db2, Wavelet::Db4] {
+                for levels in 1..=6 {
+                    for q in 1..=5 {
+                        let n = q << levels;
+                        let c = awkward_values(n, seed ^ (n as u64));
+                        waverec_into(&c, w, levels, &mut scratch, &mut out).unwrap();
+                        prop_assert_eq!(
+                            bits(&scatter_waverec(&c, w, levels)),
+                            bits(&out),
+                            "{:?} L{} n={}", w, levels, n
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_levels_are_typed_errors() {
+        let x = [1.0; 512];
+        for levels in [64, 73, usize::MAX] {
+            for got in [
+                wavedec(&x, Wavelet::Db4, levels),
+                waverec(&x, Wavelet::Db4, levels),
+            ] {
+                assert!(
+                    matches!(
+                        got,
+                        Err(SigprocError::InvalidParameter { what: "levels", .. })
+                    ),
+                    "levels {levels}: {got:?}"
+                );
+            }
+        }
+    }
 
     fn test_signal(n: usize) -> Vec<f64> {
         (0..n)
