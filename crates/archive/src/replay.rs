@@ -247,11 +247,11 @@ impl SolverRun {
 /// Re-runs CS reconstruction from archived measurements at `cfg`'s
 /// settings, comparing per-window PRD with the archived live values.
 ///
-/// Each session's window stream is solved on one of up to `workers`
-/// threads ([`map_on_workers`]; 0 counts as 1), sessions dealt out
-/// interleaved so that thread `k` takes sessions `k`, `k + w`, … in
-/// ascending session order. The report is folded afterwards in archive
-/// order, so it is bit-identical at any worker count.
+/// Each session's window stream is one item for [`map_on_workers`] on
+/// up to `workers` threads (0 counts as 1): a thread takes the next
+/// session, in ascending session order, as soon as it finishes one.
+/// The report is folded afterwards in archive order, so it is
+/// bit-identical at any worker count.
 ///
 /// # Errors
 ///
@@ -279,23 +279,14 @@ pub fn replay_reconstruction(
             .filter(|item| matches!(item, EpochItem::CsWindow { .. }))
             .count() as u64;
     }
-    let sessions: Vec<(u64, SessionRecords<'_>)> = by_session.into_iter().collect();
-    // Session costs are uneven; dealing them out round-robin balances
-    // the threads better than contiguous halves.
-    let w = workers.clamp(1, sessions.len().max(1));
-    let mut deals: Vec<Vec<&(u64, SessionRecords<'_>)>> = (0..w)
-        .map(|k| sessions.iter().skip(k).step_by(w).collect())
-        .collect();
+    let mut sessions: Vec<(u64, SessionRecords<'_>)> = by_session.into_iter().collect();
     let run = SolverRun {
         cache: MatrixCache::new(),
         fista: Fista::new(cfg.solver),
         every: cfg.reconstruct_every.max(1),
     };
-    let dealt = map_on_workers(w, &mut deals, |deal| {
-        Ok(deal
-            .iter()
-            .map(|(session, records)| run.session(*session, records))
-            .collect::<Vec<_>>())
+    let outcomes = map_on_workers(workers, &mut sessions, |(session, records)| {
+        Ok(run.session(*session, records))
     })?;
 
     let mut report = SolverReplayReport {
@@ -315,7 +306,7 @@ pub fn replay_reconstruction(
     };
     let mut compared = Vec::new();
     let mut first_failure: Option<(u64, WbsnError)> = None;
-    for outcome in dealt.into_iter().flatten() {
+    for outcome in outcomes {
         match outcome {
             Ok(s) => {
                 report.windows_seen += s.seen;

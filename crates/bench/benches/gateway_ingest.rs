@@ -13,9 +13,10 @@
 //!   sessions-per-core is `window_period / per_window` (a 512-sample
 //!   window at 250 Hz is 2.048 s of signal).
 //! * `reconstruct_default_s8_w{W}`: eight CS sessions sharing one Φ
-//!   through the matrix cache, sharded over W workers with
-//!   reconstruction **on** — the machine-level scaling of the full
-//!   decode pipeline.
+//!   through the matrix cache, on a gateway of `4W` shards run by W
+//!   worker threads with reconstruction **on** — the machine-level
+//!   scaling of the full decode pipeline. Each thread takes the next
+//!   shard with packets as soon as it finishes one.
 //!
 //! CI uploads the JSON medians as `BENCH_gateway_ingest.json`.
 
@@ -103,8 +104,8 @@ fn cs_stream(sessions: u64, secs: f64) -> Vec<Vec<u8>> {
 
 fn drive_sharded(cfg: GatewayConfig, workers: usize, packets: &[Vec<u8>]) -> u64 {
     let mut gw = ShardedGateway::new(cfg, workers).expect("spawn workers");
-    // One batch: the control thread routes, the workers run
-    // concurrently, replies re-merge in batch order.
+    // One batch: the control thread routes, the workers pull shards
+    // until none are left, replies re-merge in batch order.
     let results = gw.ingest_batch(packets).expect("workers alive");
     let events = results.iter().flatten().map(Vec::len).sum::<usize>();
     black_box(events);

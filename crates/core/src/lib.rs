@@ -42,8 +42,9 @@
 //! * [`workers`] — [`workers::map_on_workers`], the workspace's one
 //!   thread model: every library thread — the cohort runner's node
 //!   side, the sharded gateway's decode and the archive's solver
-//!   replay — comes from this scoped helper: contiguous chunks,
-//!   results in item order, every thread joined before it returns.
+//!   replay — comes from this scoped helper: each thread pulls the
+//!   next unclaimed item, results come back in item order, and every
+//!   thread is joined before it returns.
 //!
 //! ## Quickstart
 //!
@@ -146,13 +147,14 @@ pub enum WbsnError {
         /// The offending id.
         id: u64,
     },
-    /// A worker thread was lost — it failed to spawn or panicked —
-    /// so the work it was given has no result. Raised by
-    /// [`workers::map_on_workers`], which runs every library thread:
-    /// the cohort runner's node side, the sharded gateway's decode
-    /// and the archive's solver replay.
+    /// A worker thread panicked, so the items it ran have no result.
+    /// Raised by [`workers::map_on_workers`], which runs every library
+    /// thread: the cohort runner's node side, the sharded gateway's
+    /// decode and the archive's solver replay. A helper that fails to
+    /// spawn is not an error: the threads that did start run its share.
     WorkerLost {
-        /// Index of the chunk the lost thread was given.
+        /// The lost helper thread, numbered from 1 (the calling thread
+        /// is 0).
         shard: usize,
     },
     /// Decoding ran out of bytes: the input is shorter than its own
@@ -216,7 +218,7 @@ impl core::fmt::Display for WbsnError {
             }
             WbsnError::UnknownSession { id } => write!(f, "unknown session id {id}"),
             WbsnError::WorkerLost { shard } => {
-                write!(f, "worker thread for chunk {shard} was lost")
+                write!(f, "worker helper thread {shard} was lost")
             }
             WbsnError::Truncated { what, needed, got } => {
                 write!(f, "truncated {what}: needed {needed} bytes, got {got}")

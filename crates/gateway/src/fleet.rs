@@ -2,17 +2,21 @@
 //!
 //! One [`Gateway`] serializes every session's FISTA solves onto one
 //! core; a base station terminating hundreds of uplinks has cores to
-//! spare. [`ShardedGateway`] keeps N plain `Gateway` shards that share
+//! spare. [`ShardedGateway`] keeps plain `Gateway` shards that share
 //! one [`MatrixCache`], so a fleet provisioned with identical CS
-//! geometry builds each Φ once per process. Session `s` lives on shard
-//! `s % n` for its whole lifetime; the shard is read straight out of a
-//! packet's fixed link header.
+//! geometry builds each Φ once per process. With `w` worker threads
+//! there are `4w` shards, and session `s` lives on shard `s % 4w` for
+//! its whole lifetime; the shard is read straight out of a packet's
+//! fixed link header.
 //!
 //! There are no long-lived threads. The calls that can run FISTA
 //! ([`ShardedGateway::ingest_batch`],
 //! [`ShardedGateway::flush_sessions_tagged`]) fan the shards out over
-//! [`map_on_workers`], the workspace's one scoped-thread helper, which
-//! borrows the batch and joins every thread before it returns. Every
+//! `w` threads through [`map_on_workers`], the workspace's one
+//! scoped-thread helper, which borrows the batch and joins every
+//! thread before it returns. A thread takes the next shard as soon as
+//! it finishes one, and with more shards than threads an expensive
+//! shard does not leave the other threads idle. Every
 //! other call runs on the calling thread: per-session calls go to the
 //! owning shard directly, and the cheap cross-session merges walk the
 //! shards in turn.
@@ -41,19 +45,25 @@ use crate::gateway::{
 use crate::record::TapItem;
 use crate::Result;
 
-/// A gateway sharded `n` ways by session id, whose FISTA-bearing calls
-/// run the shards on up to `n` scoped threads — the parallel
-/// counterpart of [`Gateway`] with byte-identical results (see the
-/// module docs).
+/// Shards per worker thread. More shards than threads lets a thread
+/// that finishes a cheap shard take another while a costly one runs;
+/// each shard is a full [`Gateway`], so more also costs memory.
+const SHARDS_PER_WORKER: usize = 4;
+
+/// A gateway sharded by session id, whose FISTA-bearing calls run the
+/// shards on up to `workers` scoped threads — the parallel counterpart
+/// of [`Gateway`] with byte-identical results (see the module docs).
 pub struct ShardedGateway {
     shards: Vec<Gateway>,
+    workers: usize,
     cache: Arc<MatrixCache>,
 }
 
 impl core::fmt::Debug for ShardedGateway {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("ShardedGateway")
-            .field("workers", &self.shards.len())
+            .field("workers", &self.workers)
+            .field("shards", &self.shards.len())
             .finish()
     }
 }
@@ -71,9 +81,10 @@ fn peek_session(raw: &[u8]) -> Option<u64> {
 }
 
 impl ShardedGateway {
-    /// `n_workers` gateway shards (at least 1), each a [`Gateway`] with
-    /// this configuration, all sharing one fresh sensing-matrix cache.
-    /// FISTA-bearing calls run on up to `n_workers` threads.
+    /// `4 × n_workers` gateway shards (`n_workers` at least 1), each a
+    /// [`Gateway`] with this configuration, all sharing one fresh
+    /// sensing-matrix cache. FISTA-bearing calls run on up to
+    /// `n_workers` threads.
     ///
     /// # Errors
     ///
@@ -86,15 +97,19 @@ impl ShardedGateway {
             });
         }
         let cache = Arc::new(MatrixCache::new());
-        let shards = (0..n_workers)
+        let shards = (0..n_workers * SHARDS_PER_WORKER)
             .map(|_| Gateway::with_cache(cfg.clone(), Arc::clone(&cache)))
             .collect();
-        Ok(ShardedGateway { shards, cache })
+        Ok(ShardedGateway {
+            shards,
+            workers: n_workers,
+            cache,
+        })
     }
 
-    /// Number of shards, and the most threads a call runs on.
+    /// The most threads a call runs on.
     pub fn num_workers(&self) -> usize {
-        self.shards.len()
+        self.workers
     }
 
     /// Handle on the shared sensing-matrix cache.
@@ -130,7 +145,8 @@ impl ShardedGateway {
     }
 
     /// Ingests a batch of raw packets: each goes to its session's
-    /// shard, the shards with work run concurrently, and the
+    /// shard, the shards with work run on up to
+    /// [`num_workers`](Self::num_workers) threads, and the
     /// per-packet results come back **in batch order** —
     /// byte-identical to calling [`Gateway::ingest`] on each packet in
     /// order, for any worker count. Per-packet rejections (CRC,
@@ -140,8 +156,8 @@ impl ShardedGateway {
     ///
     /// # Errors
     ///
-    /// [`WbsnError::WorkerLost`] when a shard's thread could not be
-    /// spawned or panicked.
+    /// [`WbsnError::WorkerLost`] when a thread running shards
+    /// panicked.
     #[allow(clippy::type_complexity)]
     pub fn ingest_batch(&mut self, packets: &[Vec<u8>]) -> Result<Vec<Result<Vec<GatewayEvent>>>> {
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
@@ -154,7 +170,7 @@ impl ShardedGateway {
             .zip(routed)
             .filter(|(_, idxs)| !idxs.is_empty())
             .collect();
-        let per_shard = map_on_workers(jobs.len(), &mut jobs, |(gw, idxs)| {
+        let per_shard = map_on_workers(self.workers, &mut jobs, |(gw, idxs)| {
             Ok(idxs
                 .iter()
                 .map(|&i| (i, gw.ingest(&packets[i])))
@@ -204,17 +220,17 @@ impl ShardedGateway {
     }
 
     /// End of stream: drains every session's reassembler on every
-    /// shard, shards running concurrently, with each session's events
-    /// grouped under its id (ids ascending) — identical to
-    /// [`Gateway::flush_sessions_tagged`].
+    /// shard, shards running on up to [`num_workers`](Self::num_workers)
+    /// threads, with each session's events grouped under its id (ids
+    /// ascending) — identical to [`Gateway::flush_sessions_tagged`].
     ///
     /// # Errors
     ///
-    /// [`WbsnError::WorkerLost`] when a shard's thread could not be
-    /// spawned or panicked.
+    /// [`WbsnError::WorkerLost`] when a thread running shards
+    /// panicked.
     pub fn flush_sessions_tagged(&mut self) -> Result<Vec<(u64, Vec<GatewayEvent>)>> {
         let mut shards: Vec<&mut Gateway> = self.shards.iter_mut().collect();
-        let per_shard = map_on_workers(shards.len(), &mut shards, |gw| {
+        let per_shard = map_on_workers(self.workers, &mut shards, |gw| {
             Ok(gw.flush_sessions_tagged())
         })?;
         Ok(by_session(per_shard))
@@ -362,11 +378,15 @@ mod tests {
 
     #[test]
     fn routing_is_modulo_and_stable() {
+        // 4 workers, 16 shards.
         let gw = sharded(4);
+        assert_eq!(gw.num_workers(), 4);
+        assert_eq!(gw.shards.len(), 16);
         assert_eq!(gw.shard_of(0), 0);
-        assert_eq!(gw.shard_of(7), 3);
-        assert_eq!(gw.shard_of(8), 0);
-        assert_eq!(gw.shard_of(u64::MAX), (u64::MAX % 4) as usize);
+        assert_eq!(gw.shard_of(7), 7);
+        assert_eq!(gw.shard_of(15), 15);
+        assert_eq!(gw.shard_of(16), 0);
+        assert_eq!(gw.shard_of(u64::MAX), (u64::MAX % 16) as usize);
     }
 
     #[test]
@@ -396,9 +416,11 @@ mod tests {
 
     #[test]
     fn sessions_land_on_their_shard() {
+        // 3 workers, 12 shards, three sessions per shard.
         let mut gw = sharded(3);
+        assert_eq!(gw.num_workers(), 3);
         let mut packets = Vec::new();
-        for session in 0..9 {
+        for session in 0..36 {
             LinkFramer::new(session)
                 .frame_payload(&Payload::Beats { beats: Vec::new() }, &mut packets)
                 .unwrap();
@@ -411,6 +433,7 @@ mod tests {
             assert_eq!(ids.len(), 3);
             assert!(ids.iter().all(|&id| gw.shard_of(id) == shard));
         }
-        assert_eq!(gw.session_ids(), (0..9).collect::<Vec<_>>());
+        assert_eq!(gw.shards.len(), 12);
+        assert_eq!(gw.session_ids(), (0..36).collect::<Vec<_>>());
     }
 }

@@ -47,9 +47,10 @@
 //! * [`cache`] — the [`MatrixCache`]: one sensing matrix per distinct
 //!   handshake geometry `(window, m, density, seed, lead)`, shared by
 //!   every session — and every shard — that announces it.
-//! * [`fleet`] — the [`ShardedGateway`]: N plain [`Gateway`] shards
-//!   keyed by `session % n`, whose FISTA-bearing calls fan out over
-//!   `wbsn-core`'s scoped-thread helper
+//! * [`fleet`] — the [`ShardedGateway`]: `4n` plain [`Gateway`] shards
+//!   keyed by `session % 4n` for `n` worker threads, whose
+//!   FISTA-bearing calls fan out over `wbsn-core`'s work-pulling
+//!   scoped-thread helper
 //!   ([`map_on_workers`](wbsn_core::workers::map_on_workers)), with
 //!   merge rules that keep the combined event stream byte-identical to
 //!   the single-threaded service at any worker count.

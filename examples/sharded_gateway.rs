@@ -8,7 +8,7 @@
 //!
 //! ```text
 //!   synth ECG ─► CS nodes ─► Uplink framer ─► ShardedGateway
-//!   (8 wards)    (CR 50%)    (MTU packets)     router ─► N × Gateway
+//!   (8 wards)    (CR 50%)    (MTU packets)     router ─► 4N × Gateway
 //!                                              one shared MatrixCache
 //!                                              FISTA with λ-continuation
 //! ```

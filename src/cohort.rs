@@ -32,14 +32,15 @@
 //! [`CohortRunConfig::workers`] sets both the gateway's decode workers
 //! and the node-side threads. Each modeled hour, the batch's records
 //! are rendered on up to `workers` scoped threads (the calling thread
-//! takes the first contiguous chunk of nodes); each pump, the governed
-//! monitors, framers and retransmit buffers run the same way, every
-//! node writing its own outbound packets. Everything that talks to the
-//! gateway stays on the calling thread in session order: truth
-//! harvest, PRD reference attach, reboots (re-registration), the
-//! concatenated uplink batch, downlink pumping and archive writes. So
-//! the gateway sees the same calls with the same bytes at any worker
-//! count, and every thread is joined before a run returns.
+//! among them, each taking the next node as soon as it finishes one);
+//! each pump, the governed monitors, framers and retransmit buffers run
+//! the same way, every node writing its own outbound packets.
+//! Everything that talks to the gateway stays on the calling thread in
+//! session order: truth harvest, PRD reference attach, reboots
+//! (re-registration), the concatenated uplink batch, downlink pumping
+//! and archive writes. So the gateway sees the same calls with the
+//! same bytes at any worker count, and every thread is joined before a
+//! run returns.
 //!
 //! Memory stays bounded by construction: sessions run in batches of
 //! [`CohortRunConfig::batch_sessions`], each node holds only its

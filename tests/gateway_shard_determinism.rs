@@ -54,8 +54,9 @@ fn shard_config() -> GatewayConfig {
     }
 }
 
-/// Session ids chosen to spread across 1, 2 and 4 workers
-/// (`id % workers` hits every shard).
+/// Session ids chosen to spread over the shards: `id % (4 × workers)`
+/// hits all four shards at one worker and gives every id its own shard
+/// at two or more.
 const IDS: [u64; 6] = [101, 102, 103, 104, 105, 106];
 
 struct NodeSide {
@@ -441,8 +442,8 @@ fn sharded_gateway_matches_sequential_for_any_worker_count() {
     assert_eq!(reference.cache.entries, 3);
     assert_eq!(reference.cache.hits, 1);
 
-    // 17 workers is more than there are sessions: empty shards and
-    // uneven chunks on the scoped threads.
+    // 17 workers is more than there are sessions: mostly empty shards,
+    // and more threads than shards with work.
     for workers in [1usize, 2, 3, 5, 17] {
         let sharded = run(Some(workers), &input);
         assert_eq!(
