@@ -8,7 +8,7 @@
 //!   crate may consult a wall clock, an OS entropy source, or iterate
 //!   a `HashMap`/`HashSet` whose order can leak into output.
 //! * **Panic-freedom** — the ingest/wire hot paths (monitor, link,
-//!   fleet, governor, payload, the whole gateway and DSP kernels)
+//!   node, governor, payload, the whole gateway and DSP kernels)
 //!   must degrade through typed [`WbsnError`]-style returns; a
 //!   hostile wire or a malformed batch must never abort the process.
 //!

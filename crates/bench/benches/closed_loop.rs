@@ -16,12 +16,10 @@
 //! the paper's energy/robustness trade.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use wbsn_core::level::ProcessingLevel;
-use wbsn_core::link::{DirectiveAction, DownlinkFrame, SessionHandshake, Uplink};
-use wbsn_core::monitor::{CardiacMonitor, MonitorBuilder};
-use wbsn_core::retransmit::{
-    DirectiveHandler, RetransmitBuffer, RetransmitConfig, RetransmitEvent,
-};
+use wbsn_core::governor::GovernorConfig;
+use wbsn_core::level::{OperatingMode, ProcessingLevel};
+use wbsn_core::monitor::MonitorBuilder;
+use wbsn_core::Node;
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
 use wbsn_gateway::channel::{ChannelConfig, DuplexChannel};
@@ -50,14 +48,9 @@ struct LoopOutcome {
 
 struct Harness {
     record: Vec<i32>,
-    monitor: CardiacMonitor,
-    uplink: Uplink,
-    buf: RetransmitBuffer,
-    directives: DirectiveHandler,
+    node: Node,
     duplex: DuplexChannel,
     gateway: Gateway,
-    pending_tx: Vec<Vec<u8>>,
-    rt_events: Vec<RetransmitEvent>,
 }
 
 /// Fresh node + gateway, session opened, reference attached.
@@ -67,21 +60,17 @@ fn harness(drop: f64) -> Harness {
         .n_leads(1)
         .noise(NoiseConfig::clean())
         .build();
-    let monitor = MonitorBuilder::new()
-        .level(ProcessingLevel::CompressedSingleLead)
-        .n_leads(1)
-        .cs_window(CS_WINDOW)
-        .cs_compression_ratio(54.0)
-        .build()
-        .expect("valid monitor config");
-    let mut uplink = Uplink::new();
-    let mut pending_tx = Vec::new();
-    uplink
-        .open_session(
-            &SessionHandshake::for_config(SESSION, monitor.config()),
-            &mut pending_tx,
-        )
-        .expect("open session");
+    // Pinned to single-lead CS: the governor never switches, so the
+    // node emits exactly the bare monitor's windows.
+    let node = Node::new(
+        SESSION,
+        MonitorBuilder::new()
+            .n_leads(1)
+            .cs_window(CS_WINDOW)
+            .cs_compression_ratio(54.0),
+        GovernorConfig::pinned(OperatingMode::new(ProcessingLevel::CompressedSingleLead, 1)),
+    )
+    .expect("valid node config");
     let mut duplex = DuplexChannel::symmetric(ChannelConfig {
         seed: 0xB0D1,
         ..ChannelConfig::ideal()
@@ -104,22 +93,9 @@ fn harness(drop: f64) -> Harness {
         .expect("attach reference");
     Harness {
         record: record.lead(0).to_vec(),
-        monitor,
-        uplink,
-        // The ack-timeout is the backup repair path; it must sit above
-        // the NACK round trip or timeouts race the selective NACKs
-        // (see tests/closed_loop.rs).
-        buf: RetransmitBuffer::new(RetransmitConfig {
-            ack_timeout_epochs: 6,
-            max_backoff_epochs: 12,
-            ..RetransmitConfig::default()
-        })
-        .expect("valid retransmit config"),
-        directives: DirectiveHandler::new(),
+        node,
         duplex,
         gateway,
-        pending_tx,
-        rt_events: Vec::new(),
     }
 }
 
@@ -128,18 +104,7 @@ fn harness(drop: f64) -> Harness {
 /// apply frames node-side. Returns accepted payload bytes and PRDs.
 fn run_epoch(h: &mut Harness, epoch: usize, prds: &mut Vec<f64>) -> usize {
     let block = &h.record[epoch * EPOCH_FRAMES..(epoch + 1) * EPOCH_FRAMES];
-    let payloads = h.monitor.push_block(block, EPOCH_FRAMES).expect("push");
-    let mut tx = std::mem::take(&mut h.pending_tx);
-    for payload in &payloads {
-        let mut pk = Vec::new();
-        let seq = h
-            .uplink
-            .frame_one(SESSION, payload, &mut pk)
-            .expect("frame");
-        h.buf.record(seq, &pk, &mut h.rt_events);
-        tx.extend(pk);
-    }
-    h.buf.tick(&mut tx, &mut h.rt_events);
+    let tx = h.node.push_block(block, EPOCH_FRAMES).expect("push");
     let mut good = 0usize;
     for p in h.duplex.up().send_all(tx) {
         good += p.len();
@@ -156,24 +121,9 @@ fn run_epoch(h: &mut Harness, epoch: usize, prds: &mut Vec<f64>) -> usize {
     for (_, frames) in h.gateway.pump_downlink() {
         for wire in frames {
             for delivered in h.duplex.down().send(wire) {
-                let frame = DownlinkFrame::from_wire(&delivered).expect("downlink frame");
-                if h.buf.on_frame(&frame, &mut h.pending_tx, &mut h.rt_events) {
-                    continue;
-                }
-                let DownlinkFrame::Directive(df) = frame else {
-                    continue;
-                };
-                let Some(DirectiveAction::SetCr { cr_x10 }) = h.directives.accept(&df) else {
-                    continue;
-                };
-                h.monitor
-                    .switch_cs_cr(f64::from(cr_x10) / 10.0)
+                h.node
+                    .take_downlink(&delivered)
                     .expect("ladder CRs are valid");
-                let hs = SessionHandshake::for_config(SESSION, h.monitor.config());
-                let mut pk = Vec::new();
-                let seq = h.uplink.announce_handshake(&hs, &mut pk).expect("announce");
-                h.buf.record(seq, &pk, &mut h.rt_events);
-                h.pending_tx.extend(pk);
             }
         }
     }
@@ -198,7 +148,7 @@ fn run_loop(drop: f64) -> LoopOutcome {
     }
     LoopOutcome {
         good_bytes,
-        retransmit_bytes: h.buf.stats().resent_bytes,
+        retransmit_bytes: h.node.retransmit_stats().resent_bytes,
         mean_prd: (!prds.is_empty()).then(|| prds.iter().sum::<f64>() / prds.len() as f64),
     }
 }

@@ -27,19 +27,19 @@ use wbsn_core::monitor::MonitorBuilder;
 use wbsn_cs::solver::FistaConfig;
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
-use wbsn_gateway::{Gateway, GatewayConfig, ReconstructionSolver, ShardedGateway};
+use wbsn_gateway::{Gateway, GatewayConfig, ShardedGateway};
 
 /// The original gateway decoder: fixed-budget FISTA. The movement
 /// tolerance never fires at 1e-7 on these problems, so every window
 /// costs `max_iters`.
 fn legacy_cfg() -> GatewayConfig {
     GatewayConfig {
-        solver: ReconstructionSolver::Fista(FistaConfig {
+        solver: FistaConfig {
             lambda_rel: 0.001,
             max_iters: 800,
             tol: 1e-7,
             ..FistaConfig::default()
-        }),
+        },
         ..GatewayConfig::default()
     }
 }

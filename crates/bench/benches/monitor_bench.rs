@@ -1,10 +1,9 @@
 //! The session-pipeline ingestion hot paths: per-frame `try_push`
 //! dispatch versus the batched `push_block` used for server-side
-//! replay, plus full-fleet ingestion. `monitor_push_block` is the
+//! replay, plus the governor's costs. `monitor_push_block` is the
 //! pinned entry future PRs track in `BENCH_*.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use wbsn_core::fleet::{NodeFleet, SessionId};
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::{CardiacMonitor, MonitorBuilder};
 use wbsn_ecg_synth::noise::NoiseConfig;
@@ -64,33 +63,6 @@ fn bench_monitor(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_fleet(c: &mut Criterion) {
-    let (buf, _) = frames(3, 2.0);
-    let mut g = c.benchmark_group("fleet");
-    g.sample_size(10);
-    g.bench_function("ingest_64_sessions_2s", |b| {
-        b.iter(|| {
-            let mut fleet = NodeFleet::new();
-            let ids: Vec<_> = (0..64)
-                .map(|_| {
-                    fleet
-                        .add_session(MonitorBuilder::new().level(ProcessingLevel::Delineated))
-                        .unwrap()
-                })
-                .collect();
-            let batch: Vec<(SessionId, &[i32])> =
-                ids.iter().map(|&id| (id, buf.as_slice())).collect();
-            fleet
-                .ingest_batch(black_box(&batch))
-                .unwrap()
-                .iter()
-                .map(|(_, p)| p.len())
-                .sum::<usize>()
-        })
-    });
-    g.finish();
-}
-
 /// The governor's runtime costs: a live mode switch at a stream
 /// boundary, and a fully governed session (epoch accounting + rhythm
 /// sentinel + controller) against the bare monitor it wraps — the
@@ -138,5 +110,5 @@ fn bench_governor(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_monitor, bench_fleet, bench_governor);
+criterion_group!(benches, bench_monitor, bench_governor);
 criterion_main!(benches);

@@ -42,13 +42,12 @@
 //!   tests in `tests/governor_properties.rs`.
 //!
 //! Decisions are pure functions of the governor state and the
-//! observation, so governed sessions keep the fleet's determinism
-//! guarantee: the same frames produce the same switches, payloads and
-//! counters every run.
+//! observation, so governed sessions stay deterministic: the same
+//! frames produce the same switches, payloads and counters every run.
 //!
 //! [`GovernedMonitor`] packages the loop around one
-//! [`CardiacMonitor`]; the node fleet applies the same switches
-//! through [`NodeFleet::switch_mode`](crate::fleet::NodeFleet::switch_mode).
+//! [`CardiacMonitor`]; [`Node`](crate::node::Node) puts it behind the
+//! uplink, the retransmit buffer and the gateway's directives.
 
 use crate::energy::{workload_from_counters, CycleCosts};
 use crate::level::{OperatingMode, ProcessingLevel};

@@ -23,9 +23,6 @@
 //!   with the validating [`MonitorBuilder`], fed through the fallible
 //!   [`CardiacMonitor::try_push`] or the batched
 //!   [`CardiacMonitor::push_block`] hot path.
-//! * [`fleet`] — [`fleet::NodeFleet`]: many monitoring sessions
-//!   behind one ingestion front end, run on the calling thread, with
-//!   payloads byte-identical to the same monitors run one by one.
 //! * [`payload`] — the on-air payload formats with exact byte costs.
 //! * [`energy`] — per-stage cycle accounting composed with the
 //!   `wbsn-platform` node model into Figure 6-style breakdowns and
@@ -36,6 +33,13 @@
 //!   (processing level + powered leads) at runtime from rhythm state,
 //!   battery state-of-charge and a radio budget, applied through
 //!   [`CardiacMonitor::switch_mode`] live level switching.
+//! * [`link`] and [`retransmit`] — the wire: payloads framed into
+//!   CRC-checked radio packets, the ACK/NACK/directive downlink, and
+//!   the node's bounded retransmit buffer.
+//! * [`node`] — [`Node`]: the closed-loop wearable. It owns a governed
+//!   monitor, its uplink framer, retransmit buffer and directive
+//!   handler, and takes and returns wire bytes; the cohort runner,
+//!   the closed-loop tests and benches all drive it.
 //! * [`apps`] — the application layer the paper motivates: arrhythmia
 //!   /AF monitoring, sleep/HRV analysis, and PAT-based blood-pressure
 //!   trending.
@@ -65,22 +69,27 @@
 //! assert!(report.breakdown.avg_power_mw() < 5.0);
 //! ```
 //!
-//! ## Serving many sessions
+//! ## The closed loop
 //!
 //! ```
-//! use wbsn_core::fleet::NodeFleet;
+//! use wbsn_core::governor::GovernorConfig;
+//! use wbsn_core::link::DownlinkFrame;
 //! use wbsn_core::monitor::MonitorBuilder;
+//! use wbsn_core::Node;
+//! use wbsn_ecg_synth::RecordBuilder;
 //!
-//! let mut fleet = NodeFleet::new();
-//! let ids: Vec<_> = (0..16)
-//!     .map(|_| fleet.add_session(MonitorBuilder::new()).unwrap())
-//!     .collect();
-//! for &id in &ids {
-//!     let frame = [0i32, 0, 0];
-//!     fleet.push_frame(id, &frame).unwrap();
-//! }
-//! assert_eq!(fleet.len(), 16);
-//! assert_eq!(fleet.aggregate_counters().samples_in, 16 * 3);
+//! let record = RecordBuilder::new(1).duration_s(30.0).n_leads(3).build();
+//! let mut node = Node::new(1, MonitorBuilder::new(), GovernorConfig::for_leads(3)).unwrap();
+//! let frames = record.interleaved_frames();
+//! let mut wire = node.push_block(&frames, record.n_samples()).unwrap();
+//! wire.extend(node.drain().unwrap());
+//! // The handshake and every payload went out, each recorded until
+//! // the gateway acknowledges it.
+//! let sent = node.retransmit_stats().recorded;
+//! assert!(sent > 1 && wire.len() as u64 >= sent);
+//! let ack = DownlinkFrame::Ack { cum_ack: sent as u32 }.to_wire(1, 0);
+//! node.take_downlink(&ack).unwrap();
+//! assert_eq!(node.retransmit_stats().acked, sent);
 //! ```
 
 // Every public item carries documentation; rustdoc runs with
@@ -90,18 +99,17 @@
 
 pub mod apps;
 pub mod energy;
-pub mod fleet;
 pub mod governor;
 pub mod level;
 pub mod link;
 pub mod monitor;
+pub mod node;
 pub mod payload;
 pub mod retransmit;
 pub mod stage;
 pub mod workers;
 
 pub use energy::EnergyReport;
-pub use fleet::{FleetEnergyReport, NodeFleet, SessionId};
 pub use governor::{GovernedMonitor, GovernorConfig, PowerGovernor};
 pub use level::{OperatingMode, ProcessingLevel};
 pub use link::{
@@ -109,6 +117,7 @@ pub use link::{
     SessionHandshake, Uplink,
 };
 pub use monitor::{CardiacMonitor, MonitorBuilder, MonitorConfig};
+pub use node::Node;
 pub use payload::Payload;
 pub use retransmit::{DirectiveHandler, RetransmitBuffer, RetransmitConfig, RetransmitEvent};
 pub use stage::{ActivityCounters, PayloadSink, PipelineStage};
@@ -120,7 +129,7 @@ use wbsn_multimodal::MultimodalError;
 use wbsn_platform::PlatformError;
 use wbsn_sigproc::SigprocError;
 
-/// Unified error for the node pipeline and the fleet layer.
+/// Unified error for the node pipeline, the link and the gateway.
 ///
 /// Sub-crate errors convert losslessly via `From`, so `?` works across
 /// crate boundaries without stringifying.
@@ -141,8 +150,8 @@ pub enum WbsnError {
         /// Leads the caller provided.
         got: usize,
     },
-    /// A fleet operation referenced a session id that is not (or no
-    /// longer) registered.
+    /// An uplink or gateway operation referenced a session id that is
+    /// not (or no longer) registered.
     UnknownSession {
         /// The offending id.
         id: u64,

@@ -208,7 +208,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// header to route, order and reassemble it, and a CRC32 trailer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkPacket {
-    /// Originating session ([`crate::fleet::SessionId::raw`]).
+    /// Originating session.
     pub session: u64,
     /// Per-session message sequence number (one message per payload).
     pub msg_seq: u32,
@@ -884,29 +884,23 @@ impl LinkFramer {
     }
 }
 
-/// The multi-session uplink front end the fleet's payload output wires
-/// through: one [`LinkFramer`] per session, shared MTU, exact wire
-/// byte accounting.
+/// The multi-session uplink front end: one [`LinkFramer`] per session,
+/// shared MTU, exact wire byte accounting.
 ///
 /// ```
 /// use wbsn_core::link::{SessionHandshake, Uplink};
 /// use wbsn_core::monitor::MonitorBuilder;
-/// use wbsn_core::fleet::NodeFleet;
 ///
-/// let mut fleet = NodeFleet::new();
-/// let id = fleet.add_session(MonitorBuilder::new()).unwrap();
+/// let mut monitor = MonitorBuilder::new().build().unwrap();
 /// let mut uplink = Uplink::new();
-/// let hs = SessionHandshake::for_config(
-///     id.raw(),
-///     fleet.session(id).unwrap().config(),
-/// );
+/// let hs = SessionHandshake::for_config(3, monitor.config());
 /// let mut packets = Vec::new();
 /// uplink.open_session(&hs, &mut packets).unwrap();
 /// assert_eq!(packets.len(), 1); // the handshake fits one packet
 ///
-/// // Ingest a second of signal and put the results on the wire.
-/// let results = fleet.ingest_batch(&[(id, &[0i32; 3 * 250][..])]).unwrap();
-/// uplink.frame_fleet(&results, &mut packets).unwrap();
+/// // Ingest a second of signal and put the payloads on the wire.
+/// let payloads = monitor.push_block(&[0i32; 3 * 250], 250).unwrap();
+/// uplink.frame(3, &payloads, &mut packets).unwrap();
 /// assert_eq!(uplink.wire_bytes() as usize,
 ///            packets.iter().map(Vec::len).sum::<usize>());
 /// ```
@@ -1070,25 +1064,6 @@ impl Uplink {
             .get_mut(&session)
             .ok_or(WbsnError::UnknownSession { id: session })?
             .set_mtu(mtu)
-    }
-
-    /// Frames a fleet ingestion result (the
-    /// [`NodeFleet::ingest_batch`](crate::fleet::NodeFleet::ingest_batch)
-    /// output shape) in batch order.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::frame`]; packets framed before a failing entry stay
-    /// in `out`.
-    pub fn frame_fleet(
-        &mut self,
-        results: &[(crate::fleet::SessionId, Vec<Payload>)],
-        out: &mut Vec<Vec<u8>>,
-    ) -> Result<()> {
-        for (id, payloads) in results {
-            self.frame(id.raw(), payloads, out)?;
-        }
-        Ok(())
     }
 
     /// Application payload bytes accepted so far (before framing).

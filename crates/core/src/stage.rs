@@ -86,8 +86,8 @@ impl ActivityCounters {
         }
     }
 
-    /// Element-wise sum (used by the fleet aggregator; `seconds` adds
-    /// too, i.e. the result counts session-seconds).
+    /// Element-wise sum (a monitor folds its retired stages' counters
+    /// in with it; `seconds` adds too).
     #[must_use]
     pub fn merged(&self, other: &ActivityCounters) -> ActivityCounters {
         ActivityCounters {

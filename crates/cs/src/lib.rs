@@ -15,7 +15,6 @@
 //! * [`joint`] — joint multi-lead recovery with an ℓ₂,₁ group-sparsity
 //!   penalty tying the shared wavelet support across leads
 //!   (reference \[6\]) — the "Multi-Lead CS" series of Figure 5.
-//! * [`omp`] — orthogonal matching pursuit baseline for ablations.
 //! * [`sweep`] — the SNR-vs-CR experiment machinery that regenerates
 //!   Figure 5.
 //!
@@ -47,7 +46,6 @@
 
 pub mod encoder;
 pub mod joint;
-pub mod omp;
 pub mod solver;
 pub mod sweep;
 

@@ -37,27 +37,16 @@ use wbsn_core::link::{
 };
 use wbsn_core::{Payload, WbsnError};
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::omp::{Omp, OmpConfig};
 use wbsn_cs::solver::{Continuation, Fista, FistaConfig, FistaScratch};
 use wbsn_sigproc::stats::prd_percent;
-
-/// Which `wbsn-cs` decoder the gateway runs per CS window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReconstructionSolver {
-    /// FISTA over a wavelet synthesis dictionary — the standard
-    /// decoder of the ECG-CS literature and the default.
-    Fista(FistaConfig),
-    /// Orthogonal matching pursuit — the greedy ablation baseline.
-    Omp(OmpConfig),
-}
 
 /// Gateway configuration.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Reorder window of each session's reassembler (messages).
     pub reorder_window: u32,
-    /// Decoder run per CS window.
-    pub solver: ReconstructionSolver,
+    /// FISTA settings of every CS window's reconstruction.
+    pub solver: FistaConfig,
     /// Whether CS windows are reconstructed at all (disable to bench
     /// the pure reassembly/decode path).
     pub reconstruct_cs: bool,
@@ -125,7 +114,7 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             reorder_window: crate::reassembler::DEFAULT_REORDER_WINDOW,
-            solver: ReconstructionSolver::Fista(GatewayConfig::default_solver()),
+            solver: GatewayConfig::default_solver(),
             reconstruct_cs: true,
             recovery_window: 0,
             controller: None,
@@ -268,10 +257,9 @@ pub struct GatewayStats {
     /// CS windows skipped by [`GatewayConfig::reconstruct_every`]
     /// (decoded and counted, never solved).
     pub windows_skipped: u64,
-    /// FISTA iterations spent across all reconstructions (0 under the
-    /// OMP solver). Deterministic for a given packet stream, so the
-    /// shard-determinism suite can pin that parallel decode does not
-    /// change the numerics.
+    /// FISTA iterations spent across all reconstructions. Deterministic
+    /// for a given packet stream, so the shard-determinism suite can
+    /// pin that parallel decode does not change the numerics.
     pub solver_iters: u64,
 }
 
@@ -427,48 +415,14 @@ impl SessionState {
 }
 
 /// A lead's sensing matrix and the Lipschitz constant FISTA steps by
-/// on it (1 under OMP, which takes no step).
+/// on it.
 type LeadMatrix = (Arc<CsEncoder>, f64);
-
-#[derive(Debug)]
-enum SolverImpl {
-    Fista(Fista),
-    Omp(Omp),
-}
-
-impl SolverImpl {
-    /// The matrix for `key` out of `cache`, with FISTA's Lipschitz
-    /// constant on it.
-    fn resolve(&self, cache: &MatrixCache, key: MatrixKey) -> Result<LeadMatrix> {
-        match self {
-            SolverImpl::Fista(f) => cache.get_or_build_for(key, f),
-            SolverImpl::Omp(_) => Ok((cache.get_or_build(key)?, 1.0)),
-        }
-    }
-
-    /// Reconstructs one window. Returns the samples plus the
-    /// iterations spent (0 for OMP).
-    fn reconstruct(
-        &self,
-        (enc, lip): &LeadMatrix,
-        y: &[f64],
-        scratch: &mut FistaScratch,
-    ) -> Result<(Vec<f64>, usize)> {
-        match self {
-            SolverImpl::Fista(f) => {
-                let solve = f.solve_with(scratch, enc.sensing_matrix(), y, *lip)?;
-                Ok((solve.x, solve.iters))
-            }
-            SolverImpl::Omp(o) => Ok((o.reconstruct(enc.sensing_matrix(), y)?, 0)),
-        }
-    }
-}
 
 /// The multi-session gateway service.
 #[derive(Debug)]
 pub struct Gateway {
     cfg: GatewayConfig,
-    solver: SolverImpl,
+    solver: Fista,
     cache: Arc<MatrixCache>,
     sessions: BTreeMap<u64, SessionState>,
     stats: GatewayStats,
@@ -505,13 +459,9 @@ impl Gateway {
     pub fn with_cache(mut cfg: GatewayConfig, cache: Arc<MatrixCache>) -> Self {
         cfg.reorder_window = cfg.reorder_window.max(1);
         cfg.reconstruct_every = cfg.reconstruct_every.max(1);
-        let solver = match cfg.solver {
-            ReconstructionSolver::Fista(f) => SolverImpl::Fista(Fista::new(f)),
-            ReconstructionSolver::Omp(o) => SolverImpl::Omp(Omp::new(o)),
-        };
         Gateway {
+            solver: Fista::new(cfg.solver),
             cfg,
-            solver,
             cache,
             sessions: BTreeMap::new(),
             stats: GatewayStats::default(),
@@ -1094,8 +1044,7 @@ impl Gateway {
                     // shared cache (lead l seeds with seed + l,
                     // matching the node's CsStage).
                     None => {
-                        let enc = self.solver.resolve(
-                            &cache,
+                        let enc = cache.get_or_build_for(
                             MatrixKey {
                                 window: hs.cs_window,
                                 measurements: hs.cs_measurements,
@@ -1103,6 +1052,7 @@ impl Gateway {
                                 seed: hs.seed,
                                 lead,
                             },
+                            &self.solver,
                         )?;
                         state.encoders[lead as usize] = Some(enc.clone());
                         enc
@@ -1113,10 +1063,15 @@ impl Gateway {
                 self.y_scratch.clear();
                 self.y_scratch
                     .extend(measurements.iter().map(|&v| v as i64 as f64));
-                let (xr, iters) =
-                    self.solver
-                        .reconstruct(&enc, &self.y_scratch, &mut self.fista_scratch)?;
-                self.stats.solver_iters += iters as u64;
+                let (enc, lip) = &enc;
+                let solve = self.solver.solve_with(
+                    &mut self.fista_scratch,
+                    enc.sensing_matrix(),
+                    &self.y_scratch,
+                    *lip,
+                )?;
+                self.stats.solver_iters += solve.iters as u64;
+                let xr = solve.x;
                 let n = hs.cs_window as usize;
                 let prd = state.references.get(&lead).and_then(|reference| {
                     let start =
@@ -1411,54 +1366,6 @@ mod tests {
             .unwrap();
         assert!(gw.reconstructed_window(8, 0, 2).is_none());
         assert!(gw.reconstructed_window(8, 0, 3).is_some());
-    }
-
-    #[test]
-    fn omp_solver_reconstructs_too() {
-        let rec = RecordBuilder::new(21)
-            .duration_s(4.1)
-            .n_leads(1)
-            .noise(NoiseConfig::clean())
-            .build();
-        let mut node = MonitorBuilder::new()
-            .level(ProcessingLevel::CompressedSingleLead)
-            .n_leads(1)
-            .cs_compression_ratio(40.0)
-            .build()
-            .unwrap();
-        let payloads = node.process_record(&rec).unwrap();
-        let mut uplink = Uplink::new();
-        let mut packets = Vec::new();
-        uplink
-            .open_session(
-                &SessionHandshake::for_config(2, node.config()),
-                &mut packets,
-            )
-            .unwrap();
-        uplink.frame(2, &payloads, &mut packets).unwrap();
-        let mut gw = Gateway::new(GatewayConfig {
-            solver: ReconstructionSolver::Omp(wbsn_cs::omp::OmpConfig::default()),
-            ..GatewayConfig::default()
-        });
-        gw.attach_reference(2, 0, rec.lead(0).iter().map(|&v| v as f64).collect())
-            .unwrap();
-        let mut prds = Vec::new();
-        for p in &packets {
-            for ev in gw.ingest(p).unwrap() {
-                if let GatewayEvent::WindowReconstructed {
-                    prd_percent: Some(prd),
-                    ..
-                } = ev
-                {
-                    prds.push(prd);
-                }
-            }
-        }
-        assert_eq!(prds.len(), 2);
-        // The greedy baseline reconstructs usable windows at a low CR;
-        // it is an ablation, not the production decoder, so the bar is
-        // looser than FISTA's.
-        assert!(prds.iter().all(|&p| p < 40.0), "{prds:?}");
     }
 
     #[test]

@@ -113,10 +113,7 @@ pub use channel::{ChannelConfig, ChannelStats, DuplexChannel, LossyChannel};
 pub use controller::{ControlDecision, ControllerConfig, LinkController};
 pub use decoder::{SessionDecoder, SessionItem};
 pub use fleet::ShardedGateway;
-pub use gateway::{
-    Gateway, GatewayConfig, GatewayEvent, GatewayStats, ReconstructionSolver, RhythmState,
-    SessionReport,
-};
+pub use gateway::{Gateway, GatewayConfig, GatewayEvent, GatewayStats, RhythmState, SessionReport};
 pub use reassembler::{LinkEvent, Reassembler, ReassemblyStats};
 pub use record::TapItem;
 

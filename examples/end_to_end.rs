@@ -8,18 +8,25 @@
 //! receives them:
 //!
 //! ```text
-//!   synth ECG ─► NodeFleet ─► Uplink framer ─► LossyChannel ─► Gateway
-//!   (3 nodes)    (sessions)   (MTU packets,    (1% drop,       (reassembly,
-//!                              CRC32)           corruption,     alarms, CS
-//!                                               reordering)     reconstruction)
+//!   synth ECG ─► Node ──────────────────► LossyChannel ─► Gateway
+//!   (3 nodes)    (monitor, MTU packets,   (1% drop,       (reassembly,
+//!                 CRC32, retransmit        corruption,     alarms, CS
+//!                 buffer)                  reordering)     reconstruction)
+//!                  ▲                                          │
+//!                  └──────────── cumulative ACKs ─────────────┘
 //! ```
+//!
+//! Each node runs its monitor pinned to one processing level, so it
+//! emits that level's payloads unchanged; the gateway's ACKs come
+//! back over a clean downlink and release the nodes' retransmit
+//! buffers.
 //!
 //! Run with: `cargo run --release --example end_to_end`
 
-use wbsn_core::fleet::NodeFleet;
-use wbsn_core::level::ProcessingLevel;
-use wbsn_core::link::{SessionHandshake, Uplink};
+use wbsn_core::governor::GovernorConfig;
+use wbsn_core::level::{OperatingMode, ProcessingLevel};
 use wbsn_core::monitor::MonitorBuilder;
+use wbsn_core::Node;
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::rhythm::RhythmPhase;
 use wbsn_ecg_synth::{Record, RecordBuilder, Rhythm};
@@ -53,26 +60,32 @@ fn main() {
             .noise(NoiseConfig::ambulatory(22.0))
             .build(),
     ];
-    let builders = [
-        MonitorBuilder::new()
-            .level(ProcessingLevel::Classified)
-            .n_leads(3),
-        MonitorBuilder::new()
-            .level(ProcessingLevel::CompressedSingleLead)
-            .n_leads(1)
-            .cs_compression_ratio(50.0),
-        MonitorBuilder::new()
-            .level(ProcessingLevel::Delineated)
-            .n_leads(3),
+    let jobs = [
+        (ProcessingLevel::Classified, 3, MonitorBuilder::new()),
+        (
+            ProcessingLevel::CompressedSingleLead,
+            1,
+            MonitorBuilder::new().cs_compression_ratio(50.0),
+        ),
+        (ProcessingLevel::Delineated, 3, MonitorBuilder::new()),
     ];
-    let mut fleet = NodeFleet::new();
-    let ids: Vec<_> = builders
-        .iter()
-        .map(|b| fleet.add_session(b.clone()).expect("valid config"))
+    // Session ids 0, 1, 2; each node opens its session with a
+    // handshake (message 0 carries the CS seed) ahead of its first
+    // payloads.
+    let mut nodes: Vec<Node> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(id, (level, leads, builder))| {
+            Node::new(
+                id as u64,
+                builder.n_leads(leads),
+                GovernorConfig::pinned(OperatingMode::new(level, leads)),
+            )
+            .expect("valid config")
+        })
         .collect();
 
     // ---- the wire ----
-    let mut uplink = Uplink::new();
     let channel_cfg = ChannelConfig {
         drop_rate: 0.01,
         corrupt_rate: 0.015,
@@ -87,7 +100,7 @@ fn main() {
     // has nothing to compare with).
     gateway
         .attach_reference(
-            ids[1].raw(),
+            nodes[1].session(),
             0,
             records[1].lead(0).iter().map(|&v| v as f64).collect(),
         )
@@ -95,6 +108,7 @@ fn main() {
 
     let mut events = Vec::new();
     let mut rejected = 0u64;
+    let mut wire_bytes = 0usize;
     let mut deliver =
         |gateway: &mut Gateway, events: &mut Vec<GatewayEvent>, packets: Vec<Vec<u8>>| {
             for raw in packets {
@@ -105,49 +119,35 @@ fn main() {
             }
         };
 
-    // Handshakes open every session (message 0 carries the CS seed).
-    let mut packets = Vec::new();
-    for (i, &id) in ids.iter().enumerate() {
-        let hs = SessionHandshake::for_config(id.raw(), builders[i].config());
-        uplink.open_session(&hs, &mut packets).expect("new session");
-    }
-    deliver(&mut gateway, &mut events, channel.send_all(packets));
-
-    // ---- stream: 1 s batches through fleet → framer → channel ----
+    // ---- stream: 1 s turns through node → channel → gateway → ACK ----
     let fs = 250usize;
+    let frames: Vec<Vec<i32>> = records.iter().map(Record::interleaved_frames).collect();
     let max_secs = records.iter().map(|r| r.n_samples() / fs).max().unwrap();
-    let mut scratch: Vec<i32> = Vec::new();
     for sec in 0..max_secs {
-        let mut batch_frames: Vec<(usize, Vec<i32>)> = Vec::new();
-        for (i, rec) in records.iter().enumerate() {
+        let mut packets = Vec::new();
+        for (node, (rec, frames)) in nodes.iter_mut().zip(records.iter().zip(&frames)) {
             if (sec + 1) * fs > rec.n_samples() {
                 continue;
             }
-            scratch.clear();
-            for s in sec * fs..(sec + 1) * fs {
-                for l in 0..rec.n_leads() {
-                    scratch.push(rec.lead(l)[s]);
-                }
-            }
-            batch_frames.push((i, scratch.clone()));
+            let n = rec.n_leads();
+            let block = &frames[sec * fs * n..(sec + 1) * fs * n];
+            packets.extend(node.push_block(block, fs).expect("valid block"));
         }
-        let batch: Vec<_> = batch_frames
-            .iter()
-            .map(|(i, frames)| (ids[*i], frames.as_slice()))
-            .collect();
-        let results = fleet.ingest_batch(&batch).expect("valid batch");
-        let mut packets = Vec::new();
-        uplink
-            .frame_fleet(&results, &mut packets)
-            .expect("registered sessions");
+        wire_bytes += packets.iter().map(Vec::len).sum::<usize>();
         deliver(&mut gateway, &mut events, channel.send_all(packets));
+        for (session, acks) in gateway.pump_downlink() {
+            for wire in acks {
+                nodes[session as usize]
+                    .take_downlink(&wire)
+                    .expect("an ACK never fails");
+            }
+        }
     }
     let mut packets = Vec::new();
-    for (id, payloads) in fleet.flush_all().expect("flush") {
-        uplink
-            .frame(id.raw(), &payloads, &mut packets)
-            .expect("registered session");
+    for node in &mut nodes {
+        packets.extend(node.drain().expect("flush"));
     }
+    wire_bytes += packets.iter().map(Vec::len).sum::<usize>();
     deliver(&mut gateway, &mut events, channel.send_all(packets));
     deliver(&mut gateway, &mut events, channel.flush());
     events.extend(gateway.flush_sessions());
@@ -155,11 +155,13 @@ fn main() {
     // ---- report ----
     let ch = channel.stats();
     let gw = gateway.stats();
+    let resent: u64 = nodes
+        .iter()
+        .map(|n| n.retransmit_stats().resent_packets)
+        .sum();
     println!(
-        "link:    {} packets offered ({} B on the wire for {} payload B)",
-        ch.offered,
-        uplink.wire_bytes(),
-        uplink.payload_bytes()
+        "link:    {} packets offered ({wire_bytes} B on the wire, {resent} resent)",
+        ch.offered
     );
     println!(
         "channel: {} delivered, {} dropped, {} corrupted, {} reordered",
@@ -184,8 +186,8 @@ fn main() {
     );
 
     // Alarm log of the AF patient.
-    let rhythm = gateway.rhythm(ids[0].raw()).expect("session seen");
-    println!("\nAF patient (session {}):", ids[0].raw());
+    let rhythm = gateway.rhythm(nodes[0].session()).expect("session seen");
+    println!("\nAF patient (session {}):", nodes[0].session());
     println!(
         "  {} event summaries, {} beats reported, AF active at end: {}",
         rhythm.events_seen, rhythm.beats_reported, rhythm.af_active
@@ -212,7 +214,7 @@ fn main() {
     let mean = prds.iter().sum::<f64>() / prds.len().max(1) as f64;
     println!(
         "\nCS streamer (session {}): {} windows reconstructed, mean PRD {:.2}% (≤ 9% = good)",
-        ids[1].raw(),
+        nodes[1].session(),
         prds.len(),
         mean
     );

@@ -33,8 +33,9 @@
 //! and the node-side threads. Each modeled hour, the batch's records
 //! are rendered on up to `workers` scoped threads (the calling thread
 //! among them, each taking the next node as soon as it finishes one);
-//! each pump, the governed monitors, framers and retransmit buffers run
-//! the same way, every node writing its own outbound packets.
+//! each pump, the [`Node`]s (governed monitor, framer, retransmit
+//! buffer) run the same way, every node writing its own outbound
+//! packets.
 //! Everything that talks to the gateway stays on the calling thread in
 //! session order: truth harvest, PRD reference attach, reboots
 //! (re-registration), the concatenated uplink batch, downlink pumping
@@ -57,25 +58,21 @@ use std::io::Write;
 use wbsn_archive::{
     ArchiveWriter, EpochItem, EpochRecord, RunMeta, RunTrailer, SessionEnd, SessionMeta,
 };
-use wbsn_core::governor::{GovernedMonitor, GovernorConfig};
+use wbsn_core::governor::GovernorConfig;
 use wbsn_core::level::{OperatingMode, ProcessingLevel};
-use wbsn_core::link::{DownlinkFrame, SessionHandshake, Uplink};
 use wbsn_core::monitor::MonitorBuilder;
-use wbsn_core::retransmit::{
-    DirectiveHandler, RetransmitBuffer, RetransmitConfig, RetransmitEvent,
-};
+use wbsn_core::retransmit::RetransmitEvent;
 use wbsn_core::workers::map_on_workers;
-use wbsn_core::Result;
+use wbsn_core::{Node, Result};
 use wbsn_cs::solver::FistaConfig;
 use wbsn_ecg_synth::cohort::{CohortConfig, CohortGenerator, PatientProfile, RhythmBurden};
 use wbsn_ecg_synth::scenario::{Adversity, Script};
 use wbsn_ecg_synth::{RhythmLabel, RhythmSpan};
 use wbsn_gateway::channel::{ChannelConfig, DuplexChannel};
 use wbsn_gateway::controller::ControllerConfig;
-use wbsn_gateway::gateway::{GatewayConfig, GatewayEvent, ReconstructionSolver, SessionReport};
+use wbsn_gateway::gateway::{GatewayConfig, GatewayEvent, SessionReport};
 use wbsn_gateway::ShardedGateway;
 use wbsn_platform::battery::Battery;
-use wbsn_platform::NodeModel;
 use wbsn_sigproc::stats::percentile95_sorted;
 
 /// Link-pump cadence: the runner frames, sends and pumps the downlink
@@ -450,7 +447,7 @@ impl CohortRunner {
             reconstruct_every: self.cfg.reconstruct_every,
             controller: Some(ControllerConfig::default()),
             tap,
-            solver: ReconstructionSolver::Fista(self.cfg.solver),
+            solver: self.cfg.solver,
             ..GatewayConfig::default()
         }
     }
@@ -917,23 +914,14 @@ impl SessionOutcome {
     }
 }
 
-/// One live node of a batch: the governed monitor plus the full link
-/// stack, mirroring the closed-loop acceptance harness.
+/// One live session of a batch: the closed-loop [`Node`] behind its
+/// own duplex channel, plus the runner's script, segment, ground-truth
+/// and archive-log bookkeeping.
 struct NodeState {
     session: u64,
     cs: bool,
-    builder: MonitorBuilder,
-    gov_cfg: GovernorConfig,
-    gm: GovernedMonitor,
-    uplink: Uplink,
-    buf: RetransmitBuffer,
-    directives: DirectiveHandler,
+    node: Node,
     duplex: DuplexChannel,
-    pending_tx: Vec<Vec<u8>>,
-    rt_events: Vec<RetransmitEvent>,
-    /// Energy drained by dead incarnations (J) and their seconds.
-    spent_j: f64,
-    spent_s: f64,
     /// Scheduled reboot times, absolute seconds, ascending.
     reboots: Vec<f64>,
     next_reboot: usize,
@@ -956,8 +944,8 @@ struct NodeState {
     /// The current epoch's archive items (gateway tap plus
     /// runner-side observations), flushed each modeled hour.
     log: Vec<EpochItem>,
-    /// Watermark into `rt_events`: entries before this are already in
-    /// a flushed epoch.
+    /// Watermark into the node's retransmit events: entries before
+    /// this are already in a flushed epoch.
     rt_logged: usize,
 }
 
@@ -978,23 +966,8 @@ impl NodeState {
         } else {
             GovernorConfig::for_leads(p.n_leads)
         };
-        let gm = GovernedMonitor::new(builder.clone(), gov_cfg.clone(), NodeModel::default())?;
-        let fs = gm.monitor().config().fs_hz;
-        let mut uplink = Uplink::new();
-        let mut pending_tx = Vec::new();
-        let hs = SessionHandshake::for_config(session, gm.monitor().config());
-        uplink.open_session(&hs, &mut pending_tx)?;
-        let mut rt_events = Vec::new();
-        // Ack-timeout above the NACK round trip, as in the closed-loop
-        // harness, so selective NACK stays the primary repair path.
-        let mut buf = RetransmitBuffer::new(RetransmitConfig {
-            ack_timeout_epochs: 6,
-            max_backoff_epochs: 12,
-            ..RetransmitConfig::default()
-        })?;
-        // The handshake rides sequence 0; record it so a lossy channel
-        // regime can't permanently orphan the session open.
-        buf.record(0, &pending_tx, &mut rt_events);
+        let node = Node::new(session, builder, gov_cfg)?;
+        let fs = node.config().fs_hz;
 
         // Runtime adversities at absolute times (scripts are per-hour).
         let mut reboots = Vec::new();
@@ -1028,12 +1001,7 @@ impl NodeState {
         Ok(NodeState {
             session,
             cs: p.cs_uplink,
-            builder,
-            gov_cfg,
-            gm,
-            uplink,
-            buf,
-            directives: DirectiveHandler::new(),
+            node,
             duplex: DuplexChannel::symmetric(ChannelConfig {
                 seed: p
                     .seed
@@ -1041,10 +1009,6 @@ impl NodeState {
                     .wrapping_add(0x4C49_4E4B),
                 ..ChannelConfig::ideal()
             })?,
-            pending_tx,
-            rt_events,
-            spent_j: 0.0,
-            spent_s: 0.0,
             reboots,
             next_reboot: 0,
             regimes,
@@ -1162,95 +1126,37 @@ impl NodeState {
     }
 
     /// The node-local half of an uplink turn, safe to run on any
-    /// thread: push the pump's block through the governed monitor,
-    /// frame, record and tick the retransmit buffer, and send. Returns
-    /// the packets that survive the uplink channel.
+    /// thread: push the pump's block through the node and send its
+    /// packets. Returns the packets that survive the uplink channel.
     fn pump_uplink(&mut self, pump: usize) -> Result<Vec<Vec<u8>>> {
         let Some((lo, hi)) = self.pump_range(pump) else {
             return Ok(Vec::new());
         };
-        let n_leads = self.gm.monitor().config().n_leads;
-        let block = &self.seg[lo * n_leads..hi * n_leads];
-        let payloads = self.gm.push_block(block, hi - lo)?;
+        let n_leads = self.node.config().n_leads;
+        let tx = self
+            .node
+            .push_block(&self.seg[lo * n_leads..hi * n_leads], hi - lo)?;
         self.abs_frames += (hi - lo) as u64;
-
-        let mut tx = std::mem::take(&mut self.pending_tx);
-        for payload in &payloads {
-            let mut pk = Vec::new();
-            let seq = self.uplink.frame_one(self.session, payload, &mut pk)?;
-            self.buf.record(seq, &pk, &mut self.rt_events);
-            tx.extend(pk);
-        }
-        self.buf.tick(&mut tx, &mut self.rt_events);
         Ok(self.duplex.up().send_all(tx))
     }
 
-    /// Handles a downlink frame burst: ACK/NACK bookkeeping first, then
-    /// ordered directives (CS sessions renegotiate their CR in place
-    /// and re-announce the handshake).
+    /// Delivers a downlink frame burst through the lossy reverse path
+    /// to the node (ACK/NACK bookkeeping, ordered CR directives).
     fn take_downlink(&mut self, frames: &[Vec<u8>]) -> Result<()> {
         for wire in frames {
             for delivered in self.duplex.down().send(wire.clone()) {
-                let Ok(frame) = DownlinkFrame::from_wire(&delivered) else {
-                    continue;
-                };
-                if self
-                    .buf
-                    .on_frame(&frame, &mut self.pending_tx, &mut self.rt_events)
-                {
-                    continue;
-                }
-                let DownlinkFrame::Directive(df) = frame else {
-                    continue;
-                };
-                let Some(action) = self.directives.accept(&df) else {
-                    continue;
-                };
-                if !self.cs {
-                    // The controller only steers the CS ladder; an
-                    // events-mode node has no CR to renegotiate.
-                    continue;
-                }
-                let flushed = self.gm.apply_directive(action)?;
-                for payload in &flushed {
-                    let mut pk = Vec::new();
-                    let seq = self.uplink.frame_one(self.session, payload, &mut pk)?;
-                    self.buf.record(seq, &pk, &mut self.rt_events);
-                    self.pending_tx.extend(pk);
-                }
-                let hs = SessionHandshake::for_config(self.session, self.gm.monitor().config());
-                let mut pk = Vec::new();
-                let seq = self.uplink.announce_handshake(&hs, &mut pk)?;
-                self.buf.record(seq, &pk, &mut self.rt_events);
-                self.pending_tx.extend(pk);
+                self.node.take_downlink(&delivered)?;
             }
         }
         Ok(())
     }
 
-    /// A mid-session node reboot: every volatile piece dies (monitor,
-    /// framer, retransmit buffer, directive state, queued packets); the
-    /// dead incarnation's energy is banked, the gateway is
-    /// re-registered out of band, and a fresh handshake restarts the
-    /// stream at sequence 0.
+    /// A mid-session node reboot: the node loses every volatile piece
+    /// and restarts its stream at sequence 0; the gateway is
+    /// re-registered out of band.
     fn reboot(&mut self, gw: &mut ShardedGateway) -> Result<()> {
-        self.spent_j += self.gm.average_power_w() * self.gm.monitor().counters().seconds;
-        self.spent_s += self.gm.monitor().counters().seconds;
-        self.gm = GovernedMonitor::new(
-            self.builder.clone(),
-            self.gov_cfg.clone(),
-            NodeModel::default(),
-        )?;
-        self.uplink = Uplink::new();
-        self.buf.reset();
-        self.directives.reset();
-        self.pending_tx.clear();
-        let hs = SessionHandshake::for_config(self.session, self.gm.monitor().config());
+        let hs = self.node.reboot()?;
         gw.register(hs)?;
-        self.uplink.open_session(&hs, &mut self.pending_tx)?;
-        // The fresh incarnation's handshake rides sequence 0 again;
-        // record it so a loss during a degraded regime is repairable.
-        self.buf.record(0, &self.pending_tx, &mut self.rt_events);
         // CS window numbering restarts with the monitor: window 0 of
         // the new incarnation begins at the current absolute frame.
         // The incumbent reference is indexed by the dead incarnation's
@@ -1290,14 +1196,7 @@ impl NodeState {
     fn drain(&mut self, up: &mut Vec<Vec<u8>>) -> Result<()> {
         self.duplex.up().set_drop_rate(0.0)?;
         self.duplex.down().set_drop_rate(0.0)?;
-        let payloads = self.gm.finish()?;
-        let mut tx = std::mem::take(&mut self.pending_tx);
-        for payload in &payloads {
-            let mut pk = Vec::new();
-            let seq = self.uplink.frame_one(self.session, payload, &mut pk)?;
-            self.buf.record(seq, &pk, &mut self.rt_events);
-            tx.extend(pk);
-        }
+        let tx = self.node.drain()?;
         up.extend(self.duplex.up().send_all(tx));
         Ok(())
     }
@@ -1306,18 +1205,11 @@ impl NodeState {
     /// shorter than `min_episode_s`), tallies node-side retransmit
     /// failures, prices the battery.
     fn finish(&mut self, min_episode_s: f64) -> SessionOutcome {
-        self.spent_j += self.gm.average_power_w() * self.gm.monitor().counters().seconds;
-        self.spent_s += self.gm.monitor().counters().seconds;
-        let avg_w = if self.spent_s > 0.0 {
-            self.spent_j / self.spent_s
-        } else {
-            0.0
-        };
         let mut outcome =
             std::mem::replace(&mut self.outcome, SessionOutcome::new(RhythmBurden::Quiet));
-        outcome.battery_days = Battery::default().lifetime_days(avg_w);
+        outcome.battery_days = Battery::default().lifetime_days(self.node.average_power_w());
         outcome.modeled_s = self.abs_seconds();
-        for ev in &self.rt_events {
+        for ev in self.node.retransmit_events() {
             match ev {
                 RetransmitEvent::Expired { .. } => outcome.expired += 1,
                 RetransmitEvent::Unavailable { .. } => outcome.unavailable += 1,
@@ -1333,7 +1225,8 @@ impl NodeState {
         if !self.recording {
             return;
         }
-        for ev in &self.rt_events[self.rt_logged..] {
+        let events = self.node.retransmit_events();
+        for ev in &events[self.rt_logged..] {
             match *ev {
                 RetransmitEvent::Expired { msg_seq, .. } => {
                     self.log.push(EpochItem::Expired { msg_seq });
@@ -1343,7 +1236,7 @@ impl NodeState {
                 }
             }
         }
-        self.rt_logged = self.rt_events.len();
+        self.rt_logged = events.len();
     }
 
     /// Writes the accumulated epoch log as one archive block (nothing

@@ -12,15 +12,15 @@
 //! * [`ecg_synth`] — synthetic annotated ECG/PPG records.
 //! * [`delineation`] — streaming QRS detection + wavelet delineation.
 //! * [`classify`] — random-projection fuzzy classification and AF.
-//! * [`cs`] — compressed sensing encoder/decoders.
+//! * [`cs`] — compressed sensing encoder and FISTA decoders.
 //! * [`multimodal`] — ECG+PPG pulse-arrival-time estimation.
 //! * [`platform`] — node hardware energy/timing models.
 //! * [`multicore`] — cycle-stepped multi-core WBSN simulator.
 //! * [`core`] — the session pipeline ([`core::CardiacMonitor`],
-//!   [`core::MonitorBuilder`], [`core::stage`]), the node fleet
-//!   ([`core::fleet::NodeFleet`]), the uplink wire layer
-//!   ([`core::link`]) and the one scoped-thread helper every library
-//!   thread comes from ([`core::workers`]).
+//!   [`core::MonitorBuilder`], [`core::stage`]), the uplink wire layer
+//!   ([`core::link`]), the closed-loop node that drives them behind
+//!   the retransmit buffer ([`core::Node`]) and the one scoped-thread
+//!   helper every library thread comes from ([`core::workers`]).
 //! * [`gateway`] — the base-station side: lossy-channel simulation,
 //!   per-session reassembly/decoding, rhythm/alert state and CS
 //!   reconstruction ([`gateway::Gateway`]).

@@ -34,7 +34,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use wbsn_archive::{ArchiveWriter, EpochItem, EpochRecord, RunMeta};
-use wbsn_core::fleet::NodeFleet;
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::MonitorBuilder;
 use wbsn_cs::encoder::CsEncoder;
@@ -96,40 +95,40 @@ fn steady_state_ingest_is_allocation_free() {
     // ---- 1. Quiet steady state: exactly zero allocations. ----
     // A flat signal produces no beats and no payloads, so a warm
     // session's ingest path must not touch the allocator at all.
-    let mut fleet = NodeFleet::new();
-    let id = fleet
-        .add_session(MonitorBuilder::new().level(ProcessingLevel::Delineated))
+    let mut monitor = MonitorBuilder::new()
+        .level(ProcessingLevel::Delineated)
+        .build()
         .expect("valid session");
     let quiet = vec![0i32; 3 * 250];
     // Warm-up: sizes every scratch buffer and finishes QRS learning.
     for _ in 0..8 {
-        fleet.push_block(id, &quiet, 250).expect("ingest");
+        monitor.push_block(&quiet, 250).expect("ingest");
     }
     let before = allocs();
     for _ in 0..16 {
-        let payloads = fleet.push_block(id, &quiet, 250).expect("ingest");
+        let payloads = monitor.push_block(&quiet, 250).expect("ingest");
         assert!(payloads.is_empty(), "flat signal must not emit");
     }
     let frame_allocs = allocs() - before;
     assert_eq!(
         frame_allocs, 0,
-        "steady-state Shard ingest allocated {frame_allocs} times over 4000 quiet frames; \
+        "steady-state monitor ingest allocated {frame_allocs} times over 4000 quiet frames; \
          the block kernels must be allocation-free per frame"
     );
 
     // ---- 2. Active signal: allocations scale with beats/payloads,
     // never with frames. ----
     let (ecg, n_frames) = ecg_frames(10.0);
-    let mut fleet = NodeFleet::new();
-    let id = fleet
-        .add_session(MonitorBuilder::new().level(ProcessingLevel::Delineated))
+    let mut monitor = MonitorBuilder::new()
+        .level(ProcessingLevel::Delineated)
+        .build()
         .expect("valid session");
     // Warm-up replay of the same record.
-    fleet.push_block(id, &ecg, n_frames).expect("ingest");
+    monitor.push_block(&ecg, n_frames).expect("ingest");
     let before = allocs();
-    fleet.push_block(id, &ecg, n_frames).expect("ingest");
+    monitor.push_block(&ecg, n_frames).expect("ingest");
     let active_allocs = allocs() - before;
-    let beats = fleet.session(id).expect("live").counters().beats;
+    let beats = monitor.counters().beats;
     assert!(beats > 10, "record should contain beats, got {beats}");
     // ~12 beats and 1-2 payloads in 2500 frames: allocations must be
     // bounded by the (small) per-beat/per-payload materializations,

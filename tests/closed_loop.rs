@@ -29,12 +29,11 @@
 //! bottom rung passes, which is exactly where the controller must be
 //! during the outage).
 
-use wbsn_core::level::ProcessingLevel;
-use wbsn_core::link::{DirectiveAction, DownlinkFrame, SessionHandshake, Uplink};
-use wbsn_core::monitor::{CardiacMonitor, MonitorBuilder};
-use wbsn_core::retransmit::{
-    DirectiveHandler, RetransmitBuffer, RetransmitConfig, RetransmitEvent,
-};
+use wbsn_core::governor::GovernorConfig;
+use wbsn_core::level::{OperatingMode, ProcessingLevel};
+use wbsn_core::link::{DirectiveAction, DownlinkFrame, LinkPacket, SessionHandshake, Uplink};
+use wbsn_core::monitor::MonitorBuilder;
+use wbsn_core::Node;
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
 use wbsn_gateway::channel::{ChannelConfig, DuplexChannel};
@@ -99,67 +98,42 @@ impl Policy {
     }
 }
 
-/// One node of the harness: monitor + uplink + retransmit buffer +
-/// directive handler + its own deterministic duplex channel.
-struct Node {
-    session: u64,
-    monitor: CardiacMonitor,
-    uplink: Uplink,
-    buf: RetransmitBuffer,
-    directives: DirectiveHandler,
+/// One patient of the harness: a CS [`Node`] pinned to single-lead
+/// compressed sensing (its governor never switches, so it emits the
+/// bare monitor's payloads) behind its own deterministic duplex
+/// channel.
+struct Rig {
+    node: Node,
     duplex: DuplexChannel,
     record: Vec<i32>,
-    /// Packets produced after this epoch's uplink send (NACK resends,
-    /// re-announced handshakes) — they ride the next epoch's send.
-    pending_tx: Vec<Vec<u8>>,
-    rt_events: Vec<RetransmitEvent>,
     sent_bytes: usize,
     sent_frames: usize,
 }
 
-impl Node {
-    fn new(session: u64, epochs: usize, start_cr: f64) -> Node {
+impl Rig {
+    fn new(session: u64, epochs: usize, start_cr: f64) -> Rig {
         let record = RecordBuilder::new(31 * session + 5)
             .duration_s((epochs * EPOCH_FRAMES) as f64 / FS_HZ as f64)
             .n_leads(1)
             .noise(NoiseConfig::clean())
             .build();
-        let monitor = MonitorBuilder::new()
-            .level(ProcessingLevel::CompressedSingleLead)
-            .n_leads(1)
-            .cs_window(CS_WINDOW)
-            .cs_compression_ratio(start_cr)
-            .build()
-            .unwrap();
-        let mut uplink = Uplink::new();
-        let mut pending_tx = Vec::new();
-        let hs = SessionHandshake::for_config(session, monitor.config());
-        uplink.open_session(&hs, &mut pending_tx).unwrap();
-        Node {
+        let node = Node::new(
             session,
-            monitor,
-            uplink,
-            // The ack-timeout is the *backup* repair path: it must sit
-            // above the NACK round trip (loss declared after the
-            // ~3-message reorder window, NACKed next pump, resend one
-            // epoch later), or the node spontaneously repairs every
-            // gap before the gateway can ask and the selective-NACK
-            // machinery is never exercised.
-            buf: RetransmitBuffer::new(RetransmitConfig {
-                ack_timeout_epochs: 6,
-                max_backoff_epochs: 12,
-                ..RetransmitConfig::default()
-            })
-            .unwrap(),
-            directives: DirectiveHandler::new(),
+            MonitorBuilder::new()
+                .n_leads(1)
+                .cs_window(CS_WINDOW)
+                .cs_compression_ratio(start_cr),
+            GovernorConfig::pinned(OperatingMode::new(ProcessingLevel::CompressedSingleLead, 1)),
+        )
+        .unwrap();
+        Rig {
+            node,
             duplex: DuplexChannel::symmetric(ChannelConfig {
                 seed: 0xB0D1 + session,
                 ..ChannelConfig::ideal()
             })
             .unwrap(),
             record: record.lead(0).to_vec(),
-            pending_tx,
-            rt_events: Vec::new(),
             sent_bytes: 0,
             sent_frames: 0,
         }
@@ -231,15 +205,15 @@ fn run(
     drop_of: fn(usize) -> f64,
     driver: &mut Driver,
 ) -> RunOutcome {
-    let mut nodes: Vec<Node> = sessions
+    let mut rigs: Vec<Rig> = sessions
         .iter()
-        .map(|&s| Node::new(s, epochs, policy.start_cr()))
+        .map(|&s| Rig::new(s, epochs, policy.start_cr()))
         .collect();
-    nodes.sort_by_key(|n| n.session);
-    for node in &nodes {
+    rigs.sort_by_key(|r| r.node.session());
+    for rig in &rigs {
         driver.attach_reference(
-            node.session,
-            node.record.iter().map(|&v| v as f64).collect(),
+            rig.node.session(),
+            rig.record.iter().map(|&v| v as f64).collect(),
         );
     }
 
@@ -256,25 +230,14 @@ fn run(
         // Uplink: every node frames its new windows, ticks its
         // retransmit clock, and sends (with any pending resends).
         let mut up = Vec::new();
-        for node in &mut nodes {
-            node.duplex.up().set_drop_rate(drop).unwrap();
-            node.duplex.down().set_drop_rate(drop).unwrap();
-            let block = &node.record[epoch * EPOCH_FRAMES..(epoch + 1) * EPOCH_FRAMES];
-            let payloads = node.monitor.push_block(block, EPOCH_FRAMES).unwrap();
-            let mut tx = std::mem::take(&mut node.pending_tx);
-            for payload in &payloads {
-                let mut pk = Vec::new();
-                let seq = node
-                    .uplink
-                    .frame_one(node.session, payload, &mut pk)
-                    .unwrap();
-                node.buf.record(seq, &pk, &mut node.rt_events);
-                tx.extend(pk);
-            }
-            node.buf.tick(&mut tx, &mut node.rt_events);
-            node.sent_bytes += tx.iter().map(Vec::len).sum::<usize>();
-            node.sent_frames += tx.len();
-            up.extend(node.duplex.up().send_all(tx));
+        for rig in &mut rigs {
+            rig.duplex.up().set_drop_rate(drop).unwrap();
+            rig.duplex.down().set_drop_rate(drop).unwrap();
+            let block = &rig.record[epoch * EPOCH_FRAMES..(epoch + 1) * EPOCH_FRAMES];
+            let tx = rig.node.push_block(block, EPOCH_FRAMES).unwrap();
+            rig.sent_bytes += tx.iter().map(Vec::len).sum::<usize>();
+            rig.sent_frames += tx.len();
+            up.extend(rig.duplex.up().send_all(tx));
         }
 
         for result in driver.ingest_all(&up) {
@@ -300,36 +263,23 @@ fn run(
         // path; resends and re-announced handshakes queue for the next
         // epoch's uplink.
         for (session, frames) in driver.pump_downlink() {
-            let node = nodes.iter_mut().find(|n| n.session == session).unwrap();
+            let rig = rigs
+                .iter_mut()
+                .find(|r| r.node.session() == session)
+                .unwrap();
             for wire in frames {
                 out.fingerprint.push_str(&format!(
                     "{epoch}:dl:{session}:{}\n",
                     wire.iter().map(|b| format!("{b:02x}")).collect::<String>()
                 ));
-                for delivered in node.duplex.down().send(wire) {
-                    let frame = DownlinkFrame::from_wire(&delivered).unwrap();
-                    if node
-                        .buf
-                        .on_frame(&frame, &mut node.pending_tx, &mut node.rt_events)
+                for delivered in rig.duplex.down().send(wire) {
+                    let old_cr = rig.node.config().cs_cr_percent;
+                    if let Some(DirectiveAction::SetCr { cr_x10 }) =
+                        rig.node.take_downlink(&delivered).unwrap()
                     {
-                        continue;
+                        let new_cr = f64::from(cr_x10) / 10.0;
+                        out.cr_changes.push((epoch, session, old_cr, new_cr));
                     }
-                    let DownlinkFrame::Directive(df) = frame else {
-                        continue;
-                    };
-                    let Some(DirectiveAction::SetCr { cr_x10 }) = node.directives.accept(&df)
-                    else {
-                        continue;
-                    };
-                    let new_cr = f64::from(cr_x10) / 10.0;
-                    let old_cr = node.monitor.config().cs_cr_percent;
-                    node.monitor.switch_cs_cr(new_cr).unwrap();
-                    let hs = SessionHandshake::for_config(session, node.monitor.config());
-                    let mut pk = Vec::new();
-                    let seq = node.uplink.announce_handshake(&hs, &mut pk).unwrap();
-                    node.buf.record(seq, &pk, &mut node.rt_events);
-                    node.pending_tx.extend(pk);
-                    out.cr_changes.push((epoch, session, old_cr, new_cr));
                 }
             }
         }
@@ -352,14 +302,15 @@ fn run(
     for report in &out.reports {
         out.fingerprint.push_str(&format!("report:{report:?}\n"));
     }
-    for node in &nodes {
+    for rig in &rigs {
+        let node = &rig.node;
         out.fingerprint.push_str(&format!(
             "node:{}:{:?}:{:?}:d{}s{}\n",
-            node.session,
-            node.buf.stats(),
-            node.rt_events,
-            node.directives.accepted(),
-            node.directives.stale()
+            node.session(),
+            node.retransmit_stats(),
+            node.retransmit_events(),
+            node.directives().accepted(),
+            node.directives().stale()
         ));
     }
 
@@ -368,9 +319,9 @@ fn run(
     // storms both cost real bytes) on the paper's radio model, one
     // wakeup per epoch per node.
     let radio = RadioModel::default();
-    let total_bytes: usize = nodes.iter().map(|n| n.sent_bytes).sum();
-    let total_frames: usize = nodes.iter().map(|n| n.sent_frames).sum();
-    let tx = radio.transmit_packets(total_bytes, total_frames, epochs * nodes.len());
+    let total_bytes: usize = rigs.iter().map(|r| r.sent_bytes).sum();
+    let total_frames: usize = rigs.iter().map(|r| r.sent_frames).sum();
+    let tx = radio.transmit_packets(total_bytes, total_frames, epochs * rigs.len());
     let duration_s = (epochs * EPOCH_FRAMES) as f64 / FS_HZ as f64;
     out.battery_days = Battery::default().lifetime_days(tx.energy_j / duration_s);
     out
@@ -519,53 +470,45 @@ fn closed_loop_replay_is_bit_identical_across_worker_counts() {
 }
 
 /// A node reboot in the middle of a retransmission exchange: the node
-/// loses its retransmit buffer and restarts its sequence numbering at
-/// zero; the gateway is told out of band (`register`) and must discard
-/// its NACK state, accept the fresh stream from sequence 0, and treat
-/// stragglers from the previous incarnation as stale — never as data.
+/// loses its retransmit buffer — a NACKed resend still in flight — and
+/// restarts its sequence numbering at zero; the gateway is told out of
+/// band (`register`) and must discard its NACK state, accept the fresh
+/// stream from sequence 0, and treat stragglers from the previous
+/// incarnation as stale — never as data.
 #[test]
 fn a_node_reboot_mid_retransmission_resumes_cleanly() {
     let session = 11;
-    let events = |af: bool| wbsn_core::Payload::Events {
-        n_beats: 9,
-        class_counts: [9, 0, 0, 0],
-        mean_hr_x10: 721,
-        af_burden_pct: 0,
-        af_active: af,
-    };
+    let seq_of = |p: &Vec<u8>| LinkPacket::decode(p).unwrap().msg_seq;
+    let record = RecordBuilder::new(0x5EB0)
+        .duration_s(24.0)
+        .n_leads(1)
+        .noise(NoiseConfig::clean())
+        .build();
+    let lead = record.lead(0);
+    // Classified events every second: one single-packet message per
+    // second of signal once beats flow.
+    let mut node = Node::new(
+        session,
+        MonitorBuilder::new().n_leads(1).event_interval_s(1.0),
+        GovernorConfig::pinned(OperatingMode::new(ProcessingLevel::Classified, 1)),
+    )
+    .unwrap();
     let mut gw = Gateway::new(GatewayConfig {
         reorder_window: 2,
         recovery_window: 8,
         ..GatewayConfig::default()
     });
-    let monitor = MonitorBuilder::new()
-        .level(ProcessingLevel::Classified)
-        .n_leads(1)
-        .build()
-        .unwrap();
-    let hs = SessionHandshake::for_config(session, monitor.config());
 
-    // First incarnation: handshake + six messages, message 3 lost.
-    let mut uplink = Uplink::new();
-    let mut buf = RetransmitBuffer::new(RetransmitConfig::default()).unwrap();
-    let mut directives = DirectiveHandler::new();
-    let mut rt_events = Vec::new();
-    let mut pkts = Vec::new();
-    uplink.open_session(&hs, &mut pkts).unwrap();
-    let mut dropped = Vec::new();
-    for i in 1..=6u32 {
-        let mut msg = Vec::new();
-        let seq = uplink.frame_one(session, &events(false), &mut msg).unwrap();
-        assert_eq!(seq, i);
-        buf.record(seq, &msg, &mut rt_events);
-        if seq == 3 {
-            dropped = msg;
-        } else {
-            pkts.extend(msg);
-        }
-    }
+    // First incarnation: handshake + at least six messages, message 3
+    // lost.
+    let (dropped, delivered): (Vec<_>, Vec<_>) = node
+        .push_block(&lead[..3000], 3000)
+        .unwrap()
+        .into_iter()
+        .partition(|p| seq_of(p) == 3);
     assert_eq!(dropped.len(), 1, "Events payloads are single-packet");
-    for p in &pkts {
+    assert!(delivered.iter().any(|p| seq_of(p) == 6), "too few messages");
+    for p in &delivered {
         gw.ingest(p).unwrap();
     }
     let report = gw.session_report(session).unwrap();
@@ -573,46 +516,57 @@ fn a_node_reboot_mid_retransmission_resumes_cleanly() {
 
     // The NACK goes out and the node starts a retransmission …
     let pumped = gw.pump_downlink();
-    let frame = DownlinkFrame::from_wire(&pumped[0].1[0]).unwrap();
+    let nack = &pumped[0].1[0];
     assert_eq!(
-        frame,
+        DownlinkFrame::from_wire(nack).unwrap(),
         DownlinkFrame::Nack {
             cum_ack: 3,
             missing: vec![3]
         }
     );
-    let mut in_flight = Vec::new();
-    assert!(buf.on_frame(&frame, &mut in_flight, &mut rt_events));
+    assert_eq!(node.take_downlink(nack).unwrap(), None);
+    let in_flight = node.push_block(&[], 0).unwrap();
     assert_eq!(in_flight, dropped, "message 3 resent");
 
     // … but the node reboots before it is delivered. Everything
-    // volatile on the node dies; the gateway is re-registered.
-    buf.reset();
-    directives.reset();
-    let mut uplink = Uplink::new();
+    // volatile on the node dies — message 3 and the ones behind it
+    // with it; the gateway is re-registered.
+    let hs = node.reboot().unwrap();
+    assert_eq!(node.discarded(), (delivered.len() + 1 - 3) as u64);
     gw.register(hs).unwrap();
     assert_eq!(gw.session_report(session).unwrap().missing_now, 0);
 
-    // Second incarnation: fresh handshake, sequences restart at 0.
-    let mut pkts = Vec::new();
-    uplink.open_session(&hs, &mut pkts).unwrap();
-    for _ in 1..=3u32 {
-        let seq = uplink.frame_one(session, &events(true), &mut pkts).unwrap();
-        buf.record(seq, &pkts[pkts.len() - 1..], &mut rt_events);
-        assert!(seq < 4, "fresh framer must restart numbering");
-    }
+    // Second incarnation: fresh handshake, sequences restart at 0 and
+    // run past the straggler's.
+    let fresh = node.push_block(&lead[3000..], 3000).unwrap();
+    let seqs: Vec<u32> = fresh.iter().map(seq_of).collect();
+    assert_eq!(
+        seqs,
+        (0..fresh.len() as u32).collect::<Vec<_>>(),
+        "fresh framer must restart numbering"
+    );
+    assert!(fresh.len() > 4, "too few fresh messages: {seqs:?}");
     let payloads_before = gw.stats().payloads;
-    for p in &pkts {
+    for p in &fresh {
         gw.ingest(p).unwrap();
     }
-    assert_eq!(gw.stats().payloads, payloads_before + 3);
+    assert_eq!(gw.stats().payloads, payloads_before + seqs.len() as u64 - 1);
 
     // The first pump of the new incarnation is a clean cumulative ACK
     // past the fresh stream — no stale NACKs from before the reboot.
     let pumped = gw.pump_downlink();
+    let ack = &pumped[0].1[0];
     assert_eq!(
-        DownlinkFrame::from_wire(&pumped[0].1[0]).unwrap(),
-        DownlinkFrame::Ack { cum_ack: 4 }
+        DownlinkFrame::from_wire(ack).unwrap(),
+        DownlinkFrame::Ack {
+            cum_ack: fresh.len() as u32
+        }
+    );
+    assert_eq!(node.take_downlink(ack).unwrap(), None);
+    assert_eq!(
+        node.retransmit_stats().acked,
+        3 + fresh.len() as u64,
+        "the NACK acked 0..3, this ACK the fresh stream"
     );
 
     // The pre-reboot retransmission finally straggles in: its sequence

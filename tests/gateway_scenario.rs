@@ -1,9 +1,10 @@
-//! End-to-end acceptance scenario for the gateway subsystem: a mixed
-//! fleet streams over a bad link and the base station must hold the
-//! line.
+//! End-to-end acceptance scenario for the gateway subsystem: four
+//! mixed-level nodes stream over a bad open-loop link and the base
+//! station must hold the line.
 //!
-//! Path under test: synth ECG → `NodeFleet` → uplink framer → seeded
-//! `LossyChannel` (1% drop, 1.5% corruption, 2% reorder) → `Gateway`.
+//! Path under test: synth ECG → `CardiacMonitor`s → uplink framer →
+//! seeded `LossyChannel` (1% drop, 1.5% corruption, 2% reorder) →
+//! `Gateway`.
 //! Pinned properties:
 //!
 //! * **(a) zero undetected corruptions** — every packet the channel
@@ -19,7 +20,6 @@
 //! * **(d) determinism** — the whole path is bit-identical across
 //!   reruns with the same channel seed.
 
-use wbsn_core::fleet::NodeFleet;
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::link::{SessionHandshake, Uplink};
 use wbsn_core::monitor::MonitorBuilder;
@@ -71,13 +71,12 @@ struct RunResult {
     windows: Vec<(u64, u8, u32, Vec<f64>)>,
     /// Node-side payload streams per session, in emission order.
     node_payloads: Vec<Vec<Payload>>,
-    /// Raw ids of the four sessions.
+    /// Session ids of the four nodes.
     ids: Vec<u64>,
 }
 
 fn run(channel_seed: u64) -> RunResult {
     let records = records();
-    let mut fleet = NodeFleet::new();
     let builders = [
         MonitorBuilder::new()
             .level(ProcessingLevel::Classified)
@@ -94,10 +93,8 @@ fn run(channel_seed: u64) -> RunResult {
             .level(ProcessingLevel::Delineated)
             .n_leads(3),
     ];
-    let ids: Vec<_> = builders
-        .iter()
-        .map(|b| fleet.add_session(b.clone()).unwrap())
-        .collect();
+    let mut monitors: Vec<_> = builders.into_iter().map(|b| b.build().unwrap()).collect();
+    let ids: Vec<u64> = (0..monitors.len() as u64).collect();
 
     let mut uplink = Uplink::new();
     let mut channel = LossyChannel::new(ChannelConfig {
@@ -111,7 +108,7 @@ fn run(channel_seed: u64) -> RunResult {
     let mut gw = Gateway::new(GatewayConfig::default());
     for (i, &id) in ids.iter().enumerate() {
         gw.attach_reference(
-            id.raw(),
+            id,
             0,
             records[i].lead(0).iter().map(|&v| v as f64).collect(),
         )
@@ -135,10 +132,9 @@ fn run(channel_seed: u64) -> RunResult {
 
     // Handshakes first (control messages, message 0 of every session).
     let mut packets = Vec::new();
-    for (i, &id) in ids.iter().enumerate() {
-        let hs = SessionHandshake::for_config(id.raw(), fleet.session(id).unwrap().config());
+    for (m, &id) in monitors.iter().zip(&ids) {
+        let hs = SessionHandshake::for_config(id, m.config());
         uplink.open_session(&hs, &mut packets).unwrap();
-        let _ = i;
     }
     deliver(&mut gw, &mut events, channel.send_all(packets));
 
@@ -160,28 +156,25 @@ fn run(channel_seed: u64) -> RunResult {
                 }
             }
         }
-        let batch: Vec<_> = records
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !frames[*i].is_empty())
-            .map(|(i, _)| (ids[i], frames[i].as_slice()))
-            .collect();
-        let results = fleet.ingest_batch(&batch).unwrap();
         let mut packets = Vec::new();
-        for (id, payloads) in &results {
-            let idx = ids.iter().position(|i| i == id).unwrap();
-            node_payloads[idx].extend(payloads.iter().cloned());
-            uplink.frame(id.raw(), payloads, &mut packets).unwrap();
+        for (i, m) in monitors.iter_mut().enumerate() {
+            if frames[i].is_empty() {
+                continue;
+            }
+            let n = frames[i].len() / m.config().n_leads;
+            let payloads = m.push_block(&frames[i], n).unwrap();
+            uplink.frame(ids[i], &payloads, &mut packets).unwrap();
+            node_payloads[i].extend(payloads);
         }
         deliver(&mut gw, &mut events, channel.send_all(packets));
     }
-    // End of session: flush the fleet, the channel's held packets, and
-    // the gateway's reassembly tails.
+    // End of session: flush the monitors, the channel's held packets,
+    // and the gateway's reassembly tails.
     let mut packets = Vec::new();
-    for (id, payloads) in fleet.flush_all().unwrap() {
-        let idx = ids.iter().position(|&i| i == id).unwrap();
-        node_payloads[idx].extend(payloads.iter().cloned());
-        uplink.frame(id.raw(), &payloads, &mut packets).unwrap();
+    for (i, m) in monitors.iter_mut().enumerate() {
+        let payloads = m.flush().unwrap();
+        uplink.frame(ids[i], &payloads, &mut packets).unwrap();
+        node_payloads[i].extend(payloads);
     }
     deliver(&mut gw, &mut events, channel.send_all(packets));
     deliver(&mut gw, &mut events, channel.flush());
@@ -189,8 +182,8 @@ fn run(channel_seed: u64) -> RunResult {
 
     let mut windows = Vec::new();
     for &id in &ids {
-        for (seq, w) in gw.reconstructed_windows(id.raw(), 0) {
-            windows.push((id.raw(), 0u8, seq, w.to_vec()));
+        for (seq, w) in gw.reconstructed_windows(id, 0) {
+            windows.push((id, 0u8, seq, w.to_vec()));
         }
     }
     RunResult {
@@ -199,7 +192,7 @@ fn run(channel_seed: u64) -> RunResult {
         channel_stats: channel.stats(),
         windows,
         node_payloads,
-        ids: ids.iter().map(|i| i.raw()).collect(),
+        ids,
     }
 }
 

@@ -60,7 +60,7 @@ fn gateway_solver() -> Fista {
 #[test]
 fn gateway_defaults_match_this_test() {
     assert_eq!(
-        wbsn_gateway::ReconstructionSolver::Fista(*gateway_solver().config()),
+        *gateway_solver().config(),
         GatewayConfig::default().solver,
         "gateway solver defaults drifted away from the pinned point"
     );
