@@ -13,28 +13,27 @@
 //!   values, as means, 95th percentiles and the largest change — the
 //!   loop `examples/solver_frontier.rs` chooses solver defaults on.
 //!
-//!   Sessions are solved in parallel, and that split is exact:
-//!   everything carried from one window to the next (the handshake,
-//!   the per-lead encoders, the PRD references) belongs to one
-//!   session, and the cache returns a matrix and constant that depend
-//!   only on the key and the solver's dictionary. So each
-//!   session's stream is replayed on its own on a worker thread, and
-//!   the per-window PRDs are folded back in archive order, which keeps
-//!   the report bit-identical at any worker count.
+//!   Windows, not sessions, are the parallel unit. A cheap sequential
+//!   pre-pass walks the archive in order, keeping each session's
+//!   handshake, per-lead matrices and PRD references exactly as the
+//!   live gateway kept them, and queues every window it must solve in
+//!   one [`SolvePhase`]; the phase solves the queue on the worker
+//!   threads, four windows of one Φ per pass, each bit for bit its
+//!   one-window solve. The per-window PRDs are then folded in archive
+//!   order, which keeps the report bit-identical at any worker count.
 //! - [`replay_policy`] re-runs an alert policy over the archived
 //!   rhythm stream and compares the alerts it would have raised with
 //!   the alerts the live gateway did raise.
 
-use crate::format::{ArchiveBlock, EpochItem, EpochRecord};
+use crate::format::{ArchiveBlock, EpochItem};
 use crate::ArchiveError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wbsn_core::link::SessionHandshake;
-use wbsn_core::workers::map_on_workers;
-use wbsn_core::{Result, WbsnError};
+use wbsn_core::Result;
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch};
-use wbsn_gateway::{MatrixCache, MatrixKey};
+use wbsn_cs::solver::FistaConfig;
+use wbsn_gateway::{MatrixCache, MatrixKey, SolvePhase};
 use wbsn_sigproc::stats::{percentile95_sorted, prd_percent};
 
 /// Solver settings for a reconstruction replay.
@@ -95,15 +94,15 @@ pub struct SolverReplayReport {
 /// Per-session reconstruction state, mirroring the live gateway's
 /// `SessionState` solver fields exactly.
 #[derive(Debug, Default)]
-struct SessStream {
+struct SessStream<'a> {
     handshake: Option<SessionHandshake>,
     /// Per-lead matrices with the Lipschitz constant FISTA steps by.
     encoders: Vec<Option<(Arc<CsEncoder>, f64)>>,
     /// Per-lead PRD reference: `(offset, samples)`.
-    refs: BTreeMap<u8, (u64, Vec<f64>)>,
+    refs: BTreeMap<u8, (u64, &'a [i32])>,
 }
 
-impl SessStream {
+impl SessStream<'_> {
     /// Mirrors the gateway's `install_handshake`: a changed handshake
     /// invalidates the matrices, an identical re-announce
     /// (post-reboot) does not. References survive either way — the
@@ -116,184 +115,176 @@ impl SessStream {
     }
 }
 
-/// One session's epoch records in stream order, each paired with the
-/// ordinal of its first CS window: that window's position among all
-/// [`EpochItem::CsWindow`] items of the archive, in block order.
-type SessionRecords<'a> = Vec<(u64, &'a EpochRecord)>;
+/// Windows one solve phase takes at a time: about one live pump's worth,
+/// enough to keep every thread's lanes full while bounding the queued
+/// measurements and the solved samples waiting for their PRD.
+const WINDOWS_PER_RUN: usize = 160;
 
-/// What one session's replay contributes to the report.
+/// A queued window: what its replayed PRD is computed and compared
+/// against once it is solved.
+#[derive(Debug)]
+struct QueuedWindow<'a> {
+    window_seq: u32,
+    /// Window length of its handshake.
+    n: usize,
+    live_prd: Option<f64>,
+    /// Its lead's PRD reference when it was read.
+    reference: Option<(u64, &'a [i32])>,
+}
+
+/// The report's counters and the compared PRDs, in archive order.
 #[derive(Debug, Default)]
-struct SessionReplay {
+struct Fold {
     seen: u64,
     solved: u64,
     skipped: u64,
     iters: u64,
-    /// `(ordinal, live, replayed)` for each window both runs scored.
-    compared: Vec<(u64, f64, f64)>,
+    /// `(live, replayed)` for each window both runs scored.
+    compared: Vec<(f64, f64)>,
+    /// A reference window as `f64`, reused.
+    orig: Vec<f64>,
 }
 
-/// The settings and the matrix cache every session's replay shares.
-struct SolverRun {
-    cache: MatrixCache,
-    fista: Fista,
-    every: u32,
-}
-
-impl SolverRun {
-    /// Replays one session's window stream with its own reconstruction
-    /// state and solver scratch, which are dropped when it returns. A
-    /// failure stops the stream and carries its window's ordinal.
-    fn session(
-        &self,
-        session: u64,
-        records: &[(u64, &EpochRecord)],
-    ) -> std::result::Result<SessionReplay, (u64, WbsnError)> {
-        let mut sess = SessStream::default();
-        let mut out = SessionReplay::default();
-        let mut y_scratch: Vec<f64> = Vec::new();
-        let mut scratch = FistaScratch::new();
-        for &(first, rec) in records {
-            let mut ordinal = first;
-            for item in &rec.items {
-                match item {
-                    EpochItem::Handshake(hs) => sess.install_handshake(*hs),
-                    EpochItem::Reference {
-                        lead,
-                        offset,
-                        samples,
-                    } => {
-                        let as_f64: Vec<f64> = samples.iter().map(|&v| f64::from(v)).collect();
-                        sess.refs.insert(*lead, (*offset, as_f64));
-                    }
-                    EpochItem::CsWindow {
-                        lead,
-                        window_seq,
-                        prd: live_prd,
-                        measurements,
-                        ..
-                    } => {
-                        let at = ordinal;
-                        ordinal += 1;
-                        out.seen += 1;
-                        if self.every > 1 && window_seq % self.every != 0 {
-                            out.skipped += 1;
-                            continue;
-                        }
-                        let Some(hs) = sess.handshake else {
-                            let err = ArchiveError::Malformed {
-                                what: "archive replay",
-                                detail: format!(
-                                    "session {session} has a CS window before any handshake"
-                                ),
-                            };
-                            return Err((at, err.into()));
-                        };
-                        let lead_ix = *lead as usize;
-                        if sess.encoders.len() <= lead_ix {
-                            sess.encoders.resize(lead_ix + 1, None);
-                        }
-                        let (enc, lip) = match &sess.encoders[lead_ix] {
-                            Some(enc) => enc.clone(),
-                            None => {
-                                let enc = self
-                                    .cache
-                                    .get_or_build_for(
-                                        MatrixKey {
-                                            window: hs.cs_window,
-                                            measurements: hs.cs_measurements,
-                                            d_per_col: hs.cs_d_per_col,
-                                            seed: hs.seed,
-                                            lead: *lead,
-                                        },
-                                        &self.fista,
-                                    )
-                                    .map_err(|e| (at, e))?;
-                                sess.encoders[lead_ix] = Some(enc.clone());
-                                enc
-                            }
-                        };
-                        // Mirror the live pipeline's value path exactly:
-                        // i16 → i64 (reassembly) → f64 (solver front end).
-                        y_scratch.clear();
-                        y_scratch.extend(measurements.iter().map(|&v| v as i64 as f64));
-                        let solve = self
-                            .fista
-                            .solve_with(&mut scratch, enc.sensing_matrix(), &y_scratch, lip)
-                            .map_err(|e| (at, e.into()))?;
-                        out.solved += 1;
-                        out.iters += solve.iters as u64;
-                        let n = hs.cs_window as usize;
-                        let replayed_prd = sess.refs.get(lead).and_then(|(offset, samples)| {
-                            let start =
-                                (u64::from(*window_seq) * n as u64).checked_sub(*offset)? as usize;
-                            let orig = samples.get(start..start + n)?;
-                            if orig.iter().all(|&v| v == 0.0) {
-                                return None;
-                            }
-                            Some(prd_percent(orig, &solve.x))
-                        });
-                        if let (Some(live), Some(replayed)) = (live_prd, replayed_prd) {
-                            out.compared.push((at, *live, replayed));
-                        }
-                    }
-                    _ => {}
+impl Fold {
+    /// Solves the queued windows on up to `workers` threads and folds
+    /// their results in queue order.
+    fn solve(
+        &mut self,
+        phase: &mut SolvePhase,
+        queued: &mut Vec<QueuedWindow<'_>>,
+        workers: usize,
+    ) -> Result<()> {
+        for (window, solve) in queued.drain(..).zip(phase.run(workers)) {
+            let solve = solve?;
+            self.solved += 1;
+            self.iters += solve.iters as u64;
+            let n = window.n;
+            let replayed = window.reference.and_then(|(offset, samples)| {
+                let start = (u64::from(window.window_seq) * n as u64).checked_sub(offset)? as usize;
+                let orig = samples.get(start..start + n)?;
+                if orig.iter().all(|&v| v == 0) {
+                    return None;
                 }
+                self.orig.clear();
+                self.orig.extend(orig.iter().map(|&v| f64::from(v)));
+                Some(prd_percent(&self.orig, &solve.x))
+            });
+            if let (Some(live), Some(replayed)) = (window.live_prd, replayed) {
+                self.compared.push((live, replayed));
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
 /// Re-runs CS reconstruction from archived measurements at `cfg`'s
 /// settings, comparing per-window PRD with the archived live values.
 ///
-/// Each session's window stream is one item for [`map_on_workers`] on
-/// up to `workers` threads (0 counts as 1): a thread takes the next
-/// session, in ascending session order, as soon as it finishes one.
-/// The report is folded afterwards in archive order, so it is
+/// A sequential pre-pass reads the archive in order and queues every
+/// window to solve; the queue is solved in [`SolvePhase`] runs of up to
+/// `WINDOWS_PER_RUN` windows on up to `workers` threads (0 counts as
+/// 1), and the results are folded in archive order, so the report is
 /// bit-identical at any worker count.
 ///
 /// # Errors
 ///
 /// The error of the first failing CS window in archive order: a window
 /// before its session's handshake, a matrix that cannot be built, or
-/// a solver failure; or [`WbsnError::WorkerLost`] for a lost thread.
+/// a window the solver rejects; or `WbsnError::WorkerLost` for a
+/// lost thread.
 pub fn replay_reconstruction(
     blocks: &[ArchiveBlock],
     cfg: &SolverReplayConfig,
     workers: usize,
 ) -> Result<SolverReplayReport> {
-    let mut by_session: BTreeMap<u64, SessionRecords<'_>> = BTreeMap::new();
-    let mut ordinal = 0u64;
+    let cache = MatrixCache::new();
+    let mut phase = SolvePhase::new(cfg.solver);
+    let every = cfg.reconstruct_every.max(1);
+    let mut sessions: BTreeMap<u64, SessStream<'_>> = BTreeMap::new();
+    let mut queued = Vec::new();
+    let mut fold = Fold::default();
     for block in blocks {
         let ArchiveBlock::Epoch(rec) = block else {
             continue;
         };
-        by_session
-            .entry(rec.session)
-            .or_default()
-            .push((ordinal, rec));
-        ordinal += rec
-            .items
-            .iter()
-            .filter(|item| matches!(item, EpochItem::CsWindow { .. }))
-            .count() as u64;
+        let sess = sessions.entry(rec.session).or_default();
+        for item in &rec.items {
+            match item {
+                EpochItem::Handshake(hs) => sess.install_handshake(*hs),
+                EpochItem::Reference {
+                    lead,
+                    offset,
+                    samples,
+                } => {
+                    sess.refs.insert(*lead, (*offset, samples));
+                }
+                EpochItem::CsWindow {
+                    lead,
+                    window_seq,
+                    prd: live_prd,
+                    measurements,
+                    ..
+                } => {
+                    fold.seen += 1;
+                    if every > 1 && window_seq % every != 0 {
+                        fold.skipped += 1;
+                        continue;
+                    }
+                    let Some(hs) = sess.handshake else {
+                        return Err(ArchiveError::Malformed {
+                            what: "archive replay",
+                            detail: format!(
+                                "session {} has a CS window before any handshake",
+                                rec.session
+                            ),
+                        }
+                        .into());
+                    };
+                    let lead_ix = *lead as usize;
+                    if sess.encoders.len() <= lead_ix {
+                        sess.encoders.resize(lead_ix + 1, None);
+                    }
+                    let (enc, lip) = match &sess.encoders[lead_ix] {
+                        Some(enc) => enc.clone(),
+                        None => {
+                            let enc = cache.get_or_build_for(
+                                MatrixKey {
+                                    window: hs.cs_window,
+                                    measurements: hs.cs_measurements,
+                                    d_per_col: hs.cs_d_per_col,
+                                    seed: hs.seed,
+                                    lead: *lead,
+                                },
+                                phase.solver(),
+                            )?;
+                            sess.encoders[lead_ix] = Some(enc.clone());
+                            enc
+                        }
+                    };
+                    // Mirror the live pipeline's value path exactly:
+                    // i16 → i64 (reassembly) → f64 (solver front end).
+                    phase.push(&enc, lip, measurements.iter().map(|&v| v as i64 as f64))?;
+                    queued.push(QueuedWindow {
+                        window_seq: *window_seq,
+                        n: hs.cs_window as usize,
+                        live_prd: *live_prd,
+                        reference: sess.refs.get(lead).copied(),
+                    });
+                    if queued.len() == WINDOWS_PER_RUN {
+                        fold.solve(&mut phase, &mut queued, workers)?;
+                    }
+                }
+                _ => {}
+            }
+        }
     }
-    let mut sessions: Vec<(u64, SessionRecords<'_>)> = by_session.into_iter().collect();
-    let run = SolverRun {
-        cache: MatrixCache::new(),
-        fista: Fista::new(cfg.solver),
-        every: cfg.reconstruct_every.max(1),
-    };
-    let outcomes = map_on_workers(workers, &mut sessions, |(session, records)| {
-        Ok(run.session(*session, records))
-    })?;
+    fold.solve(&mut phase, &mut queued, workers)?;
 
     let mut report = SolverReplayReport {
-        windows_seen: 0,
-        windows_solved: 0,
-        windows_skipped: 0,
-        solver_iters: 0,
+        windows_seen: fold.seen,
+        windows_solved: fold.solved,
+        windows_skipped: fold.skipped,
+        solver_iters: fold.iters,
         compared: 0,
         live_prd_mean: 0.0,
         replayed_prd_mean: 0.0,
@@ -304,36 +295,14 @@ pub fn replay_reconstruction(
         p95_abs_delta: 0.0,
         bit_identical: true,
     };
-    let mut compared = Vec::new();
-    let mut first_failure: Option<(u64, WbsnError)> = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok(s) => {
-                report.windows_seen += s.seen;
-                report.windows_solved += s.solved;
-                report.windows_skipped += s.skipped;
-                report.solver_iters += s.iters;
-                compared.extend(s.compared);
-            }
-            Err((at, err)) => {
-                if first_failure.as_ref().is_none_or(|(first, _)| at < *first) {
-                    first_failure = Some((at, err));
-                }
-            }
-        }
-    }
-    if let Some((_, err)) = first_failure {
-        return Err(err);
-    }
     // Sum in archive order, as a single sequential pass would.
-    compared.sort_unstable_by_key(|&(at, ..)| at);
     let mut live_sum = 0.0;
     let mut replayed_sum = 0.0;
     let mut delta_sum = 0.0;
-    let mut lives = Vec::with_capacity(compared.len());
-    let mut replays = Vec::with_capacity(compared.len());
-    let mut abs_deltas = Vec::with_capacity(compared.len());
-    for (_, live, replayed) in compared {
+    let mut lives = Vec::with_capacity(fold.compared.len());
+    let mut replays = Vec::with_capacity(fold.compared.len());
+    let mut abs_deltas = Vec::with_capacity(fold.compared.len());
+    for (live, replayed) in fold.compared {
         report.compared += 1;
         live_sum += live;
         replayed_sum += replayed;

@@ -1,10 +1,18 @@
 //! CS encoder (node side) and FISTA decoder (base-station side).
+//!
+//! The `fista_lanes` group prices lane solving: 16 windows of one Φ at
+//! the gateway's settings through the gateway's solve phase on one
+//! thread (four windows per pass), against the same 16 windows through
+//! one `solve_with` call each.
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::joint::{GroupFista, GroupFistaConfig};
 use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch};
-use wbsn_gateway::GatewayConfig;
+use wbsn_ecg_synth::noise::NoiseConfig;
+use wbsn_ecg_synth::RecordBuilder;
+use wbsn_gateway::{GatewayConfig, SolvePhase};
 use wbsn_sigproc::SparseTernaryMatrix;
 
 fn window(n: usize) -> Vec<i32> {
@@ -79,5 +87,49 @@ fn bench_cs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_cs);
+fn bench_fista_lanes(c: &mut Criterion) {
+    let cfg = GatewayConfig::default_solver();
+    let enc = Arc::new(CsEncoder::new(512, 192, 4, 0xCAFE).unwrap());
+    let rec = RecordBuilder::new(0x1A4E5)
+        .duration_s(16.0 * 512.0 / 250.0 + 1.0)
+        .n_leads(1)
+        .noise(NoiseConfig::ambulatory(20.0))
+        .build();
+    let ys: Vec<Vec<f64>> = rec
+        .lead(0)
+        .chunks_exact(512)
+        .take(16)
+        .map(|w| enc.encode(w).unwrap().iter().map(|&v| v as f64).collect())
+        .collect();
+    let fista = Fista::new(cfg);
+    let lip = fista.lipschitz(enc.sensing_matrix()).unwrap();
+    let mut g = c.benchmark_group("fista_lanes");
+    g.sample_size(10);
+    let mut scratch = FistaScratch::new();
+    g.bench_function("solve_with_16x512", |b| {
+        b.iter(|| {
+            for y in &ys {
+                black_box(
+                    fista
+                        .solve_with(&mut scratch, enc.sensing_matrix(), y, lip)
+                        .unwrap(),
+                );
+            }
+        })
+    });
+    let mut phase = SolvePhase::new(cfg);
+    g.bench_function("solve_phase_16x512_1_worker", |b| {
+        b.iter(|| {
+            for y in &ys {
+                phase.push(&enc, lip, y.iter().copied()).unwrap();
+            }
+            for solve in phase.run(1) {
+                black_box(solve.unwrap());
+            }
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_cs, bench_fista_lanes);
 criterion_main!(benches);

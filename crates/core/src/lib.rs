@@ -45,8 +45,9 @@
 //!   trending.
 //! * [`workers`] — [`workers::map_on_workers`], the workspace's one
 //!   thread model: every library thread — the cohort runner's node
-//!   side, the sharded gateway's decode and the archive's solver
-//!   replay — comes from this scoped helper: each thread pulls the
+//!   side, the sharded gateway's decode and the gateway's solve phase
+//!   (which the archive's solver replay runs too) — comes from this
+//!   scoped helper: each thread pulls the
 //!   next unclaimed item, results come back in item order, and every
 //!   thread is joined before it returns.
 //!
@@ -159,7 +160,7 @@ pub enum WbsnError {
     /// A worker thread panicked, so the items it ran have no result.
     /// Raised by [`workers::map_on_workers`], which runs every library
     /// thread: the cohort runner's node side, the sharded gateway's
-    /// decode and the archive's solver replay. A helper that fails to
+    /// decode and the gateway's solve phase. A helper that fails to
     /// spawn is not an error: the threads that did start run its share.
     WorkerLost {
         /// The lost helper thread, numbered from 1 (the calling thread

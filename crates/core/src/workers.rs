@@ -3,8 +3,10 @@
 //! [`map_on_workers`] is the only place library code spawns threads.
 //! It is shared by the cohort runner (record rendering and the
 //! per-node uplink), the sharded gateway (one shard's packets per
-//! item) and the archive's solver replay (one session's window stream
-//! per item). Threads pull work: each takes the next unclaimed item
+//! item) and the gateway's solve phase, which the sharded gateway and
+//! the archive's solver replay run (one solver thread per item, each
+//! pulling CS windows from its own shared cursor). Threads pull work:
+//! each takes the next unclaimed item
 //! from a shared cursor as soon as it finishes one, so no thread owns
 //! a fixed share and uneven item costs even out. It spawns nothing
 //! that outlives the call, keeps results in item order, and turns a

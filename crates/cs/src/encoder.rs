@@ -112,7 +112,7 @@ impl CsEncoder {
     /// Fails when `windows.len()` is not a multiple of `n`.
     pub fn encode_batch_into(&self, windows: &[i32], y: &mut Vec<i64>) -> Result<usize> {
         let n = self.window_len();
-        if windows.len() % n != 0 {
+        if !windows.len().is_multiple_of(n) {
             return Err(CsError::ShapeMismatch {
                 what: "encode batch",
                 expected: windows.len().next_multiple_of(n),

@@ -102,7 +102,7 @@ impl GroupFista {
                 });
             }
         }
-        if n % (1 << self.cfg.levels) != 0 {
+        if !n.is_multiple_of(1 << self.cfg.levels) {
             return Err(CsError::InvalidParameter {
                 what: "levels",
                 detail: format!("window {n} not divisible by 2^{}", self.cfg.levels),

@@ -24,7 +24,9 @@
 
 use crate::encoder::CsEncoder;
 use crate::{CsError, Result};
-use wbsn_sigproc::wavelet::{wavedec_into, waverec_into, DwtScratch, Wavelet};
+use wbsn_sigproc::wavelet::{
+    wavedec_into, wavedec_lanes, waverec_into, waverec_lanes, DwtScratch, Wavelet,
+};
 use wbsn_sigproc::SparseTernaryMatrix;
 
 /// FISTA configuration.
@@ -157,13 +159,47 @@ impl Default for FistaConfig {
     }
 }
 
-/// Reusable working memory for [`Fista::solve_with`]: the DWT scratch
-/// plus the signal-, measurement- and coefficient-domain buffers of
-/// one iteration. One scratch serves any number of streams and shapes
-/// in turn (a gateway keeps one per decode worker, not per session);
-/// once warm, the iteration loop allocates nothing.
+/// Windows a stream solve ([`Fista::solve_stream`]) steps side by side.
+/// Four `f64` lanes per coefficient fill two 128-bit registers on the
+/// baseline x86-64 target, and every coefficient row of Φ, Ψ and the
+/// shrinkage is read once for all of them.
+const LANES: usize = 4;
+
+/// Once a stream has no window left to start, its busy lanes finish
+/// one window at a time as soon as fewer than this many are busy: a
+/// four-lane step costs about three one-lane steps (Φ, Φᵀ and the
+/// analysis bank run ≈2× cheaper per lane, the synthesis level not),
+/// so one or two windows finish sooner alone.
+const DEMOTE_BELOW: usize = 3;
+
+/// Reusable working memory for [`Fista::solve_with`] and
+/// [`Fista::solve_stream`]: the state of one window, the state of
+/// four windows solved side by side, and one window's temporaries.
+/// One scratch serves any number of streams and shapes in turn (a
+/// gateway keeps one per solver thread, not per session); once warm,
+/// the iteration loop allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct FistaScratch {
+    /// One lane: [`Fista::solve_with`] and the short tails of a stream.
+    one: LaneBufs,
+    /// [`LANES`] lanes: the body of a stream.
+    wide: LaneBufs,
+    /// One window's temporaries: `Aᵀy` when it enters a lane, its
+    /// coefficients and `Ψa` when it leaves.
+    temp: WindowTemp,
+}
+
+impl FistaScratch {
+    /// Empty scratch; buffers size themselves on first use.
+    pub fn new() -> Self {
+        FistaScratch::default()
+    }
+}
+
+/// The state of up to `K` windows, lanes innermost: each buffer holds
+/// `K` values per coefficient, sample or measurement.
+#[derive(Debug, Clone, Default)]
+struct LaneBufs {
     dwt: DwtScratch,
     /// Signal domain: `Ψz`, then `Φᵀr`.
     sig: Vec<f64>,
@@ -175,15 +211,18 @@ pub struct FistaScratch {
     a: Vec<f64>,
     /// Next iterate `a⁺`.
     a_next: Vec<f64>,
-    /// Extrapolated point `z` (also the power-iteration vector).
+    /// Extrapolated point `z`.
     z: Vec<f64>,
+    /// The measurements `y`.
+    y: Vec<f64>,
 }
 
-impl FistaScratch {
-    /// Empty scratch; buffers size themselves on first use.
-    pub fn new() -> Self {
-        FistaScratch::default()
-    }
+/// One window's temporaries while it enters or leaves a lane.
+#[derive(Debug, Clone, Default)]
+struct WindowTemp {
+    dwt: DwtScratch,
+    sig: Vec<f64>,
+    coeffs: Vec<f64>,
 }
 
 /// `out = A v = Φ Ψ v`, through `sig`.
@@ -214,6 +253,273 @@ fn apply_at(
     phi.apply_t_into(r, sig);
     wavedec_into(sig, w, lv, dwt, out)?;
     Ok(())
+}
+
+/// One busy lane's scalar state: the caller's id for its window and
+/// FISTA's bookkeeping, exactly the scalars of a one-window solve.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    id: usize,
+    iters: usize,
+    t: f64,
+    prev_norm: f64,
+    /// Whether `z == a` bit for bit: the next step is taken from the
+    /// current iterate itself, with no momentum.
+    from_a: bool,
+    lambda: f64,
+    target: f64,
+}
+
+/// `K` windows that share Φ and the step, one per lane. Every
+/// vector operation runs on all `K` lanes; an idle lane holds zeros,
+/// which every step maps to zeros.
+struct Lanes<'s, const K: usize> {
+    bufs: &'s mut LaneBufs,
+    lanes: [Option<Lane>; K],
+}
+
+impl<'s, const K: usize> Lanes<'s, K> {
+    /// Sizes `bufs` for windows of `n` samples and `m` measurements,
+    /// every lane idle.
+    fn new(bufs: &'s mut LaneBufs, n: usize, m: usize) -> Self {
+        for (v, len) in [(&mut bufs.a, n), (&mut bufs.z, n), (&mut bufs.y, m)] {
+            v.clear();
+            v.resize(len * K, 0.0);
+        }
+        for (v, len) in [
+            (&mut bufs.sig, n),
+            (&mut bufs.grad, n),
+            (&mut bufs.a_next, n),
+            (&mut bufs.meas, m),
+        ] {
+            v.resize(len * K, 0.0);
+        }
+        Lanes {
+            bufs,
+            lanes: [None; K],
+        }
+    }
+
+    fn busy(&self) -> usize {
+        self.lanes.iter().flatten().count()
+    }
+
+    /// Starts window `id` in idle lane `l`: checks `y`, finds its
+    /// `‖Aᵀy‖∞` (and so its λ schedule) through the one-lane kernels,
+    /// and copies `y` in. The lane's iterates are already zero.
+    #[allow(clippy::too_many_arguments)]
+    fn load(
+        &mut self,
+        fista: &Fista,
+        phi: &SparseTernaryMatrix,
+        lipschitz: f64,
+        temp: &mut WindowTemp,
+        l: usize,
+        id: usize,
+        y: &[f64],
+    ) -> Result<()> {
+        fista.check_input(phi, y, lipschitz)?;
+        let cfg = &fista.cfg;
+        apply_at(
+            phi,
+            cfg.wavelet,
+            cfg.levels,
+            y,
+            &mut temp.dwt,
+            &mut temp.sig,
+            &mut temp.coeffs,
+        )?;
+        let linf = temp.coeffs.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
+        let target = cfg.lambda_rel * linf;
+        let lambda = match &cfg.continuation {
+            Some(c) => target.max(c.start_rel * linf),
+            None => target,
+        };
+        for (row, &v) in self.bufs.y.as_chunks_mut::<K>().0.iter_mut().zip(y) {
+            row[l] = v;
+        }
+        self.lanes[l] = Some(Lane {
+            id,
+            iters: 0,
+            t: 1.0,
+            prev_norm: 0.0,
+            from_a: true,
+            lambda,
+            target,
+        });
+        Ok(())
+    }
+
+    /// Frees lane `l` (zeroing it) and returns its window's id and
+    /// solve, `x̂ = Ψa`, synthesised through the one-lane kernel into a
+    /// fresh vector.
+    fn take(
+        &mut self,
+        l: usize,
+        cfg: &FistaConfig,
+        temp: &mut WindowTemp,
+    ) -> Option<(usize, Result<FistaSolve>)> {
+        let lane = self.lanes[l].take()?;
+        temp.coeffs.clear();
+        temp.coeffs
+            .extend(self.bufs.a.as_chunks::<K>().0.iter().map(|row| row[l]));
+        let mut x = Vec::with_capacity(temp.coeffs.len());
+        let solve = waverec_into(&temp.coeffs, cfg.wavelet, cfg.levels, &mut temp.dwt, &mut x)
+            .map(|()| FistaSolve {
+                x,
+                iters: lane.iters,
+            })
+            .map_err(CsError::from);
+        for buf in [&mut self.bufs.a, &mut self.bufs.z, &mut self.bufs.y] {
+            for row in buf.as_chunks_mut::<K>().0 {
+                row[l] = 0.0;
+            }
+        }
+        Some((lane.id, solve))
+    }
+
+    /// Moves lane `l`'s window to a one-lane solve over `one` and runs
+    /// it there to its stop: its iterates, measurements and scalars
+    /// carry over exactly, so it continues bit for bit where it was.
+    fn finish_alone(
+        &mut self,
+        l: usize,
+        one: &mut LaneBufs,
+        cfg: &FistaConfig,
+        phi: &SparseTernaryMatrix,
+        step: f64,
+        temp: &mut WindowTemp,
+    ) -> Option<(usize, Result<FistaSolve>)> {
+        let lane = self.lanes[l].take()?;
+        let mut alone = Lanes::<1>::new(one, phi.cols(), phi.rows());
+        for (to, from) in [
+            (&mut alone.bufs.a, &mut self.bufs.a),
+            (&mut alone.bufs.z, &mut self.bufs.z),
+            (&mut alone.bufs.y, &mut self.bufs.y),
+        ] {
+            for (v, row) in to.iter_mut().zip(from.as_chunks_mut::<K>().0) {
+                *v = core::mem::take(&mut row[l]);
+            }
+        }
+        alone.lanes[0] = Some(lane);
+        loop {
+            match alone.step(cfg, phi, step) {
+                Ok(0) => {}
+                Ok(_) => return alone.take(0, cfg, temp),
+                Err(e) => return Some((lane.id, Err(e))),
+            }
+        }
+    }
+
+    /// One FISTA iteration on every lane, each lane running exactly the
+    /// scalar sequence of operations of a one-window solve. Returns the
+    /// lanes whose window stopped, one bit per lane.
+    fn step(&mut self, cfg: &FistaConfig, phi: &SparseTernaryMatrix, step: f64) -> Result<u32> {
+        let (w, lv) = (cfg.wavelet, cfg.levels);
+        let n = phi.cols();
+        let LaneBufs {
+            dwt,
+            sig,
+            meas,
+            grad,
+            a,
+            a_next,
+            z,
+            y,
+        } = &mut *self.bufs;
+        let sig = sig.as_chunks_mut::<K>().0;
+        let meas = meas.as_chunks_mut::<K>().0;
+        let grad = grad.as_chunks_mut::<K>().0;
+        let a_next = a_next.as_chunks_mut::<K>().0;
+        let z = z.as_chunks_mut::<K>().0;
+        // r = A z − y, then ∇ = Aᵀ r.
+        waverec_lanes(z, w, lv, dwt, sig)?;
+        phi.apply_lanes(sig, meas);
+        for (p, q) in meas.iter_mut().zip(y.as_chunks::<K>().0) {
+            *p = core::array::from_fn(|l| p[l] - q[l]);
+        }
+        phi.apply_t_lanes(meas, sig);
+        wavedec_lanes(sig, w, lv, dwt, grad)?;
+        let thresh: [f64; K] =
+            core::array::from_fn(|l| self.lanes[l].map_or(0.0, |lane| step * lane.lambda));
+        for ((an, zi), gi) in a_next.iter_mut().zip(z.iter()).zip(grad.iter()) {
+            *an = core::array::from_fn(|l| shrink(zi[l] - step * gi[l], thresh[l]));
+        }
+        if cfg.tree_model {
+            enforce_tree(a_next, n, lv);
+        }
+        let a = a.as_chunks::<K>().0;
+        // One pass, three independent ordered sums per lane, each
+        // starting at −0.0 and adding in index order exactly as `f64`'s
+        // `Sum` would over its own pass:
+        // * the restart test `⟨z − a⁺, a⁺ − a⟩`,
+        // * `‖a⁺ − a‖²` and `‖a⁺‖²` for the movement tolerance.
+        let mut overshoot = [-0.0f64; K];
+        let mut change2 = [-0.0f64; K];
+        let mut norm2 = [-0.0f64; K];
+        for ((zi, an), ao) in z.iter().zip(a_next.iter()).zip(a) {
+            let step_taken: [f64; K] = core::array::from_fn(|l| an[l] - ao[l]);
+            overshoot = core::array::from_fn(|l| overshoot[l] + (zi[l] - an[l]) * step_taken[l]);
+            change2 = core::array::from_fn(|l| change2[l] + step_taken[l] * step_taken[l]);
+            norm2 = core::array::from_fn(|l| norm2[l] + an[l] * an[l]);
+        }
+        let mut beta = [0.0f64; K];
+        let mut stopped = 0u32;
+        for (l, slot) in self.lanes.iter_mut().enumerate() {
+            let Some(lane) = slot else {
+                continue;
+            };
+            lane.iters += 1;
+            let change = change2[l].sqrt();
+            let norm = norm2[l].sqrt();
+            // `a⁺ == a` bit for bit (the sum is only zero when nothing
+            // moved, or moved below f64's square range).
+            let still = change2[l] == 0.0
+                && a_next
+                    .iter()
+                    .zip(a)
+                    .all(|(x, y)| x[l].to_bits() == y[l].to_bits());
+            let above_target = lane.lambda > lane.target;
+            let tol = match &cfg.continuation {
+                Some(c) if above_target => c.stage_tol,
+                _ => cfg.tol,
+            };
+            let settled =
+                (lane.from_a && still) || (norm > 0.0 && change / norm.max(lane.prev_norm) < tol);
+            // Gradient restart: when the momentum direction `a⁺ − a`
+            // opposes the step the prox-gradient actually took from z,
+            // the extrapolation is overshooting — drop it. A finished
+            // continuation stage drops it too: the next stage solves a
+            // different problem.
+            if (cfg.restart && overshoot[l] > 0.0) || (above_target && settled) {
+                lane.t = 1.0;
+            }
+            let t_next = 0.5 * (1.0 + (1.0 + 4.0 * lane.t * lane.t).sqrt());
+            beta[l] = (lane.t - 1.0) / t_next;
+            // With β = 0 or a⁺ = a the update writes z = a⁺ exactly
+            // (soft-thresholding never yields −0.0).
+            lane.from_a = beta[l] == 0.0 || still;
+            lane.t = t_next;
+            let mut finished = lane.iters >= cfg.max_iters;
+            if settled {
+                match &cfg.continuation {
+                    Some(c) if above_target => {
+                        lane.lambda = lane.target.max(c.factor * lane.lambda)
+                    }
+                    _ => finished = true,
+                }
+            }
+            lane.prev_norm = norm;
+            if finished {
+                stopped |= 1 << l;
+            }
+        }
+        for ((zi, an), ao) in z.iter_mut().zip(a_next.iter()).zip(a) {
+            *zi = core::array::from_fn(|l| an[l] + beta[l] * (an[l] - ao[l]));
+        }
+        core::mem::swap(&mut self.bufs.a, &mut self.bufs.a_next);
+        Ok(stopped)
+    }
 }
 
 /// One reconstruction plus its diagnostics.
@@ -267,16 +573,9 @@ impl Fista {
     pub fn lipschitz(&self, phi: &SparseTernaryMatrix) -> Result<f64> {
         self.cfg.validate()?;
         self.check_levels(phi.cols())?;
-        let FistaScratch {
-            dwt,
-            sig,
-            meas,
-            grad,
-            z,
-            ..
-        } = &mut FistaScratch::new();
+        let (dwt, sig, meas, grad) = &mut <(DwtScratch, Vec<f64>, Vec<f64>, Vec<f64>)>::default();
         let (w, lv) = (self.cfg.wavelet, self.cfg.levels);
-        z.resize(phi.cols(), 1.0);
+        let z = &mut vec![1.0; phi.cols()];
         let mut lam = 1.0f64;
         for _ in 0..12 {
             apply_a(phi, w, lv, z, dwt, sig, meas)?;
@@ -294,7 +593,7 @@ impl Fista {
 
     /// `Ok` when a window of `n` samples divides by `2^levels`.
     fn check_levels(&self, n: usize) -> Result<()> {
-        if n % (1 << self.cfg.levels) != 0 {
+        if !n.is_multiple_of(1 << self.cfg.levels) {
             return Err(CsError::InvalidParameter {
                 what: "levels",
                 detail: format!("window {n} not divisible by 2^{}", self.cfg.levels),
@@ -323,35 +622,22 @@ impl Fista {
         self.solve_with(&mut FistaScratch::new(), phi, y, lip)
     }
 
-    /// [`Fista::solve`] on caller-owned working memory, stepping by a
-    /// `lipschitz` constant the caller computed once for `phi` with
-    /// [`Fista::lipschitz`]: with a warm `scratch` the iteration loop
-    /// performs no heap allocation, and a solve allocates only its
-    /// returned samples. Every solve starts cold, from zeros.
-    ///
-    /// Besides the tolerance and the iteration cap, a solve stops at an
-    /// exact fixed point: when a step taken from the current iterate
-    /// returns it bit for bit, every later iteration would too (an
-    /// all-zero `y` gets there on the first iteration).
+    /// `Ok` when [`Fista::solve_with`] can solve `y` through `phi`
+    /// stepping by `lipschitz`. The checks run in this order:
     ///
     /// # Errors
     ///
-    /// [`CsError::InvalidParameter`] before any work when the
-    /// configuration is degenerate: `levels` or `max_iters` is zero,
-    /// `2^levels` overflows a `usize`, `lambda_rel` or `tol` is
-    /// negative or non-finite (`tol == 0` is valid), or the
-    /// continuation schedule is degenerate (see [`Continuation`]); or
-    /// when `lipschitz` is not finite and positive. Also fails when `y`
-    /// does not have `phi.rows()` entries or holds a non-finite value,
-    /// or when the window length is incompatible with the configured
+    /// [`CsError::InvalidParameter`] when the configuration is
+    /// degenerate: `levels` or `max_iters` is zero, `2^levels`
+    /// overflows a `usize`, `lambda_rel` or `tol` is negative or
+    /// non-finite (`tol == 0` is valid), or the continuation schedule
+    /// is degenerate (see [`Continuation`]); or when `lipschitz` is
+    /// not finite and positive. [`CsError::ShapeMismatch`] when `y`
+    /// does not have `phi.rows()` entries, [`CsError::NonFinite`] when
+    /// it holds a non-finite value, and [`CsError::InvalidParameter`]
+    /// when the window length is incompatible with the configured
     /// levels.
-    pub fn solve_with(
-        &self,
-        scratch: &mut FistaScratch,
-        phi: &SparseTernaryMatrix,
-        y: &[f64],
-        lipschitz: f64,
-    ) -> Result<FistaSolve> {
+    pub fn check_input(&self, phi: &SparseTernaryMatrix, y: &[f64], lipschitz: f64) -> Result<()> {
         self.cfg.validate()?;
         if !(lipschitz.is_finite() && lipschitz > 0.0) {
             return Err(CsError::InvalidParameter {
@@ -359,12 +645,10 @@ impl Fista {
                 detail: format!("{lipschitz} is not finite and positive"),
             });
         }
-        let n = phi.cols();
-        let m = phi.rows();
-        if y.len() != m {
+        if y.len() != phi.rows() {
             return Err(CsError::ShapeMismatch {
                 what: "measurement vector",
-                expected: m,
+                expected: phi.rows(),
                 got: y.len(),
             });
         }
@@ -374,111 +658,168 @@ impl Fista {
                 index,
             });
         }
-        self.check_levels(n)?;
-        let w = self.cfg.wavelet;
-        let lv = self.cfg.levels;
-        let FistaScratch {
-            dwt,
-            sig,
-            meas,
-            grad,
-            a,
-            a_next,
-            z,
-        } = scratch;
+        self.check_levels(phi.cols())
+    }
+
+    /// [`Fista::solve`] on caller-owned working memory, stepping by a
+    /// `lipschitz` constant the caller computed once for `phi` with
+    /// [`Fista::lipschitz`]: with a warm `scratch` the iteration loop
+    /// performs no heap allocation, and a solve allocates only its
+    /// returned samples. Every solve starts cold, from zeros. This is
+    /// the one-lane instance of the lane solve [`Fista::solve_stream`]
+    /// runs, so the two agree bit for bit.
+    ///
+    /// Besides the tolerance and the iteration cap, a solve stops at an
+    /// exact fixed point: when a step taken from the current iterate
+    /// returns it bit for bit, every later iteration would too (an
+    /// all-zero `y` gets there on the first iteration).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Fista::check_input`], before any work.
+    pub fn solve_with(
+        &self,
+        scratch: &mut FistaScratch,
+        phi: &SparseTernaryMatrix,
+        y: &[f64],
+        lipschitz: f64,
+    ) -> Result<FistaSolve> {
+        let mut out = None;
+        let FistaScratch { one, wide, temp } = scratch;
+        self.stream_lanes::<1>(
+            one,
+            wide,
+            temp,
+            phi,
+            lipschitz,
+            Some((0, y)),
+            &mut || None,
+            &mut |_, solve| out = Some(solve),
+        );
+        out.unwrap_or_else(|| {
+            Err(CsError::InvalidParameter {
+                what: "solve",
+                detail: "the window produced no result".to_string(),
+            })
+        })
+    }
+
+    /// Solves a stream of windows that share `phi` and the `lipschitz`
+    /// constant, several at a time: the windows run side by side in
+    /// lanes of one pass through Φ, Ψ and the shrinkage, and a lane
+    /// takes the next window the iteration its own window stops.
+    ///
+    /// `next` hands out the windows: an id of the caller's choosing,
+    /// the measurements, and how many windows of the stream are still
+    /// to come after this one (a hint: a stream too short to fill the
+    /// lanes is solved one window at a time). Every window it hands out
+    /// comes back exactly once through `done`, with its id, as
+    /// [`Fista::solve_with`] would have returned it: the same error, or
+    /// the same iteration count and the same samples, bit for bit.
+    /// Each lane runs the scalar sequence of operations, with its own
+    /// λ stage, momentum, restart and stop test.
+    pub fn solve_stream<'y>(
+        &self,
+        scratch: &mut FistaScratch,
+        phi: &SparseTernaryMatrix,
+        lipschitz: f64,
+        mut next: impl FnMut() -> Option<(usize, &'y [f64], usize)>,
+        mut done: impl FnMut(usize, Result<FistaSolve>),
+    ) {
+        let FistaScratch { one, wide, temp } = scratch;
+        while let Some((id, y, left)) = next() {
+            if left + 1 < LANES {
+                self.stream_lanes::<1>(
+                    one,
+                    wide,
+                    temp,
+                    phi,
+                    lipschitz,
+                    Some((id, y)),
+                    &mut || None,
+                    &mut done,
+                );
+            } else {
+                self.stream_lanes::<LANES>(
+                    wide,
+                    one,
+                    temp,
+                    phi,
+                    lipschitz,
+                    Some((id, y)),
+                    &mut || next().map(|(id, y, _)| (id, y)),
+                    &mut done,
+                );
+            }
+        }
+    }
+
+    /// Runs `first` and then every window `next` hands out through `K`
+    /// lanes over `bufs` until all have stopped, passing each result to
+    /// `done`. A window that fails its checks comes back at once; a
+    /// step that fails (which the checks rule out) fails every busy
+    /// lane and ends the run.
+    #[allow(clippy::too_many_arguments)]
+    fn stream_lanes<'y, const K: usize>(
+        &self,
+        bufs: &mut LaneBufs,
+        one: &mut LaneBufs,
+        temp: &mut WindowTemp,
+        phi: &SparseTernaryMatrix,
+        lipschitz: f64,
+        mut first: Option<(usize, &'y [f64])>,
+        next: &mut impl FnMut() -> Option<(usize, &'y [f64])>,
+        done: &mut impl FnMut(usize, Result<FistaSolve>),
+    ) {
+        let mut lanes = Lanes::<K>::new(bufs, phi.cols(), phi.rows());
         let step = 1.0 / lipschitz;
-
-        apply_at(phi, w, lv, y, dwt, sig, grad)?;
-        let linf = grad.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
-        let target = self.cfg.lambda_rel * linf;
-        let mut lambda = match &self.cfg.continuation {
-            Some(c) => target.max(c.start_rel * linf),
-            None => target,
-        };
-
-        a.clear();
-        a.resize(n, 0.0);
-        z.clear();
-        z.resize(n, 0.0);
-        a_next.resize(n, 0.0);
-        let mut t = 1.0f64;
-        let mut prev_norm = 0.0f64;
-        let mut iters = 0usize;
-        // Whether `z == a` bit for bit: the next step is taken from the
-        // current iterate itself, with no momentum.
-        let mut from_a = true;
-        for _ in 0..self.cfg.max_iters {
-            iters += 1;
-            // r = A z − y, then ∇ = Aᵀ r.
-            apply_a(phi, w, lv, z, dwt, sig, meas)?;
-            for (p, q) in meas.iter_mut().zip(y) {
-                *p -= q;
-            }
-            apply_at(phi, w, lv, meas, dwt, sig, grad)?;
-            for ((an, &zi), &gi) in a_next.iter_mut().zip(z.iter()).zip(grad.iter()) {
-                *an = soft_threshold(zi - step * gi, step * lambda);
-            }
-            if self.cfg.tree_model {
-                enforce_tree(a_next, n, lv);
-            }
-            // One pass, three independent ordered sums, each starting
-            // at −0.0 and adding in index order exactly as `f64`'s
-            // `Sum` would over its own pass:
-            // * the restart test `⟨z − a⁺, a⁺ − a⟩`,
-            // * `‖a⁺ − a‖²` and `‖a⁺‖²` for the movement tolerance.
-            let mut overshoot = -0.0f64;
-            let mut change2 = -0.0f64;
-            let mut norm2 = -0.0f64;
-            for ((&zi, &an), &ao) in z.iter().zip(a_next.iter()).zip(a.iter()) {
-                let step_taken = an - ao;
-                overshoot += (zi - an) * step_taken;
-                change2 += step_taken * step_taken;
-                norm2 += an * an;
-            }
-            let change = change2.sqrt();
-            let norm = norm2.sqrt();
-            // `a⁺ == a` bit for bit (the sum is only zero when nothing
-            // moved, or moved below f64's square range).
-            let still = change2 == 0.0
-                && a_next
-                    .iter()
-                    .zip(a.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits());
-            let above_target = lambda > target;
-            let tol = match &self.cfg.continuation {
-                Some(c) if above_target => c.stage_tol,
-                _ => self.cfg.tol,
-            };
-            let settled = (from_a && still) || (norm > 0.0 && change / norm.max(prev_norm) < tol);
-            // Gradient restart: when the momentum direction `a⁺ − a`
-            // opposes the step the prox-gradient actually took from z,
-            // the extrapolation is overshooting — drop it. A finished
-            // continuation stage drops it too: the next stage solves a
-            // different problem.
-            if (self.cfg.restart && overshoot > 0.0) || (above_target && settled) {
-                t = 1.0;
-            }
-            let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-            let beta = (t - 1.0) / t_next;
-            for ((zi, &an), &ao) in z.iter_mut().zip(a_next.iter()).zip(a.iter()) {
-                *zi = an + beta * (an - ao);
-            }
-            // With β = 0 or a⁺ = a the update wrote z = a⁺ exactly
-            // (soft-thresholding never yields −0.0).
-            from_a = beta == 0.0 || still;
-            core::mem::swap(a, a_next);
-            t = t_next;
-            if settled {
-                match &self.cfg.continuation {
-                    Some(c) if above_target => lambda = target.max(c.factor * lambda),
-                    _ => break,
+        let mut exhausted = false;
+        loop {
+            while let Some(l) = lanes.lanes.iter().position(Option::is_none) {
+                let Some((id, y)) = first.take().or_else(|| {
+                    let window = if exhausted { None } else { next() };
+                    exhausted = window.is_none();
+                    window
+                }) else {
+                    break;
+                };
+                if let Err(e) = lanes.load(self, phi, lipschitz, temp, l, id, y) {
+                    done(id, Err(e));
                 }
             }
-            prev_norm = norm;
+            let busy = lanes.busy();
+            if busy == 0 {
+                return;
+            }
+            // With nothing left to start, a stream's last few windows
+            // finish one at a time: a lane step costs more than a
+            // one-window step for each of them.
+            if exhausted && K > 1 && busy < DEMOTE_BELOW {
+                for l in 0..K {
+                    if let Some((id, solve)) =
+                        lanes.finish_alone(l, one, &self.cfg, phi, step, temp)
+                    {
+                        done(id, solve);
+                    }
+                }
+                return;
+            }
+            match lanes.step(&self.cfg, phi, step) {
+                Ok(stopped) => {
+                    for l in (0..K).filter(|l| stopped & (1 << l) != 0) {
+                        if let Some((id, solve)) = lanes.take(l, &self.cfg, temp) {
+                            done(id, solve);
+                        }
+                    }
+                }
+                Err(e) => {
+                    for lane in lanes.lanes.iter_mut().filter_map(Option::take) {
+                        done(lane.id, Err(e.clone()));
+                    }
+                    return;
+                }
+            }
         }
-        let mut x = Vec::with_capacity(n);
-        waverec_into(a, w, lv, dwt, &mut x)?;
-        Ok(FistaSolve { x, iters })
     }
 }
 
@@ -493,10 +834,22 @@ pub fn soft_threshold(v: f64, thresh: f64) -> f64 {
     }
 }
 
+/// [`soft_threshold`] without a branch, as the lane step needs it: both
+/// candidates are computed and masks keep the one that applies, `+0.0`
+/// when neither does. Bit for bit equal to [`soft_threshold`] for every
+/// `v` and every `thresh` that is `≥ 0` or NaN (a threshold is `step·λ`
+/// with both non-negative).
+#[inline(always)]
+fn shrink(v: f64, thresh: f64) -> f64 {
+    let above = u64::from(v > thresh).wrapping_neg();
+    let below = u64::from(v < -thresh).wrapping_neg();
+    f64::from_bits(((v - thresh).to_bits() & above) | ((v + thresh).to_bits() & below))
+}
+
 /// Enforces the wavelet parent-child model: a detail coefficient may
 /// survive only if its parent at the next-coarser scale survived.
 /// Coefficients are packed `[a_L | d_L | d_{L-1} | … | d_1]`.
-fn enforce_tree(a: &mut [f64], n: usize, levels: usize) {
+fn enforce_tree<const K: usize>(a: &mut [[f64; K]], n: usize, levels: usize) {
     // Walk from the coarsest detail band to the finest.
     let coarsest = n >> levels;
     let mut parent_start = coarsest; // d_L
@@ -507,8 +860,11 @@ fn enforce_tree(a: &mut [f64], n: usize, levels: usize) {
         for c in 0..child_len {
             let p = parent_start + c / 2;
             debug_assert!(p < parent_start + parent_len);
-            if a[p] == 0.0 {
-                a[child_start + c] = 0.0;
+            let parent = a[p];
+            for (child, pl) in a[child_start + c].iter_mut().zip(parent) {
+                if pl == 0.0 {
+                    *child = 0.0;
+                }
             }
         }
         parent_start = child_start;
@@ -530,6 +886,81 @@ mod tests {
                 (qrs + t) as i32
             })
             .collect()
+    }
+
+    /// Thresholds at the edges: zero, subnormal, the smallest normal,
+    /// ordinary, huge and infinite.
+    const EDGE_THRESHOLDS: [f64; 9] = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        f64::MIN_POSITIVE,
+        0.25,
+        1.0,
+        1e300,
+        f64::INFINITY,
+    ];
+
+    fn assert_shrink_matches(v: f64, t: f64) {
+        assert_eq!(
+            shrink(v, t).to_bits(),
+            soft_threshold(v, t).to_bits(),
+            "v = {v:e} ({:#x}), t = {t:e}",
+            v.to_bits()
+        );
+    }
+
+    #[test]
+    fn branch_free_shrink_matches_soft_threshold_at_the_edges() {
+        for t in EDGE_THRESHOLDS {
+            let mut vs = vec![
+                0.0,
+                -0.0,
+                f64::from_bits(1),
+                -f64::from_bits(1),
+                f64::MIN_POSITIVE,
+                -f64::MIN_POSITIVE,
+                2.0,
+                -2.0,
+                f64::MAX,
+                f64::MIN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ];
+            for edge in [t, t.next_up(), t.next_down()] {
+                vs.extend([edge, -edge]);
+            }
+            for v in vs {
+                assert_shrink_matches(v, t);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        // Any bit pattern for `v` (NaNs, infinities and subnormals
+        // included), against every non-negative threshold pattern and
+        // the edge thresholds, at `v = ±t` too.
+        #[test]
+        fn branch_free_shrink_matches_soft_threshold_bitwise(
+            v_bits in 0u64..u64::MAX,
+            t_bits in 0u64..(1u64 << 63),
+            ordinary in -1e6f64..1e6,
+            t_ordinary in 0.0f64..1e5,
+        ) {
+            let (v, t) = (f64::from_bits(v_bits), f64::from_bits(t_bits));
+            for (v, t) in [(v, t), (ordinary, t_ordinary), (t, t), (-t, t), (ordinary, t)] {
+                proptest::prop_assert_eq!(shrink(v, t).to_bits(), soft_threshold(v, t).to_bits());
+            }
+            for t in EDGE_THRESHOLDS {
+                for v in [v, ordinary, t, -t] {
+                    proptest::prop_assert_eq!(shrink(v, t).to_bits(), soft_threshold(v, t).to_bits());
+                }
+            }
+        }
     }
 
     #[test]

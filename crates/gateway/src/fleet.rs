@@ -9,17 +9,22 @@
 //! its whole lifetime; the shard is read straight out of a packet's
 //! fixed link header.
 //!
-//! There are no long-lived threads. The calls that can run FISTA
-//! ([`ShardedGateway::ingest_batch`],
-//! [`ShardedGateway::flush_sessions_tagged`]) fan the shards out over
-//! `w` threads through [`map_on_workers`], the workspace's one
-//! scoped-thread helper, which borrows the batch and joins every
-//! thread before it returns. A thread takes the next shard as soon as
-//! it finishes one, and with more shards than threads an expensive
-//! shard does not leave the other threads idle. Every
-//! other call runs on the calling thread: per-session calls go to the
-//! owning shard directly, and the cheap cross-session merges walk the
-//! shards in turn.
+//! There are no long-lived threads. The calls that can release CS
+//! windows ([`ShardedGateway::ingest_batch`],
+//! [`ShardedGateway::flush_sessions_tagged`],
+//! [`ShardedGateway::close_session`]) run in three steps. Decoding
+//! fans the shards out over `w` threads through [`map_on_workers`],
+//! the workspace's one scoped-thread helper, which borrows the batch
+//! and joins every thread before it returns; a thread takes the next
+//! shard as soon as it finishes one. Each shard queues the CS windows
+//! it decodes instead of solving them, and one pool-wide
+//! [`SolvePhase`] then solves every shard's windows together on the
+//! same `w` threads, four windows of one Φ per pass, so the lanes stay
+//! full however the windows are spread over shards. Last, each shard
+//! completes its windows in decode order. Every other call runs on
+//! the calling thread: per-session calls go to the owning shard
+//! directly, and the cheap cross-session merges walk the shards in
+//! turn.
 //!
 //! Sessions are fully isolated (separate reassemblers, decoders,
 //! rhythm state, sensing matrices) and every per-session computation
@@ -40,9 +45,10 @@ use wbsn_core::WbsnError;
 
 use crate::cache::{MatrixCache, MatrixCacheStats};
 use crate::gateway::{
-    Gateway, GatewayConfig, GatewayEvent, GatewayStats, RhythmState, SessionReport,
+    put, Gateway, GatewayConfig, GatewayEvent, GatewayStats, RhythmState, SessionReport,
 };
 use crate::record::TapItem;
+use crate::solve::SolvePhase;
 use crate::Result;
 
 /// Shards per worker thread. More shards than threads lets a thread
@@ -57,6 +63,9 @@ pub struct ShardedGateway {
     shards: Vec<Gateway>,
     workers: usize,
     cache: Arc<MatrixCache>,
+    /// The pool-wide solve phase every call's CS windows run in (boxed:
+    /// its queues and solver working memory stay off the handle).
+    phase: Box<SolvePhase>,
 }
 
 impl core::fmt::Debug for ShardedGateway {
@@ -97,6 +106,7 @@ impl ShardedGateway {
             });
         }
         let cache = Arc::new(MatrixCache::new());
+        let phase = Box::new(SolvePhase::new(cfg.solver));
         let shards = (0..n_workers * SHARDS_PER_WORKER)
             .map(|_| Gateway::with_cache(cfg.clone(), Arc::clone(&cache)))
             .collect();
@@ -104,6 +114,7 @@ impl ShardedGateway {
             shards,
             workers: n_workers,
             cache,
+            phase,
         })
     }
 
@@ -145,18 +156,31 @@ impl ShardedGateway {
     }
 
     /// Ingests a batch of raw packets: each goes to its session's
-    /// shard, the shards with work run on up to
-    /// [`num_workers`](Self::num_workers) threads, and the
-    /// per-packet results come back **in batch order** —
-    /// byte-identical to calling [`Gateway::ingest`] on each packet in
+    /// shard, and the per-packet results come back **in batch order**
+    /// — byte-identical to calling [`Gateway::ingest`] on each packet in
     /// order, for any worker count. Per-packet rejections (CRC,
     /// truncation, …) are values in the returned vector, exactly as
     /// the sequential gateway returns them; they do not abort the
     /// batch.
     ///
+    /// A batch runs in three steps:
+    /// 1. **Decode and enqueue**, the shards with work on up to
+    ///    [`num_workers`](Self::num_workers) threads. Each packet is
+    ///    reassembled and decoded in order; a CS window is checked
+    ///    against its Φ (a measurement count that does not match is a
+    ///    [`GatewayEvent::PayloadRejected`] in its place), queued for
+    ///    its solve, and its event and tap item are reserved.
+    /// 2. **Solve**: every shard's queued windows in one pool-wide
+    ///    solve phase ([`SolvePhase`]) on up to `num_workers` threads,
+    ///    four windows of one Φ per pass. Skipped when nothing is
+    ///    queued.
+    /// 3. **Complete**, shard by shard in decode order: each window's
+    ///    PRD, the session's PRD sum, its retained samples, its tap item
+    ///    and its `WindowReconstructed` event.
+    ///
     /// # Errors
     ///
-    /// [`WbsnError::WorkerLost`] when a thread running shards
+    /// [`WbsnError::WorkerLost`] when a thread decoding shards
     /// panicked.
     #[allow(clippy::type_complexity)]
     pub fn ingest_batch(&mut self, packets: &[Vec<u8>]) -> Result<Vec<Result<Vec<GatewayEvent>>>> {
@@ -170,12 +194,26 @@ impl ShardedGateway {
             .zip(routed)
             .filter(|(_, idxs)| !idxs.is_empty())
             .collect();
-        let per_shard = map_on_workers(self.workers, &mut jobs, |(gw, idxs)| {
+        let decoded = map_on_workers(self.workers, &mut jobs, |(gw, idxs)| {
             Ok(idxs
                 .iter()
-                .map(|&i| (i, gw.ingest(&packets[i])))
+                .enumerate()
+                .map(|(list, &i)| (i, gw.decode(&packets[i], list)))
                 .collect::<Vec<_>>())
-        })?;
+        });
+        let mut shards: Vec<&mut Gateway> = jobs.into_iter().map(|(gw, _)| gw).collect();
+        let mut per_shard = abandon_on_error(&mut shards, decoded)?;
+        solve_and_complete(
+            &mut self.phase,
+            self.workers,
+            &mut shards,
+            |k, list, at, event| {
+                let events = per_shard[k]
+                    .get_mut(list)
+                    .and_then(|(_, r)| r.as_mut().ok());
+                put(events, at, event);
+            },
+        );
         let mut merged: Vec<_> = per_shard.into_iter().flatten().collect();
         // Each batch index appears exactly once.
         merged.sort_unstable_by_key(|(i, _)| *i);
@@ -223,6 +261,8 @@ impl ShardedGateway {
     /// shard, shards running on up to [`num_workers`](Self::num_workers)
     /// threads, with each session's events grouped under its id (ids
     /// ascending) — identical to [`Gateway::flush_sessions_tagged`].
+    /// The released CS windows are solved in the pool-wide phase, as in
+    /// [`ShardedGateway::ingest_batch`].
     ///
     /// # Errors
     ///
@@ -230,9 +270,20 @@ impl ShardedGateway {
     /// panicked.
     pub fn flush_sessions_tagged(&mut self) -> Result<Vec<(u64, Vec<GatewayEvent>)>> {
         let mut shards: Vec<&mut Gateway> = self.shards.iter_mut().collect();
-        let per_shard = map_on_workers(self.workers, &mut shards, |gw| {
-            Ok(gw.flush_sessions_tagged())
-        })?;
+        let decoded = map_on_workers(self.workers, &mut shards, |gw| Ok(gw.decode_flush()));
+        let mut per_shard = abandon_on_error(&mut shards, decoded)?;
+        solve_and_complete(
+            &mut self.phase,
+            self.workers,
+            &mut shards,
+            |k, list, at, event| {
+                put(
+                    per_shard[k].get_mut(list).map(|(_, events)| events),
+                    at,
+                    event,
+                );
+            },
+        );
         Ok(by_session(per_shard))
     }
 
@@ -287,13 +338,28 @@ impl ShardedGateway {
     }
 
     /// Closes one session on its shard — see
-    /// [`Gateway::close_session`].
+    /// [`Gateway::close_session`]. The tail's CS windows are solved in
+    /// the pool-wide phase.
     ///
     /// # Errors
     ///
     /// None: the `Result` matches the fan-out calls.
     pub fn close_session(&mut self, session: u64) -> Result<Option<Vec<GatewayEvent>>> {
-        Ok(self.owner_mut(session).close_session(session))
+        let shard = self.shard_of(session);
+        let gw = &mut self.shards[shard];
+        let Some(mut events) = gw.decode_close(session) else {
+            return Ok(None);
+        };
+        solve_and_complete(
+            &mut self.phase,
+            self.workers,
+            &mut [gw],
+            |_, _, at, event| {
+                put(Some(&mut events), at, event);
+            },
+        );
+        gw.remove_session(session);
+        Ok(Some(events))
     }
 
     /// Field-wise sum of every shard's [`GatewayStats`] — identical to
@@ -351,6 +417,47 @@ impl ShardedGateway {
     }
 }
 
+/// Step 1's outcome: on success the per-shard decodes. On a lost
+/// thread, every shard's queued windows are dropped, so no later call
+/// completes them, and the error is returned.
+fn abandon_on_error<T>(shards: &mut [&mut Gateway], decoded: Result<T>) -> Result<T> {
+    if decoded.is_err() {
+        for gw in shards.iter_mut() {
+            gw.abandon_pending();
+        }
+    }
+    decoded
+}
+
+/// Steps 2 and 3 of a call: moves every shard's queued windows into
+/// `phase`, solves them on up to `workers` threads, and completes them
+/// shard by shard in decode order. `patch(k, list, at, event)` writes
+/// the final event of a window of `shards[k]`.
+fn solve_and_complete(
+    phase: &mut SolvePhase,
+    workers: usize,
+    shards: &mut [&mut Gateway],
+    mut patch: impl FnMut(usize, usize, usize, GatewayEvent),
+) {
+    for gw in shards.iter_mut() {
+        phase.append(&mut gw.phase);
+    }
+    if phase.is_empty() {
+        return;
+    }
+    let mut solves = phase.run(workers);
+    for (k, gw) in shards.iter_mut().enumerate() {
+        let queued = gw.pending_len();
+        gw.complete(solves.by_ref().take(queued), |list, at, event| {
+            patch(k, list, at, event)
+        });
+    }
+    debug_assert!(
+        solves.next().is_none(),
+        "every queued window is completed exactly once"
+    );
+}
+
 /// Concatenates per-shard `(session, value)` lists and orders them by
 /// ascending session id — the sequential gateway's order, since every
 /// session lives on exactly one shard.
@@ -368,6 +475,116 @@ mod tests {
 
     fn sharded(n: usize) -> ShardedGateway {
         ShardedGateway::new(GatewayConfig::default(), n).unwrap()
+    }
+
+    /// One lead's CS window `seq` under the handshake `hs`: a ramp
+    /// through `hs`'s Φ, or `short` measurements fewer.
+    fn cs_window(hs: &SessionHandshake, seq: u32, short: usize) -> Payload {
+        let enc = wbsn_cs::CsEncoder::for_lead(
+            hs.cs_window as usize,
+            hs.cs_measurements as usize,
+            hs.cs_d_per_col as usize,
+            hs.seed,
+            0,
+        )
+        .unwrap();
+        let x: Vec<i32> = (0..hs.cs_window as i32)
+            .map(|i| (i * 37 + seq as i32 * 11) % 200 - 100)
+            .collect();
+        let mut measurements: Vec<i16> =
+            enc.encode(&x).unwrap().iter().map(|&v| v as i16).collect();
+        measurements.truncate(measurements.len() - short);
+        Payload::CsWindow {
+            lead: 0,
+            window_seq: seq,
+            measurements,
+        }
+    }
+
+    #[test]
+    fn batched_windows_complete_in_place_as_the_sequential_gateway_does() {
+        let session = 7;
+        let base = SessionHandshake::for_config(
+            session,
+            wbsn_core::monitor::MonitorBuilder::new()
+                .build()
+                .unwrap()
+                .config(),
+        );
+        let hs = |seed| SessionHandshake {
+            cs_window: 256,
+            cs_measurements: 96,
+            cs_d_per_col: 4,
+            seed,
+            ..base
+        };
+        let (first, second) = (hs(1), hs(2));
+        let mut framer = LinkFramer::new(session);
+        let mut packets = Vec::new();
+        framer.frame_handshake(&first, &mut packets).unwrap();
+        framer
+            .frame_payload(&cs_window(&first, 0, 0), &mut packets)
+            .unwrap();
+        // One measurement short of Φ's rows: rejected in its place.
+        framer
+            .frame_payload(&cs_window(&first, 1, 1), &mut packets)
+            .unwrap();
+        framer
+            .frame_payload(&cs_window(&first, 2, 0), &mut packets)
+            .unwrap();
+        // A changed handshake drops the windows solved before it.
+        framer.frame_handshake(&second, &mut packets).unwrap();
+        framer
+            .frame_payload(&cs_window(&second, 3, 0), &mut packets)
+            .unwrap();
+        let reference: Vec<f64> = (0..4 * 256).map(|i| f64::from(i % 97) - 40.0).collect();
+        let cfg = GatewayConfig {
+            tap: true,
+            ..GatewayConfig::default()
+        };
+
+        let mut sequential = Gateway::new(cfg.clone());
+        sequential
+            .attach_reference(session, 0, reference.clone())
+            .unwrap();
+        let want: Vec<Result<Vec<GatewayEvent>>> =
+            packets.iter().map(|p| sequential.ingest(p)).collect();
+        let mut sharded = ShardedGateway::new(cfg, 2).unwrap();
+        sharded.attach_reference(session, 0, reference).unwrap();
+        let got = sharded.ingest_batch(&packets).unwrap();
+        assert_eq!(got, want);
+
+        let events: Vec<GatewayEvent> = got.into_iter().flat_map(Result::unwrap).collect();
+        let kinds: Vec<&str> = events
+            .iter()
+            .map(|e| match e {
+                GatewayEvent::SessionOpened { .. } => "opened",
+                GatewayEvent::WindowReconstructed { .. } => "window",
+                GatewayEvent::PayloadRejected { .. } => "rejected",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["opened", "window", "rejected", "window", "opened", "window"]
+        );
+        let stats = sharded.stats().unwrap();
+        assert_eq!(stats, sequential.stats());
+        assert_eq!((stats.windows_reconstructed, stats.items_rejected), (3, 1));
+        let retained: Vec<(u32, Vec<f64>)> = sharded
+            .reconstructed_windows(session, 0)
+            .map(|(seq, x)| (seq, x.to_vec()))
+            .collect();
+        let retained_seq: Vec<(u32, Vec<f64>)> = sequential
+            .reconstructed_windows(session, 0)
+            .map(|(seq, x)| (seq, x.to_vec()))
+            .collect();
+        assert_eq!(retained, retained_seq);
+        assert_eq!(
+            retained.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(),
+            [3]
+        );
+        assert_eq!(sharded.drain_tap().unwrap(), sequential.drain_tap());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   onsets surface as [`GatewayEvent::AfAlert`]s and are kept in an
 //!   audit log, mirroring what a monitoring service would page on.
 //! * **`CsWindow` payloads** are reconstructed through the `wbsn-cs`
-//!   FISTA solver; when a reference signal is attached
+//!   FISTA solver, in a solve phase after the call has decoded
+//!   everything ([`SolvePhase`]); when a reference signal is attached
 //!   ([`Gateway::attach_reference`]), each window reports its PRD
 //!   (percentage root-mean-square difference) against the transmitted
 //!   original — the Figure 5 quality metric, now measured end to end
@@ -29,6 +30,7 @@ use crate::cache::{MatrixCache, MatrixCacheStats, MatrixKey};
 use crate::controller::{ControllerConfig, LinkController};
 use crate::decoder::{SessionDecoder, SessionItem};
 use crate::record::TapItem;
+use crate::solve::SolvePhase;
 use crate::Result;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -37,7 +39,7 @@ use wbsn_core::link::{
 };
 use wbsn_core::{Payload, WbsnError};
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::solver::{Continuation, Fista, FistaConfig, FistaScratch};
+use wbsn_cs::solver::{Continuation, FistaConfig, FistaSolve};
 use wbsn_sigproc::stats::prd_percent;
 
 /// Gateway configuration.
@@ -383,6 +385,9 @@ struct SessionState {
     encoders: Vec<Option<LeadMatrix>>,
     // Reconstructed windows, keyed by (lead, window_seq).
     windows: BTreeMap<(u8, u32), Vec<f64>>,
+    // Handshake changes so far: a window decoded under an older
+    // handshake is not retained once solved (the change cleared it).
+    generation: u64,
     // Optional per-lead reference signals for PRD reporting.
     references: BTreeMap<u8, LeadReference>,
 }
@@ -396,6 +401,7 @@ impl SessionState {
         if self.handshake != Some(hs) {
             self.encoders.clear();
             self.windows.clear();
+            self.generation += 1;
         }
         self.handshake = Some(hs);
     }
@@ -409,6 +415,7 @@ impl SessionState {
             rhythm: RhythmState::default(),
             encoders: Vec::new(),
             windows: BTreeMap::new(),
+            generation: 0,
             references: BTreeMap::new(),
         })
     }
@@ -418,11 +425,38 @@ impl SessionState {
 /// on it.
 type LeadMatrix = (Arc<CsEncoder>, f64);
 
+/// A CS window the current call decoded and queued for its solve, and
+/// where the solve's results go: the window's `WindowReconstructed`
+/// event and tap item are already in place, waiting for the PRD and the
+/// samples.
+#[derive(Debug)]
+struct PendingWindow {
+    session: u64,
+    msg_seq: u32,
+    lead: u8,
+    window_seq: u32,
+    /// Window length of the handshake it was decoded under.
+    n: usize,
+    /// The session's `generation` when it was decoded.
+    generation: u64,
+    /// Which of the call's event lists holds its event, and where.
+    list: usize,
+    event: usize,
+    /// Its item in the tap, when the tap is on.
+    tap: Option<usize>,
+}
+
+/// Writes `event` at position `at` of `events`, when both exist.
+pub(crate) fn put(events: Option<&mut Vec<GatewayEvent>>, at: usize, event: GatewayEvent) {
+    if let Some(slot) = events.and_then(|events| events.get_mut(at)) {
+        *slot = event;
+    }
+}
+
 /// The multi-session gateway service.
 #[derive(Debug)]
 pub struct Gateway {
     cfg: GatewayConfig,
-    solver: Fista,
     cache: Arc<MatrixCache>,
     sessions: BTreeMap<u64, SessionState>,
     stats: GatewayStats,
@@ -431,11 +465,14 @@ pub struct Gateway {
     /// per-session) so items surfaced by a session's closing flush
     /// survive the session-state teardown.
     tap: Vec<(u64, TapItem)>,
-    /// Solver working memory, shared by every session this gateway
-    /// (one decode worker) serves: solves run one at a time.
-    fista_scratch: FistaScratch,
-    /// Reused solver input: the window's measurements as `f64`.
-    y_scratch: Vec<f64>,
+    /// The CS windows the current call decoded, in decode order.
+    pending: Vec<PendingWindow>,
+    /// Their solves, in the same order, and the solver working memory
+    /// of this gateway's own calls (a [`ShardedGateway`] moves its
+    /// shards' queues into one pool-wide phase instead).
+    ///
+    /// [`ShardedGateway`]: crate::ShardedGateway
+    pub(crate) phase: SolvePhase,
 }
 
 impl Default for Gateway {
@@ -460,14 +497,13 @@ impl Gateway {
         cfg.reorder_window = cfg.reorder_window.max(1);
         cfg.reconstruct_every = cfg.reconstruct_every.max(1);
         Gateway {
-            solver: Fista::new(cfg.solver),
+            phase: SolvePhase::new(cfg.solver),
             cfg,
             cache,
             sessions: BTreeMap::new(),
             stats: GatewayStats::default(),
             tap: Vec::new(),
-            fista_scratch: FistaScratch::new(),
-            y_scratch: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
@@ -636,7 +672,19 @@ impl Gateway {
     /// has no handshake ([`LinkError::NoHandshake`]) — surface as
     /// [`GatewayEvent::PayloadRejected`] events instead, so the valid
     /// messages released by the same packet are never discarded.
+    ///
+    /// A CS window is decoded and queued first, then solved, then
+    /// completed (its PRD, tap item and event): the three steps of
+    /// every call that can release windows, run here on this thread.
     pub fn ingest(&mut self, raw: &[u8]) -> Result<Vec<GatewayEvent>> {
+        let mut events = self.decode(raw, 0)?;
+        self.solve_pending(|_, at, event| put(Some(&mut events), at, event));
+        Ok(events)
+    }
+
+    /// Step 1 of [`Gateway::ingest`]: decodes one packet, queueing its
+    /// CS windows with their events written to list `list` of the call.
+    pub(crate) fn decode(&mut self, raw: &[u8], list: usize) -> Result<Vec<GatewayEvent>> {
         self.stats.packets += 1;
         let pkt = match LinkPacket::decode(raw) {
             Ok(p) => p,
@@ -655,7 +703,7 @@ impl Gateway {
             self.stats.rejected += 1;
             return Err(e);
         }
-        Ok(self.handle_items(pkt.session, items))
+        Ok(self.handle_items(pkt.session, items, list))
     }
 
     /// End of stream: drains every session's reassembler and processes
@@ -672,16 +720,151 @@ impl Gateway {
     /// shards' flushes through this form so the merged order is
     /// identical to a single gateway's.
     pub fn flush_sessions_tagged(&mut self) -> Vec<(u64, Vec<GatewayEvent>)> {
+        let mut lists = self.decode_flush();
+        self.solve_pending(|list, at, event| put(lists.get_mut(list).map(|l| &mut l.1), at, event));
+        lists
+    }
+
+    /// Step 1 of [`Gateway::flush_sessions_tagged`]: session `k` (in
+    /// id order) writes its events to list `k`.
+    pub(crate) fn decode_flush(&mut self) -> Vec<(u64, Vec<GatewayEvent>)> {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
         ids.into_iter()
-            .map(|id| {
+            .enumerate()
+            .map(|(list, id)| {
                 let mut items = Vec::new();
                 if let Some(state) = self.sessions.get_mut(&id) {
                     state.decoder.flush(&mut items);
                 }
-                (id, self.handle_items(id, items))
+                (id, self.handle_items(id, items, list))
             })
             .collect()
+    }
+
+    /// Steps 2 and 3 of a call on this thread: solves the pending
+    /// windows with this gateway's own phase and completes them.
+    fn solve_pending(&mut self, patch: impl FnMut(usize, usize, GatewayEvent)) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut phase = core::mem::replace(&mut self.phase, SolvePhase::new(self.cfg.solver));
+        self.complete(phase.run(1), patch);
+        self.phase = phase;
+    }
+
+    /// Windows queued by the current call and not yet completed.
+    pub(crate) fn pending_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Drops the current call's pending windows and their queued
+    /// solves, for a call that failed before its solve phase.
+    pub(crate) fn abandon_pending(&mut self) {
+        self.pending.clear();
+        self.phase.clear();
+    }
+
+    /// Step 3 of a call: completes the pending windows in decode order
+    /// from their `solves` (one each, in the same order), writing each
+    /// window's final event through `patch(list, position, event)`.
+    /// A solved window gets its PRD, its samples (retained and tapped)
+    /// and its counters exactly as an in-line solve would have; a
+    /// failed one becomes a [`GatewayEvent::PayloadRejected`] in its
+    /// place, its tap item left as a measurements-only one.
+    pub(crate) fn complete(
+        &mut self,
+        mut solves: impl Iterator<Item = Result<FistaSolve>>,
+        mut patch: impl FnMut(usize, usize, GatewayEvent),
+    ) {
+        let mut pending = core::mem::take(&mut self.pending);
+        for window in pending.drain(..) {
+            let solve = solves
+                .next()
+                .unwrap_or(Err(WbsnError::WorkerLost { shard: 0 }));
+            let event = match solve {
+                Ok(solve) => self.finish_window(&window, solve),
+                Err(error) => {
+                    self.stats.items_rejected += 1;
+                    GatewayEvent::PayloadRejected {
+                        session: window.session,
+                        msg_seq: window.msg_seq,
+                        error,
+                    }
+                }
+            };
+            patch(window.list, window.event, event);
+        }
+        debug_assert!(
+            solves.next().is_none(),
+            "every queued window is completed exactly once"
+        );
+        self.pending = pending;
+    }
+
+    /// A solved window's PRD, counters, retained samples and tap item;
+    /// returns its event.
+    fn finish_window(&mut self, window: &PendingWindow, solve: FistaSolve) -> GatewayEvent {
+        let PendingWindow {
+            session,
+            lead,
+            window_seq,
+            n,
+            ..
+        } = *window;
+        self.stats.solver_iters += solve.iters as u64;
+        self.stats.windows_reconstructed += 1;
+        let xr = solve.x;
+        let state = self.sessions.get_mut(&session);
+        let prd = state
+            .as_ref()
+            .and_then(|state| state.references.get(&lead))
+            .and_then(|reference| {
+                let start = (window_seq as u64 * n as u64).checked_sub(reference.offset)? as usize;
+                let orig = reference.samples.get(start..start + n)?;
+                // A zero-energy reference window (a dropped electrode
+                // reads a flat baseline) has no defined PRD; report the
+                // window unscored instead of letting `prd_percent`'s
+                // zero-signal assert kill the worker.
+                if orig.iter().all(|&v| v == 0.0) {
+                    return None;
+                }
+                Some(prd_percent(orig, &xr))
+            });
+        if let Some(TapItem::CsWindow {
+            prd: tapped_prd,
+            samples,
+            ..
+        }) = window
+            .tap
+            .and_then(|i| self.tap.get_mut(i))
+            .map(|(_, item)| item)
+        {
+            // Archive the full observation: raw measurements (replay's
+            // solver input), the reconstruction, and the live PRD
+            // (replay's comparison baseline).
+            *tapped_prd = prd;
+            samples.clone_from(&xr);
+        }
+        if let (Some(state), Some(p)) = (state, prd) {
+            state.feedback.prd_sum += p;
+            state.feedback.prd_count += 1;
+            // Samples are retained only for windows the attached
+            // reference actually covers (the evaluation harness needs
+            // them for PRD/replay queries); a production session would
+            // otherwise grow ~4 kB per window forever, and a
+            // segment-probing harness would grow by every window
+            // outside its current reference span. A handshake change
+            // after the window was decoded already cleared it.
+            if state.generation == window.generation {
+                state.windows.insert((lead, window_seq), xr);
+            }
+        }
+        GatewayEvent::WindowReconstructed {
+            session,
+            lead,
+            window_seq,
+            prd_percent: prd,
+        }
     }
 
     /// One downlink pump: for every session (ids ascending) emits the
@@ -832,12 +1015,25 @@ impl Gateway {
     /// matrices, reconstructed windows). Returns the tail's events,
     /// or `None` for a session this gateway never saw.
     pub fn close_session(&mut self, session: u64) -> Option<Vec<GatewayEvent>> {
+        let mut events = self.decode_close(session)?;
+        self.solve_pending(|_, at, event| put(Some(&mut events), at, event));
+        self.sessions.remove(&session);
+        Some(events)
+    }
+
+    /// Step 1 of [`Gateway::close_session`]: the session's tail, with
+    /// its events in list 0. The caller removes the session once the
+    /// tail's windows are complete.
+    pub(crate) fn decode_close(&mut self, session: u64) -> Option<Vec<GatewayEvent>> {
         let state = self.sessions.get_mut(&session)?;
         let mut items = Vec::new();
         state.decoder.flush(&mut items);
-        let events = self.handle_items(session, items);
+        Some(self.handle_items(session, items, 0))
+    }
+
+    /// Drops one session's state (after [`Gateway::decode_close`]).
+    pub(crate) fn remove_session(&mut self, session: u64) {
         self.sessions.remove(&session);
-        Some(events)
     }
 
     fn session_state(&mut self, session: u64) -> Result<&mut SessionState> {
@@ -851,7 +1047,12 @@ impl Gateway {
         })
     }
 
-    fn handle_items(&mut self, session: u64, items: Vec<SessionItem>) -> Vec<GatewayEvent> {
+    fn handle_items(
+        &mut self,
+        session: u64,
+        items: Vec<SessionItem>,
+        list: usize,
+    ) -> Vec<GatewayEvent> {
         let mut events = Vec::new();
         for item in items {
             match item {
@@ -892,7 +1093,8 @@ impl Gateway {
                     if let Some(state) = self.sessions.get_mut(&session) {
                         state.feedback.delivered_since += 1;
                     }
-                    if let Err(error) = self.handle_payload(session, msg_seq, payload, &mut events)
+                    if let Err(error) =
+                        self.handle_payload(session, msg_seq, payload, list, &mut events)
                     {
                         self.stats.items_rejected += 1;
                         events.push(GatewayEvent::PayloadRejected {
@@ -927,7 +1129,8 @@ impl Gateway {
                         self.tap.push((session, TapItem::Recovered { msg_seq }));
                     }
                     events.push(GatewayEvent::MessageRecovered { session, msg_seq });
-                    if let Err(error) = self.handle_payload(session, msg_seq, payload, &mut events)
+                    if let Err(error) =
+                        self.handle_payload(session, msg_seq, payload, list, &mut events)
                     {
                         self.stats.items_rejected += 1;
                         events.push(GatewayEvent::PayloadRejected {
@@ -947,6 +1150,7 @@ impl Gateway {
         session: u64,
         msg_seq: u32,
         payload: Payload,
+        list: usize,
         events: &mut Vec<GatewayEvent>,
     ) -> Result<()> {
         let cache = Arc::clone(&self.cache);
@@ -1052,75 +1256,51 @@ impl Gateway {
                                 seed: hs.seed,
                                 lead,
                             },
-                            &self.solver,
+                            self.phase.solver(),
                         )?;
                         state.encoders[lead as usize] = Some(enc.clone());
                         enc
                     }
                 };
                 // The value path i16 → i64 (reassembly) → f64 (solver
-                // front end) is exact at every step.
-                self.y_scratch.clear();
-                self.y_scratch
-                    .extend(measurements.iter().map(|&v| v as i64 as f64));
+                // front end) is exact at every step. The solve runs in
+                // the call's solve phase; its event and tap item are
+                // reserved here, in order, and completed afterwards.
                 let (enc, lip) = &enc;
-                let solve = self.solver.solve_with(
-                    &mut self.fista_scratch,
-                    enc.sensing_matrix(),
-                    &self.y_scratch,
-                    *lip,
-                )?;
-                self.stats.solver_iters += solve.iters as u64;
-                let xr = solve.x;
-                let n = hs.cs_window as usize;
-                let prd = state.references.get(&lead).and_then(|reference| {
-                    let start =
-                        (window_seq as u64 * n as u64).checked_sub(reference.offset)? as usize;
-                    let orig = reference.samples.get(start..start + n)?;
-                    // A zero-energy reference window (a dropped
-                    // electrode reads a flat baseline) has no defined
-                    // PRD; report the window unscored instead of
-                    // letting `prd_percent`'s zero-signal assert kill
-                    // the worker.
-                    if orig.iter().all(|&v| v == 0.0) {
-                        return None;
-                    }
-                    Some(prd_percent(orig, &xr))
-                });
-                if let Some(p) = prd {
-                    state.feedback.prd_sum += p;
-                    state.feedback.prd_count += 1;
-                }
-                if self.cfg.tap {
-                    // Archive the full observation: raw measurements
-                    // (replay's solver input), the reconstruction, and
-                    // the live PRD (replay's comparison baseline).
+                self.phase
+                    .push(enc, *lip, measurements.iter().map(|&v| v as i64 as f64))?;
+                let generation = state.generation;
+                let tap = if self.cfg.tap {
                     self.tap.push((
                         session,
                         TapItem::CsWindow {
                             lead,
                             window_seq,
-                            prd,
+                            prd: None,
                             measurements,
-                            samples: xr.clone(),
+                            samples: Vec::new(),
                         },
                     ));
-                }
-                // Samples are retained only for windows the attached
-                // reference actually covers (the evaluation harness
-                // needs them for PRD/replay queries); a production
-                // session would otherwise grow ~4 kB per window
-                // forever, and a segment-probing harness would grow by
-                // every window outside its current reference span.
-                if prd.is_some() {
-                    state.windows.insert((lead, window_seq), xr);
-                }
-                self.stats.windows_reconstructed += 1;
+                    Some(self.tap.len() - 1)
+                } else {
+                    None
+                };
+                self.pending.push(PendingWindow {
+                    session,
+                    msg_seq,
+                    lead,
+                    window_seq,
+                    n: hs.cs_window as usize,
+                    generation,
+                    list,
+                    event: events.len(),
+                    tap,
+                });
                 events.push(GatewayEvent::WindowReconstructed {
                     session,
                     lead,
                     window_seq,
-                    prd_percent: prd,
+                    prd_percent: None,
                 });
             }
             Payload::RawChunk { .. } => {

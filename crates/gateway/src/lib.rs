@@ -48,12 +48,18 @@
 //!   handshake geometry `(window, m, density, seed, lead)`, shared by
 //!   every session — and every shard — that announces it.
 //! * [`fleet`] — the [`ShardedGateway`]: `4n` plain [`Gateway`] shards
-//!   keyed by `session % 4n` for `n` worker threads, whose
-//!   FISTA-bearing calls fan out over `wbsn-core`'s work-pulling
-//!   scoped-thread helper
+//!   keyed by `session % 4n` for `n` worker threads, whose decoding
+//!   fans out over `wbsn-core`'s work-pulling scoped-thread helper
 //!   ([`map_on_workers`](wbsn_core::workers::map_on_workers)), with
 //!   merge rules that keep the combined event stream byte-identical to
 //!   the single-threaded service at any worker count.
+//! * [`solve`] — the [`SolvePhase`]: the CS windows a call decoded,
+//!   queued by matrix and solved four windows of one Φ per pass on up
+//!   to `n` threads, each bit for bit its one-window FISTA solve. Every
+//!   call that can release windows decodes first, solves its queue, and
+//!   then completes the windows in decode order; the sharded gateway
+//!   and the archive's solver replay share one phase across all their
+//!   windows.
 //!
 //! Corruption can never surface as a wrong payload: every packet is
 //! CRC32-checked before any field is trusted, and a flipped bit is a
@@ -107,6 +113,7 @@ pub mod fleet;
 pub mod gateway;
 pub mod reassembler;
 pub mod record;
+pub mod solve;
 
 pub use cache::{MatrixCache, MatrixCacheStats, MatrixKey};
 pub use channel::{ChannelConfig, ChannelStats, DuplexChannel, LossyChannel};
@@ -116,6 +123,7 @@ pub use fleet::ShardedGateway;
 pub use gateway::{Gateway, GatewayConfig, GatewayEvent, GatewayStats, RhythmState, SessionReport};
 pub use reassembler::{LinkEvent, Reassembler, ReassemblyStats};
 pub use record::TapItem;
+pub use solve::SolvePhase;
 
 /// Crate-wide result alias (errors unify into
 /// [`wbsn_core::WbsnError`], the workspace's typed error).

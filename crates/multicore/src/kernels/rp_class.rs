@@ -68,7 +68,7 @@ impl RpParams {
                 detail: "window length must be a power of two ≤ 256".into(),
             });
         }
-        if self.k == 0 || self.k % n_cores != 0 || self.k / n_cores > 128 {
+        if self.k == 0 || !self.k.is_multiple_of(n_cores) || self.k / n_cores > 128 {
             return Err(MulticoreError::InvalidParameter {
                 what: "k",
                 detail: format!("rows ({}) must divide evenly over {n_cores} cores", self.k),

@@ -187,7 +187,7 @@ fn round_q15(acc: i64) -> i32 {
 ///
 /// Fails if `n_taps` is even/zero or the cutoff is not in `(0, fs/2)`.
 pub fn design_lowpass(fs_hz: f64, cutoff_hz: f64, n_taps: usize) -> Result<Vec<f64>> {
-    if n_taps == 0 || n_taps % 2 == 0 {
+    if n_taps == 0 || n_taps.is_multiple_of(2) {
         return Err(SigprocError::InvalidLength {
             what: "n_taps (must be odd)",
             got: n_taps,

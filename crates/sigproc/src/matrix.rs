@@ -599,34 +599,50 @@ impl SparseTernaryMatrix {
     }
 
     /// [`SparseTernaryMatrix::apply`] into a caller-owned buffer,
-    /// cleared and resized to `rows` first: a warm caller allocates
-    /// nothing.
+    /// resized to `rows` first: a warm caller allocates nothing. This
+    /// is [`SparseTernaryMatrix::apply_lanes`] at one lane.
     ///
     /// # Panics
     ///
     /// Panics when `x.len() != cols`.
     pub fn apply_into(&self, x: &[f64], y: &mut Vec<f64>) {
-        assert_eq!(x.len(), self.cols, "apply shape");
-        y.clear();
         y.resize(self.rows, 0.0);
+        self.apply_lanes(x.as_chunks::<1>().0, y.as_chunks_mut::<1>().0);
+    }
+
+    /// `y = Φ x` on `K` vectors at once, lanes innermost: `x[c][l]` is
+    /// entry `c` of lane `l`'s input, and lane `l` of `y` (every entry
+    /// overwritten) is bit for bit what [`SparseTernaryMatrix::apply_into`]
+    /// gives on that lane alone. Each column's run is read once for
+    /// all `K` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != cols` or `y.len() != rows`.
+    pub fn apply_lanes<const K: usize>(&self, x: &[[f64; K]], y: &mut [[f64; K]]) {
+        assert_eq!(x.len(), self.cols, "apply shape");
+        assert_eq!(y.len(), self.rows, "apply output shape");
+        y.fill([0.0; K]);
         match self.d_per_col {
             UNROLLED_D => self.apply_runs(UNROLLED_D, x, y),
             d => self.apply_runs(d, x, y),
         }
     }
 
-    /// The [`SparseTernaryMatrix::apply_into`] sweep over zeroed `y`.
+    /// The [`SparseTernaryMatrix::apply_lanes`] sweep over zeroed `y`.
     ///
     /// `y − x` is by IEEE definition `y + (−x)`, and a column's rows
     /// are distinct, so adding `x` with its sign bit flipped by the mask
     /// gives every bit of an add-the-positives, subtract-the-negatives
     /// sweep.
     #[inline(always)]
-    fn apply_runs(&self, d: usize, x: &[f64], y: &mut [f64]) {
-        for ((run, pos_len), &xv) in self.runs(d).zip(x) {
-            let xb = xv.to_bits();
+    fn apply_runs<const K: usize>(&self, d: usize, x: &[[f64; K]], y: &mut [[f64; K]]) {
+        for ((run, pos_len), xv) in self.runs(d).zip(x) {
             for (k, &r) in run.iter().enumerate() {
-                y[r as usize] += f64::from_bits(xb ^ (neg_mask(pos_len, k) & NEG_ZERO));
+                let flip = neg_mask(pos_len, k) & NEG_ZERO;
+                for (yl, xl) in y[r as usize].iter_mut().zip(xv) {
+                    *yl += f64::from_bits(xl.to_bits() ^ flip);
+                }
             }
         }
     }
@@ -644,14 +660,28 @@ impl SparseTernaryMatrix {
     }
 
     /// [`SparseTernaryMatrix::apply_t`] into a caller-owned buffer
-    /// (resized to `cols`; every entry is overwritten).
+    /// (resized to `cols`; every entry is overwritten). This is
+    /// [`SparseTernaryMatrix::apply_t_lanes`] at one lane.
     ///
     /// # Panics
     ///
     /// Panics when `y.len() != rows`.
     pub fn apply_t_into(&self, y: &[f64], x: &mut Vec<f64>) {
-        assert_eq!(y.len(), self.rows, "apply_t shape");
         x.resize(self.cols, 0.0);
+        self.apply_t_lanes(y.as_chunks::<1>().0, x.as_chunks_mut::<1>().0);
+    }
+
+    /// `x = Φᵀ y` on `K` vectors at once, lanes innermost (see
+    /// [`SparseTernaryMatrix::apply_lanes`]): lane `l` of `x` (every
+    /// entry overwritten) is bit for bit what
+    /// [`SparseTernaryMatrix::apply_t_into`] gives on lane `l` of `y`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `y.len() != rows` or `x.len() != cols`.
+    pub fn apply_t_lanes<const K: usize>(&self, y: &[[f64; K]], x: &mut [[f64; K]]) {
+        assert_eq!(y.len(), self.rows, "apply_t shape");
+        assert_eq!(x.len(), self.cols, "apply_t output shape");
         let mut start = 0;
         for (pos, &end) in self.class_end.iter().enumerate() {
             let cols = &self.class_cols[start as usize..end as usize];
@@ -667,27 +697,39 @@ impl SparseTernaryMatrix {
         }
     }
 
-    /// The [`SparseTernaryMatrix::apply_t_into`] sweep over the columns
+    /// The [`SparseTernaryMatrix::apply_t_lanes`] sweep over the columns
     /// `cols` of one sign class, whose runs of `d` start with `pos`
     /// positives; both are passed in so a caller can make them
     /// compile-time constants.
     ///
-    /// Two ordered sums per column, one over the positives and one over
-    /// the negatives. Both start at −0.0 like `f64`'s `Sum`, so a
-    /// column with no negatives still ends `p − (−0.0)`, bit for bit.
+    /// Two ordered sums per column and lane, one over the positives and
+    /// one over the negatives. Both start at −0.0 like `f64`'s `Sum`,
+    /// so a column with no negatives still ends `p − (−0.0)`, bit for
+    /// bit.
     #[inline(always)]
-    fn apply_t_class(&self, d: usize, pos: usize, cols: &[u32], y: &[f64], x: &mut [f64]) {
+    fn apply_t_class<const K: usize>(
+        &self,
+        d: usize,
+        pos: usize,
+        cols: &[u32],
+        y: &[[f64; K]],
+        x: &mut [[f64; K]],
+    ) {
         for &c in cols {
             let (pos_rows, neg_rows) = self.row_idx[c as usize * d..][..d].split_at(pos);
-            let mut p = -0.0f64;
+            let mut p = [-0.0f64; K];
             for &r in pos_rows {
-                p += y[r as usize];
+                for (pl, yl) in p.iter_mut().zip(&y[r as usize]) {
+                    *pl += yl;
+                }
             }
-            let mut n = -0.0f64;
+            let mut n = [-0.0f64; K];
             for &r in neg_rows {
-                n += y[r as usize];
+                for (nl, yl) in n.iter_mut().zip(&y[r as usize]) {
+                    *nl += yl;
+                }
             }
-            x[c as usize] = p - n;
+            x[c as usize] = core::array::from_fn(|l| p[l] - n[l]);
         }
     }
 

@@ -232,7 +232,7 @@ pub fn mmd_transform_unscaled(x: &[i32], s: usize) -> Vec<i32> {
 /// centered structuring elements.
 pub fn force_odd(w: usize) -> usize {
     let w = w.max(1);
-    if w % 2 == 0 {
+    if w.is_multiple_of(2) {
         w + 1
     } else {
         w

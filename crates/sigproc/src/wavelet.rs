@@ -95,10 +95,11 @@ const fn qmf<const L: usize>(h: &[f64; L]) -> [f64; L] {
     g
 }
 
-/// Reusable working memory for [`wavedec_into`] and [`waverec_into`]:
-/// the periodically extended level input of the analysis bank and the
-/// approximation ping-pong buffers of the synthesis bank. Any size
-/// may follow any other; buffers only ever grow.
+/// Reusable working memory for [`wavedec_into`] and [`waverec_into`]
+/// and their lane forms: the periodically extended level input of the
+/// analysis bank and the approximation ping-pong buffers of the
+/// synthesis bank. Any size and lane count may follow any other;
+/// buffers only ever grow.
 #[derive(Debug, Clone, Default)]
 pub struct DwtScratch {
     ext: Vec<f64>,
@@ -114,8 +115,20 @@ fn check_dwt_args(n: usize, levels: usize, what: &'static str) -> Result<()> {
             detail: "must be at least 1 and below the word size",
         });
     }
-    if n == 0 || n % (1 << levels) != 0 {
+    if n == 0 || !n.is_multiple_of(1 << levels) {
         return Err(SigprocError::InvalidLength { what, got: n });
+    }
+    Ok(())
+}
+
+/// `Ok` when a lane transform's output holds as many rows as its input.
+fn check_lane_out(n: usize, out: usize, what: &'static str) -> Result<()> {
+    if out != n {
+        return Err(SigprocError::ShapeMismatch {
+            what,
+            expected: n,
+            got: out,
+        });
     }
     Ok(())
 }
@@ -137,7 +150,8 @@ pub fn wavedec(x: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
 }
 
 /// [`wavedec`] into a caller-owned buffer (resized to `x.len()`), with
-/// reusable `scratch`: a warm caller allocates nothing.
+/// reusable `scratch`: a warm caller allocates nothing. This is
+/// [`wavedec_lanes`] at one lane.
 ///
 /// Each level copies its input into a periodically extended buffer,
 /// so every filter tap is a plain forward read with no `% n` wrap;
@@ -154,11 +168,38 @@ pub fn wavedec_into(
     scratch: &mut DwtScratch,
     out: &mut Vec<f64>,
 ) -> Result<()> {
+    out.resize(x.len(), 0.0);
+    wavedec_lanes(
+        x.as_chunks::<1>().0,
+        wavelet,
+        levels,
+        scratch,
+        out.as_chunks_mut::<1>().0,
+    )
+}
+
+/// [`wavedec_into`] on `K` signals at once, lanes innermost: `x[i][l]`
+/// is sample `i` of lane `l`, and lane `l` of `out` (which must hold
+/// `x.len()` rows; every entry is overwritten) is bit for bit
+/// [`wavedec_into`] of lane `l` alone.
+///
+/// # Errors
+///
+/// Same length constraints as [`wavedec`], plus
+/// [`SigprocError::ShapeMismatch`] when `out.len() != x.len()`.
+pub fn wavedec_lanes<const K: usize>(
+    x: &[[f64; K]],
+    wavelet: Wavelet,
+    levels: usize,
+    scratch: &mut DwtScratch,
+    out: &mut [[f64; K]],
+) -> Result<()> {
     check_dwt_args(
         x.len(),
         levels,
         "wavedec input (must be divisible by 2^levels)",
     )?;
+    check_lane_out(x.len(), out.len(), "wavedec output")?;
     match wavelet {
         Wavelet::Haar => analysis_bank(x, &HAAR, &HAAR_G, levels, &mut scratch.ext, out),
         Wavelet::Db2 => analysis_bank(x, &DB2, &DB2_G, levels, &mut scratch.ext, out),
@@ -167,20 +208,19 @@ pub fn wavedec_into(
     Ok(())
 }
 
-/// The analysis bank for an `L`-tap filter pair. Level `ℓ` reads its
-/// input (`x`, then the previous level's approximation already stored
-/// in `out[..n_in]`) through the extended copy `ext` and writes
-/// `a_ℓ` to `out[..n_in/2]` and `d_ℓ` to `out[n_in/2..n_in]` — the
-/// packed layout falls out with no final gather.
-fn analysis_bank<const L: usize>(
-    x: &[f64],
+/// The analysis bank for an `L`-tap filter pair on `K` lanes. Level
+/// `ℓ` reads its input (`x`, then the previous level's approximation
+/// already stored in `out[..n_in]`) through the extended copy `ext`
+/// and writes `a_ℓ` to `out[..n_in/2]` and `d_ℓ` to `out[n_in/2..n_in]`
+/// — the packed layout falls out with no final gather.
+fn analysis_bank<const L: usize, const K: usize>(
+    x: &[[f64; K]],
     h: &[f64; L],
     g: &[f64; L],
     levels: usize,
     ext: &mut Vec<f64>,
-    out: &mut Vec<f64>,
+    out: &mut [[f64; K]],
 ) {
-    out.resize(x.len(), 0.0);
     let mut n_in = x.len();
     for level in 0..levels {
         let src = if level == 0 { x } else { &out[..n_in] };
@@ -188,17 +228,19 @@ fn analysis_bank<const L: usize>(
         // levels shorter than the filter wrap more than once.
         let need = n_in + L - 2;
         ext.clear();
-        while ext.len() < need {
-            let take = (need - ext.len()).min(n_in);
-            ext.extend_from_slice(&src[..take]);
+        while ext.len() < need * K {
+            let take = (need - ext.len() / K).min(n_in);
+            ext.extend_from_slice(src[..take].as_flattened());
         }
         let (a, d) = out[..n_in].split_at_mut(n_in / 2);
-        for ((win, ak), dk) in ext.windows(L).step_by(2).zip(a).zip(d) {
-            let mut sa = 0.0;
-            let mut sd = 0.0;
-            for ((&hj, &gj), &xj) in h.iter().zip(g).zip(win) {
-                sa += hj * xj;
-                sd += gj * xj;
+        for ((win, ak), dk) in ext.as_chunks::<K>().0.windows(L).step_by(2).zip(a).zip(d) {
+            let mut sa = [0.0; K];
+            let mut sd = [0.0; K];
+            for ((&hj, &gj), xj) in h.iter().zip(g).zip(win) {
+                for ((sa, sd), &x) in sa.iter_mut().zip(&mut sd).zip(xj) {
+                    *sa += hj * x;
+                    *sd += gj * x;
+                }
             }
             *ak = sa;
             *dk = sd;
@@ -227,7 +269,8 @@ pub fn waverec(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f6
 }
 
 /// [`waverec`] into a caller-owned buffer (resized to `coeffs.len()`),
-/// with reusable `scratch`: a warm caller allocates nothing.
+/// with reusable `scratch`: a warm caller allocates nothing. This is
+/// [`waverec_lanes`] at one lane.
 ///
 /// Each level gathers: every output keeps one register accumulator
 /// and adds the `L/2` filter terms that reach it, in the `(k, j)`
@@ -245,11 +288,38 @@ pub fn waverec_into(
     scratch: &mut DwtScratch,
     out: &mut Vec<f64>,
 ) -> Result<()> {
+    out.resize(coeffs.len(), 0.0);
+    waverec_lanes(
+        coeffs.as_chunks::<1>().0,
+        wavelet,
+        levels,
+        scratch,
+        out.as_chunks_mut::<1>().0,
+    )
+}
+
+/// [`waverec_into`] on `K` coefficient vectors at once, lanes
+/// innermost (see [`wavedec_lanes`]): lane `l` of `out` (which must
+/// hold `coeffs.len()` rows; every entry is overwritten) is bit for
+/// bit [`waverec_into`] of lane `l` alone.
+///
+/// # Errors
+///
+/// Same length constraints as [`wavedec`], plus
+/// [`SigprocError::ShapeMismatch`] when `out.len() != coeffs.len()`.
+pub fn waverec_lanes<const K: usize>(
+    coeffs: &[[f64; K]],
+    wavelet: Wavelet,
+    levels: usize,
+    scratch: &mut DwtScratch,
+    out: &mut [[f64; K]],
+) -> Result<()> {
     check_dwt_args(
         coeffs.len(),
         levels,
         "waverec input (must be divisible by 2^levels)",
     )?;
+    check_lane_out(coeffs.len(), out.len(), "waverec output")?;
     match wavelet {
         Wavelet::Haar => synthesis_bank(coeffs, &HAAR, &HAAR_G, levels, scratch, out),
         Wavelet::Db2 => synthesis_bank(coeffs, &DB2, &DB2_G, levels, scratch, out),
@@ -258,19 +328,19 @@ pub fn waverec_into(
     Ok(())
 }
 
-/// The synthesis bank for an `L`-tap filter pair: the coarsest
-/// approximation is read straight from `coeffs`, intermediate levels
-/// ping-pong through `scratch`, and the finest level lands in `out`.
-fn synthesis_bank<const L: usize>(
-    coeffs: &[f64],
+/// The synthesis bank for an `L`-tap filter pair on `K` lanes: the
+/// coarsest approximation is read straight from `coeffs`, intermediate
+/// levels ping-pong through `scratch`, and the finest level lands in
+/// `out`.
+fn synthesis_bank<const L: usize, const K: usize>(
+    coeffs: &[[f64; K]],
     h: &[f64; L],
     g: &[f64; L],
     levels: usize,
     scratch: &mut DwtScratch,
-    out: &mut Vec<f64>,
+    out: &mut [[f64; K]],
 ) {
     let n = coeffs.len();
-    out.resize(n, 0.0);
     let DwtScratch { approx, next, .. } = scratch;
     let mut offset = n >> levels;
     for lev in (0..levels).rev() {
@@ -281,13 +351,13 @@ fn synthesis_bank<const L: usize>(
         let src = if lev + 1 == levels {
             &coeffs[..dn]
         } else {
-            &approx[..dn]
+            &approx.as_chunks::<K>().0[..dn]
         };
         let dst = if lev == 0 {
             &mut out[..]
         } else {
-            next.resize(out_n, 0.0);
-            &mut next[..out_n]
+            next.resize(out_n * K, 0.0);
+            &mut next.as_chunks_mut::<K>().0[..out_n]
         };
         synthesis_level(src, d, h, g, dst);
         if lev > 0 {
@@ -296,22 +366,23 @@ fn synthesis_bank<const L: usize>(
     }
 }
 
-/// One synthesis level, `dst[i] = Σ h[j]·a[k] + g[j]·d[k]` over the
-/// `(k, j)` with `(2k+j) mod out_n = i`: each output starts from +0.0
-/// and adds its terms in ascending `k` (ascending `j` within a `k`),
-/// the order in which the scatter loop over `k`, then `j`, reaches it.
+/// One synthesis level on `K` lanes, `dst[i] = Σ h[j]·a[k] + g[j]·d[k]`
+/// over the `(k, j)` with `(2k+j) mod out_n = i`: each output starts
+/// from +0.0 and adds its terms in ascending `k` (ascending `j` within
+/// a `k`), the order in which the scatter loop over `k`, then `j`,
+/// reaches it.
 ///
 /// With `out_n ≥ L`, output `2m` takes the even taps `j = 2t` and
 /// output `2m+1` the odd taps `j = 2t+1`, each at `k = m − t` for
 /// `t < L/2`, so ascending `k` is descending `t`. For `m < L/2 − 1` the
 /// taps with `t > m` wrap to `k = m − t + out_n/2`, past every
 /// unwrapped `k`, and come last.
-fn synthesis_level<const L: usize>(
-    a: &[f64],
-    d: &[f64],
+fn synthesis_level<const L: usize, const K: usize>(
+    a: &[[f64; K]],
+    d: &[[f64; K]],
     h: &[f64; L],
     g: &[f64; L],
-    dst: &mut [f64],
+    dst: &mut [[f64; K]],
 ) {
     let out_n = dst.len();
     if out_n < L {
@@ -324,12 +395,12 @@ fn synthesis_level<const L: usize>(
     // window wraps.
     for m in 0..taps - 1 {
         let split = taps - 1 - m;
-        let (mut even, mut odd) = (0.0, 0.0);
+        let (mut even, mut odd) = ([0.0; K], [0.0; K]);
         for s in (split..taps).chain(0..split) {
             let k = (m + half + s + 1 - taps) % half;
             let t = taps - 1 - s;
-            even += h[2 * t] * a[k] + g[2 * t] * d[k];
-            odd += h[2 * t + 1] * a[k] + g[2 * t + 1] * d[k];
+            let taps = [h[2 * t], g[2 * t], h[2 * t + 1], g[2 * t + 1]];
+            synthesis_terms(&mut even, &mut odd, taps, &a[k], &d[k]);
         }
         dst[2 * m] = even;
         dst[2 * m + 1] = odd;
@@ -339,34 +410,53 @@ fn synthesis_level<const L: usize>(
     let steady = dst[2 * (taps - 1)..].chunks_exact_mut(2);
     for ((aw, dw), pair) in a.windows(taps).zip(d.windows(taps)).zip(steady) {
         let (aw, dw) = (&aw[..taps], &dw[..taps]);
-        let (mut even, mut odd) = (0.0, 0.0);
+        let (mut even, mut odd) = ([0.0; K], [0.0; K]);
         for s in 0..taps {
             let t = taps - 1 - s;
-            even += h[2 * t] * aw[s] + g[2 * t] * dw[s];
-            odd += h[2 * t + 1] * aw[s] + g[2 * t + 1] * dw[s];
+            let taps = [h[2 * t], g[2 * t], h[2 * t + 1], g[2 * t + 1]];
+            synthesis_terms(&mut even, &mut odd, taps, &aw[s], &dw[s]);
         }
         pair[0] = even;
         pair[1] = odd;
     }
 }
 
+/// Adds one `k`'s terms to an output pair on every lane:
+/// `even += he·a + ge·d` and `odd += ho·a + go·d` for
+/// `[he, ge, ho, go] = taps`.
+#[inline(always)]
+fn synthesis_terms<const K: usize>(
+    even: &mut [f64; K],
+    odd: &mut [f64; K],
+    [he, ge, ho, go]: [f64; 4],
+    a: &[f64; K],
+    d: &[f64; K],
+) {
+    for (((e, o), &a), &d) in even.iter_mut().zip(odd.iter_mut()).zip(a).zip(d) {
+        *e += he * a + ge * d;
+        *o += ho * a + go * d;
+    }
+}
+
 /// [`synthesis_level`] for a level shorter than the filter, where one
 /// `k` can reach an output more than once: the same rule, with each
 /// output's terms found by walking every `(k, j)` in order.
-fn synthesis_level_short<const L: usize>(
-    a: &[f64],
-    d: &[f64],
+fn synthesis_level_short<const L: usize, const K: usize>(
+    a: &[[f64; K]],
+    d: &[[f64; K]],
     h: &[f64; L],
     g: &[f64; L],
-    dst: &mut [f64],
+    dst: &mut [[f64; K]],
 ) {
     let out_n = dst.len();
     for (i, o) in dst.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (k, (&ak, &dk)) in a.iter().zip(d).enumerate() {
+        let mut acc = [0.0; K];
+        for (k, (ak, dk)) in a.iter().zip(d).enumerate() {
             for j in 0..L {
                 if (2 * k + j) % out_n == i {
-                    acc += h[j] * ak + g[j] * dk;
+                    for ((o, &a), &d) in acc.iter_mut().zip(ak).zip(dk) {
+                        *o += h[j] * a + g[j] * d;
+                    }
                 }
             }
         }

@@ -4,7 +4,8 @@
 //! reference loop, and of the scratch-based DWT and Φ/Φᵀ kernels
 //! (`wavedec_into` / `waverec_into` / `apply_into` / `apply_t_into`)
 //! with the straightforward `%`-indexed, allocating loops kept below as
-//! oracles.
+//! oracles. Their lane forms (`*_lanes`, `K` vectors side by side) are
+//! held lane by lane to those one-lane kernels.
 
 use proptest::prelude::*;
 use wbsn_sigproc::combine::{rms_combine, RmsCombiner};
@@ -14,7 +15,9 @@ use wbsn_sigproc::iir::{Biquad, BiquadCascade};
 use wbsn_sigproc::matrix::{PackedTernaryMatrix, SparseTernaryMatrix};
 use wbsn_sigproc::morphology::{close, dilate, erode, open, sliding_extreme_naive};
 use wbsn_sigproc::stats::{isqrt_u64, prd_percent, snr_db};
-use wbsn_sigproc::wavelet::{wavedec, wavedec_into, waverec, waverec_into, DwtScratch, Wavelet};
+use wbsn_sigproc::wavelet::{
+    wavedec, wavedec_into, wavedec_lanes, waverec, waverec_into, waverec_lanes, DwtScratch, Wavelet,
+};
 use wbsn_sigproc::{RingBuffer, Q15};
 
 proptest! {
@@ -480,6 +483,98 @@ proptest! {
         prop_assert_eq!(bits(&ref_apply(&phi, x)), bits(&phi.apply(x)));
         prop_assert_eq!(bits(&ref_apply_t(&phi, y)), bits(&phi.apply_t(y)));
     }
+}
+
+/// `K` lanes interleaved from `K` windows of `raw`, lane `l` starting
+/// at `l · stride`, with `±0.0` planted where `zeros` says.
+fn lanes_of<const K: usize>(raw: &[f64], n: usize, zeros: &[u8]) -> Vec<[f64; K]> {
+    (0..n)
+        .map(|i| {
+            core::array::from_fn(|l| match zeros[(i * K + l) % zeros.len()] {
+                0 => 0.0,
+                1 => -0.0,
+                _ => raw[(i + l * 37) % raw.len()],
+            })
+        })
+        .collect()
+}
+
+fn lane<const K: usize>(v: &[[f64; K]], l: usize) -> Vec<f64> {
+    v.iter().map(|row| row[l]).collect()
+}
+
+/// Every lane kernel at `K` lanes against the one-lane kernel on each
+/// lane alone, bit for bit, through one dirty scratch.
+fn check_lanes<const K: usize>(
+    raw: &[f64],
+    zeros: &[u8],
+    levels: usize,
+    mults: &[usize],
+    phi: &SparseTernaryMatrix,
+) {
+    let mut scratch = DwtScratch::default();
+    for &w in &WAVELETS {
+        for &k in mults {
+            let n = k << levels;
+            let x = lanes_of::<K>(raw, n, zeros);
+            let mut coeffs = vec![[f64::NAN; K]; n];
+            let mut rec = vec![[f64::NAN; K]; n];
+            wavedec_lanes(&x, w, levels, &mut scratch, &mut coeffs).unwrap();
+            waverec_lanes(&x, w, levels, &mut scratch, &mut rec).unwrap();
+            for l in 0..K {
+                let one = lane(&x, l);
+                prop_assert_eq!(
+                    bits(&wavedec(&one, w, levels).unwrap()),
+                    bits(&lane(&coeffs, l))
+                );
+                prop_assert_eq!(
+                    bits(&waverec(&one, w, levels).unwrap()),
+                    bits(&lane(&rec, l))
+                );
+            }
+        }
+    }
+    let x = lanes_of::<K>(raw, phi.cols(), zeros);
+    let y = lanes_of::<K>(&raw[7..], phi.rows(), &zeros[1..]);
+    let mut ax = vec![[f64::NAN; K]; phi.rows()];
+    let mut aty = vec![[f64::INFINITY; K]; phi.cols()];
+    phi.apply_lanes(&x, &mut ax);
+    phi.apply_t_lanes(&y, &mut aty);
+    for l in 0..K {
+        prop_assert_eq!(bits(&phi.apply(&lane(&x, l))), bits(&lane(&ax, l)));
+        prop_assert_eq!(bits(&phi.apply_t(&lane(&y, l))), bits(&lane(&aty, l)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // Two, three and four lanes; `d = 4` runs Φ's unrolled kernel.
+    #[test]
+    fn lane_kernels_match_the_one_lane_kernels_bitwise(
+        raw in prop::collection::vec(-3000.0f64..3000.0, 16 * 32),
+        zeros in prop::collection::vec(0u8..8, 1..40),
+        levels in 1usize..6,
+        mults in prop::collection::vec(1usize..9, 1..4),
+        seed in 0u64..1000,
+        rows in 4usize..48,
+        cols in 1usize..96,
+        d in 1usize..5,
+    ) {
+        let phi = SparseTernaryMatrix::random(rows, cols.max(rows), d, seed).unwrap();
+        check_lanes::<2>(&raw, &zeros, levels, &mults, &phi);
+        check_lanes::<3>(&raw, &zeros, levels, &mults, &phi);
+        check_lanes::<4>(&raw, &zeros, levels, &mults, &phi);
+    }
+}
+
+#[test]
+fn lane_transforms_reject_a_short_output() {
+    let x = vec![[1.0; 4]; 64];
+    let mut out = vec![[0.0; 4]; 63];
+    let mut scratch = DwtScratch::default();
+    assert!(wavedec_lanes(&x, Wavelet::Db4, 3, &mut scratch, &mut out).is_err());
+    assert!(waverec_lanes(&x, Wavelet::Db4, 3, &mut scratch, &mut out).is_err());
 }
 
 #[test]

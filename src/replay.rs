@@ -174,7 +174,7 @@ impl CohortReplayer {
     /// `cfg`'s solver settings, reporting per-window PRD deltas
     /// against the recorded live values.
     ///
-    /// Sessions are solved on scoped worker threads, one per core that
+    /// Windows are solved on scoped worker threads, one per core that
     /// [`std::thread::available_parallelism`] reports (1 if it cannot
     /// tell), all joined before this returns. The report is the same
     /// at any thread count: see [`replay_reconstruction`].

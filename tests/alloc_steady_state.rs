@@ -18,7 +18,9 @@
 //!
 //! The gateway's decode path makes it per solver iteration: a FISTA
 //! solve on a warm `FistaScratch` allocates a small constant (its
-//! returned samples), the same at 20 iterations as at 400.
+//! returned samples), the same at 20 iterations as at 400. The
+//! gateway's solve phase makes it per window: a warm phase solving N
+//! windows in lanes allocates exactly its N returned sample vectors.
 //!
 //! All scenarios live in ONE `#[test]` so the counter is never
 //! polluted by a concurrently running test.
@@ -33,6 +35,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use std::sync::Arc;
+
 use wbsn_archive::{ArchiveWriter, EpochItem, EpochRecord, RunMeta};
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::MonitorBuilder;
@@ -40,6 +44,7 @@ use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::solver::{Continuation, Fista, FistaConfig, FistaScratch};
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
+use wbsn_gateway::SolvePhase;
 
 struct CountingAlloc;
 
@@ -247,6 +252,72 @@ fn steady_state_ingest_is_allocation_free() {
         assert!(
             short <= 2,
             "a warm-scratch solve should allocate only its output, got {short}"
+        );
+    }
+
+    // ---- 5. Solve phase: a warm phase over N windows allocates only
+    // its N returned sample vectors, the same at 20 iterations as at
+    // 400. Six windows of one Φ run in four lanes (refills, then a
+    // one-window tail), two of another Φ one at a time; one worker, so
+    // no thread is spawned. ----
+    let rec = RecordBuilder::new(0x1A4E5)
+        .duration_s(17.0)
+        .n_leads(1)
+        .noise(NoiseConfig::ambulatory(24.0))
+        .build();
+    let encs = [
+        Arc::new(CsEncoder::new(512, 192, 4, 0x1A4E5).expect("valid encoder")),
+        Arc::new(CsEncoder::new(512, 160, 4, 0x1A4E6).expect("valid encoder")),
+    ];
+    let jobs: Vec<(usize, Vec<f64>)> = rec
+        .lead(0)
+        .chunks_exact(512)
+        .take(8)
+        .enumerate()
+        .map(|(k, w)| {
+            let e = usize::from(k >= 6);
+            let y = encs[e].encode(w).expect("encodes");
+            (e, y.iter().map(|&v| v as f64).collect())
+        })
+        .collect();
+    assert_eq!(jobs.len(), 8);
+    let phase_allocs = |max_iters: usize, continuation: Option<Continuation>| -> (u64, usize) {
+        let cfg = FistaConfig {
+            max_iters,
+            tol: 0.0,
+            restart: true,
+            continuation,
+            ..FistaConfig::default()
+        };
+        let fista = Fista::new(cfg);
+        let lips = encs
+            .each_ref()
+            .map(|enc| fista.lipschitz(enc.sensing_matrix()).expect("lipschitz"));
+        let mut phase = SolvePhase::new(cfg);
+        let run = |phase: &mut SolvePhase| -> usize {
+            for (e, y) in &jobs {
+                phase
+                    .push(&encs[*e], lips[*e], y.iter().copied())
+                    .expect("queues");
+            }
+            phase.run(1).map(|solve| solve.expect("solves").iters).sum()
+        };
+        // Warm-up: sizes the queue, the lanes and the results.
+        run(&mut phase);
+        let before = allocs();
+        let iters = run(&mut phase);
+        (allocs() - before, iters)
+    };
+    for continuation in [None, Some(schedule)] {
+        let (short, short_iters) = phase_allocs(20, continuation);
+        let (long, long_iters) = phase_allocs(400, continuation);
+        assert_eq!((short_iters, long_iters), (8 * 20, 8 * 400));
+        assert_eq!(
+            (short, long),
+            (8, 8),
+            "a warm solve phase over 8 windows allocated {short} times at 20 iterations \
+             and {long} at 400 (continuation: {continuation:?}); it must allocate only \
+             the 8 returned sample vectors"
         );
     }
 }

@@ -48,7 +48,7 @@ fn finite_f64(rng: &mut StdRng) -> f64 {
 }
 
 fn maybe_idx(rng: &mut StdRng, one_in: u64) -> Option<usize> {
-    let hit = rng.next_u64() % one_in == 0;
+    let hit = rng.next_u64().is_multiple_of(one_in);
     hit.then(|| (rng.next_u64() % 1_000_000) as usize)
 }
 
@@ -85,7 +85,7 @@ fn random_walk_i32(rng: &mut StdRng, len: usize) -> Vec<i32> {
     let mut x: i64 = (rng.next_u64() % 4096) as i64 - 2048;
     for _ in 0..len {
         x += (rng.next_u64() % 65) as i64 - 32;
-        if rng.next_u64() % 97 == 0 {
+        if rng.next_u64().is_multiple_of(97) {
             // Spike: exercise multi-byte varints and sign flips.
             x = (rng.next_u64() % (1 << 20)) as i64 - (1 << 19);
         }
