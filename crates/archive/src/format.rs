@@ -210,55 +210,12 @@ impl SessionMeta {
 /// learned during an epoch, in arrival order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EpochItem {
-    /// A session handshake was installed (initial, re-announced after
-    /// a reboot, or recovered by retransmission).
-    Handshake(SessionHandshake),
-    /// A rhythm/classification event payload arrived.
-    Rhythm {
-        /// Uplink message sequence carrying the event.
-        msg_seq: u32,
-        /// Beats covered by the reporting interval.
-        n_beats: u32,
-        /// Mean heart rate (bpm ×10 fixed point).
-        mean_hr_x10: u16,
-        /// AF burden of the interval (%, 0–100).
-        af_burden_pct: u8,
-        /// Whether the node considers AF active.
-        af_active: bool,
-    },
-    /// A delineated-beats payload arrived.
-    Beats {
-        /// Uplink message sequence carrying the beats.
-        msg_seq: u32,
-        /// The fiducial sets.
-        beats: Vec<BeatFiducials>,
-    },
-    /// A CS window arrived (solved or skipped by periodic probing).
-    CsWindow {
-        /// Lead index.
-        lead: u8,
-        /// Window sequence within the lead's CS stream.
-        window_seq: u32,
-        /// PRD against the attached reference, when scored.
-        prd: Option<f64>,
-        /// The raw CS measurements (always archived, so replay can
-        /// re-solve at different settings).
-        measurements: Vec<i16>,
-        /// The reconstructed samples (empty for skipped windows).
-        samples: Vec<f64>,
-    },
-    /// The reassembler declared messages lost.
-    Lost {
-        /// First missing sequence.
-        first_seq: u32,
-        /// Run length.
-        count: u32,
-    },
-    /// A previously-lost message was recovered by retransmission.
-    Recovered {
-        /// The recovered sequence.
-        msg_seq: u32,
-    },
+    /// A gateway observation exactly as the recording tap handed it
+    /// over: a handshake, a rhythm or beats payload, a CS window
+    /// (solved or skipped by periodic probing; its measurements are
+    /// always archived so replay can re-solve at other settings), a
+    /// loss or a recovery.
+    Gateway(TapItem),
     /// The gateway raised an AF alert (runner-observed, in modeled
     /// session seconds).
     Alert {
@@ -315,43 +272,6 @@ mod item_tag {
     pub const UNAVAILABLE: u8 = 10;
     pub const REFERENCE: u8 = 11;
     pub const TRUTH: u8 = 12;
-}
-
-impl From<TapItem> for EpochItem {
-    fn from(item: TapItem) -> Self {
-        match item {
-            TapItem::Handshake(hs) => EpochItem::Handshake(hs),
-            TapItem::Rhythm {
-                msg_seq,
-                n_beats,
-                mean_hr_x10,
-                af_burden_pct,
-                af_active,
-            } => EpochItem::Rhythm {
-                msg_seq,
-                n_beats,
-                mean_hr_x10,
-                af_burden_pct,
-                af_active,
-            },
-            TapItem::Beats { msg_seq, beats } => EpochItem::Beats { msg_seq, beats },
-            TapItem::CsWindow {
-                lead,
-                window_seq,
-                prd,
-                measurements,
-                samples,
-            } => EpochItem::CsWindow {
-                lead,
-                window_seq,
-                prd,
-                measurements,
-                samples,
-            },
-            TapItem::Lost { first_seq, count } => EpochItem::Lost { first_seq, count },
-            TapItem::Recovered { msg_seq } => EpochItem::Recovered { msg_seq },
-        }
-    }
 }
 
 /// Running totals of raw vs coded bytes per signal-section codec; the
@@ -445,67 +365,7 @@ fn decode_handshake(bytes: &[u8], pos: &mut usize) -> Result<SessionHandshake> {
 
 fn encode_item(out: &mut Vec<u8>, item: &EpochItem, stats: &mut CodecStats) {
     match item {
-        EpochItem::Handshake(hs) => {
-            out.push(item_tag::HANDSHAKE);
-            encode_handshake(out, hs);
-        }
-        EpochItem::Rhythm {
-            msg_seq,
-            n_beats,
-            mean_hr_x10,
-            af_burden_pct,
-            af_active,
-        } => {
-            out.push(item_tag::RHYTHM);
-            write_uvarint(out, u64::from(*msg_seq));
-            write_uvarint(out, u64::from(*n_beats));
-            write_uvarint(out, u64::from(*mean_hr_x10));
-            out.push(*af_burden_pct);
-            out.push(u8::from(*af_active));
-        }
-        EpochItem::Beats { msg_seq, beats } => {
-            out.push(item_tag::BEATS);
-            write_uvarint(out, u64::from(*msg_seq));
-            write_uvarint(out, beats.len() as u64);
-            for beat in beats {
-                encode_fiducial(out, beat);
-            }
-        }
-        EpochItem::CsWindow {
-            lead,
-            window_seq,
-            prd,
-            measurements,
-            samples,
-        } => {
-            out.push(item_tag::CS_WINDOW);
-            out.push(*lead);
-            write_uvarint(out, u64::from(*window_seq));
-            match prd {
-                Some(p) => {
-                    out.push(1);
-                    write_f64_bits(out, *p);
-                }
-                None => out.push(0),
-            }
-            let before = out.len();
-            write_i16_section(out, measurements);
-            stats.measurement_raw += 2 * measurements.len() as u64;
-            stats.measurement_coded += (out.len() - before) as u64;
-            let before = out.len();
-            write_f64_section(out, samples);
-            stats.window_raw += 8 * samples.len() as u64;
-            stats.window_coded += (out.len() - before) as u64;
-        }
-        EpochItem::Lost { first_seq, count } => {
-            out.push(item_tag::LOST);
-            write_uvarint(out, u64::from(*first_seq));
-            write_uvarint(out, u64::from(*count));
-        }
-        EpochItem::Recovered { msg_seq } => {
-            out.push(item_tag::RECOVERED);
-            write_uvarint(out, u64::from(*msg_seq));
-        }
+        EpochItem::Gateway(tap) => encode_tap(out, tap, stats),
         EpochItem::Alert { t_s } => {
             out.push(item_tag::ALERT);
             write_f64_bits(out, *t_s);
@@ -548,65 +408,75 @@ fn encode_item(out: &mut Vec<u8>, item: &EpochItem, stats: &mut CodecStats) {
     }
 }
 
+/// A gateway observation under tags 1–6.
+fn encode_tap(out: &mut Vec<u8>, item: &TapItem, stats: &mut CodecStats) {
+    match item {
+        TapItem::Handshake(hs) => {
+            out.push(item_tag::HANDSHAKE);
+            encode_handshake(out, hs);
+        }
+        TapItem::Rhythm {
+            msg_seq,
+            n_beats,
+            mean_hr_x10,
+            af_burden_pct,
+            af_active,
+        } => {
+            out.push(item_tag::RHYTHM);
+            write_uvarint(out, u64::from(*msg_seq));
+            write_uvarint(out, u64::from(*n_beats));
+            write_uvarint(out, u64::from(*mean_hr_x10));
+            out.push(*af_burden_pct);
+            out.push(u8::from(*af_active));
+        }
+        TapItem::Beats { msg_seq, beats } => {
+            out.push(item_tag::BEATS);
+            write_uvarint(out, u64::from(*msg_seq));
+            write_uvarint(out, beats.len() as u64);
+            for beat in beats {
+                encode_fiducial(out, beat);
+            }
+        }
+        TapItem::CsWindow {
+            lead,
+            window_seq,
+            prd,
+            measurements,
+            samples,
+        } => {
+            out.push(item_tag::CS_WINDOW);
+            out.push(*lead);
+            write_uvarint(out, u64::from(*window_seq));
+            match prd {
+                Some(p) => {
+                    out.push(1);
+                    write_f64_bits(out, *p);
+                }
+                None => out.push(0),
+            }
+            let before = out.len();
+            write_i16_section(out, measurements);
+            stats.measurement_raw += 2 * measurements.len() as u64;
+            stats.measurement_coded += (out.len() - before) as u64;
+            let before = out.len();
+            write_f64_section(out, samples);
+            stats.window_raw += 8 * samples.len() as u64;
+            stats.window_coded += (out.len() - before) as u64;
+        }
+        TapItem::Lost { first_seq, count } => {
+            out.push(item_tag::LOST);
+            write_uvarint(out, u64::from(*first_seq));
+            write_uvarint(out, u64::from(*count));
+        }
+        TapItem::Recovered { msg_seq } => {
+            out.push(item_tag::RECOVERED);
+            write_uvarint(out, u64::from(*msg_seq));
+        }
+    }
+}
+
 fn decode_item(bytes: &[u8], pos: &mut usize) -> Result<EpochItem> {
     match read_u8(bytes, pos)? {
-        item_tag::HANDSHAKE => Ok(EpochItem::Handshake(decode_handshake(bytes, pos)?)),
-        item_tag::RHYTHM => Ok(EpochItem::Rhythm {
-            msg_seq: read_u32(bytes, pos)?,
-            n_beats: read_u32(bytes, pos)?,
-            mean_hr_x10: {
-                let v = read_uvarint(bytes, pos)?;
-                u16::try_from(v).map_err(|_| ArchiveError::Malformed {
-                    what: "rhythm item",
-                    detail: format!("mean_hr_x10 {v} exceeds u16"),
-                })?
-            },
-            af_burden_pct: read_u8(bytes, pos)?,
-            af_active: read_bool(bytes, pos)?,
-        }),
-        item_tag::BEATS => {
-            let msg_seq = read_u32(bytes, pos)?;
-            let len = read_uvarint(bytes, pos)?;
-            let remaining = bytes.len().saturating_sub(*pos);
-            if len as u128 * 2 > remaining as u128 {
-                return Err(ArchiveError::Malformed {
-                    what: "beats item",
-                    detail: format!("{len} beats cannot fit in {remaining} remaining bytes"),
-                });
-            }
-            let mut beats = Vec::with_capacity(len as usize);
-            for _ in 0..len {
-                beats.push(decode_fiducial(bytes, pos)?);
-            }
-            Ok(EpochItem::Beats { msg_seq, beats })
-        }
-        item_tag::CS_WINDOW => {
-            let lead = read_u8(bytes, pos)?;
-            let window_seq = read_u32(bytes, pos)?;
-            let prd = if read_bool(bytes, pos)? {
-                Some(read_f64_bits(bytes, pos)?)
-            } else {
-                None
-            };
-            let mut measurements = Vec::new();
-            read_i16_section(bytes, pos, &mut measurements)?;
-            let mut samples = Vec::new();
-            read_f64_section(bytes, pos, &mut samples)?;
-            Ok(EpochItem::CsWindow {
-                lead,
-                window_seq,
-                prd,
-                measurements,
-                samples,
-            })
-        }
-        item_tag::LOST => Ok(EpochItem::Lost {
-            first_seq: read_u32(bytes, pos)?,
-            count: read_u32(bytes, pos)?,
-        }),
-        item_tag::RECOVERED => Ok(EpochItem::Recovered {
-            msg_seq: read_u32(bytes, pos)?,
-        }),
         item_tag::ALERT => Ok(EpochItem::Alert {
             t_s: read_f64_bits(bytes, pos)?,
         }),
@@ -634,6 +504,71 @@ fn decode_item(bytes: &[u8], pos: &mut usize) -> Result<EpochItem> {
             flutter: read_bool(bytes, pos)?,
             start_s: read_f64_bits(bytes, pos)?,
             end_s: read_f64_bits(bytes, pos)?,
+        }),
+        tag => decode_tap(tag, bytes, pos).map(EpochItem::Gateway),
+    }
+}
+
+/// The gateway observation behind a tag in 1–6; any other tag is
+/// unknown.
+fn decode_tap(tag: u8, bytes: &[u8], pos: &mut usize) -> Result<TapItem> {
+    match tag {
+        item_tag::HANDSHAKE => Ok(TapItem::Handshake(decode_handshake(bytes, pos)?)),
+        item_tag::RHYTHM => Ok(TapItem::Rhythm {
+            msg_seq: read_u32(bytes, pos)?,
+            n_beats: read_u32(bytes, pos)?,
+            mean_hr_x10: {
+                let v = read_uvarint(bytes, pos)?;
+                u16::try_from(v).map_err(|_| ArchiveError::Malformed {
+                    what: "rhythm item",
+                    detail: format!("mean_hr_x10 {v} exceeds u16"),
+                })?
+            },
+            af_burden_pct: read_u8(bytes, pos)?,
+            af_active: read_bool(bytes, pos)?,
+        }),
+        item_tag::BEATS => {
+            let msg_seq = read_u32(bytes, pos)?;
+            let len = read_uvarint(bytes, pos)?;
+            let remaining = bytes.len().saturating_sub(*pos);
+            if len as u128 * 2 > remaining as u128 {
+                return Err(ArchiveError::Malformed {
+                    what: "beats item",
+                    detail: format!("{len} beats cannot fit in {remaining} remaining bytes"),
+                });
+            }
+            let mut beats = Vec::with_capacity(len as usize);
+            for _ in 0..len {
+                beats.push(decode_fiducial(bytes, pos)?);
+            }
+            Ok(TapItem::Beats { msg_seq, beats })
+        }
+        item_tag::CS_WINDOW => {
+            let lead = read_u8(bytes, pos)?;
+            let window_seq = read_u32(bytes, pos)?;
+            let prd = if read_bool(bytes, pos)? {
+                Some(read_f64_bits(bytes, pos)?)
+            } else {
+                None
+            };
+            let mut measurements = Vec::new();
+            read_i16_section(bytes, pos, &mut measurements)?;
+            let mut samples = Vec::new();
+            read_f64_section(bytes, pos, &mut samples)?;
+            Ok(TapItem::CsWindow {
+                lead,
+                window_seq,
+                prd,
+                measurements,
+                samples,
+            })
+        }
+        item_tag::LOST => Ok(TapItem::Lost {
+            first_seq: read_u32(bytes, pos)?,
+            count: read_u32(bytes, pos)?,
+        }),
+        item_tag::RECOVERED => Ok(TapItem::Recovered {
+            msg_seq: read_u32(bytes, pos)?,
         }),
         other => Err(ArchiveError::Malformed {
             what: "epoch item",

@@ -15,8 +15,10 @@
 //!
 //!   Windows, not sessions, are the parallel unit. A cheap sequential
 //!   pre-pass walks the archive in order, keeping each session's
-//!   handshake, per-lead matrices and PRD references exactly as the
-//!   live gateway kept them, and queues every window it must solve in
+//!   handshake and per-lead matrices in the gateway's own
+//!   [`SessionMatrices`] and its PRD references as the live gateway
+//!   kept them (each window is scored against the slice the gateway's
+//!   [`reference_window`] picks), and queues every window it must solve in
 //!   one [`SolvePhase`]; the phase solves the queue on the worker
 //!   threads, four windows of one Φ per pass, each bit for bit its
 //!   one-window solve. The per-window PRDs are then folded in archive
@@ -28,12 +30,9 @@
 use crate::format::{ArchiveBlock, EpochItem};
 use crate::ArchiveError;
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use wbsn_core::link::SessionHandshake;
 use wbsn_core::Result;
-use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::solver::FistaConfig;
-use wbsn_gateway::{MatrixCache, MatrixKey, SolvePhase};
+use wbsn_gateway::{reference_window, MatrixCache, SessionMatrices, SolvePhase, TapItem};
 use wbsn_sigproc::stats::{percentile95_sorted, prd_percent};
 
 /// Solver settings for a reconstruction replay.
@@ -91,28 +90,15 @@ pub struct SolverReplayReport {
     pub bit_identical: bool,
 }
 
-/// Per-session reconstruction state, mirroring the live gateway's
-/// `SessionState` solver fields exactly.
+/// Per-session reconstruction state: the handshake and per-lead Φ
+/// through the gateway's own [`SessionMatrices`], and the PRD
+/// references, each `(offset, samples)`. References survive a
+/// handshake change, as on the gateway: the recorded `Reference` items
+/// replay the attachments.
 #[derive(Debug, Default)]
 struct SessStream<'a> {
-    handshake: Option<SessionHandshake>,
-    /// Per-lead matrices with the Lipschitz constant FISTA steps by.
-    encoders: Vec<Option<(Arc<CsEncoder>, f64)>>,
-    /// Per-lead PRD reference: `(offset, samples)`.
+    matrices: SessionMatrices,
     refs: BTreeMap<u8, (u64, &'a [i32])>,
-}
-
-impl SessStream<'_> {
-    /// Mirrors the gateway's `install_handshake`: a changed handshake
-    /// invalidates the matrices, an identical re-announce
-    /// (post-reboot) does not. References survive either way — the
-    /// recorded `Reference` item stream replays the attachments.
-    fn install_handshake(&mut self, hs: SessionHandshake) {
-        if self.handshake != Some(hs) {
-            self.encoders.clear();
-        }
-        self.handshake = Some(hs);
-    }
 }
 
 /// Windows one solve phase takes at a time: about one live pump's worth,
@@ -158,17 +144,16 @@ impl Fold {
             let solve = solve?;
             self.solved += 1;
             self.iters += solve.iters as u64;
-            let n = window.n;
-            let replayed = window.reference.and_then(|(offset, samples)| {
-                let start = (u64::from(window.window_seq) * n as u64).checked_sub(offset)? as usize;
-                let orig = samples.get(start..start + n)?;
-                if orig.iter().all(|&v| v == 0) {
-                    return None;
-                }
-                self.orig.clear();
-                self.orig.extend(orig.iter().map(|&v| f64::from(v)));
-                Some(prd_percent(&self.orig, &solve.x))
-            });
+            let replayed = window
+                .reference
+                .and_then(|(offset, samples)| {
+                    reference_window(samples, offset, window.window_seq, window.n)
+                })
+                .map(|orig| {
+                    self.orig.clear();
+                    self.orig.extend(orig.iter().map(|&v| f64::from(v)));
+                    prd_percent(&self.orig, &solve.x)
+                });
             if let (Some(live), Some(replayed)) = (window.live_prd, replayed) {
                 self.compared.push((live, replayed));
             }
@@ -210,7 +195,9 @@ pub fn replay_reconstruction(
         let sess = sessions.entry(rec.session).or_default();
         for item in &rec.items {
             match item {
-                EpochItem::Handshake(hs) => sess.install_handshake(*hs),
+                EpochItem::Gateway(TapItem::Handshake(hs)) => {
+                    sess.matrices.install(*hs);
+                }
                 EpochItem::Reference {
                     lead,
                     offset,
@@ -218,19 +205,19 @@ pub fn replay_reconstruction(
                 } => {
                     sess.refs.insert(*lead, (*offset, samples));
                 }
-                EpochItem::CsWindow {
+                EpochItem::Gateway(TapItem::CsWindow {
                     lead,
                     window_seq,
                     prd: live_prd,
                     measurements,
                     ..
-                } => {
+                }) => {
                     fold.seen += 1;
                     if every > 1 && window_seq % every != 0 {
                         fold.skipped += 1;
                         continue;
                     }
-                    let Some(hs) = sess.handshake else {
+                    let Some(&hs) = sess.matrices.handshake() else {
                         return Err(ArchiveError::Malformed {
                             what: "archive replay",
                             detail: format!(
@@ -240,27 +227,7 @@ pub fn replay_reconstruction(
                         }
                         .into());
                     };
-                    let lead_ix = *lead as usize;
-                    if sess.encoders.len() <= lead_ix {
-                        sess.encoders.resize(lead_ix + 1, None);
-                    }
-                    let (enc, lip) = match &sess.encoders[lead_ix] {
-                        Some(enc) => enc.clone(),
-                        None => {
-                            let enc = cache.get_or_build_for(
-                                MatrixKey {
-                                    window: hs.cs_window,
-                                    measurements: hs.cs_measurements,
-                                    d_per_col: hs.cs_d_per_col,
-                                    seed: hs.seed,
-                                    lead: *lead,
-                                },
-                                phase.solver(),
-                            )?;
-                            sess.encoders[lead_ix] = Some(enc.clone());
-                            enc
-                        }
-                    };
+                    let (enc, lip) = sess.matrices.lead(*lead, &cache, phase.solver())?;
                     // Mirror the live pipeline's value path exactly:
                     // i16 → i64 (reassembly) → f64 (solver front end).
                     phase.push(&enc, lip, measurements.iter().map(|&v| v as i64 as f64))?;
@@ -407,11 +374,11 @@ pub fn replay_policy(blocks: &[ArchiveBlock], policy: &AlertPolicy) -> PolicyRep
                 EpochItem::Alert { .. } => {
                     sessions.entry(rec.session).or_default().live += 1;
                 }
-                EpochItem::Rhythm {
+                EpochItem::Gateway(TapItem::Rhythm {
                     af_burden_pct,
                     af_active,
                     ..
-                } => {
+                }) => {
                     let acc = sessions.entry(rec.session).or_default();
                     if !af_active {
                         acc.in_episode = false;

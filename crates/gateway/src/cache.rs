@@ -23,6 +23,8 @@
 use crate::Result;
 use std::collections::{btree_map, BTreeMap};
 use std::sync::{Arc, Mutex, MutexGuard};
+use wbsn_core::link::SessionHandshake;
+use wbsn_core::WbsnError;
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::solver::Fista;
 use wbsn_sigproc::wavelet::Wavelet;
@@ -175,6 +177,78 @@ impl MatrixCache {
     /// lookup history, not current contents).
     pub fn clear(&self) {
         self.lock().matrices.clear();
+    }
+}
+
+/// A lead's sensing matrix and the Lipschitz constant FISTA steps by
+/// on it.
+pub type LeadMatrix = (Arc<CsEncoder>, f64);
+
+/// One session's installed handshake and the per-lead matrices it
+/// names, each resolved through a [`MatrixCache`] on the lead's first
+/// window. The gateway keeps one per session, and archive replay keeps
+/// one per archived session, so both resolve Φ by the same rule.
+#[derive(Debug, Default)]
+pub struct SessionMatrices {
+    handshake: Option<SessionHandshake>,
+    leads: Vec<Option<LeadMatrix>>,
+}
+
+impl SessionMatrices {
+    /// Installs a handshake and reports whether it changed. A changed
+    /// handshake (new seed or shape) drops the matrices, so a stale Φ
+    /// can never reconstruct plausible-looking garbage; an identical
+    /// re-announce (after a reboot) keeps them.
+    pub fn install(&mut self, hs: SessionHandshake) -> bool {
+        let changed = self.handshake != Some(hs);
+        if changed {
+            self.leads.clear();
+        }
+        self.handshake = Some(hs);
+        changed
+    }
+
+    /// The installed handshake, if any.
+    pub fn handshake(&self) -> Option<&SessionHandshake> {
+        self.handshake.as_ref()
+    }
+
+    /// Lead `lead`'s matrix under the installed handshake (lead `l`
+    /// senses with `seed + l`, as the node's CS stage does), with the
+    /// Lipschitz constant `solver` steps by on it.
+    ///
+    /// # Errors
+    ///
+    /// No handshake is installed, or the cache cannot build the matrix
+    /// or its constant ([`MatrixCache::get_or_build_for`]).
+    pub fn lead(&mut self, lead: u8, cache: &MatrixCache, solver: &Fista) -> Result<LeadMatrix> {
+        let Some(hs) = self.handshake else {
+            return Err(WbsnError::Malformed {
+                what: "sensing matrix",
+                detail: "no handshake installed".into(),
+            });
+        };
+        let ix = usize::from(lead);
+        if self.leads.len() <= ix {
+            self.leads.resize(ix + 1, None);
+        }
+        if let Some(Some(matrix)) = self.leads.get(ix) {
+            return Ok(matrix.clone());
+        }
+        let matrix = cache.get_or_build_for(
+            MatrixKey {
+                window: hs.cs_window,
+                measurements: hs.cs_measurements,
+                d_per_col: hs.cs_d_per_col,
+                seed: hs.seed,
+                lead,
+            },
+            solver,
+        )?;
+        if let Some(slot) = self.leads.get_mut(ix) {
+            *slot = Some(matrix.clone());
+        }
+        Ok(matrix)
     }
 }
 

@@ -26,7 +26,7 @@
 //! reconstructed samples — the end-to-end scenario test replays the
 //! whole node→channel→gateway path bit-identically.
 
-use crate::cache::{MatrixCache, MatrixCacheStats, MatrixKey};
+use crate::cache::{MatrixCache, MatrixCacheStats, SessionMatrices};
 use crate::controller::{ControllerConfig, LinkController};
 use crate::decoder::{SessionDecoder, SessionItem};
 use crate::record::TapItem;
@@ -38,7 +38,6 @@ use wbsn_core::link::{
     DirectiveFrame, DownlinkFrame, LinkError, LinkPacket, SessionHandshake, NACK_MAX_MISSING,
 };
 use wbsn_core::{Payload, WbsnError};
-use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::solver::{Continuation, FistaConfig, FistaSolve};
 use wbsn_sigproc::stats::prd_percent;
 
@@ -374,15 +373,12 @@ struct LeadReference {
 #[derive(Debug)]
 struct SessionState {
     decoder: SessionDecoder,
-    handshake: Option<SessionHandshake>,
     feedback: LinkFeedback,
     controller: Option<LinkController>,
     rhythm: RhythmState,
-    // Per-lead CS encoders with the Lipschitz constant FISTA steps by
-    // on them, shared out of the gateway's MatrixCache on first use
-    // (lead l seeds with seed + l, matching the node's CsStage — see
-    // CsEncoder::for_lead).
-    encoders: Vec<Option<LeadMatrix>>,
+    // The installed handshake and the per-lead sensing matrices it
+    // names, shared out of the gateway's MatrixCache on first use.
+    matrices: SessionMatrices,
     // Reconstructed windows, keyed by (lead, window_seq).
     windows: BTreeMap<(u8, u32), Vec<f64>>,
     // Handshake changes so far: a window decoded under an older
@@ -394,26 +390,21 @@ struct SessionState {
 
 impl SessionState {
     /// Installs a handshake; a *changed* handshake (new seed, shape)
-    /// invalidates the cached sensing matrices and the windows they
-    /// reconstructed, so
-    /// stale Φ can never silently produce plausible-looking garbage.
+    /// also drops the windows the old matrices reconstructed.
     fn install_handshake(&mut self, hs: SessionHandshake) {
-        if self.handshake != Some(hs) {
-            self.encoders.clear();
+        if self.matrices.install(hs) {
             self.windows.clear();
             self.generation += 1;
         }
-        self.handshake = Some(hs);
     }
 
     fn new(session: u64, window: u32, recovery: u32) -> Result<Self> {
         Ok(SessionState {
             decoder: SessionDecoder::with_windows(session, window, recovery)?,
-            handshake: None,
             feedback: LinkFeedback::default(),
             controller: None,
             rhythm: RhythmState::default(),
-            encoders: Vec::new(),
+            matrices: SessionMatrices::default(),
             windows: BTreeMap::new(),
             generation: 0,
             references: BTreeMap::new(),
@@ -421,9 +412,24 @@ impl SessionState {
     }
 }
 
-/// A lead's sensing matrix and the Lipschitz constant FISTA steps by
-/// on it.
-type LeadMatrix = (Arc<CsEncoder>, f64);
+/// The slice of a PRD reference that CS window `window_seq` (of `n`
+/// samples) is scored against: `samples[window_seq·n − offset ..][..n]`,
+/// where `samples[0]` is sample `offset` of the session's CS stream.
+/// `None` when the reference does not cover the window, or when the
+/// slice has zero energy: a dropped electrode reads a flat baseline,
+/// against which PRD is undefined, so the window goes unscored. The
+/// gateway and archive replay pick reference windows through this one
+/// rule.
+pub fn reference_window<T: Copy + Default + PartialEq>(
+    samples: &[T],
+    offset: u64,
+    window_seq: u32,
+    n: usize,
+) -> Option<&[T]> {
+    let start = (u64::from(window_seq) * n as u64).checked_sub(offset)? as usize;
+    let orig = samples.get(start..start + n)?;
+    (!orig.iter().all(|&v| v == T::default())).then_some(orig)
+}
 
 /// A CS window the current call decoded and queued for its solve, and
 /// where the solve's results go: the window's `WindowReconstructed`
@@ -603,7 +609,7 @@ impl Gateway {
     ) -> Result<()> {
         let state = self.session_state(session)?;
         if offset_samples > 0 {
-            if let Some(hs) = state.handshake {
+            if let Some(hs) = state.matrices.handshake() {
                 let n = hs.cs_window as u64;
                 state
                     .windows
@@ -629,7 +635,7 @@ impl Gateway {
     pub fn handshake(&self, session: u64) -> Option<&SessionHandshake> {
         self.sessions
             .get(&session)
-            .and_then(|s| s.handshake.as_ref())
+            .and_then(|s| s.matrices.handshake())
     }
 
     /// One reconstructed window's samples. Retained only for leads
@@ -818,18 +824,8 @@ impl Gateway {
         let prd = state
             .as_ref()
             .and_then(|state| state.references.get(&lead))
-            .and_then(|reference| {
-                let start = (window_seq as u64 * n as u64).checked_sub(reference.offset)? as usize;
-                let orig = reference.samples.get(start..start + n)?;
-                // A zero-energy reference window (a dropped electrode
-                // reads a flat baseline) has no defined PRD; report the
-                // window unscored instead of letting `prd_percent`'s
-                // zero-signal assert kill the worker.
-                if orig.iter().all(|&v| v == 0.0) {
-                    return None;
-                }
-                Some(prd_percent(orig, &xr))
-            });
+            .and_then(|r| reference_window(&r.samples, r.offset, window_seq, n))
+            .map(|orig| prd_percent(orig, &xr));
         if let Some(TapItem::CsWindow {
             prd: tapped_prd,
             samples,
@@ -939,7 +935,7 @@ impl Gateway {
             frames.push(frame.to_wire(id, seq));
             // Adaptive CR: one directive at most per pump, dwell-gated
             // inside the controller.
-            if let (Some(cc), Some(hs)) = (&controller_cfg, state.handshake.as_ref()) {
+            if let (Some(cc), Some(hs)) = (&controller_cfg, state.matrices.handshake()) {
                 let cr_now =
                     100.0 * (1.0 - f64::from(hs.cs_measurements) / f64::from(hs.cs_window.max(1)));
                 let mean_prd = (fb.prd_count > 0).then(|| fb.prd_sum / fb.prd_count as f64);
@@ -996,7 +992,7 @@ impl Gateway {
             retransmits_requested: fb.retransmits_requested,
             directives_issued: fb.directives_issued,
             missing_now: fb.missing.len() as u64,
-            cr_percent: state.handshake.as_ref().map(|hs| {
+            cr_percent: state.matrices.handshake().map(|hs| {
                 100.0 * (1.0 - f64::from(hs.cs_measurements) / f64::from(hs.cs_window.max(1)))
             }),
         })
@@ -1153,7 +1149,6 @@ impl Gateway {
         list: usize,
         events: &mut Vec<GatewayEvent>,
     ) -> Result<()> {
-        let cache = Arc::clone(&self.cache);
         let Some(state) = self.sessions.get_mut(&session) else {
             // `ingest` routes through `session_state` before any item
             // reaches here, but a typed error keeps the wire surface
@@ -1214,7 +1209,7 @@ impl Gateway {
                 if !self.cfg.reconstruct_cs {
                     return Ok(());
                 }
-                let Some(hs) = state.handshake else {
+                let Some(&hs) = state.matrices.handshake() else {
                     return Err(LinkError::NoHandshake { session }.into());
                 };
                 let every = self.cfg.reconstruct_every.max(1);
@@ -1239,36 +1234,15 @@ impl Gateway {
                     }
                     return Ok(());
                 }
-                if state.encoders.len() <= lead as usize {
-                    state.encoders.resize(lead as usize + 1, None);
-                }
-                let enc = match &state.encoders[lead as usize] {
-                    Some(enc) => enc.clone(),
-                    // Resolve the node's sensing matrix through the
-                    // shared cache (lead l seeds with seed + l,
-                    // matching the node's CsStage).
-                    None => {
-                        let enc = cache.get_or_build_for(
-                            MatrixKey {
-                                window: hs.cs_window,
-                                measurements: hs.cs_measurements,
-                                d_per_col: hs.cs_d_per_col,
-                                seed: hs.seed,
-                                lead,
-                            },
-                            self.phase.solver(),
-                        )?;
-                        state.encoders[lead as usize] = Some(enc.clone());
-                        enc
-                    }
-                };
+                let (enc, lip) = state
+                    .matrices
+                    .lead(lead, &self.cache, self.phase.solver())?;
                 // The value path i16 → i64 (reassembly) → f64 (solver
                 // front end) is exact at every step. The solve runs in
                 // the call's solve phase; its event and tap item are
                 // reserved here, in order, and completed afterwards.
-                let (enc, lip) = &enc;
                 self.phase
-                    .push(enc, *lip, measurements.iter().map(|&v| v as i64 as f64))?;
+                    .push(&enc, lip, measurements.iter().map(|&v| v as i64 as f64))?;
                 let generation = state.generation;
                 let tap = if self.cfg.tap {
                     self.tap.push((

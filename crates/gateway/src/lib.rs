@@ -115,12 +115,15 @@ pub mod reassembler;
 pub mod record;
 pub mod solve;
 
-pub use cache::{MatrixCache, MatrixCacheStats, MatrixKey};
+pub use cache::{LeadMatrix, MatrixCache, MatrixCacheStats, MatrixKey, SessionMatrices};
 pub use channel::{ChannelConfig, ChannelStats, DuplexChannel, LossyChannel};
 pub use controller::{ControlDecision, ControllerConfig, LinkController};
 pub use decoder::{SessionDecoder, SessionItem};
 pub use fleet::ShardedGateway;
-pub use gateway::{Gateway, GatewayConfig, GatewayEvent, GatewayStats, RhythmState, SessionReport};
+pub use gateway::{
+    reference_window, Gateway, GatewayConfig, GatewayEvent, GatewayStats, RhythmState,
+    SessionReport,
+};
 pub use reassembler::{LinkEvent, Reassembler, ReassemblyStats};
 pub use record::TapItem;
 pub use solve::SolvePhase;

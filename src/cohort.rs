@@ -71,7 +71,7 @@ use wbsn_ecg_synth::{RhythmLabel, RhythmSpan};
 use wbsn_gateway::channel::{ChannelConfig, DuplexChannel};
 use wbsn_gateway::controller::ControllerConfig;
 use wbsn_gateway::gateway::{GatewayConfig, GatewayEvent, SessionReport};
-use wbsn_gateway::ShardedGateway;
+use wbsn_gateway::{ShardedGateway, TapItem};
 use wbsn_platform::battery::Battery;
 use wbsn_sigproc::stats::percentile95_sorted;
 
@@ -437,16 +437,17 @@ impl CohortRunner {
         }
     }
 
-    /// The gateway configuration of every cohort run (recorded runs
-    /// additionally enable the observability tap, which changes no
-    /// numeric behaviour).
-    fn gateway_config(&self, tap: bool) -> GatewayConfig {
+    /// The gateway configuration of every cohort run. The tap is always
+    /// on: the runner scores each session by folding the tapped
+    /// observations, recorded or not, and the tap changes no numeric
+    /// behaviour of the gateway.
+    fn gateway_config(&self) -> GatewayConfig {
         GatewayConfig {
             reorder_window: 3,
             recovery_window: 12,
             reconstruct_every: self.cfg.reconstruct_every,
             controller: Some(ControllerConfig::default()),
-            tap,
+            tap: true,
             solver: self.cfg.solver,
             ..GatewayConfig::default()
         }
@@ -459,7 +460,7 @@ impl CohortRunner {
         plans: &[SessionPlan],
         mut rec: Option<&mut ArchiveWriter<W>>,
     ) -> Result<CohortReport> {
-        let mut gw = ShardedGateway::new(self.gateway_config(rec.is_some()), self.cfg.workers)?;
+        let mut gw = ShardedGateway::new(self.gateway_config(), self.cfg.workers)?;
         let mut outcomes = Vec::with_capacity(plans.len());
         let mut base = 0usize;
         for batch in plans.chunks(self.cfg.batch_sessions) {
@@ -477,10 +478,11 @@ impl CohortRunner {
     }
 
     /// Runs one batch of sessions in lockstep against the shared
-    /// gateway, closing each session afterwards. When recording, the
-    /// gateway tap is drained every pump and each node's observations
-    /// are flushed as one epoch block per modeled hour, so writer
-    /// memory stays O(epoch) at any recording length.
+    /// gateway, closing each session afterwards. The gateway tap is
+    /// drained every pump into each node's [`NodeState::log`]; when
+    /// recording, each node's observations are flushed as one epoch
+    /// block per modeled hour, so writer memory stays O(epoch) at any
+    /// recording length.
     fn run_batch<W: Write>(
         &self,
         gw: &mut ShardedGateway,
@@ -536,29 +538,24 @@ impl CohortRunner {
                 let outbound =
                     map_on_workers(self.cfg.workers, &mut nodes, |node| node.pump_uplink(pump))?;
                 let up: Vec<Vec<u8>> = outbound.into_iter().flatten().collect();
-                let mut alerts = Vec::new();
                 // Transport errors are channel damage, not harness
-                // bugs — the loss shows up in the link rollup.
+                // bugs — the loss shows up in the link rollup. A
+                // pump's alerts are logged before its tap items.
                 for events in gw.ingest_batch(&up)?.into_iter().flatten() {
-                    collect_events(&events, &mut nodes, &mut alerts);
+                    note_alerts(&events, &mut nodes);
                 }
-                note_alerts(&alerts, &mut nodes);
                 for (session, frames) in gw.pump_downlink()? {
                     let Some(node) = nodes.iter_mut().find(|n| n.session == session) else {
                         continue;
                     };
                     node.take_downlink(&frames)?;
                 }
-                if rec.is_some() {
-                    distribute_tap(gw.drain_tap()?, &mut nodes);
-                }
+                distribute_tap(gw.drain_tap()?, &mut nodes);
             }
             for node in &mut nodes {
                 node.end_segment();
-            }
-            if let Some(w) = rec.as_deref_mut() {
-                for node in &mut nodes {
-                    node.flush_rt_log();
+                node.flush_rt_log();
+                if let Some(w) = rec.as_deref_mut() {
                     node.flush_epoch(hour as u32, w)?;
                 }
             }
@@ -570,60 +567,36 @@ impl CohortRunner {
         for node in &mut nodes {
             node.drain(&mut up)?;
         }
-        let mut alerts = Vec::new();
         for events in gw.ingest_batch(&up)?.into_iter().flatten() {
-            collect_events(&events, &mut nodes, &mut alerts);
+            note_alerts(&events, &mut nodes);
         }
-        note_alerts(&alerts, &mut nodes);
-        for node in &mut nodes {
-            if let Some(report) = gw.session_report(node.session)? {
-                node.outcome.report = Some(report);
-            }
-            if let Some(events) = gw.close_session(node.session)? {
-                let end = node.abs_seconds();
-                for ev in events {
-                    match ev {
-                        GatewayEvent::WindowReconstructed {
-                            prd_percent: Some(prd),
-                            ..
-                        } => node.outcome.prds.push(prd),
-                        GatewayEvent::AfAlert { .. } => {
-                            node.outcome.alerts.push(end);
-                            if node.recording {
-                                node.log.push(EpochItem::Alert { t_s: end });
-                            }
-                        }
-                        GatewayEvent::MessageLost { count, .. } => {
-                            node.outcome.lost_events += u64::from(count);
-                        }
-                        GatewayEvent::MessageRecovered { .. } => {
-                            node.outcome.recovered_events += 1;
-                        }
-                        _ => {}
-                    }
-                }
-            }
+        // The link reports are read before each session closes: a
+        // loss declared by the closing flush reaches the observation
+        // log (`lost_events`) but not the report (`lost`).
+        let mut reports = Vec::with_capacity(nodes.len());
+        let mut closing = Vec::new();
+        for node in &nodes {
+            reports.push(gw.session_report(node.session)?);
+            closing.extend(gw.close_session(node.session)?.into_iter().flatten());
         }
-        if rec.is_some() {
-            // Closing a session flushes its pending windows through
-            // the tap; pick them up before sealing the final epochs.
-            distribute_tap(gw.drain_tap()?, &mut nodes);
-        }
-        for node in &mut nodes {
-            let outcome = node.finish(self.cfg.min_episode_s);
+        note_alerts(&closing, &mut nodes);
+        // Closing a session flushes its pending windows through the
+        // tap; pick them up before sealing the final epochs.
+        distribute_tap(gw.drain_tap()?, &mut nodes);
+        for (mut node, report) in nodes.into_iter().zip(reports) {
+            node.flush_rt_log();
+            let end = SessionEnd {
+                modeled_s: node.abs_seconds(),
+                battery_days: Battery::default().lifetime_days(node.node.average_power_w()),
+                report,
+            };
+            node.outcome.end(&end);
             if let Some(w) = rec.as_deref_mut() {
-                node.flush_rt_log();
                 node.flush_epoch(hours as u32, w)?;
-                w.session_end(
-                    node.session,
-                    &SessionEnd {
-                        modeled_s: outcome.modeled_s,
-                        battery_days: outcome.battery_days,
-                        report: outcome.report.clone(),
-                    },
-                )?;
+                w.session_end(node.session, &end)?;
             }
-            outcomes.push(outcome);
+            node.outcome.finalize(self.cfg.min_episode_s);
+            outcomes.push(node.outcome);
         }
         Ok(())
     }
@@ -739,54 +712,27 @@ pub(crate) fn aggregate(
     }
 }
 
-/// Routes drained gateway tap items to the owning nodes' epoch logs.
-fn distribute_tap(tapped: Vec<(u64, Vec<wbsn_gateway::TapItem>)>, nodes: &mut [NodeState]) {
+/// Routes drained gateway tap items to the owning nodes' logs.
+fn distribute_tap(tapped: Vec<(u64, Vec<TapItem>)>, nodes: &mut [NodeState]) {
     for (session, items) in tapped {
         if let Some(node) = nodes.iter_mut().find(|n| n.session == session) {
-            node.log.extend(items.into_iter().map(EpochItem::from));
+            for item in items {
+                node.log(EpochItem::Gateway(item));
+            }
         }
     }
 }
 
-/// Routes a gateway event burst to the owning nodes' outcomes; AF
-/// alerts are returned session-tagged so the caller can timestamp them
-/// with the node's position.
-fn collect_events(events: &[GatewayEvent], nodes: &mut [NodeState], alerts: &mut Vec<u64>) {
+/// Logs each AF alert of a gateway event burst at its node's current
+/// position. Alerts are the one gateway event the runner reads: they
+/// are stamped with the runner's modeled time, which the gateway does
+/// not know.
+fn note_alerts(events: &[GatewayEvent], nodes: &mut [NodeState]) {
     for ev in events {
-        match *ev {
-            GatewayEvent::AfAlert { session, .. } => alerts.push(session),
-            GatewayEvent::WindowReconstructed {
-                session,
-                prd_percent: Some(prd),
-                ..
-            } => {
-                if let Some(n) = nodes.iter_mut().find(|n| n.session == session) {
-                    n.outcome.prds.push(prd);
-                }
-            }
-            GatewayEvent::MessageLost { session, count, .. } => {
-                if let Some(n) = nodes.iter_mut().find(|n| n.session == session) {
-                    n.outcome.lost_events += u64::from(count);
-                }
-            }
-            GatewayEvent::MessageRecovered { session, .. } => {
-                if let Some(n) = nodes.iter_mut().find(|n| n.session == session) {
-                    n.outcome.recovered_events += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Stamps collected alerts with each node's current absolute time.
-fn note_alerts(alerts: &[u64], nodes: &mut [NodeState]) {
-    for &session in alerts {
-        if let Some(n) = nodes.iter_mut().find(|n| n.session == session) {
-            let t = n.abs_seconds();
-            n.outcome.alerts.push(t);
-            if n.recording {
-                n.log.push(EpochItem::Alert { t_s: t });
+        if let GatewayEvent::AfAlert { session, .. } = *ev {
+            if let Some(n) = nodes.iter_mut().find(|n| n.session == session) {
+                let t_s = n.abs_seconds();
+                n.log(EpochItem::Alert { t_s });
             }
         }
     }
@@ -859,8 +805,10 @@ fn prd_stats(prds: &[f64]) -> PrdStats {
 }
 
 /// Per-session result accumulator. Crate-visible so the archive
-/// replayer can rebuild the exact same accumulators from recorded
-/// blocks and feed them through the same [`aggregate`] fold.
+/// replayer rebuilds it through the same two functions the live runner
+/// calls: [`SessionOutcome::observe`] per archived item and
+/// [`SessionOutcome::end`] per session end, then the same [`aggregate`]
+/// fold.
 #[derive(Debug, Clone)]
 pub(crate) struct SessionOutcome {
     pub(crate) burden: RhythmBurden,
@@ -902,10 +850,49 @@ impl SessionOutcome {
         }
     }
 
+    /// Folds one observation into the accumulator: a scored CS window's
+    /// PRD, a loss or a recovery from the gateway; an alert, a reboot, a
+    /// node-side retransmit failure or a ground-truth span from the
+    /// runner. Handshakes, payload contents and references score
+    /// nothing.
+    pub(crate) fn observe(&mut self, item: &EpochItem) {
+        match item {
+            EpochItem::Gateway(TapItem::CsWindow { prd: Some(p), .. }) => self.prds.push(*p),
+            EpochItem::Gateway(TapItem::Lost { count, .. }) => {
+                self.lost_events += u64::from(*count);
+            }
+            EpochItem::Gateway(TapItem::Recovered { .. }) => self.recovered_events += 1,
+            EpochItem::Alert { t_s } => self.alerts.push(*t_s),
+            EpochItem::Expired { .. } => self.expired += 1,
+            EpochItem::Unavailable { .. } => self.unavailable += 1,
+            EpochItem::Reboot { .. } => self.reboots += 1,
+            EpochItem::Truth {
+                flutter,
+                start_s,
+                end_s,
+            } => {
+                if *flutter {
+                    self.flutter.push((*start_s, *end_s));
+                } else {
+                    self.episodes.push((*start_s, *end_s));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Takes the session's closing summary: modeled time, battery life
+    /// and the gateway's link report.
+    pub(crate) fn end(&mut self, end: &SessionEnd) {
+        self.modeled_s = end.modeled_s;
+        self.battery_days = end.battery_days;
+        self.report = end.report.clone();
+    }
+
     /// The scoring-side seal: merges ground-truth spans, drops
     /// episodes shorter than `min_episode_s`, sorts alerts. Shared by
-    /// the live `NodeState::finish` and the archive replayer so both
-    /// produce identical accumulators.
+    /// the live runner and the archive replayer so both produce
+    /// identical accumulators.
     pub(crate) fn finalize(&mut self, min_episode_s: f64) {
         self.episodes = merge_spans(std::mem::take(&mut self.episodes), EPISODE_MERGE_GAP_S);
         self.episodes.retain(|&(s, e)| e - s >= min_episode_s);
@@ -915,8 +902,8 @@ impl SessionOutcome {
 }
 
 /// One live session of a batch: the closed-loop [`Node`] behind its
-/// own duplex channel, plus the runner's script, segment, ground-truth
-/// and archive-log bookkeeping.
+/// own duplex channel, plus the runner's script, segment and
+/// observation-log bookkeeping.
 struct NodeState {
     session: u64,
     cs: bool,
@@ -938,12 +925,14 @@ struct NodeState {
     /// starts — the reference-offset anchor.
     window_base_abs: u64,
     fs: u32,
+    /// The session's score, folded from every item [`NodeState::log`]
+    /// takes.
     outcome: SessionOutcome,
-    /// Whether this run is being recorded (enables the epoch log).
+    /// Whether this run is being recorded (the log keeps its items).
     recording: bool,
     /// The current epoch's archive items (gateway tap plus
     /// runner-side observations), flushed each modeled hour.
-    log: Vec<EpochItem>,
+    epoch_items: Vec<EpochItem>,
     /// Watermark into the node's retransmit events: entries before
     /// this are already in a flushed epoch.
     rt_logged: usize,
@@ -1020,9 +1009,19 @@ impl NodeState {
             fs,
             outcome: SessionOutcome::new(p.burden),
             recording,
-            log: Vec::new(),
+            epoch_items: Vec::new(),
             rt_logged: 0,
         })
+    }
+
+    /// The one path of every observation: scores it into the session's
+    /// outcome and, when the run records, keeps it for the epoch's
+    /// archive block. Live scoring and replay fold the same items.
+    fn log(&mut self, item: EpochItem) {
+        self.outcome.observe(&item);
+        if self.recording {
+            self.epoch_items.push(item);
+        }
     }
 
     fn pump_frames(&self) -> usize {
@@ -1045,19 +1044,18 @@ impl NodeState {
             // samples [window_base_abs + w·n ..); the segment record
             // covers [seg_base_frames ..). attach_reference_at maps
             // between the two and prunes windows behind the offset.
+            let offset = self.seg_base_frames - self.window_base_abs;
             gw.attach_reference_at(
                 self.session,
                 0,
-                self.seg_base_frames - self.window_base_abs,
+                offset,
                 segment.lead0().map(f64::from).collect(),
             )?;
-            if self.recording {
-                self.log.push(EpochItem::Reference {
-                    lead: 0,
-                    offset: self.seg_base_frames - self.window_base_abs,
-                    samples: segment.lead0().collect(),
-                });
-            }
+            self.log(EpochItem::Reference {
+                lead: 0,
+                offset,
+                samples: segment.lead0().collect(),
+            });
         }
         self.seg = segment.frames;
         self.seg_frames = segment.n_frames;
@@ -1069,26 +1067,16 @@ impl NodeState {
     fn harvest_truth(&mut self, spans: &[RhythmSpan], fs: u32, base_s: f64) {
         let fs = f64::from(fs);
         for span in spans {
-            let s = base_s + span.start_sample as f64 / fs;
-            let e = base_s + span.end_sample as f64 / fs;
             let flutter = match span.label {
-                RhythmLabel::Af => {
-                    self.outcome.episodes.push((s, e));
-                    false
-                }
-                RhythmLabel::Flutter => {
-                    self.outcome.flutter.push((s, e));
-                    true
-                }
+                RhythmLabel::Af => false,
+                RhythmLabel::Flutter => true,
                 _ => continue,
             };
-            if self.recording {
-                self.log.push(EpochItem::Truth {
-                    flutter,
-                    start_s: s,
-                    end_s: e,
-                });
-            }
+            self.log(EpochItem::Truth {
+                flutter,
+                start_s: base_s + span.start_sample as f64 / fs,
+                end_s: base_s + span.end_sample as f64 / fs,
+            });
         }
     }
 
@@ -1167,22 +1155,19 @@ impl NodeState {
             gw.attach_reference_at(self.session, 0, 0, Vec::new())?;
         }
         self.window_base_abs = self.abs_frames;
-        self.outcome.reboots += 1;
-        if self.recording {
-            // The gateway-side register() is out of band (no packet,
-            // no tap), so the runner logs the reborn handshake and the
-            // reference blanking itself; replay re-enacts both.
-            self.log.push(EpochItem::Reboot {
-                t_s: self.abs_seconds(),
+        // The gateway-side register() is out of band (no packet, no
+        // tap), so the runner logs the reborn handshake and the
+        // reference blanking itself; replay re-enacts both.
+        self.log(EpochItem::Reboot {
+            t_s: self.abs_seconds(),
+        });
+        self.log(EpochItem::Gateway(TapItem::Handshake(hs)));
+        if self.cs {
+            self.log(EpochItem::Reference {
+                lead: 0,
+                offset: 0,
+                samples: Vec::new(),
             });
-            self.log.push(EpochItem::Handshake(hs));
-            if self.cs {
-                self.log.push(EpochItem::Reference {
-                    lead: 0,
-                    offset: 0,
-                    samples: Vec::new(),
-                });
-            }
         }
         Ok(())
     }
@@ -1201,55 +1186,34 @@ impl NodeState {
         Ok(())
     }
 
-    /// Seals the session: merges ground-truth spans (dropping episodes
-    /// shorter than `min_episode_s`), tallies node-side retransmit
-    /// failures, prices the battery.
-    fn finish(&mut self, min_episode_s: f64) -> SessionOutcome {
-        let mut outcome =
-            std::mem::replace(&mut self.outcome, SessionOutcome::new(RhythmBurden::Quiet));
-        outcome.battery_days = Battery::default().lifetime_days(self.node.average_power_w());
-        outcome.modeled_s = self.abs_seconds();
-        for ev in self.node.retransmit_events() {
-            match ev {
-                RetransmitEvent::Expired { .. } => outcome.expired += 1,
-                RetransmitEvent::Unavailable { .. } => outcome.unavailable += 1,
-            }
-        }
-        outcome.finalize(min_episode_s);
-        outcome
-    }
-
-    /// Logs node-side retransmit failures the epoch watermark has not
-    /// covered yet (each event is archived exactly once).
+    /// Logs node-side retransmit failures the watermark has not
+    /// covered yet (each event is logged exactly once).
     fn flush_rt_log(&mut self) {
-        if !self.recording {
-            return;
-        }
         let events = self.node.retransmit_events();
-        for ev in &events[self.rt_logged..] {
-            match *ev {
-                RetransmitEvent::Expired { msg_seq, .. } => {
-                    self.log.push(EpochItem::Expired { msg_seq });
-                }
-                RetransmitEvent::Unavailable { msg_seq } => {
-                    self.log.push(EpochItem::Unavailable { msg_seq });
-                }
-            }
-        }
+        let fresh: Vec<EpochItem> = events[self.rt_logged..]
+            .iter()
+            .map(|ev| match *ev {
+                RetransmitEvent::Expired { msg_seq, .. } => EpochItem::Expired { msg_seq },
+                RetransmitEvent::Unavailable { msg_seq } => EpochItem::Unavailable { msg_seq },
+            })
+            .collect();
         self.rt_logged = events.len();
+        for item in fresh {
+            self.log(item);
+        }
     }
 
     /// Writes the accumulated epoch log as one archive block (nothing
     /// is written for an empty epoch) and clears it, keeping writer
     /// memory O(epoch) regardless of recording length.
     fn flush_epoch<W: Write>(&mut self, epoch: u32, w: &mut ArchiveWriter<W>) -> Result<()> {
-        if self.log.is_empty() {
+        if self.epoch_items.is_empty() {
             return Ok(());
         }
         let rec = EpochRecord {
             session: self.session,
             epoch,
-            items: std::mem::take(&mut self.log),
+            items: std::mem::take(&mut self.epoch_items),
         };
         w.epoch(&rec)?;
         Ok(())

@@ -8,9 +8,13 @@
 //! 1. [`CohortReplayer::report`] — the run's
 //!    [`CohortReport`], rebuilt from
 //!    archived observations alone. It is **bit-identical** to the
-//!    report the live run returned (same accumulators, same fold,
-//!    same floating-point summation order), pinned by
-//!    `tests/archive_replay.rs`.
+//!    report the live run returned: the live runner scores its
+//!    sessions by folding the very items it archives, and replay folds
+//!    the archived items through the same two functions
+//!    (`SessionOutcome::observe` per item, `SessionOutcome::end` per
+//!    session end) and the same cohort-wide fold, in the same
+//!    floating-point summation order. `tests/archive_replay.rs` pins
+//!    it.
 //! 2. [`CohortReplayer::solver_replay`] — CS reconstruction re-run
 //!    from the archived measurements at arbitrary solver settings.
 //!    At [`SolverReplayConfig::archived`] settings the replayed PRDs
@@ -32,8 +36,8 @@ use std::io::Read;
 use wbsn_archive::reader::read_archive;
 use wbsn_archive::replay::{replay_policy, replay_reconstruction};
 use wbsn_archive::{
-    AlertPolicy, ArchiveBlock, EpochItem, PolicyReplayReport, RunMeta, RunTrailer,
-    SolverReplayConfig, SolverReplayReport,
+    AlertPolicy, ArchiveBlock, PolicyReplayReport, RunMeta, RunTrailer, SolverReplayConfig,
+    SolverReplayReport,
 };
 use wbsn_core::{Result, WbsnError};
 use wbsn_ecg_synth::cohort::RhythmBurden;
@@ -117,27 +121,7 @@ impl CohortReplayer {
                         )));
                     };
                     for item in &rec.items {
-                        match item {
-                            EpochItem::CsWindow { prd: Some(p), .. } => o.prds.push(*p),
-                            EpochItem::Alert { t_s } => o.alerts.push(*t_s),
-                            EpochItem::Lost { count, .. } => o.lost_events += u64::from(*count),
-                            EpochItem::Recovered { .. } => o.recovered_events += 1,
-                            EpochItem::Expired { .. } => o.expired += 1,
-                            EpochItem::Unavailable { .. } => o.unavailable += 1,
-                            EpochItem::Reboot { .. } => o.reboots += 1,
-                            EpochItem::Truth {
-                                flutter,
-                                start_s,
-                                end_s,
-                            } => {
-                                if *flutter {
-                                    o.flutter.push((*start_s, *end_s));
-                                } else {
-                                    o.episodes.push((*start_s, *end_s));
-                                }
-                            }
-                            _ => {}
-                        }
+                        o.observe(item);
                     }
                 }
                 ArchiveBlock::SessionEnd { session, end } => {
@@ -146,9 +130,7 @@ impl CohortReplayer {
                             "session-end block for unannounced session {session}"
                         )));
                     };
-                    o.modeled_s = end.modeled_s;
-                    o.battery_days = end.battery_days;
-                    o.report = end.report.clone();
+                    o.end(end);
                 }
                 ArchiveBlock::Trailer(t) => trailer = Some(*t),
             }

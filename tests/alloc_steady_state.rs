@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::sync::Arc;
 
-use wbsn_archive::{ArchiveWriter, EpochItem, EpochRecord, RunMeta};
+use wbsn_archive::{ArchiveWriter, EpochItem, EpochRecord, RunMeta, TapItem};
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::MonitorBuilder;
 use wbsn_cs::encoder::CsEncoder;
@@ -151,26 +151,26 @@ fn steady_state_ingest_is_allocation_free() {
         session: 7,
         epoch: 0,
         items: vec![
-            EpochItem::Rhythm {
+            EpochItem::Gateway(TapItem::Rhythm {
                 msg_seq: 42,
                 n_beats: 11,
                 mean_hr_x10: 734,
                 af_burden_pct: 3,
                 af_active: false,
-            },
-            EpochItem::Beats {
+            }),
+            EpochItem::Gateway(TapItem::Beats {
                 msg_seq: 42,
                 beats: (0..12)
                     .map(|i| wbsn_delineation::BeatFiducials::new(200 * i + 40))
                     .collect(),
-            },
-            EpochItem::CsWindow {
+            }),
+            EpochItem::Gateway(TapItem::CsWindow {
                 lead: 0,
                 window_seq: 9,
                 prd: Some(4.5),
                 measurements: (0..192).map(|i| (i as i16) * 13 - 700).collect(),
                 samples: (0..512).map(|i| (i as f64 * 0.21).sin() * 350.0).collect(),
-            },
+            }),
             EpochItem::Reference {
                 lead: 0,
                 offset: 4608,

@@ -4,7 +4,9 @@
 //! * Recording is a pure observer: a recorded run returns the same
 //!   [`CohortReport`] as an unrecorded one.
 //! * The archive **bytes** are identical at 1, 2 and 4 gateway
-//!   workers — recording inherits the sharded gateway's determinism.
+//!   workers — recording inherits the sharded gateway's determinism —
+//!   and hash to a pinned value, so a refactor that changes a byte of
+//!   the recording fails here.
 //! * Replaying the archive regenerates the live report bit for bit
 //!   (struct equality *and* canonical-JSON equality).
 //! * Solver replay at the archived settings reproduces the live PRDs
@@ -73,6 +75,27 @@ fn archive_bytes_are_worker_invariant() {
             "archive bytes differ between 2 and {workers} workers"
         );
     }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The smoke recording's FNV-1a hash and length. Change them only with
+/// a change that is meant to move archive bytes, and say why.
+const SMOKE_ARCHIVE: (u64, usize) = (0xf62d_e802_dbed_c665, 223_548);
+
+#[test]
+fn archive_bytes_match_the_pinned_hash() {
+    let (_, bytes) = recording();
+    assert_eq!(
+        (fnv1a(bytes), bytes.len()),
+        SMOKE_ARCHIVE,
+        "the smoke recording's bytes changed"
+    );
 }
 
 #[test]

@@ -13,7 +13,7 @@
 
 use wbsn_archive::{
     ArchiveBlock, ArchiveError, ArchiveReader, ArchiveWriter, EpochItem, EpochRecord, RunMeta,
-    RunTrailer, SessionEnd, SessionMeta,
+    RunTrailer, SessionEnd, SessionMeta, TapItem,
 };
 use wbsn_core::link::SessionHandshake;
 use wbsn_cs::solver::FistaConfig;
@@ -98,35 +98,35 @@ fn small_recording() -> (Vec<ArchiveBlock>, Vec<u8>, Vec<usize>) {
             session: 1,
             epoch: 0,
             items: vec![
-                EpochItem::Handshake(handshake(1)),
+                EpochItem::Gateway(TapItem::Handshake(handshake(1))),
                 EpochItem::Reference {
                     lead: 0,
                     offset: 0,
                     samples: (0..256i32).map(|i| (i * 37) % 901 - 450).collect(),
                 },
-                EpochItem::CsWindow {
+                EpochItem::Gateway(TapItem::CsWindow {
                     lead: 0,
                     window_seq: 0,
                     prd: Some(3.25),
                     measurements: (0..192).map(|i| (i as i16) * 17 - 800).collect(),
                     samples: (0..512).map(|i| (i as f64 * 0.37).sin() * 400.0).collect(),
-                },
-                EpochItem::Rhythm {
+                }),
+                EpochItem::Gateway(TapItem::Rhythm {
                     msg_seq: 4,
                     n_beats: 9,
                     mean_hr_x10: 712,
                     af_burden_pct: 0,
                     af_active: false,
-                },
-                EpochItem::Beats {
+                }),
+                EpochItem::Gateway(TapItem::Beats {
                     msg_seq: 4,
                     beats: vec![beat(120), beat(310)],
-                },
-                EpochItem::Lost {
+                }),
+                EpochItem::Gateway(TapItem::Lost {
                     first_seq: 5,
                     count: 2,
-                },
-                EpochItem::Recovered { msg_seq: 5 },
+                }),
+                EpochItem::Gateway(TapItem::Recovered { msg_seq: 5 }),
             ],
         }),
     );
@@ -138,7 +138,7 @@ fn small_recording() -> (Vec<ArchiveBlock>, Vec<u8>, Vec<usize>) {
             session: 2,
             epoch: 0,
             items: vec![
-                EpochItem::Handshake(handshake(2)),
+                EpochItem::Gateway(TapItem::Handshake(handshake(2))),
                 EpochItem::Truth {
                     flutter: false,
                     start_s: 100.0,

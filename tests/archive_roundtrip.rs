@@ -24,7 +24,7 @@ use wbsn_archive::format::FORMAT_VERSION;
 use wbsn_archive::reader::read_archive;
 use wbsn_archive::{
     ArchiveBlock, ArchiveError, ArchiveReader, ArchiveWriter, CodecStats, EpochItem, EpochRecord,
-    RunMeta, RunTrailer, SessionEnd, SessionMeta,
+    RunMeta, RunTrailer, SessionEnd, SessionMeta, TapItem,
 };
 use wbsn_core::link::crc32;
 use wbsn_core::link::SessionHandshake;
@@ -97,21 +97,21 @@ fn random_walk_i32(rng: &mut StdRng, len: usize) -> Vec<i32> {
 
 fn random_item(rng: &mut StdRng) -> EpochItem {
     match rng.next_u64() % 12 {
-        0 => EpochItem::Handshake(random_handshake(rng)),
-        1 => EpochItem::Rhythm {
+        0 => EpochItem::Gateway(TapItem::Handshake(random_handshake(rng))),
+        1 => EpochItem::Gateway(TapItem::Rhythm {
             msg_seq: rng.next_u32(),
             n_beats: rng.next_u32(),
             mean_hr_x10: rng.next_u64() as u16,
             af_burden_pct: (rng.next_u64() % 101) as u8,
             af_active: rng.gen_bool(0.5),
-        },
-        2 => EpochItem::Beats {
+        }),
+        2 => EpochItem::Gateway(TapItem::Beats {
             msg_seq: rng.next_u32(),
             beats: (0..(rng.next_u64() % 8) as usize)
                 .map(|_| random_beat(rng))
                 .collect(),
-        },
-        3 => EpochItem::CsWindow {
+        }),
+        3 => EpochItem::Gateway(TapItem::CsWindow {
             lead: (rng.next_u64() % 8) as u8,
             window_seq: rng.next_u32(),
             prd: rng.gen_bool(0.6).then(|| finite_f64(rng)),
@@ -121,14 +121,14 @@ fn random_item(rng: &mut StdRng) -> EpochItem {
             samples: (0..(rng.next_u64() % 300) as usize)
                 .map(|_| finite_f64(rng))
                 .collect(),
-        },
-        4 => EpochItem::Lost {
+        }),
+        4 => EpochItem::Gateway(TapItem::Lost {
             first_seq: rng.next_u32(),
             count: rng.next_u32() % 1000,
-        },
-        5 => EpochItem::Recovered {
+        }),
+        5 => EpochItem::Gateway(TapItem::Recovered {
             msg_seq: rng.next_u32(),
-        },
+        }),
         6 => EpochItem::Alert {
             t_s: finite_f64(rng),
         },

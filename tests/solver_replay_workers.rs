@@ -17,7 +17,9 @@ use std::sync::OnceLock;
 use wbsn::cohort::{CohortRunConfig, CohortRunner};
 use wbsn::replay::CohortReplayer;
 use wbsn_archive::replay::replay_reconstruction;
-use wbsn_archive::{ArchiveBlock, EpochItem, EpochRecord, SolverReplayConfig, SolverReplayReport};
+use wbsn_archive::{
+    ArchiveBlock, EpochItem, EpochRecord, SolverReplayConfig, SolverReplayReport, TapItem,
+};
 use wbsn_core::WbsnError;
 
 const WORKERS: [usize; 5] = [1, 2, 3, 5, 17];
@@ -160,11 +162,10 @@ fn the_first_failing_window_in_archive_order_wins_at_every_worker_count() {
                 if rec
                     .items
                     .iter()
-                    .any(|item| matches!(item, EpochItem::Handshake(_)))
-                    && rec
-                        .items
-                        .iter()
-                        .any(|item| matches!(item, EpochItem::CsWindow { .. })) =>
+                    .any(|item| matches!(item, EpochItem::Gateway(TapItem::Handshake(_))))
+                    && rec.items.iter().any(|item| {
+                        matches!(item, EpochItem::Gateway(TapItem::CsWindow { .. }))
+                    }) =>
             {
                 Some(rec.clone())
             }
@@ -174,7 +175,7 @@ fn the_first_failing_window_in_archive_order_wins_at_every_worker_count() {
     let window = a
         .items
         .iter()
-        .find(|item| matches!(item, EpochItem::CsWindow { .. }))
+        .find(|item| matches!(item, EpochItem::Gateway(TapItem::CsWindow { .. })))
         .cloned()
         .expect("session A has a CS window");
     // Sessions B and C each send A's window before any handshake of
