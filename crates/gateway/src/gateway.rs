@@ -360,6 +360,18 @@ pub struct SessionReport {
     pub cr_percent: Option<f64>,
 }
 
+/// A session's link counters, as [`SessionReport`] sums them.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkTotals {
+    messages: u64,
+    lost: u64,
+    recovered: u64,
+    acks_sent: u64,
+    nacks_sent: u64,
+    retransmits_requested: u64,
+    directives_issued: u64,
+}
+
 /// One lead's attached PRD reference: `samples[0]` corresponds to
 /// sample `offset` of the session's CS sample stream, i.e. window
 /// `w` compares against `samples[w·n − offset ..][..n]`. Windows
@@ -374,6 +386,9 @@ struct LeadReference {
 struct SessionState {
     decoder: SessionDecoder,
     feedback: LinkFeedback,
+    // The link counters of the session's earlier incarnations, banked
+    // when a re-registration replaces the decoder and the feedback.
+    banked: LinkTotals,
     controller: Option<LinkController>,
     rhythm: RhythmState,
     // The installed handshake and the per-lead sensing matrices it
@@ -398,10 +413,27 @@ impl SessionState {
         }
     }
 
+    /// The link counters over every incarnation so far.
+    fn totals(&self) -> LinkTotals {
+        let r = self.decoder.stats();
+        let fb = &self.feedback;
+        let b = &self.banked;
+        LinkTotals {
+            messages: b.messages + r.messages,
+            lost: b.lost + r.lost,
+            recovered: b.recovered + r.recovered,
+            acks_sent: b.acks_sent + fb.acks_sent,
+            nacks_sent: b.nacks_sent + fb.nacks_sent,
+            retransmits_requested: b.retransmits_requested + fb.retransmits_requested,
+            directives_issued: b.directives_issued + fb.directives_issued,
+        }
+    }
+
     fn new(session: u64, window: u32, recovery: u32) -> Result<Self> {
         Ok(SessionState {
             decoder: SessionDecoder::with_windows(session, window, recovery)?,
             feedback: LinkFeedback::default(),
+            banked: LinkTotals::default(),
             controller: None,
             rhythm: RhythmState::default(),
             matrices: SessionMatrices::default(),
@@ -557,7 +589,8 @@ impl Gateway {
     /// recovery bookkeeping. Without the reset, a long-lived
     /// reassembler would treat the reborn stream as stale stragglers
     /// forever. The rhythm/alert history is kept (it is an audit log
-    /// of the subject, not of the link).
+    /// of the subject, not of the link), and so are the link counters:
+    /// [`Gateway::session_report`] sums them over every incarnation.
     ///
     /// # Errors
     ///
@@ -566,7 +599,9 @@ impl Gateway {
         let window = self.cfg.reorder_window;
         let recovery = self.cfg.recovery_window;
         let state = self.session_state(hs.session)?;
-        state.decoder = SessionDecoder::with_windows(hs.session, window, recovery)?;
+        let decoder = SessionDecoder::with_windows(hs.session, window, recovery)?;
+        state.banked = state.totals();
+        state.decoder = decoder;
         state.feedback = LinkFeedback::default();
         state.controller = None;
         state.install_handshake(hs);
@@ -970,28 +1005,29 @@ impl Gateway {
     }
 
     /// Link-health report of one session, or `None` for a session this
-    /// gateway never saw.
+    /// gateway never saw. The counters cover every incarnation of the
+    /// session: [`Gateway::register`] banks them before it resets the
+    /// link stream.
     pub fn session_report(&self, session: u64) -> Option<SessionReport> {
         let state = self.sessions.get(&session)?;
-        let r = state.decoder.stats();
-        let fb = &state.feedback;
-        let resolved = r.messages + r.lost;
-        let unrecovered = r.lost.saturating_sub(r.recovered);
+        let t = state.totals();
+        let resolved = t.messages + t.lost;
+        let unrecovered = t.lost.saturating_sub(t.recovered);
         Some(SessionReport {
             session,
-            messages: r.messages,
-            lost: r.lost,
-            recovered: r.recovered,
+            messages: t.messages,
+            lost: t.lost,
+            recovered: t.recovered,
             loss_rate: if resolved > 0 {
                 unrecovered as f64 / resolved as f64
             } else {
                 0.0
             },
-            acks_sent: fb.acks_sent,
-            nacks_sent: fb.nacks_sent,
-            retransmits_requested: fb.retransmits_requested,
-            directives_issued: fb.directives_issued,
-            missing_now: fb.missing.len() as u64,
+            acks_sent: t.acks_sent,
+            nacks_sent: t.nacks_sent,
+            retransmits_requested: t.retransmits_requested,
+            directives_issued: t.directives_issued,
+            missing_now: state.feedback.missing.len() as u64,
             cr_percent: state.matrices.handshake().map(|hs| {
                 100.0 * (1.0 - f64::from(hs.cs_measurements) / f64::from(hs.cs_window.max(1)))
             }),
@@ -1761,19 +1797,38 @@ mod tests {
                 gw.ingest(raw).unwrap();
             }
         }
-        let report = gw.session_report(2).unwrap();
-        assert_eq!(report.missing_now, 1);
+        let first_life = gw.session_report(2).unwrap();
+        assert_eq!(first_life.missing_now, 1);
+        assert_eq!(first_life.lost, 1);
         // The node reboots mid-retransmission; re-registration clears
         // the stale NACK state, so the first pump of the new life is a
         // clean cumulative ACK at sequence 0 — the gateway never asks
         // the reborn node (whose buffer is empty) for its old life.
+        // The first life's counters stay in the report.
         gw.register(hs).unwrap();
         let report = gw.session_report(2).unwrap();
         assert_eq!(report.missing_now, 0);
         assert_eq!(report.nacks_sent, 0);
+        assert_eq!(
+            (report.messages, report.lost, report.recovered),
+            (first_life.messages, first_life.lost, first_life.recovered)
+        );
         let pumped = gw.pump_downlink();
         let frame = DownlinkFrame::from_wire(&pumped[0].1[0]).unwrap();
         assert_eq!(frame, DownlinkFrame::Ack { cum_ack: 0 });
+        // The second life's traffic adds to the first's.
+        let mut reborn = wbsn_core::link::LinkFramer::new(2);
+        let mut wire = Vec::new();
+        for _ in 0..3 {
+            reborn.frame_payload(&payload, &mut wire).unwrap();
+        }
+        for raw in &wire {
+            gw.ingest(raw).unwrap();
+        }
+        let report = gw.session_report(2).unwrap();
+        assert!(report.messages > first_life.messages);
+        assert_eq!(report.acks_sent, first_life.acks_sent + 1);
+        assert_eq!(report.lost, 1);
     }
 
     #[test]

@@ -85,8 +85,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The smoke recording's FNV-1a hash and length. Change them only with
-/// a change that is meant to move archive bytes, and say why.
-const SMOKE_ARCHIVE: (u64, usize) = (0xf62d_e802_dbed_c665, 223_548);
+/// a change that is meant to move archive bytes, and say why. Last
+/// moved when the gateway's link report began counting every
+/// incarnation of a rebooted session (the session-end blocks).
+const SMOKE_ARCHIVE: (u64, usize) = (0x0036_1e74_da16_3e91, 223_548);
 
 #[test]
 fn archive_bytes_match_the_pinned_hash() {

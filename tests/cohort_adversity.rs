@@ -13,8 +13,9 @@
 //!   loses messages and NACK-driven retransmission provably recovers
 //!   some of them.
 //! * **No event is silently dropped** — the Lost/Recovered counts
-//!   re-derived from the observed `GatewayEvent` stream equal the
-//!   gateway's own per-session reports, exactly.
+//!   folded from the session's observation log equal the gateway's own
+//!   per-session reports, exactly, also when the losses happen before
+//!   a reboot re-registers the session.
 //! * **The CS path survives a reboot** — window numbering restarts
 //!   with the new incarnation and PRD probing resumes at the next
 //!   segment's re-anchored reference.
@@ -87,6 +88,29 @@ fn cs_plan() -> SessionPlan {
     }
 }
 
+/// CS-mode patient whose losses all fall in its first incarnation: a
+/// lossy regime over 10–40 s, a reboot at 60 s, and a clean link
+/// afterwards.
+fn lossy_then_reboot_plan() -> SessionPlan {
+    let h0 = Script::new("loss-then-reboot-h0", 0xB0)
+        .leads(1)
+        .noise(NoiseConfig::clean())
+        .phase(Rhythm::NormalSinus { mean_hr_bpm: 70.0 }, SEG_S)
+        .adversity(
+            10.0,
+            30.0,
+            Adversity::ChannelRegime {
+                drop_rate: 0.25,
+                corrupt_rate: 0.0,
+            },
+        )
+        .at(60.0, Adversity::NodeReboot);
+    SessionPlan {
+        profile: profile(2, true),
+        scripts: vec![h0],
+    }
+}
+
 fn runner() -> CohortRunner {
     CohortRunner::new(CohortRunConfig {
         reconstruct_every: 2,
@@ -145,6 +169,31 @@ fn reboot_and_dropout_mid_session_recover_cleanly() {
         report.prd.mean_percent > 0.0 && report.prd.mean_percent < 15.0,
         "implausible PRD after re-anchoring: {:?}",
         report.prd
+    );
+}
+
+#[test]
+fn losses_before_a_reboot_stay_in_the_link_report() {
+    // Re-registration replaces the gateway's decoder and feedback
+    // state; the report must still count the first incarnation's link
+    // traffic, or it would fall short of the observation log.
+    let report = runner().run_plans(&[lossy_then_reboot_plan()]).unwrap();
+    assert_eq!(report.reboots, 1, "{report:?}");
+    assert!(
+        report.link.lost > 0,
+        "the regime lost nothing: {:?}",
+        report.link
+    );
+    assert!(report.link.nacks_sent > 0, "{:?}", report.link);
+    assert_eq!(
+        report.link.lost_events, report.link.lost,
+        "{:?}",
+        report.link
+    );
+    assert_eq!(
+        report.link.recovered_events, report.link.recovered,
+        "{:?}",
+        report.link
     );
 }
 
