@@ -43,7 +43,6 @@ pub use reader::{ArchiveContents, ArchiveReader};
 pub use replay::{
     AlertPolicy, PolicyReplayReport, PolicySessionOutcome, SolverReplayConfig, SolverReplayReport,
 };
-pub use wbsn_gateway::TapItem;
 pub use writer::ArchiveWriter;
 
 use wbsn_core::WbsnError;

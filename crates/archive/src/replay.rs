@@ -17,12 +17,13 @@
 //!   pre-pass walks the archive in order, keeping each session's
 //!   handshake and per-lead matrices in the gateway's own
 //!   [`SessionMatrices`] and its PRD references as the live gateway
-//!   kept them (each window is scored against the slice the gateway's
-//!   [`reference_window`] picks), and queues every window it must solve in
-//!   one [`SolvePhase`]; the phase solves the queue on the worker
-//!   threads, four windows of one Φ per pass, each bit for bit its
-//!   one-window solve. The per-window PRDs are then folded in archive
-//!   order, which keeps the report bit-identical at any worker count.
+//!   kept them (each window is scored against the slice the
+//!   gateway's [`reference_window`] picks), and queues every window it
+//!   must solve in one [`SolvePhase`]; the phase solves the queue on
+//!   the worker threads, four windows of one Φ per pass, each bit for
+//!   bit its one-window solve. The per-window PRDs are then folded in
+//!   archive order, which keeps the report bit-identical at any worker
+//!   count.
 //! - [`replay_policy`] re-runs an alert policy over the archived
 //!   rhythm stream and compares the alerts it would have raised with
 //!   the alerts the live gateway did raise.

@@ -381,4 +381,41 @@ mod tests {
         assert_eq!(s.misses, 1, "construction under the lock: one miss");
         assert_eq!(s.hits, 3);
     }
+
+    #[test]
+    fn session_matrices_resolve_once_per_lead_and_reset_on_a_changed_handshake() {
+        use wbsn_cs::solver::FistaConfig;
+        let cache = MatrixCache::new();
+        let solver = Fista::new(FistaConfig::default());
+        let hs = SessionHandshake {
+            version: wbsn_core::link::PROTOCOL_VERSION,
+            session: 4,
+            fs_hz: 250,
+            n_leads: 2,
+            cs_window: 256,
+            cs_measurements: 128,
+            cs_d_per_col: 4,
+            seed: 11,
+        };
+        let mut m = SessionMatrices::default();
+        assert!(m.lead(0, &cache, &solver).is_err(), "no handshake yet");
+        assert!(m.install(hs));
+        let (a, lip) = m.lead(1, &cache, &solver).unwrap();
+        assert!(Arc::ptr_eq(&a, &cache.get_or_build(key(11, 1)).unwrap()));
+        assert_eq!(cache.stats().misses, 1);
+        // Repeat lookups and an identical re-announce keep the lead's
+        // matrix without asking the cache again.
+        m.lead(1, &cache, &solver).unwrap();
+        assert!(!m.install(hs));
+        let (b, lip_b) = m.lead(1, &cache, &solver).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(lip.to_bits(), lip_b.to_bits());
+        assert_eq!(cache.stats().hits, 1, "only the test's own lookup hit");
+        // A new seed drops the matrices: the next lookup resolves the
+        // new Φ.
+        assert!(m.install(SessionHandshake { seed: 12, ..hs }));
+        let (c, _) = m.lead(1, &cache, &solver).unwrap();
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(cache.stats().misses, 2);
+    }
 }

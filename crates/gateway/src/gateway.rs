@@ -296,7 +296,6 @@ struct LinkFeedback {
     acks_sent: u64,
     nacks_sent: u64,
     retransmits_requested: u64,
-    recovered: u64,
     directives_issued: u64,
     // Observations since the last pump.
     prd_sum: f64,
@@ -449,9 +448,9 @@ impl SessionState {
 /// where `samples[0]` is sample `offset` of the session's CS stream.
 /// `None` when the reference does not cover the window, or when the
 /// slice has zero energy: a dropped electrode reads a flat baseline,
-/// against which PRD is undefined, so the window goes unscored. The
-/// gateway and archive replay pick reference windows through this one
-/// rule.
+/// against which PRD is undefined, so the window goes unscored instead
+/// of tripping `prd_percent`'s zero-signal assert. The gateway and
+/// archive replay pick reference windows through this one rule.
 pub fn reference_window<T: Copy + Default + PartialEq>(
     samples: &[T],
     offset: u64,
@@ -1139,7 +1138,6 @@ impl Gateway {
                 SessionItem::RecoveredHandshake { msg_seq, hs } => {
                     self.stats.messages_recovered += 1;
                     if let Some(state) = self.sessions.get_mut(&session) {
-                        state.feedback.recovered += 1;
                         state.feedback.missing.remove(&msg_seq);
                         events.push(GatewayEvent::MessageRecovered { session, msg_seq });
                         state.install_handshake(hs);
@@ -1154,7 +1152,6 @@ impl Gateway {
                     self.stats.payloads += 1;
                     self.stats.messages_recovered += 1;
                     if let Some(state) = self.sessions.get_mut(&session) {
-                        state.feedback.recovered += 1;
                         state.feedback.missing.remove(&msg_seq);
                     }
                     if self.cfg.tap {

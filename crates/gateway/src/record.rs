@@ -11,11 +11,14 @@
 //! grouped by session in ascending session order, so the merged
 //! stream is byte-stable across runs and worker counts.
 //!
-//! The tap is pull-based and bounded by drain frequency: the recorder
-//! drains once per pump, so gateway memory stays O(epoch) regardless
-//! of recording length. With the flag off (the default) no item is
-//! ever constructed and the gateway's behaviour is byte-identical to
-//! a build without this module.
+//! The tap is pull-based and bounded by drain frequency: the cohort
+//! runner drains once per pump, so gateway memory stays O(epoch)
+//! regardless of run length. Cohort runs always tap, recorded or not:
+//! the runner scores every session by folding these items, the same
+//! items its recordings archive (as `wbsn_archive::EpochItem::Gateway`)
+//! and its replays fold again. With the flag off (the default) no item
+//! is ever constructed, and the tap never changes the gateway's
+//! events, downlink bytes or counters either way.
 //!
 //! [`Gateway::drain_tap`]: crate::Gateway::drain_tap
 //! [`ShardedGateway::drain_tap`]: crate::ShardedGateway::drain_tap

@@ -24,6 +24,17 @@
 //!   corrupted packet fails the CRC and is indistinguishable from a
 //!   loss end to end).
 //!
+//! Every session is scored by one fold. Each observation — a tapped
+//! gateway item (PRD-scored window, loss, recovery, handshake, …) or a
+//! runner-side one (alert, reboot, retransmit failure, ground-truth
+//! span, PRD reference) — goes through `NodeState::log`, which folds
+//! it into the session's `SessionOutcome` with `SessionOutcome::observe`
+//! and, when the run records, keeps it for the archive. A session's
+//! closing summary goes through `SessionOutcome::end`. Archive replay
+//! ([`crate::replay::CohortReplayer::report`]) calls the same two
+//! functions on the archived items, so a recorded report and its
+//! replay cannot diverge by construction.
+//!
 //! Everything is deterministic: the entire run — gateway events,
 //! downlink bytes, retransmit accounting, every report number — is a
 //! pure function of the plans, and replays bit-identically at any
@@ -185,11 +196,20 @@ pub struct PrdStats {
     pub p95_percent: f64,
 }
 
-/// Link-health rollup across all sessions. `lost`/`recovered` come
-/// from the per-session gateway reports; `lost_events` /
-/// `recovered_events` re-derive the same truth from the observed
-/// [`GatewayEvent`] stream, so a silently dropped event shows up as a
-/// mismatch (the test suite pins them equal).
+/// Link-health rollup across all sessions. `messages` through
+/// `directives_issued` come from the per-session gateway reports,
+/// which count every incarnation of a rebooted session. `lost_events`
+/// and `recovered_events` re-derive the loss truth from each session's
+/// observation log (the tapped `Lost`/`Recovered` items), so a
+/// silently dropped observation shows up as a mismatch.
+///
+/// `recovered_events == recovered` always holds. `lost_events` can
+/// exceed `lost`: the runner reads a session's report just before
+/// closing it, and the close flushes the reassembler, which can still
+/// declare a trailing gap lost. That loss reaches the log but not the
+/// report. In the full cohort (`COHORT_report.json`) one message is
+/// lost that way, so `lost_events` is 924 against `lost` 923; the smoke
+/// and adversity suites pin both pairs equal.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinkRollup {
     /// Messages released in order across all sessions.
@@ -198,9 +218,10 @@ pub struct LinkRollup {
     pub lost: u64,
     /// Lost messages recovered by retransmission (per-session reports).
     pub recovered: u64,
-    /// Lost messages summed from [`GatewayEvent::MessageLost`] ranges.
+    /// Lost messages summed from the logged [`TapItem::Lost`] runs,
+    /// the closing flush included.
     pub lost_events: u64,
-    /// [`GatewayEvent::MessageRecovered`] events observed.
+    /// [`TapItem::Recovered`] items logged.
     pub recovered_events: u64,
     /// Cumulative-ACK downlink frames sent.
     pub acks_sent: u64,

@@ -37,14 +37,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use std::sync::Arc;
 
-use wbsn_archive::{ArchiveWriter, EpochItem, EpochRecord, RunMeta, TapItem};
+use wbsn_archive::{ArchiveWriter, EpochItem, EpochRecord, RunMeta};
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::MonitorBuilder;
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_cs::solver::{Continuation, Fista, FistaConfig, FistaScratch};
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
-use wbsn_gateway::SolvePhase;
+use wbsn_gateway::{SolvePhase, TapItem};
 
 struct CountingAlloc;
 

@@ -13,12 +13,12 @@
 
 use wbsn_archive::{
     ArchiveBlock, ArchiveError, ArchiveReader, ArchiveWriter, EpochItem, EpochRecord, RunMeta,
-    RunTrailer, SessionEnd, SessionMeta, TapItem,
+    RunTrailer, SessionEnd, SessionMeta,
 };
 use wbsn_core::link::SessionHandshake;
 use wbsn_cs::solver::FistaConfig;
 use wbsn_delineation::BeatFiducials;
-use wbsn_gateway::SessionReport;
+use wbsn_gateway::{SessionReport, TapItem};
 
 fn meta() -> RunMeta {
     RunMeta {

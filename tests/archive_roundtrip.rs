@@ -24,13 +24,13 @@ use wbsn_archive::format::FORMAT_VERSION;
 use wbsn_archive::reader::read_archive;
 use wbsn_archive::{
     ArchiveBlock, ArchiveError, ArchiveReader, ArchiveWriter, CodecStats, EpochItem, EpochRecord,
-    RunMeta, RunTrailer, SessionEnd, SessionMeta, TapItem,
+    RunMeta, RunTrailer, SessionEnd, SessionMeta,
 };
 use wbsn_core::link::crc32;
 use wbsn_core::link::SessionHandshake;
 use wbsn_cs::solver::{Continuation, FistaConfig};
 use wbsn_delineation::BeatFiducials;
-use wbsn_gateway::SessionReport;
+use wbsn_gateway::{SessionReport, TapItem};
 use wbsn_sigproc::wavelet::Wavelet;
 
 /// A finite (non-NaN) `f64` with a wide dynamic range: scalar fields

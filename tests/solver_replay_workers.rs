@@ -17,10 +17,9 @@ use std::sync::OnceLock;
 use wbsn::cohort::{CohortRunConfig, CohortRunner};
 use wbsn::replay::CohortReplayer;
 use wbsn_archive::replay::replay_reconstruction;
-use wbsn_archive::{
-    ArchiveBlock, EpochItem, EpochRecord, SolverReplayConfig, SolverReplayReport, TapItem,
-};
+use wbsn_archive::{ArchiveBlock, EpochItem, EpochRecord, SolverReplayConfig, SolverReplayReport};
 use wbsn_core::WbsnError;
+use wbsn_gateway::TapItem;
 
 const WORKERS: [usize; 5] = [1, 2, 3, 5, 17];
 
