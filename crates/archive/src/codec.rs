@@ -1,25 +1,20 @@
-//! Lossless integer/float coding for archived signal windows.
+//! Lossless integer coding for archived signal windows.
 //!
-//! Reconstructed ECG is smooth: successive samples differ by small
-//! amounts, so delta + zigzag + LEB128 varint coding shrinks a window
-//! to a fraction of its raw little-endian size — the same shape the
+//! ECG is smooth: successive samples differ by small amounts, so
+//! delta + zigzag + LEB128 varint coding shrinks a window to a
+//! fraction of its raw little-endian size — the same shape the
 //! on-node lossless-compressor literature uses (delta/entropy coding,
-//! arXiv 1409.8018). Three section codecs cover the archive's needs:
+//! arXiv 1409.8018). Two section codecs cover the archive's needs:
 //!
 //! - [`write_i32_section`]: reference ECG windows (ADC counts) —
 //!   delta + varint, typically well over 2× smaller than raw.
-//! - [`write_f64_section`]: reconstructed windows — each `f64` is
-//!   first mapped through an *order-preserving* bit transform (below),
-//!   then delta + varint coded. Bit-exact for every value including
-//!   NaNs and signed zeros.
 //! - [`write_i16_section`]: CS measurements — pseudo-random
 //!   projections carry no sample-to-sample smoothness, so they are
 //!   stored raw little-endian (delta coding would *expand* them).
 //!
-//! The `f64` mapping flips the bits of negative floats and sets the
-//! sign bit of positives, turning IEEE-754 total order into `u64`
-//! order; neighbouring samples then map to nearby integers and the
-//! deltas stay small. The mapping is a bijection, so decode is exact.
+//! Reconstructed windows are not archived: replay re-solves them from
+//! the measurements, bit for bit. Scalar `f64` fields travel as raw
+//! bit patterns ([`write_f64_bits`]).
 //!
 //! All decoders validate section lengths against the remaining payload
 //! before reserving memory, so a malformed length can never force a
@@ -87,23 +82,6 @@ pub fn read_ivarint(bytes: &[u8], pos: &mut usize) -> Result<i64> {
     Ok(unzigzag(read_uvarint(bytes, pos)?))
 }
 
-/// Maps an `f64` to an `i64` preserving IEEE-754 total order; a
-/// bijection, so the inverse ([`ordered_to_f64`]) is bit-exact.
-pub fn f64_to_ordered(v: f64) -> i64 {
-    // Sign-fold: non-negative floats keep their bit pattern (already
-    // ordered as i64); negative floats get their magnitude bits
-    // flipped so "more negative" maps to "smaller i64". The map is an
-    // involution, so the inverse is the same fold.
-    let b = v.to_bits() as i64;
-    b ^ ((b >> 63) & i64::MAX)
-}
-
-/// Inverse of [`f64_to_ordered`].
-pub fn ordered_to_f64(o: i64) -> f64 {
-    let b = o ^ ((o >> 63) & i64::MAX);
-    f64::from_bits(b as u64)
-}
-
 fn check_section_len(len: u64, bytes: &[u8], pos: usize, min_bytes: usize) -> Result<usize> {
     let remaining = bytes.len().saturating_sub(pos);
     let need = (len as u128) * (min_bytes as u128);
@@ -141,30 +119,6 @@ pub fn read_i32_section(bytes: &[u8], pos: &mut usize, out: &mut Vec<i32>) -> Re
             detail: format!("decoded value {prev} is outside i32"),
         })?;
         out.push(v);
-    }
-    Ok(())
-}
-
-/// Appends an `f64` window as an order-mapped delta + varint section.
-pub fn write_f64_section(out: &mut Vec<u8>, samples: &[f64]) {
-    write_uvarint(out, samples.len() as u64);
-    let mut prev: i64 = 0;
-    for &v in samples {
-        let o = f64_to_ordered(v);
-        write_ivarint(out, o.wrapping_sub(prev));
-        prev = o;
-    }
-}
-
-/// Decodes a [`write_f64_section`] section, appending to `out`.
-pub fn read_f64_section(bytes: &[u8], pos: &mut usize, out: &mut Vec<f64>) -> Result<()> {
-    let len = read_uvarint(bytes, pos)?;
-    let len = check_section_len(len, bytes, *pos, 1)?;
-    out.reserve(len);
-    let mut prev: i64 = 0;
-    for _ in 0..len {
-        prev = prev.wrapping_add(read_ivarint(bytes, pos)?);
-        out.push(ordered_to_f64(prev));
     }
     Ok(())
 }
@@ -286,29 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_f64_is_bit_exact_and_monotone() {
-        let vals = [
-            0.0,
-            -0.0,
-            1.5,
-            -1.5,
-            f64::MAX,
-            f64::MIN,
-            f64::MIN_POSITIVE,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NAN,
-        ];
-        for &v in &vals {
-            let back = ordered_to_f64(f64_to_ordered(v));
-            assert_eq!(v.to_bits(), back.to_bits());
-        }
-        assert!(f64_to_ordered(-1.0) < f64_to_ordered(-0.5));
-        assert!(f64_to_ordered(-0.5) < f64_to_ordered(0.5));
-        assert!(f64_to_ordered(0.5) < f64_to_ordered(1.0));
-    }
-
-    #[test]
     fn sections_round_trip() {
         let i32s = [0i32, 5, -5, i32::MAX, i32::MIN, 100, 101];
         let mut out = Vec::new();
@@ -317,17 +248,6 @@ mod tests {
         let mut pos = 0;
         read_i32_section(&out, &mut pos, &mut back).unwrap();
         assert_eq!(back, i32s);
-
-        let f64s = [0.0, -0.25, 1e300, -1e-300, f64::NAN];
-        let mut out = Vec::new();
-        write_f64_section(&mut out, &f64s);
-        let mut back = Vec::new();
-        let mut pos = 0;
-        read_f64_section(&out, &mut pos, &mut back).unwrap();
-        assert_eq!(back.len(), f64s.len());
-        for (a, b) in f64s.iter().zip(&back) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
 
         let i16s = [0i16, -1, i16::MAX, i16::MIN, 777];
         let mut out = Vec::new();

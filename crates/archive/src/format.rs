@@ -22,9 +22,9 @@
 //! reused scratch buffer and write with zero steady-state allocation.
 
 use crate::codec::{
-    read_bool, read_f64_bits, read_f64_section, read_i16_section, read_i32_section, read_u64_le,
-    read_u8, read_uvarint, write_f64_bits, write_f64_section, write_i16_section, write_i32_section,
-    write_u64_le, write_uvarint,
+    read_bool, read_f64_bits, read_i16_section, read_i32_section, read_u64_le, read_u8,
+    read_uvarint, write_f64_bits, write_i16_section, write_i32_section, write_u64_le,
+    write_uvarint,
 };
 use crate::{ArchiveError, Result};
 use wbsn_core::link::SessionHandshake;
@@ -38,8 +38,10 @@ use wbsn_sigproc::wavelet::Wavelet;
 pub const MAGIC: [u8; 4] = *b"WBSA";
 /// Format version this build writes and the only one it reads.
 /// Version 2 replaced version 1's warm-start flag in [`RunMeta`] with
-/// the solver's λ-continuation schedule.
-pub const FORMAT_VERSION: u16 = 2;
+/// the solver's λ-continuation schedule; version 3 dropped the
+/// reconstructed samples from CS-window items, which replay re-solves
+/// from the archived measurements.
+pub const FORMAT_VERSION: u16 = 3;
 /// Fixed bytes of a block header (`kind`, `session`, `epoch`, `len`).
 pub const BLOCK_HEADER_LEN: usize = 1 + 8 + 4 + 4;
 /// Upper bound on a single block payload. A real epoch is far below
@@ -171,7 +173,7 @@ fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionMeta {
     /// Whether the session runs compressed sensing (and therefore
-    /// carries reference/measurement/reconstruction items).
+    /// carries reference and measurement items).
     pub cs: bool,
     /// The scripted rhythm-burden label of the patient (the cohort
     /// stratification key), e.g. `"paroxysmal-af"`.
@@ -282,10 +284,6 @@ pub struct CodecStats {
     pub reference_raw: u64,
     /// Coded bytes of archived reference windows.
     pub reference_coded: u64,
-    /// Raw little-endian bytes of archived reconstructed windows.
-    pub window_raw: u64,
-    /// Coded bytes of archived reconstructed windows.
-    pub window_coded: u64,
     /// Raw little-endian bytes of archived CS measurements.
     pub measurement_raw: u64,
     /// Coded bytes of archived CS measurements.
@@ -442,7 +440,6 @@ fn encode_tap(out: &mut Vec<u8>, item: &TapItem, stats: &mut CodecStats) {
             window_seq,
             prd,
             measurements,
-            samples,
         } => {
             out.push(item_tag::CS_WINDOW);
             out.push(*lead);
@@ -458,10 +455,6 @@ fn encode_tap(out: &mut Vec<u8>, item: &TapItem, stats: &mut CodecStats) {
             write_i16_section(out, measurements);
             stats.measurement_raw += 2 * measurements.len() as u64;
             stats.measurement_coded += (out.len() - before) as u64;
-            let before = out.len();
-            write_f64_section(out, samples);
-            stats.window_raw += 8 * samples.len() as u64;
-            stats.window_coded += (out.len() - before) as u64;
         }
         TapItem::Lost { first_seq, count } => {
             out.push(item_tag::LOST);
@@ -553,14 +546,11 @@ fn decode_tap(tag: u8, bytes: &[u8], pos: &mut usize) -> Result<TapItem> {
             };
             let mut measurements = Vec::new();
             read_i16_section(bytes, pos, &mut measurements)?;
-            let mut samples = Vec::new();
-            read_f64_section(bytes, pos, &mut samples)?;
             Ok(TapItem::CsWindow {
                 lead,
                 window_seq,
                 prd,
                 measurements,
-                samples,
             })
         }
         item_tag::LOST => Ok(TapItem::Lost {

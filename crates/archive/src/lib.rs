@@ -4,18 +4,19 @@
 //! Archival storage and deterministic replay for the WBSN gateway.
 //!
 //! The gateway is the only component that sees everything a monitoring
-//! session produces — reconstructed CS windows, fiducials, rhythm and
-//! alert events, link-health reports, handshakes — and none of it
-//! survives the process. This crate persists that knowledge in an
+//! session produces — CS measurements and their reconstruction PRD,
+//! fiducials, rhythm and alert events, link-health reports,
+//! handshakes — and none of it survives the process. This crate persists that knowledge in an
 //! EDF-inspired *epoch-block* stream and makes replay a first-class
 //! entry point:
 //!
 //! - [`ArchiveWriter`] appends CRC-protected, versioned blocks with
-//!   bounded memory at any recording length. Integer signal windows
+//!   bounded memory at any recording length. Reference ECG windows
 //!   are delta + zigzag + varint coded ([`codec`]), the lossless shape
-//!   the on-node ECG-compressor literature settled on; floating-point
-//!   windows go through an order-preserving bit mapping so they also
-//!   delta-code without losing a single bit.
+//!   the on-node ECG-compressor literature settled on; CS measurements
+//!   are stored raw. Reconstructed samples are not archived: they are
+//!   a pure function of the measurements and the recorded solver
+//!   settings, and [`replay`] re-solves them bit for bit.
 //! - [`ArchiveReader`] streams blocks back, stopping at the first
 //!   damaged byte with a typed [`ArchiveError`] — every block before
 //!   the damage is recovered, and corruption can never decode into a

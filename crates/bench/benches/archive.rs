@@ -78,10 +78,6 @@ fn quality_lines(bytes: &[u8]) {
         ratio(stats.reference_raw, stats.reference_coded)
     );
     println!(
-        "{{\"bench\": \"archive/window_compression_x\", \"value\": {:.2}}}",
-        ratio(stats.window_raw, stats.window_coded)
-    );
-    println!(
         "{{\"bench\": \"archive/measurement_compression_x\", \"value\": {:.2}}}",
         ratio(stats.measurement_raw, stats.measurement_coded)
     );

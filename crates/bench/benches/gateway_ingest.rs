@@ -2,8 +2,9 @@
 //! README's "Server-side throughput" section. Three measurements:
 //!
 //! * `reassemble_s{S}_w{W}`: cross-session `ingest_batch` throughput
-//!   with reconstruction **off** — the pure packet path (CRC, routing,
-//!   reassembly, payload decode) over a sessions × workers matrix.
+//!   over streams framed without CS sessions — the pure packet path
+//!   (CRC, routing, reassembly, payload decode) over a sessions ×
+//!   workers matrix.
 //! * `reconstruct_cold_10w` vs `reconstruct_default_10w`: one CS
 //!   session, ten windows, through a sequential `Gateway` — the
 //!   original fixed-budget decoder (FISTA at tol 1e-7, no restart, no
@@ -14,8 +15,8 @@
 //!   window at 250 Hz is 2.048 s of signal).
 //! * `reconstruct_default_s8_w{W}`: eight CS sessions sharing one Φ
 //!   through the matrix cache, on a gateway of `4W` shards run by W
-//!   worker threads with reconstruction **on** — the machine-level
-//!   scaling of the full decode pipeline. Each thread takes the next
+//!   worker threads — the machine-level scaling of the full decode
+//!   pipeline, solves included. Each thread takes the next
 //!   shard with packets as soon as it finishes one.
 //!
 //! CI uploads the JSON medians as `BENCH_gateway_ingest.json`.
@@ -44,7 +45,8 @@ fn legacy_cfg() -> GatewayConfig {
     }
 }
 
-/// Pre-framed packets of `sessions` mixed-level nodes, `secs` each.
+/// Pre-framed packets of `sessions` mixed-level nodes below CS (raw,
+/// delineated, classified), `secs` each.
 fn mixed_stream(sessions: u64, secs: f64) -> Vec<Vec<u8>> {
     let mut uplink = Uplink::new();
     let mut packets = Vec::new();
@@ -124,17 +126,12 @@ fn bench_gateway_ingest(c: &mut Criterion) {
     let mut g = c.benchmark_group("gateway_ingest");
     g.sample_size(10);
 
-    // Packet path only: reconstruction off, sessions × workers.
-    let no_recon = GatewayConfig {
-        reconstruct_cs: false,
-        ..GatewayConfig::default()
-    };
+    // Packet path only: no CS sessions, sessions × workers.
     for &sessions in &[8u64, 32] {
         let packets = mixed_stream(sessions, 10.0);
         for &workers in &[1usize, 2, 4] {
-            let cfg = no_recon.clone();
             g.bench_function(format!("reassemble_s{sessions}_w{workers}"), |b| {
-                b.iter(|| drive_sharded(cfg.clone(), workers, black_box(&packets)))
+                b.iter(|| drive_sharded(GatewayConfig::default(), workers, black_box(&packets)))
             });
         }
     }

@@ -2,9 +2,9 @@
 //! and CS reconstruction cost per window.
 //!
 //! `gateway/reassemble_decode_stream` drives a pre-framed multi-session
-//! packet stream (the scenario mix: classified events, delineated
-//! beats, CS windows) through a fresh `Gateway` with reconstruction
-//! disabled — the pure packet path a base station scales on.
+//! packet stream (raw chunks, delineated beats, classified events; no
+//! CS sessions, so nothing is solved) through a fresh `Gateway` — the
+//! pure packet path a base station scales on.
 //! `gateway/cs_reconstruct_window` prices one FISTA reconstruction at
 //! the gateway's default solver settings — the per-window cost the
 //! reconstruction workers pay. CI uploads the medians as
@@ -19,14 +19,14 @@ use wbsn_ecg_synth::RecordBuilder;
 use wbsn_gateway::gateway::{Gateway, GatewayConfig};
 
 /// Pre-framed packet stream of a small mixed fleet (8 sessions across
-/// the abstraction ladder, 10 s each), plus the handshakes.
+/// the abstraction ladder below CS, 10 s each), plus the handshakes.
 fn packet_stream() -> Vec<Vec<u8>> {
     let mut uplink = Uplink::new();
     let mut packets = Vec::new();
     for s in 0..8u64 {
         let level = match s % 4 {
             0 => ProcessingLevel::RawStreaming,
-            1 | 2 => ProcessingLevel::CompressedSingleLead,
+            1 | 2 => ProcessingLevel::Delineated,
             _ => ProcessingLevel::Classified,
         };
         let rec = RecordBuilder::new(100 + s)
@@ -55,12 +55,9 @@ fn bench_gateway(c: &mut Criterion) {
     let n_packets = packets.len();
     g.bench_function(format!("reassemble_decode_stream_{n_packets}pkts"), |b| {
         b.iter(|| {
-            // Reconstruction off: this measures the packet path
-            // (CRC, routing, reassembly, payload decode, rhythm state).
-            let mut gw = Gateway::new(GatewayConfig {
-                reconstruct_cs: false,
-                ..GatewayConfig::default()
-            });
+            // No CS windows: this measures the packet path (CRC,
+            // routing, reassembly, payload decode, rhythm state).
+            let mut gw = Gateway::new(GatewayConfig::default());
             let mut events = 0usize;
             for raw in &packets {
                 events += gw.ingest(black_box(raw)).map(|e| e.len()).unwrap_or(0);

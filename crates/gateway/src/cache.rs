@@ -195,17 +195,15 @@ pub struct SessionMatrices {
 }
 
 impl SessionMatrices {
-    /// Installs a handshake and reports whether it changed. A changed
-    /// handshake (new seed or shape) drops the matrices, so a stale Φ
-    /// can never reconstruct plausible-looking garbage; an identical
-    /// re-announce (after a reboot) keeps them.
-    pub fn install(&mut self, hs: SessionHandshake) -> bool {
-        let changed = self.handshake != Some(hs);
-        if changed {
+    /// Installs a handshake. A changed handshake (new seed or shape)
+    /// drops the matrices, so a stale Φ can never reconstruct
+    /// plausible-looking garbage; an identical re-announce (after a
+    /// reboot) keeps them.
+    pub fn install(&mut self, hs: SessionHandshake) {
+        if self.handshake != Some(hs) {
             self.leads.clear();
         }
         self.handshake = Some(hs);
-        changed
     }
 
     /// The installed handshake, if any.
@@ -399,21 +397,21 @@ mod tests {
         };
         let mut m = SessionMatrices::default();
         assert!(m.lead(0, &cache, &solver).is_err(), "no handshake yet");
-        assert!(m.install(hs));
+        m.install(hs);
         let (a, lip) = m.lead(1, &cache, &solver).unwrap();
         assert!(Arc::ptr_eq(&a, &cache.get_or_build(key(11, 1)).unwrap()));
         assert_eq!(cache.stats().misses, 1);
         // Repeat lookups and an identical re-announce keep the lead's
         // matrix without asking the cache again.
         m.lead(1, &cache, &solver).unwrap();
-        assert!(!m.install(hs));
+        m.install(hs);
         let (b, lip_b) = m.lead(1, &cache, &solver).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(lip.to_bits(), lip_b.to_bits());
         assert_eq!(cache.stats().hits, 1, "only the test's own lookup hit");
         // A new seed drops the matrices: the next lookup resolves the
         // new Φ.
-        assert!(m.install(SessionHandshake { seed: 12, ..hs }));
+        m.install(SessionHandshake { seed: 12, ..hs });
         let (c, _) = m.lead(1, &cache, &solver).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.stats().misses, 2);

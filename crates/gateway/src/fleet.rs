@@ -175,8 +175,8 @@ impl ShardedGateway {
     ///    four windows of one Φ per pass. Skipped when nothing is
     ///    queued.
     /// 3. **Complete**, shard by shard in decode order: each window's
-    ///    PRD, the session's PRD sum, its retained samples, its tap item
-    ///    and its `WindowReconstructed` event.
+    ///    PRD, the session's PRD sum, its tap item and its
+    ///    `WindowReconstructed` event, which takes the solved samples.
     ///
     /// # Errors
     ///
@@ -405,16 +405,6 @@ impl ShardedGateway {
     pub fn handshake(&self, session: u64) -> Option<&SessionHandshake> {
         self.owner(session).handshake(session)
     }
-
-    /// All reconstructed `(window_seq, samples)` of one lead, in
-    /// window order — see [`Gateway::reconstructed_windows`].
-    pub fn reconstructed_windows(
-        &self,
-        session: u64,
-        lead: u8,
-    ) -> impl Iterator<Item = (u32, &[f64])> + '_ {
-        self.owner(session).reconstructed_windows(session, lead)
-    }
 }
 
 /// Step 1's outcome: on success the per-shard decodes. On a lost
@@ -532,7 +522,6 @@ mod tests {
         framer
             .frame_payload(&cs_window(&first, 2, 0), &mut packets)
             .unwrap();
-        // A changed handshake drops the windows solved before it.
         framer.frame_handshake(&second, &mut packets).unwrap();
         framer
             .frame_payload(&cs_window(&second, 3, 0), &mut packets)
@@ -571,19 +560,6 @@ mod tests {
         let stats = sharded.stats().unwrap();
         assert_eq!(stats, sequential.stats());
         assert_eq!((stats.windows_reconstructed, stats.items_rejected), (3, 1));
-        let retained: Vec<(u32, Vec<f64>)> = sharded
-            .reconstructed_windows(session, 0)
-            .map(|(seq, x)| (seq, x.to_vec()))
-            .collect();
-        let retained_seq: Vec<(u32, Vec<f64>)> = sequential
-            .reconstructed_windows(session, 0)
-            .map(|(seq, x)| (seq, x.to_vec()))
-            .collect();
-        assert_eq!(retained, retained_seq);
-        assert_eq!(
-            retained.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(),
-            [3]
-        );
         assert_eq!(sharded.drain_tap().unwrap(), sequential.drain_tap());
     }
 

@@ -18,7 +18,10 @@
 //!   ([`Gateway::attach_reference`]), each window reports its PRD
 //!   (percentage root-mean-square difference) against the transmitted
 //!   original — the Figure 5 quality metric, now measured end to end
-//!   through the lossy link.
+//!   through the lossy link. The reconstructed samples live only in
+//!   the call's [`GatewayEvent::WindowReconstructed`]: the gateway
+//!   keeps no copy, and its recording tap carries the measurements
+//!   and the PRD, from which archive replay re-solves bit for bit.
 //! * **Losses** (gaps the reassembler proves) surface as
 //!   [`GatewayEvent::MessageLost`].
 //!
@@ -48,9 +51,6 @@ pub struct GatewayConfig {
     pub reorder_window: u32,
     /// FISTA settings of every CS window's reconstruction.
     pub solver: FistaConfig,
-    /// Whether CS windows are reconstructed at all (disable to bench
-    /// the pure reassembly/decode path).
-    pub reconstruct_cs: bool,
     /// Recovery window of each session's reassembler: how many of the
     /// most recently declared-lost sequence numbers stay eligible for
     /// late recovery from NACK-driven retransmissions. Zero (the
@@ -116,7 +116,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             reorder_window: crate::reassembler::DEFAULT_REORDER_WINDOW,
             solver: GatewayConfig::default_solver(),
-            reconstruct_cs: true,
             recovery_window: 0,
             controller: None,
             reconstruct_every: 1,
@@ -190,6 +189,10 @@ pub enum GatewayEvent {
         /// PRD against the attached reference, when one covers the
         /// window (percent; lower is better).
         prd_percent: Option<f64>,
+        /// The reconstructed samples. This event is their only copy:
+        /// the gateway keeps none, and a recording archives the
+        /// measurements they are re-solved from.
+        samples: Vec<f64>,
     },
     /// A run of consecutive messages lost on the link (reassembly
     /// gap). Ranged so a long outage costs one event, not one per
@@ -393,25 +396,11 @@ struct SessionState {
     // The installed handshake and the per-lead sensing matrices it
     // names, shared out of the gateway's MatrixCache on first use.
     matrices: SessionMatrices,
-    // Reconstructed windows, keyed by (lead, window_seq).
-    windows: BTreeMap<(u8, u32), Vec<f64>>,
-    // Handshake changes so far: a window decoded under an older
-    // handshake is not retained once solved (the change cleared it).
-    generation: u64,
     // Optional per-lead reference signals for PRD reporting.
     references: BTreeMap<u8, LeadReference>,
 }
 
 impl SessionState {
-    /// Installs a handshake; a *changed* handshake (new seed, shape)
-    /// also drops the windows the old matrices reconstructed.
-    fn install_handshake(&mut self, hs: SessionHandshake) {
-        if self.matrices.install(hs) {
-            self.windows.clear();
-            self.generation += 1;
-        }
-    }
-
     /// The link counters over every incarnation so far.
     fn totals(&self) -> LinkTotals {
         let r = self.decoder.stats();
@@ -436,8 +425,6 @@ impl SessionState {
             controller: None,
             rhythm: RhythmState::default(),
             matrices: SessionMatrices::default(),
-            windows: BTreeMap::new(),
-            generation: 0,
             references: BTreeMap::new(),
         })
     }
@@ -464,8 +451,8 @@ pub fn reference_window<T: Copy + Default + PartialEq>(
 
 /// A CS window the current call decoded and queued for its solve, and
 /// where the solve's results go: the window's `WindowReconstructed`
-/// event and tap item are already in place, waiting for the PRD and the
-/// samples.
+/// event and tap item are already in place, both waiting for the PRD
+/// and the event for the samples.
 #[derive(Debug)]
 struct PendingWindow {
     session: u64,
@@ -474,8 +461,6 @@ struct PendingWindow {
     window_seq: u32,
     /// Window length of the handshake it was decoded under.
     n: usize,
-    /// The session's `generation` when it was decoded.
-    generation: u64,
     /// Which of the call's event lists holds its event, and where.
     list: usize,
     event: usize,
@@ -603,7 +588,7 @@ impl Gateway {
         state.decoder = decoder;
         state.feedback = LinkFeedback::default();
         state.controller = None;
-        state.install_handshake(hs);
+        state.matrices.install(hs);
         Ok(())
     }
 
@@ -627,9 +612,7 @@ impl Gateway {
     /// the covered span report no PRD. This is what lets a long-running
     /// harness probe reconstruction quality segment by segment without
     /// ever holding the whole session's original in memory. Attaching
-    /// replaces the lead's previous reference and prunes retained
-    /// windows from before the new span, so per-session sample history
-    /// stays bounded by one reference span per lead.
+    /// replaces the lead's previous reference.
     ///
     /// # Errors
     ///
@@ -642,14 +625,6 @@ impl Gateway {
         samples: Vec<f64>,
     ) -> Result<()> {
         let state = self.session_state(session)?;
-        if offset_samples > 0 {
-            if let Some(hs) = state.matrices.handshake() {
-                let n = hs.cs_window as u64;
-                state
-                    .windows
-                    .retain(|&(l, seq), _| l != lead || seq as u64 * n >= offset_samples);
-            }
-        }
         state.references.insert(
             lead,
             LeadReference {
@@ -670,31 +645,6 @@ impl Gateway {
         self.sessions
             .get(&session)
             .and_then(|s| s.matrices.handshake())
-    }
-
-    /// One reconstructed window's samples. Retained only for leads
-    /// with an attached reference ([`Gateway::attach_reference`]) —
-    /// unreferenced sessions do not accumulate sample history.
-    pub fn reconstructed_window(&self, session: u64, lead: u8, window_seq: u32) -> Option<&[f64]> {
-        self.sessions
-            .get(&session)?
-            .windows
-            .get(&(lead, window_seq))
-            .map(Vec::as_slice)
-    }
-
-    /// All reconstructed `(window_seq, samples)` of one lead, in
-    /// window order.
-    pub fn reconstructed_windows(
-        &self,
-        session: u64,
-        lead: u8,
-    ) -> impl Iterator<Item = (u32, &[f64])> + '_ {
-        self.sessions.get(&session).into_iter().flat_map(move |s| {
-            s.windows
-                .range((lead, 0)..=(lead, u32::MAX))
-                .map(|((_, seq), w)| (*seq, w.as_slice()))
-        })
     }
 
     /// Ingests one raw packet off the channel: CRC check, session
@@ -807,8 +757,8 @@ impl Gateway {
     /// Step 3 of a call: completes the pending windows in decode order
     /// from their `solves` (one each, in the same order), writing each
     /// window's final event through `patch(list, position, event)`.
-    /// A solved window gets its PRD, its samples (retained and tapped)
-    /// and its counters exactly as an in-line solve would have; a
+    /// A solved window gets its PRD, its samples (in the event) and
+    /// its counters exactly as an in-line solve would have; a
     /// failed one becomes a [`GatewayEvent::PayloadRejected`] in its
     /// place, its tap item left as a measurements-only one.
     pub(crate) fn complete(
@@ -841,8 +791,8 @@ impl Gateway {
         self.pending = pending;
     }
 
-    /// A solved window's PRD, counters, retained samples and tap item;
-    /// returns its event.
+    /// A solved window's PRD, counters and tap item; returns its event,
+    /// which takes the solve's samples.
     fn finish_window(&mut self, window: &PendingWindow, solve: FistaSolve) -> GatewayEvent {
         let PendingWindow {
             session,
@@ -853,47 +803,33 @@ impl Gateway {
         } = *window;
         self.stats.solver_iters += solve.iters as u64;
         self.stats.windows_reconstructed += 1;
-        let xr = solve.x;
         let state = self.sessions.get_mut(&session);
         let prd = state
             .as_ref()
             .and_then(|state| state.references.get(&lead))
             .and_then(|r| reference_window(&r.samples, r.offset, window_seq, n))
-            .map(|orig| prd_percent(orig, &xr));
+            .map(|orig| prd_percent(orig, &solve.x));
         if let Some(TapItem::CsWindow {
-            prd: tapped_prd,
-            samples,
-            ..
+            prd: tapped_prd, ..
         }) = window
             .tap
             .and_then(|i| self.tap.get_mut(i))
             .map(|(_, item)| item)
         {
-            // Archive the full observation: raw measurements (replay's
-            // solver input), the reconstruction, and the live PRD
-            // (replay's comparison baseline).
+            // The live PRD is replay's comparison baseline; replay
+            // re-solves the samples from the tapped measurements.
             *tapped_prd = prd;
-            samples.clone_from(&xr);
         }
         if let (Some(state), Some(p)) = (state, prd) {
             state.feedback.prd_sum += p;
             state.feedback.prd_count += 1;
-            // Samples are retained only for windows the attached
-            // reference actually covers (the evaluation harness needs
-            // them for PRD/replay queries); a production session would
-            // otherwise grow ~4 kB per window forever, and a
-            // segment-probing harness would grow by every window
-            // outside its current reference span. A handshake change
-            // after the window was decoded already cleared it.
-            if state.generation == window.generation {
-                state.windows.insert((lead, window_seq), xr);
-            }
         }
         GatewayEvent::WindowReconstructed {
             session,
             lead,
             window_seq,
             prd_percent: prd,
+            samples: solve.x,
         }
     }
 
@@ -1043,7 +979,7 @@ impl Gateway {
 
     /// Closes one session: drains its reassembler tail, processes it,
     /// and drops all per-session state (decoder, rhythm log, sensing
-    /// matrices, reconstructed windows). Returns the tail's events,
+    /// matrices, references). Returns the tail's events,
     /// or `None` for a session this gateway never saw.
     pub fn close_session(&mut self, session: u64) -> Option<Vec<GatewayEvent>> {
         let mut events = self.decode_close(session)?;
@@ -1112,7 +1048,7 @@ impl Gateway {
                 }
                 SessionItem::Handshake(hs) => {
                     if let Some(state) = self.sessions.get_mut(&session) {
-                        state.install_handshake(hs);
+                        state.matrices.install(hs);
                         events.push(GatewayEvent::SessionOpened { session });
                         if self.cfg.tap {
                             self.tap.push((session, TapItem::Handshake(hs)));
@@ -1140,7 +1076,7 @@ impl Gateway {
                     if let Some(state) = self.sessions.get_mut(&session) {
                         state.feedback.missing.remove(&msg_seq);
                         events.push(GatewayEvent::MessageRecovered { session, msg_seq });
-                        state.install_handshake(hs);
+                        state.matrices.install(hs);
                         events.push(GatewayEvent::SessionOpened { session });
                         if self.cfg.tap {
                             self.tap.push((session, TapItem::Recovered { msg_seq }));
@@ -1239,9 +1175,6 @@ impl Gateway {
                 window_seq,
                 measurements,
             } => {
-                if !self.cfg.reconstruct_cs {
-                    return Ok(());
-                }
                 let Some(&hs) = state.matrices.handshake() else {
                     return Err(LinkError::NoHandshake { session }.into());
                 };
@@ -1261,7 +1194,6 @@ impl Gateway {
                                 window_seq,
                                 prd: None,
                                 measurements,
-                                samples: Vec::new(),
                             },
                         ));
                     }
@@ -1276,7 +1208,6 @@ impl Gateway {
                 // reserved here, in order, and completed afterwards.
                 self.phase
                     .push(&enc, lip, measurements.iter().map(|&v| v as i64 as f64))?;
-                let generation = state.generation;
                 let tap = if self.cfg.tap {
                     self.tap.push((
                         session,
@@ -1285,7 +1216,6 @@ impl Gateway {
                             window_seq,
                             prd: None,
                             measurements,
-                            samples: Vec::new(),
                         },
                     ));
                     Some(self.tap.len() - 1)
@@ -1298,7 +1228,6 @@ impl Gateway {
                     lead,
                     window_seq,
                     n: hs.cs_window as usize,
-                    generation,
                     list,
                     event: events.len(),
                     tap,
@@ -1308,6 +1237,7 @@ impl Gateway {
                     lead,
                     window_seq,
                     prd_percent: None,
+                    samples: Vec::new(),
                 });
             }
             Payload::RawChunk { .. } => {
@@ -1400,20 +1330,18 @@ mod tests {
             .filter_map(|e| match e {
                 GatewayEvent::WindowReconstructed {
                     prd_percent: Some(prd),
+                    samples,
                     ..
-                } => Some(*prd),
+                } => {
+                    assert_eq!(samples.len(), 512, "the event carries the window");
+                    Some(*prd)
+                }
                 _ => None,
             })
             .collect();
         assert!(prds.len() >= 4, "windows {}", prds.len());
         let avg = prds.iter().sum::<f64>() / prds.len() as f64;
         assert!(avg < 9.0, "avg PRD {avg}%");
-        // The reconstructed signal is queryable window by window.
-        assert!(gw.reconstructed_window(4, 0, 0).is_some());
-        assert_eq!(
-            gw.reconstructed_windows(4, 0).count() as u64,
-            gw.stats().windows_reconstructed
-        );
     }
 
     /// Shared setup for the reconstruct_every / mid-stream-reference
@@ -1513,7 +1441,7 @@ mod tests {
     }
 
     #[test]
-    fn mid_stream_reference_scopes_prd_and_retention() {
+    fn mid_stream_reference_scopes_prd() {
         let (packets, original) = cs_session_packets(8);
         // Full reference for ground truth.
         let mut full = Gateway::default();
@@ -1544,15 +1472,6 @@ mod tests {
             let scoped = prd_of(&events, w).expect("covered window has PRD");
             assert_eq!(scoped, prd_of(&full_events, w).unwrap(), "window {w}");
         }
-        // Retention is scoped the same way — memory stays bounded by
-        // the reference span.
-        assert!(gw.reconstructed_window(8, 0, 0).is_none());
-        assert!(gw.reconstructed_window(8, 0, 2).is_some());
-        // Re-attaching a later span prunes the old one's windows.
-        gw.attach_reference_at(8, 0, 3 * n as u64, original[3 * n..4 * n].to_vec())
-            .unwrap();
-        assert!(gw.reconstructed_window(8, 0, 2).is_none());
-        assert!(gw.reconstructed_window(8, 0, 3).is_some());
     }
 
     #[test]

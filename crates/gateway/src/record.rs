@@ -3,10 +3,10 @@
 //!
 //! When [`GatewayConfig::tap`](crate::GatewayConfig) is on, the
 //! gateway appends one [`TapItem`] per decoded observation —
-//! handshakes, rhythm events, fiducial sets, CS windows (measurements,
-//! reconstruction, PRD), loss and recovery — in processing order,
-//! which for a single session is deterministic at any worker count
-//! (each session lives on exactly one shard). [`Gateway::drain_tap`]
+//! handshakes, rhythm events, fiducial sets, CS windows (measurements
+//! and PRD), loss and recovery — in processing order, which for a
+//! single session is deterministic at any worker count (each session
+//! lives on exactly one shard). [`Gateway::drain_tap`]
 //! and [`ShardedGateway::drain_tap`] hand the buffered items over
 //! grouped by session in ascending session order, so the merged
 //! stream is byte-stable across runs and worker counts.
@@ -52,9 +52,13 @@ pub enum TapItem {
         /// The fiducial sets.
         beats: Vec<BeatFiducials>,
     },
-    /// A CS window arrived. Solved windows carry the reconstruction
-    /// (and PRD when a reference covers them); windows skipped by
-    /// periodic probing carry the measurements only.
+    /// A CS window arrived: its measurements, and its PRD when it was
+    /// solved and a reference covers it. The reconstructed samples are
+    /// not part of the item; they travel in the call's
+    /// [`GatewayEvent::WindowReconstructed`], and a replay re-solves
+    /// them from these measurements bit for bit.
+    ///
+    /// [`GatewayEvent::WindowReconstructed`]: crate::GatewayEvent::WindowReconstructed
     CsWindow {
         /// Lead index.
         lead: u8,
@@ -64,8 +68,6 @@ pub enum TapItem {
         prd: Option<f64>,
         /// The raw CS measurements.
         measurements: Vec<i16>,
-        /// The reconstructed samples (empty for skipped windows).
-        samples: Vec<f64>,
     },
     /// The reassembler declared messages lost.
     Lost {

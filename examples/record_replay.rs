@@ -4,11 +4,13 @@
 //! experiments — the same population, the same channel adversities,
 //! the same solver — yet a live cohort run discards everything the
 //! gateway learned the moment it returns. This example runs the CI
-//! smoke cohort **recorded**: every reconstructed window (lossless
-//! delta+varint coded), fiducial batch, rhythm/alert event,
-//! link-health report and handshake is streamed into a CRC-protected
-//! `wbsn-archive` epoch-block file, with writer memory bounded at
-//! O(epoch) regardless of recording length. It then demonstrates the
+//! smoke cohort **recorded**: every CS window's measurements and live
+//! PRD, PRD reference (lossless delta+varint coded), fiducial batch,
+//! rhythm/alert event, link-health report and handshake is streamed
+//! into a CRC-protected `wbsn-archive` epoch-block file, with writer
+//! memory bounded at O(epoch) regardless of recording length. The
+//! reconstructed samples are not archived; solver replay re-solves
+//! them from the measurements. It then demonstrates the
 //! three replay entry points:
 //!
 //! 1. **Report replay** — [`CohortReplayer::report`] regenerates the

@@ -470,7 +470,6 @@ impl CohortRunner {
             controller: Some(ControllerConfig::default()),
             tap: true,
             solver: self.cfg.solver,
-            ..GatewayConfig::default()
         }
     }
 
@@ -1064,7 +1063,8 @@ impl NodeState {
             // Window w of the current incarnation covers absolute
             // samples [window_base_abs + w·n ..); the segment record
             // covers [seg_base_frames ..). attach_reference_at maps
-            // between the two and prunes windows behind the offset.
+            // between the two and replaces the previous segment's
+            // reference.
             let offset = self.seg_base_frames - self.window_base_abs;
             gw.attach_reference_at(
                 self.session,

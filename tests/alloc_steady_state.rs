@@ -169,7 +169,6 @@ fn steady_state_ingest_is_allocation_free() {
                 window_seq: 9,
                 prd: Some(4.5),
                 measurements: (0..192).map(|i| (i as i16) * 13 - 700).collect(),
-                samples: (0..512).map(|i| (i as f64 * 0.21).sin() * 350.0).collect(),
             }),
             EpochItem::Reference {
                 lead: 0,

@@ -109,7 +109,6 @@ fn small_recording() -> (Vec<ArchiveBlock>, Vec<u8>, Vec<usize>) {
                     window_seq: 0,
                     prd: Some(3.25),
                     measurements: (0..192).map(|i| (i as i16) * 17 - 800).collect(),
-                    samples: (0..512).map(|i| (i as f64 * 0.37).sin() * 400.0).collect(),
                 }),
                 EpochItem::Gateway(TapItem::Rhythm {
                     msg_seq: 4,

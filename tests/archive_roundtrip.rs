@@ -8,18 +8,17 @@
 //! * Whole streams (header, session metadata, epochs, session ends,
 //!   trailer) survive [`ArchiveWriter`] → `read_archive` intact.
 //! * The delta+varint window codec is pinned lossless on random-walk
-//!   `i32` windows and on `f64` windows drawn from **raw random bit
-//!   patterns** — NaNs, infinities, signed zeros and subnormals
-//!   included (compared by bit pattern, since NaN ≠ NaN).
-//! * The version-2 header carries the solver's continuation schedule
-//!   bit for bit, and a version-1 stream is a typed rejection.
+//!   `i32` windows.
+//! * A CS-window item is exactly its tag, lead, window sequence, PRD
+//!   and raw measurement section: no reconstructed samples.
+//! * The version-3 header carries the solver's continuation schedule
+//!   bit for bit, and a stream of any other version is a typed
+//!   rejection.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use wbsn_archive::codec::{
-    read_f64_section, read_i32_section, write_f64_section, write_i32_section,
-};
+use wbsn_archive::codec::{read_i32_section, write_i16_section, write_i32_section, write_uvarint};
 use wbsn_archive::format::FORMAT_VERSION;
 use wbsn_archive::reader::read_archive;
 use wbsn_archive::{
@@ -117,9 +116,6 @@ fn random_item(rng: &mut StdRng) -> EpochItem {
             prd: rng.gen_bool(0.6).then(|| finite_f64(rng)),
             measurements: (0..(rng.next_u64() % 300) as usize)
                 .map(|_| rng.next_u64() as i16)
-                .collect(),
-            samples: (0..(rng.next_u64() % 300) as usize)
-                .map(|_| finite_f64(rng))
                 .collect(),
         }),
         4 => EpochItem::Gateway(TapItem::Lost {
@@ -294,27 +290,56 @@ proptest! {
         prop_assert_eq!(*pos, bytes.len());
         prop_assert_eq!(back, window);
     }
+}
 
-    #[test]
-    fn f64_window_codec_is_bit_lossless_for_any_bit_pattern(
-        seed in 0u64..1_000_000,
-        len in 0usize..600,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xF64);
-        // Raw random bits: NaNs (quiet and signalling payloads),
-        // infinities, subnormals, signed zeros — all of it.
-        let window: Vec<f64> = (0..len).map(|_| f64::from_bits(rng.next_u64())).collect();
-        let mut bytes = Vec::new();
-        write_f64_section(&mut bytes, &window);
-        let mut back = Vec::new();
-        let pos = &mut 0;
-        read_f64_section(&bytes, pos, &mut back).expect("section decodes");
-        prop_assert_eq!(*pos, bytes.len());
-        prop_assert_eq!(back.len(), window.len());
-        for (a, b) in back.iter().zip(&window) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+#[test]
+fn cs_window_items_archive_measurements_and_prd_only() {
+    let measurements: Vec<i16> = (0..256).map(|i| (i * 37 % 2000 - 1000) as i16).collect();
+    let scored = TapItem::CsWindow {
+        lead: 1,
+        window_seq: 300,
+        prd: Some(4.25),
+        measurements: measurements.clone(),
+    };
+    let skipped = TapItem::CsWindow {
+        lead: 0,
+        window_seq: 7,
+        prd: None,
+        measurements: measurements.clone(),
+    };
+    let rec = EpochRecord {
+        session: 9,
+        epoch: 0,
+        items: vec![EpochItem::Gateway(scored), EpochItem::Gateway(skipped)],
+    };
+    let mut bytes = Vec::new();
+    let mut stats = CodecStats::default();
+    rec.encode_payload(&mut bytes, &mut stats);
+
+    // Item count, then per item: tag 4, lead, window_seq varint, PRD
+    // flag (and its bits), the raw i16 measurement section — and
+    // nothing after it.
+    const CS_WINDOW_TAG: u8 = 4;
+    let mut want = vec![2, CS_WINDOW_TAG, 1];
+    write_uvarint(&mut want, 300);
+    want.push(1);
+    want.extend_from_slice(&4.25f64.to_bits().to_le_bytes());
+    write_i16_section(&mut want, &measurements);
+    want.extend_from_slice(&[CS_WINDOW_TAG, 0, 7, 0]);
+    write_i16_section(&mut want, &measurements);
+    assert_eq!(bytes, want);
+    assert_eq!(
+        stats,
+        CodecStats {
+            measurement_raw: 2 * 512,
+            measurement_coded: 2 * (2 + 512),
+            ..CodecStats::default()
         }
-    }
+    );
+    assert_eq!(
+        EpochRecord::decode_payload(9, 0, &bytes).expect("payload decodes"),
+        rec
+    );
 }
 
 /// A gateway-shaped header: FISTA with a continuation schedule.
@@ -352,8 +377,8 @@ fn empty_stream(meta: &RunMeta) -> Vec<u8> {
 }
 
 #[test]
-fn version_2_header_carries_the_continuation_schedule() {
-    assert_eq!(FORMAT_VERSION, 2);
+fn version_3_header_carries_the_continuation_schedule() {
+    assert_eq!(FORMAT_VERSION, 3);
     let with = continuation_meta();
     let without = RunMeta {
         solver: FistaConfig {
@@ -376,14 +401,14 @@ fn version_2_header_carries_the_continuation_schedule() {
 #[test]
 fn version_1_streams_are_rejected_with_a_typed_error() {
     let mut bytes = empty_stream(&continuation_meta());
-    // Re-stamp the header as version 1 with a valid header CRC, so only
-    // the version can be at fault.
-    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    // Re-stamp the header with each version and a valid header CRC,
+    // so only the version can be at fault. Version 2 is the format
+    // that still archived reconstructed samples.
     let meta_len = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
-    let crc = crc32(&bytes[..10 + meta_len]);
-    bytes[10 + meta_len..14 + meta_len].copy_from_slice(&crc.to_le_bytes());
-    for version in [1u16, FORMAT_VERSION + 1] {
+    for version in [1u16, 2, FORMAT_VERSION + 1] {
         bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        let crc = crc32(&bytes[..10 + meta_len]);
+        bytes[10 + meta_len..14 + meta_len].copy_from_slice(&crc.to_le_bytes());
         let err = ArchiveReader::new(&bytes[..]).err();
         assert_eq!(
             err,

@@ -67,7 +67,8 @@ struct RunResult {
     events: Vec<GatewayEvent>,
     gateway_stats: GatewayStats,
     channel_stats: ChannelStats,
-    /// Reconstructed windows per CS session: (session, lead, seq, samples).
+    /// Reconstructed windows that carry a PRD, in event order:
+    /// (session, lead, seq, samples).
     windows: Vec<(u64, u8, u32, Vec<f64>)>,
     /// Node-side payload streams per session, in emission order.
     node_payloads: Vec<Vec<Payload>>,
@@ -180,12 +181,19 @@ fn run(channel_seed: u64) -> RunResult {
     deliver(&mut gw, &mut events, channel.flush());
     events.extend(gw.flush_sessions());
 
-    let mut windows = Vec::new();
-    for &id in &ids {
-        for (seq, w) in gw.reconstructed_windows(id, 0) {
-            windows.push((id, 0u8, seq, w.to_vec()));
-        }
-    }
+    let windows = events
+        .iter()
+        .filter_map(|e| match e {
+            GatewayEvent::WindowReconstructed {
+                session,
+                lead,
+                window_seq,
+                prd_percent: Some(_),
+                samples,
+            } => Some((*session, *lead, *window_seq, samples.clone())),
+            _ => None,
+        })
+        .collect();
     RunResult {
         events,
         gateway_stats: gw.stats(),

@@ -320,14 +320,6 @@ impl Driver {
         ids.sort_unstable();
         ids
     }
-
-    fn windows_bits(&self, session: u64, lead: u8) -> Vec<(u32, Vec<u64>)> {
-        let bits = |(seq, w): (u32, &[f64])| (seq, w.iter().map(|v| v.to_bits()).collect());
-        match self {
-            Driver::Seq(g) => g.reconstructed_windows(session, lead).map(bits).collect(),
-            Driver::Sharded(g) => g.reconstructed_windows(session, lead).map(bits).collect(),
-        }
-    }
 }
 
 /// Everything observable about one run, bit-exact. Rejections are
@@ -345,7 +337,9 @@ struct Outcome {
     stats: GatewayStats,
     cache: MatrixCacheStats,
     sessions: Vec<u64>,
-    /// (session, lead, window_seq, sample bits) of every CS stream.
+    /// (session, lead, window_seq, sample bits) of every
+    /// `WindowReconstructed` event, in per-packet, closed-tail and
+    /// flush order.
     windows: Vec<(u64, u8, u32, Vec<u64>)>,
 }
 
@@ -379,12 +373,28 @@ fn run(workers: Option<usize>, input: &NodeSide) -> Outcome {
         }
     }
     let flush = drv.flush_tagged();
-    let mut windows = Vec::new();
-    for (session, lead) in [(102, 0u8), (103, 0), (105, 0), (105, 1)] {
-        for (seq, bits) in drv.windows_bits(session, lead) {
-            windows.push((session, lead, seq, bits));
-        }
-    }
+    let windows = per_packet
+        .iter()
+        .flatten()
+        .flatten()
+        .chain(closed_tail.iter().flatten())
+        .chain(flush.iter().flat_map(|(_, events)| events))
+        .filter_map(|e| match e {
+            GatewayEvent::WindowReconstructed {
+                session,
+                lead,
+                window_seq,
+                samples,
+                ..
+            } => Some((
+                *session,
+                *lead,
+                *window_seq,
+                samples.iter().map(|v| v.to_bits()).collect(),
+            )),
+            _ => None,
+        })
+        .collect();
     Outcome {
         per_packet,
         downlink,
@@ -411,6 +421,11 @@ fn sharded_gateway_matches_sequential_for_any_worker_count() {
     );
     assert!(reference.stats.crc_rejected + reference.stats.rejected > 0);
     assert!(reference.stats.windows_reconstructed > 0);
+    assert_eq!(
+        reference.windows.len() as u64,
+        reference.stats.windows_reconstructed,
+        "every solved window's samples are compared"
+    );
     assert!(reference.stats.solver_iters > 0);
     assert!(
         reference.closed_tail.is_some(),
