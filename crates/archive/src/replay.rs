@@ -33,7 +33,9 @@ use crate::ArchiveError;
 use std::collections::BTreeMap;
 use wbsn_core::Result;
 use wbsn_cs::solver::FistaConfig;
-use wbsn_gateway::{reference_window, MatrixCache, SessionMatrices, SolvePhase, TapItem};
+use wbsn_gateway::{
+    probes_window, reference_window, MatrixCache, SessionMatrices, SolvePhase, TapItem,
+};
 use wbsn_sigproc::stats::{percentile95_sorted, prd_percent};
 
 /// Solver settings for a reconstruction replay.
@@ -41,8 +43,8 @@ use wbsn_sigproc::stats::{percentile95_sorted, prd_percent};
 pub struct SolverReplayConfig {
     /// FISTA configuration to solve with.
     pub solver: FistaConfig,
-    /// Solve every k-th window (mirrors the gateway's periodic
-    /// probing; values of 0 are clamped to 1).
+    /// Solve every k-th window, by the gateway's own
+    /// [`probes_window`] rule (0 reads as 1).
     pub reconstruct_every: u32,
 }
 
@@ -185,7 +187,6 @@ pub fn replay_reconstruction(
 ) -> Result<SolverReplayReport> {
     let cache = MatrixCache::new();
     let mut phase = SolvePhase::new(cfg.solver);
-    let every = cfg.reconstruct_every.max(1);
     let mut sessions: BTreeMap<u64, SessStream<'_>> = BTreeMap::new();
     let mut queued = Vec::new();
     let mut fold = Fold::default();
@@ -214,7 +215,7 @@ pub fn replay_reconstruction(
                     ..
                 }) => {
                     fold.seen += 1;
-                    if every > 1 && window_seq % every != 0 {
+                    if !probes_window(*window_seq, cfg.reconstruct_every) {
                         fold.skipped += 1;
                         continue;
                     }

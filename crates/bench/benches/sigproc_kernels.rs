@@ -1,19 +1,15 @@
-//! Pinned DSP-kernel benchmark: per-sample reference loops vs the
-//! block kernels (`process_block_into` / `encode_batch_into` /
-//! `combine_block_into`) over 10 s of signal at 250 Hz. CI captures
+//! Pinned DSP-kernel benchmark: the node's per-call forms vs the
+//! block kernels it runs (`encode_batch_into` for the CS stage's Φ
+//! CSC, `combine_block_into` for the RMS lead combiner). CI captures
 //! the JSON lines into `BENCH_sigproc_kernels.json` next to
-//! `BENCH_monitor.json`, so the per-kernel perf trajectory is tracked
-//! across PRs; the `*_block` vs `*_per_sample` ratios are the pinned
-//! evidence that the block datapath stays at least on par with the
-//! per-sample reference while allocating nothing per call (the
-//! per-sample loops are themselves built on the same branch-free
-//! kernels, so parity here means the batched serving path is free).
+//! `BENCH_monitor.json`; the `*_block` / `*_into` vs per-frame /
+//! per-window ratios are the evidence that the block datapath stays
+//! at least on par with the reference while allocating nothing per
+//! call.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wbsn_cs::encoder::CsEncoder;
 use wbsn_sigproc::combine::RmsCombiner;
-use wbsn_sigproc::fir::{design_bandpass, FirFilter};
-use wbsn_sigproc::iir::{Biquad, BiquadCascade};
 
 const N: usize = 2500; // 10 s at 250 Hz
 
@@ -30,61 +26,6 @@ fn signal(n: usize) -> Vec<i32> {
             wave + noise / 8
         })
         .collect()
-}
-
-fn bench_fir(c: &mut Criterion) {
-    let x = signal(N);
-    let taps = design_bandpass(250.0, 0.7, 40.0, 63).unwrap();
-    let mut g = c.benchmark_group("sigproc_kernels");
-    g.sample_size(20);
-    g.bench_function("fir63_per_sample_10s", |b| {
-        let mut f = FirFilter::from_f64(&taps).unwrap();
-        b.iter(|| {
-            let mut acc = 0i64;
-            for &v in black_box(&x) {
-                acc += f.push(v) as i64;
-            }
-            acc
-        })
-    });
-    g.bench_function("fir63_block_10s", |b| {
-        let mut f = FirFilter::from_f64(&taps).unwrap();
-        let mut out = Vec::new();
-        b.iter(|| {
-            f.process_block_into(black_box(&x), &mut out);
-            out.iter().map(|&v| v as i64).sum::<i64>()
-        })
-    });
-    g.finish();
-}
-
-fn bench_iir(c: &mut Criterion) {
-    let x = signal(N);
-    let mut cascade = BiquadCascade::new();
-    cascade
-        .section(Biquad::butterworth_highpass(250.0, 0.5).unwrap())
-        .section(Biquad::butterworth_lowpass(250.0, 40.0).unwrap());
-    let mut g = c.benchmark_group("sigproc_kernels");
-    g.sample_size(20);
-    g.bench_function("iir_cascade_per_sample_10s", |b| {
-        let mut f = cascade.clone();
-        b.iter(|| {
-            let mut acc = 0i64;
-            for &v in black_box(&x) {
-                acc += f.push(v as f64).round() as i64;
-            }
-            acc
-        })
-    });
-    g.bench_function("iir_cascade_block_10s", |b| {
-        let mut f = cascade.clone();
-        let mut out = Vec::new();
-        b.iter(|| {
-            f.process_block_i32_into(black_box(&x), &mut out);
-            out.iter().map(|&v| v as i64).sum::<i64>()
-        })
-    });
-    g.finish();
 }
 
 fn bench_cs_encode(c: &mut Criterion) {
@@ -137,5 +78,5 @@ fn bench_rms(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_fir, bench_iir, bench_cs_encode, bench_rms);
+criterion_group!(benches, bench_cs_encode, bench_rms);
 criterion_main!(benches);

@@ -355,13 +355,6 @@ impl PowerGovernor {
         self.node.breakdown(&wl).total_j()
     }
 
-    /// Predicted steady-state radio payload rate of a candidate mode,
-    /// application bytes per second (before link framing).
-    pub fn predicted_bytes_per_s(&self, mode: OperatingMode, beats_per_s: f64) -> f64 {
-        crate::energy::predicted_workload(mode, &self.monitor_cfg, beats_per_s, &self.costs)
-            .radio_payload_bytes_per_s
-    }
-
     /// Predicted steady-state **on-wire** byte rate of a candidate
     /// mode: application bytes plus the per-packet link header/CRC
     /// overhead of framing every payload at the policy's

@@ -379,6 +379,14 @@ impl SessionHandshake {
         }
     }
 
+    /// The CS compression ratio this handshake installs, in percent:
+    /// `100·(1 − m/n)` with the window clamped to at least one sample.
+    /// The gateway's link controller and its session reports both read
+    /// the CR through this one expression.
+    pub fn cr_percent(&self) -> f64 {
+        100.0 * (1.0 - f64::from(self.cs_measurements) / f64::from(self.cs_window.max(1)))
+    }
+
     /// Encodes to the fixed-size wire record.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(Self::ENCODED_LEN);
@@ -1209,6 +1217,23 @@ mod tests {
             SessionHandshake::decode(&bytes[..10]),
             Err(WbsnError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn cr_percent_reads_the_installed_shape() {
+        let mut hs = SessionHandshake::for_config(2, &crate::monitor::MonitorConfig::default());
+        hs.cs_window = 512;
+        hs.cs_measurements = 256;
+        assert_eq!(hs.cr_percent(), 50.0);
+        hs.cs_measurements = 175;
+        assert_eq!(
+            hs.cr_percent().to_bits(),
+            (100.0 * (1.0 - 175.0 / 512.0f64)).to_bits()
+        );
+        // A zero-length window divides by one, not by zero.
+        hs.cs_window = 0;
+        hs.cs_measurements = 0;
+        assert_eq!(hs.cr_percent(), 100.0);
     }
 
     #[test]

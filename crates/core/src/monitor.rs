@@ -172,13 +172,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// CS sensing-matrix column density.
-    #[must_use]
-    pub fn cs_density(mut self, d_per_col: usize) -> Self {
-        self.cfg.cs_d_per_col = d_per_col;
-        self
-    }
-
     /// Shared sensing-matrix seed (the decoder regenerates Φ from it).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {

@@ -223,12 +223,6 @@ impl MmdDelineator {
         }
         out
     }
-
-    /// Approximate integer ops per sample: two MMD scales, each a
-    /// sliding min + max (≈3 compares amortized each) plus combine.
-    pub fn ops_per_sample(&self) -> usize {
-        2 * (3 + 3 + 4) + 4
-    }
 }
 
 fn max_abs(w: &[i32], lo: usize, hi: usize) -> u32 {

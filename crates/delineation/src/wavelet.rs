@@ -240,13 +240,6 @@ impl WaveletDelineator {
         }
         out
     }
-
-    /// Rough integer operations per sample for the energy model: the
-    /// à-trous bank costs ~6 adds + 2 shifts per level per sample, plus
-    /// the per-beat search logic amortized over the beat interval.
-    pub fn ops_per_sample(&self) -> usize {
-        4 * 8 + 12
-    }
 }
 
 /// Clamped `[center-left, center+right]` window.

@@ -95,14 +95,6 @@ impl RecordBuilder {
         self
     }
 
-    /// Custom lead projections.
-    pub fn lead_projections(mut self, leads: Vec<LeadProjection>) -> Self {
-        if !leads.is_empty() {
-            self.leads = leads;
-        }
-        self
-    }
-
     /// ADC model (default 200 counts/mV, 12 bit).
     pub fn adc(mut self, adc: AdcModel) -> Self {
         self.adc = adc;

@@ -200,16 +200,6 @@ impl BeatMorphology {
         self.waves[wave_index(kind)].as_ref()
     }
 
-    /// Mutable access, allowing generators to perturb morphology.
-    pub fn wave_mut(&mut self, kind: WaveKind) -> Option<&mut Wave> {
-        self.waves[wave_index(kind)].as_mut()
-    }
-
-    /// Removes a wave (e.g. P suppression in AF).
-    pub fn remove_wave(&mut self, kind: WaveKind) {
-        self.waves[wave_index(kind)] = None;
-    }
-
     /// Iterates over present waves as `(kind, wave)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (WaveKind, &Wave)> {
         WaveKind::ALL
@@ -337,11 +327,6 @@ impl AdcModel {
     /// Converts counts back to millivolts.
     pub fn to_mv(&self, counts: i32) -> f64 {
         counts as f64 / self.gain
-    }
-
-    /// Bits per transmitted sample (raw streaming bandwidth).
-    pub fn bits_per_sample(&self) -> u32 {
-        self.bits
     }
 }
 

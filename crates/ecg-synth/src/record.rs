@@ -166,15 +166,6 @@ impl Record {
         &self.annotations
     }
 
-    /// Annotations of one kind, in temporal order.
-    pub fn annotations_of(&self, kind: FiducialKind) -> Vec<Annotation> {
-        self.annotations
-            .iter()
-            .copied()
-            .filter(|a| a.kind == kind)
-            .collect()
-    }
-
     /// Ground-truth beats, in temporal order.
     pub fn beats(&self) -> &[Beat] {
         &self.beats

@@ -11,24 +11,6 @@ use crate::record::Record;
 use crate::rhythm::Rhythm;
 use crate::scenario::Script;
 
-/// Normal-sinus-rhythm records with varying heart rate and ambulatory
-/// noise between 15 and 30 dB SNR. Stand-in for "clean" holter data.
-pub fn nsr_suite(n: usize, base_seed: u64) -> Vec<Record> {
-    (0..n)
-        .map(|i| {
-            let seed = base_seed.wrapping_add(i as u64);
-            let hr = 55.0 + (i as f64 * 7.3) % 45.0;
-            let snr = 15.0 + (i as f64 * 5.1) % 15.0;
-            RecordBuilder::new(seed)
-                .duration_s(30.0)
-                .n_leads(3)
-                .rhythm(Rhythm::NormalSinus { mean_hr_bpm: hr })
-                .noise(NoiseConfig::ambulatory(snr))
-                .build()
-        })
-        .collect()
-}
-
 /// Records with PVC/APC ectopy — the classifier training/eval corpus
 /// (MIT-BIH-arrhythmia stand-in).
 pub fn ectopy_suite(n: usize, base_seed: u64) -> Vec<Record> {
@@ -82,26 +64,6 @@ pub fn af_mixed_suite(n_af: usize, n_nsr: usize, base_seed: u64) -> Vec<Record> 
         );
     }
     out
-}
-
-/// Long records with episodic AF for windowed episode detection.
-pub fn episodic_af_suite(n: usize, base_seed: u64) -> Vec<Record> {
-    (0..n)
-        .map(|i| {
-            let seed = base_seed.wrapping_add(0x4000 + i as u64);
-            RecordBuilder::new(seed)
-                .duration_s(300.0)
-                .n_leads(1)
-                .rhythm(Rhythm::EpisodicAf {
-                    sinus_hr_bpm: 68.0 + (i as f64 * 5.0) % 20.0,
-                    af_hr_bpm: 92.0 + (i as f64 * 7.0) % 30.0,
-                    episode_len_s: 40.0,
-                    gap_len_s: 50.0,
-                })
-                .noise(NoiseConfig::ambulatory(20.0))
-                .build()
-        })
-        .collect()
 }
 
 /// Phase lengths of [`governor_scenario`], seconds:
@@ -165,15 +127,15 @@ mod tests {
 
     #[test]
     fn suites_are_deterministic() {
-        let a = nsr_suite(2, 7);
-        let b = nsr_suite(2, 7);
+        let a = cs_eval_suite(2, 7);
+        let b = cs_eval_suite(2, 7);
         assert_eq!(a[0].lead(0), b[0].lead(0));
         assert_eq!(a[1].lead(2), b[1].lead(2));
     }
 
     #[test]
     fn suites_vary_across_records() {
-        let s = nsr_suite(3, 7);
+        let s = cs_eval_suite(3, 7);
         assert_ne!(s[0].lead(0), s[1].lead(0));
     }
 
@@ -227,12 +189,5 @@ mod tests {
         assert_eq!(scripted.beats(), legacy.beats());
         assert_eq!(scripted.rhythm_spans(), legacy.rhythm_spans());
         assert_eq!(governor_scenario_script().name(), "governor-three-act");
-    }
-
-    #[test]
-    fn episodic_suite_mixes_rhythms() {
-        let s = episodic_af_suite(1, 9);
-        let f = s[0].af_fraction();
-        assert!(f > 0.1 && f < 0.9, "af fraction {f}");
     }
 }

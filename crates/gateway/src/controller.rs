@@ -149,12 +149,6 @@ impl LinkController {
         self.loss_ewma
     }
 
-    /// The decayed mean PRD the decisions run on (`None` until the
-    /// first pump that reconstructed a window).
-    pub fn prd_memory(&self) -> Option<f64> {
-        self.prd_ewma
-    }
-
     /// One pump's observation: the session's current CR (from its
     /// installed handshake), the mean clean-window PRD since the last
     /// pump (`None` when no window reconstructed), and the message

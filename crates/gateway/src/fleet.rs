@@ -123,11 +123,6 @@ impl ShardedGateway {
         self.workers
     }
 
-    /// Handle on the shared sensing-matrix cache.
-    pub fn matrix_cache(&self) -> Arc<MatrixCache> {
-        Arc::clone(&self.cache)
-    }
-
     /// Counters of the shared sensing-matrix cache.
     pub fn cache_stats(&self) -> MatrixCacheStats {
         self.cache.stats()

@@ -449,6 +449,15 @@ pub fn reference_window<T: Copy + Default + PartialEq>(
     (!orig.iter().all(|&v| v == T::default())).then_some(orig)
 }
 
+/// Whether CS window `window_seq` is reconstructed when the gateway
+/// solves every `reconstruct_every`-th window (`0` reads as `1`: every
+/// window). The decision depends only on `window_seq`, so it is
+/// invariant to arrival order and worker count. The gateway and
+/// archive replay probe windows through this one rule.
+pub fn probes_window(window_seq: u32, reconstruct_every: u32) -> bool {
+    window_seq.is_multiple_of(reconstruct_every.max(1))
+}
+
 /// A CS window the current call decoded and queued for its solve, and
 /// where the solve's results go: the window's `WindowReconstructed`
 /// event and tap item are already in place, both waiting for the PRD
@@ -543,12 +552,6 @@ impl Gateway {
     /// Counters so far.
     pub fn stats(&self) -> GatewayStats {
         self.stats
-    }
-
-    /// Handle on the sensing-matrix cache this gateway resolves Φ
-    /// through.
-    pub fn matrix_cache(&self) -> Arc<MatrixCache> {
-        Arc::clone(&self.cache)
     }
 
     /// Counters of the sensing-matrix cache (shared ones include the
@@ -906,8 +909,7 @@ impl Gateway {
             // Adaptive CR: one directive at most per pump, dwell-gated
             // inside the controller.
             if let (Some(cc), Some(hs)) = (&controller_cfg, state.matrices.handshake()) {
-                let cr_now =
-                    100.0 * (1.0 - f64::from(hs.cs_measurements) / f64::from(hs.cs_window.max(1)));
+                let cr_now = hs.cr_percent();
                 let mean_prd = (fb.prd_count > 0).then(|| fb.prd_sum / fb.prd_count as f64);
                 let resolved = fb.delivered_since + fb.lost_since;
                 let loss_rate = (resolved > 0).then(|| fb.lost_since as f64 / resolved as f64);
@@ -963,9 +965,7 @@ impl Gateway {
             retransmits_requested: t.retransmits_requested,
             directives_issued: t.directives_issued,
             missing_now: state.feedback.missing.len() as u64,
-            cr_percent: state.matrices.handshake().map(|hs| {
-                100.0 * (1.0 - f64::from(hs.cs_measurements) / f64::from(hs.cs_window.max(1)))
-            }),
+            cr_percent: state.matrices.handshake().map(SessionHandshake::cr_percent),
         })
     }
 
@@ -1178,11 +1178,7 @@ impl Gateway {
                 let Some(&hs) = state.matrices.handshake() else {
                     return Err(LinkError::NoHandshake { session }.into());
                 };
-                let every = self.cfg.reconstruct_every.max(1);
-                if every > 1 && window_seq % every != 0 {
-                    // Periodic probing: the skip decision depends only
-                    // on window_seq, so it is invariant to arrival
-                    // order and worker count.
+                if !probes_window(window_seq, self.cfg.reconstruct_every) {
                     self.stats.windows_skipped += 1;
                     if self.cfg.tap {
                         // Skipped windows are still archived — the

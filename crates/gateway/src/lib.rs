@@ -121,8 +121,8 @@ pub use controller::{ControlDecision, ControllerConfig, LinkController};
 pub use decoder::{SessionDecoder, SessionItem};
 pub use fleet::ShardedGateway;
 pub use gateway::{
-    reference_window, Gateway, GatewayConfig, GatewayEvent, GatewayStats, RhythmState,
-    SessionReport,
+    probes_window, reference_window, Gateway, GatewayConfig, GatewayEvent, GatewayStats,
+    RhythmState, SessionReport,
 };
 pub use reassembler::{LinkEvent, Reassembler, ReassemblyStats};
 pub use record::TapItem;

@@ -30,11 +30,6 @@ impl FrontEndModel {
         self.afe_power_per_lead_w * n_leads as f64
             + self.adc_energy_per_sample_j * fs_hz * n_leads as f64
     }
-
-    /// Energy to acquire one second of data.
-    pub fn energy_per_second_j(&self, n_leads: usize, fs_hz: f64) -> f64 {
-        self.power_w(n_leads, fs_hz)
-    }
 }
 
 #[cfg(test)]

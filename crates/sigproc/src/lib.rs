@@ -6,17 +6,9 @@
 //! This crate collects the low-level building blocks that the DAC'14
 //! ultra-low-power cardiac monitoring pipeline is assembled from:
 //!
-//! * [`fixed`] — saturating Q15 fixed-point arithmetic, mirroring the
-//!   integer-only ALUs of WBSN-class microcontrollers.
-//! * [`ring`] — fixed-capacity ring buffers and sliding windows with
-//!   embedded-style constant memory footprints.
-//! * [`fir`] / [`iir`] — FIR/IIR filters and classic filter designs
-//!   (windowed-sinc, biquad sections, Butterworth, mains notch).
 //! * [`morphology`] — flat structuring-element erosion/dilation with
 //!   amortized O(1) sliding min/max, opening/closing, and the
 //!   morphological ECG conditioning filters of Sun et al.
-//! * [`spline`] — natural cubic splines and the cubic-spline baseline
-//!   wander estimator of Meyer & Keiser.
 //! * [`wavelet`] — orthogonal DWT filter banks (Haar, Daubechies-4) and
 //!   the integer à-trous quadratic-spline transform used for ECG
 //!   delineation.
@@ -32,11 +24,7 @@
 //!
 //! The streaming paths allocate only at construction time, mirroring
 //! the constant-memory regime of the embedded targets the paper
-//! describes. The filters additionally expose `process_block_into`
-//! block kernels with caller-owned output buffers; these are
-//! bit-identical to their per-sample `push` loops (pinned by the
-//! crate's proptest equivalence suite) and are the zero-allocation
-//! hot path of the serving layer.
+//! describes.
 //!
 //! ## Example
 //!
@@ -58,19 +46,12 @@
 
 pub mod combine;
 pub mod div;
-pub mod fir;
-pub mod fixed;
-pub mod iir;
 pub mod matrix;
 pub mod morphology;
-pub mod ring;
-pub mod spline;
 pub mod stats;
 pub mod wavelet;
 
-pub use fixed::Q15;
 pub use matrix::{DenseMatrix, SparseTernaryMatrix};
-pub use ring::RingBuffer;
 
 /// Errors produced by signal-processing constructors that validate
 /// their arguments.

@@ -179,22 +179,6 @@ impl MorphologicalFilter {
             .map(|(&a, &b)| (a + b + 1) >> 1)
             .collect()
     }
-
-    /// Approximate integer operations per input sample (window scans),
-    /// used by the platform energy model to cost this stage.
-    pub fn ops_per_sample(&self) -> usize {
-        // Two SE passes per erosion/dilation; opening/closing = 2 ops;
-        // baseline (4 passes) + 2×(opening+closing) on the corrected
-        // signal (8 passes) + subtraction and averaging.
-        let passes = 12;
-        let avg_w =
-            (self.w_baseline_open + self.w_baseline_close + 2 * (self.w_noise_1 + self.w_noise_2))
-                / 6;
-        // Monotonic-wedge implementation: ~3 compares amortized per pass
-        // regardless of window, plus bookkeeping; keep a conservative 4.
-        let _ = avg_w;
-        passes * 4 + 4
-    }
 }
 
 /// Multiscale Morphological Derivative transform (Sun, Chan & Krishnan

@@ -1,8 +1,8 @@
 //! Property-based equivalence of the batched ingest path with the
 //! per-frame reference, over the whole monitor.
 //!
-//! The block kernels introduced for the DSP hot path (FIR/IIR/CSC and
-//! the stage-level `process_block`) promise **bit-exactness**: the
+//! The block kernels of the DSP hot path (the Φ CSC, the RMS combiner
+//! and the stage-level `process_block`) promise **bit-exactness**: the
 //! same frames must produce byte-identical payloads and bit-identical
 //! counters whether they arrive one frame at a time through
 //! `try_push` or in arbitrary blocks through `push_block`. This suite
