@@ -6,7 +6,10 @@
 //! `cohort/smoke_w{1,4}` time the same plans at the other worker
 //! counts — the spread between them is the decode-parallelism payoff,
 //! while `tests/cohort_determinism.rs` pins that the *report* never
-//! moves.
+//! moves. `cohort/synth_smoke` renders every script of the same plans
+//! with `Script::record` and nothing else, so the synthetic workload's
+//! share of `cohort/smoke` reads off as its own line: it is the input
+//! the system is fed, not cost of the system.
 //!
 //! Alongside the timings, one measured run prints the cohort-level
 //! quality numbers as `{"bench": "cohort/<metric>", "value": ...}`
@@ -18,7 +21,7 @@
 //! just slower.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use wbsn::cohort::{CohortReport, CohortRunConfig, CohortRunner};
+use wbsn::cohort::{CohortReport, CohortRunConfig, CohortRunner, SessionPlan};
 
 fn run_smoke(workers: usize) -> CohortReport {
     let cfg = CohortRunConfig {
@@ -26,6 +29,19 @@ fn run_smoke(workers: usize) -> CohortReport {
         ..CohortRunConfig::smoke()
     };
     CohortRunner::new(cfg).run().expect("smoke cohort run")
+}
+
+/// Renders every script of `plans`; returns the samples rendered over
+/// all leads.
+fn synthesize(plans: &[SessionPlan]) -> usize {
+    plans
+        .iter()
+        .flat_map(|p| &p.scripts)
+        .map(|s| {
+            let rec = s.record();
+            rec.n_leads() * rec.n_samples()
+        })
+        .sum()
 }
 
 fn quality_lines(r: &CohortReport) {
@@ -72,6 +88,8 @@ fn bench_cohort(c: &mut Criterion) {
     // the timing medians.
     quality_lines(&run_smoke(2));
     g.bench_function("smoke", |b| b.iter(|| run_smoke(black_box(2))));
+    let plans = CohortRunner::new(CohortRunConfig::smoke()).plans();
+    g.bench_function("synth_smoke", |b| b.iter(|| synthesize(black_box(&plans))));
     for workers in [1usize, 4] {
         g.bench_function(format!("smoke_w{workers}"), |b| {
             b.iter(|| run_smoke(black_box(workers)))

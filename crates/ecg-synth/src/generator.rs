@@ -179,7 +179,7 @@ impl RecordBuilder {
 
         // Fibrillatory waves during AF spans (atrial activity projects
         // on each lead like the P wave would).
-        let rhythm_spans = spans_from_beats(&beats, &schedule, self.fs, n);
+        let rhythm_spans = spans_from_beats(&beats, n);
         let has_af = rhythm_spans.iter().any(|s| s.label == RhythmLabel::Af);
         if has_af && self.fwave_amplitude_mv > 0.0 {
             let fw = fibrillatory_wave(n, self.fs as f64, self.fwave_amplitude_mv, &mut rng);
@@ -315,13 +315,7 @@ fn beat_annotations(
 
 /// Builds rhythm spans from the beat sequence: boundaries halfway
 /// between beats with differing labels.
-fn spans_from_beats(
-    beats: &[Beat],
-    schedule: &[ScheduledBeat],
-    fs: u32,
-    n_samples: usize,
-) -> Vec<RhythmSpan> {
-    let _ = schedule;
+fn spans_from_beats(beats: &[Beat], n_samples: usize) -> Vec<RhythmSpan> {
     if beats.is_empty() {
         return vec![RhythmSpan {
             start_sample: 0,
@@ -329,7 +323,6 @@ fn spans_from_beats(
             label: RhythmLabel::Sinus,
         }];
     }
-    let _ = fs;
     let mut spans = Vec::new();
     let mut start = 0usize;
     let mut label = beats[0].label;

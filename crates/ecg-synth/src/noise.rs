@@ -8,6 +8,21 @@
 //! stressors (baseline wander, muscle artifact, electrode motion) plus
 //! powerline interference, and is mixed at a caller-chosen SNR so
 //! experiments can sweep noise severity.
+//!
+//! # What is bit-pinned
+//!
+//! A record's clean traces and digitized counts are pinned bit for bit
+//! (`three_lead_ambulatory_records_are_bit_pinned` in `generator.rs`,
+//! `crates/ecg-synth/tests/cohort_script_pin.rs`). The f64 noise trace
+//! is not: baseline wander and powerline render their sinusoids by
+//! rotation from an exactly evaluated anchor every `SINE_BLOCK` (64)
+//! samples (`render_sine`), which the tests hold within
+//! `8·ε·(ω·i + |φ| + 1)` of the per-sample `sin` at sample `i`, with
+//! `ω = τ·f/fs`: ≈1.3e-10 for a unit 150 Hz sinusoid 75 s in, where the
+//! largest gap measured is 2.2e-11. That is far below half an ADC
+//! count, so no digitized sample moves. The per-sample forms are kept
+//! as test oracles; the fibrillatory and flutter waves add to the
+//! clean trace and are rendered per sample.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -89,7 +104,7 @@ impl NoiseConfig {
             let trace = match kind {
                 NoiseKind::BaselineWander => baseline_wander(n, fs_hz, rng),
                 NoiseKind::Powerline => powerline(n, fs_hz, rng),
-                NoiseKind::Emg => emg(n, fs_hz, rng),
+                NoiseKind::Emg => emg(n, rng),
                 NoiseKind::ElectrodeMotion => electrode_motion(n, fs_hz, rng),
             };
             let p = power(&trace);
@@ -123,6 +138,40 @@ fn power(x: &[f64]) -> f64 {
     }
 }
 
+/// Samples per block of [`render_sine`]: the first sample of each block
+/// is evaluated exactly, the rest by rotation from it.
+const SINE_BLOCK: usize = 64;
+
+/// Feeds `apply(&mut out[i], sin(τ·f·(i/fs) + phase))` for every sample
+/// of `out`, in order. Every [`SINE_BLOCK`]-th sample (the anchor) is
+/// that expression evaluated as written; the samples after it come by
+/// angle addition, `sin(x + kω) = sin x·cos kω + cos x·sin kω`, from a
+/// table of `(sin kω, cos kω)` with `ω = τ·f/fs`. An anchor starts from
+/// the exact argument, so no error carries from one block to the next,
+/// and a sample differs from the direct evaluation only by the rounding
+/// already in its argument (a few ulps of `τ·f·t + phase`).
+fn render_sine(
+    out: &mut [f64],
+    fs_hz: f64,
+    f_hz: f64,
+    phase: f64,
+    mut apply: impl FnMut(&mut f64, f64),
+) {
+    let tau_f = core::f64::consts::TAU * f_hz;
+    let omega = tau_f / fs_hz;
+    let table: [(f64, f64); SINE_BLOCK] = core::array::from_fn(|k| (omega * k as f64).sin_cos());
+    for (b, block) in out.chunks_mut(SINE_BLOCK).enumerate() {
+        let t = (b * SINE_BLOCK) as f64 / fs_hz;
+        let (sin_a, cos_a) = (tau_f * t + phase).sin_cos();
+        if let Some((anchor, rest)) = block.split_first_mut() {
+            apply(anchor, sin_a);
+            for (o, &(sin_k, cos_k)) in rest.iter_mut().zip(&table[1..]) {
+                apply(o, sin_a * cos_k + cos_a * sin_k);
+            }
+        }
+    }
+}
+
 /// Sum of three slow sinusoids with random frequencies/phases.
 fn baseline_wander(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
     let comps: Vec<(f64, f64, f64)> = (0..3)
@@ -134,37 +183,31 @@ fn baseline_wander(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
             )
         })
         .collect();
-    (0..n)
-        .map(|i| {
-            let t = i as f64 / fs_hz;
-            comps
-                .iter()
-                .map(|&(f, p, a)| a * (core::f64::consts::TAU * f * t + p).sin())
-                .sum()
-        })
-        .collect()
+    let mut out = vec![0.0; n];
+    for (f, p, a) in comps {
+        render_sine(&mut out, fs_hz, f, p, |o, s| *o += a * s);
+    }
+    out
 }
 
-/// 50 Hz mains with a weak third harmonic and slow amplitude drift.
+/// 50 Hz mains with a weak third harmonic and slow amplitude drift:
+/// `(1 + 0.3·sin(drift)) · (sin(50 Hz) + 0.2·sin(150 Hz))`, built up in
+/// the one output vector.
 fn powerline(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
     let phase: f64 = rng.gen::<f64>() * core::f64::consts::TAU;
     let drift_f = 0.1 + rng.gen::<f64>() * 0.2;
-    (0..n)
-        .map(|i| {
-            let t = i as f64 / fs_hz;
-            let env = 1.0 + 0.3 * (core::f64::consts::TAU * drift_f * t).sin();
-            env * ((core::f64::consts::TAU * 50.0 * t + phase).sin()
-                + 0.2 * (core::f64::consts::TAU * 150.0 * t + 3.0 * phase).sin())
-        })
-        .collect()
+    let mut out = vec![0.0; n];
+    render_sine(&mut out, fs_hz, 50.0, phase, |o, s| *o = s);
+    render_sine(&mut out, fs_hz, 150.0, 3.0 * phase, |o, s| *o += 0.2 * s);
+    render_sine(&mut out, fs_hz, drift_f, 0.0, |o, s| *o *= 1.0 + 0.3 * s);
+    out
 }
 
 /// Broadband EMG: white Gaussian noise high-passed by first difference
 /// then lightly smoothed (concentrates energy in the 20–100 Hz band).
 /// The `n + 2` white samples are drawn in order through a rolling
 /// three-value window, so no white-noise buffer is kept.
-fn emg(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
-    let _ = fs_hz;
+fn emg(n: usize, rng: &mut StdRng) -> Vec<f64> {
     let mut w0 = gauss(rng);
     let mut w1 = gauss(rng);
     (0..n)
@@ -202,7 +245,9 @@ fn electrode_motion(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
     out
 }
 
-fn gauss(rng: &mut StdRng) -> f64 {
+/// Standard normal via Box–Muller: draws `u1` then `u2`, uses only the
+/// cosine branch. The one Gaussian draw of the crate.
+pub(crate) fn gauss(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(1e-12);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
@@ -259,6 +304,132 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// `baseline_wander` as it was before [`render_sine`]: one libm
+    /// `sin` per component per sample. The oracle of the rotation.
+    fn baseline_wander_oracle(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
+        let comps: Vec<(f64, f64, f64)> = (0..3)
+            .map(|_| {
+                (
+                    0.05 + rng.gen::<f64>() * 0.35,
+                    rng.gen::<f64>() * core::f64::consts::TAU,
+                    0.5 + rng.gen::<f64>(),
+                )
+            })
+            .collect();
+        (0..n)
+            .map(|i| {
+                let t = i as f64 / fs_hz;
+                comps
+                    .iter()
+                    .map(|&(f, p, a)| a * (core::f64::consts::TAU * f * t + p).sin())
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// `powerline` as it was before [`render_sine`].
+    fn powerline_oracle(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
+        let phase: f64 = rng.gen::<f64>() * core::f64::consts::TAU;
+        let drift_f = 0.1 + rng.gen::<f64>() * 0.2;
+        (0..n)
+            .map(|i| {
+                let t = i as f64 / fs_hz;
+                let env = 1.0 + 0.3 * (core::f64::consts::TAU * drift_f * t).sin();
+                env * ((core::f64::consts::TAU * 50.0 * t + phase).sin()
+                    + 0.2 * (core::f64::consts::TAU * 150.0 * t + 3.0 * phase).sin())
+            })
+            .collect()
+    }
+
+    /// How far the rotation may sit from the direct evaluation of a unit
+    /// sinusoid of `f_hz` and `phase` at sample `i`: `8·ε·(ω·i + |φ| + 1)`
+    /// with `ω = τ·f/fs`, a few ulps of the argument both forms round.
+    fn sine_bound(f_hz: f64, fs_hz: f64, phase: f64, i: usize) -> f64 {
+        let omega = core::f64::consts::TAU * f_hz / fs_hz;
+        8.0 * f64::EPSILON * (omega * i as f64 + phase.abs() + 1.0)
+    }
+
+    const LENGTHS: [usize; 7] = [0, 1, 63, 64, 65, 7_500, 18_750];
+    const RATES: [f64; 3] = [250.0, 360.0, 500.0];
+
+    /// Asserts `got` equals `want` bit for bit at every anchor sample and
+    /// lies within `bound(i)` of it elsewhere.
+    fn assert_anchored(got: &[f64], want: &[f64], bound: impl Fn(usize) -> f64, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            if i % SINE_BLOCK == 0 {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}: anchor {i}: {g} vs {w}");
+            } else {
+                let d = (g - w).abs();
+                assert!(d <= bound(i), "{what}: sample {i}: |{g} − {w}| = {d:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn render_sine_matches_the_direct_sine() {
+        let tau = core::f64::consts::TAU;
+        // Wander's frequency range and phases, the drift (no phase), and
+        // both mains components with the largest phases they are given.
+        let sines = [
+            (0.05, 0.0),
+            (0.05, 6.2),
+            (0.2317, 3.1),
+            (0.4, tau),
+            (0.1, 0.0),
+            (0.3, 0.0),
+            (50.0, 1.3),
+            (50.0, tau),
+            (150.0, 3.9),
+            (150.0, 3.0 * tau),
+        ];
+        for fs in RATES {
+            for n in LENGTHS {
+                for (f, phase) in sines {
+                    let mut got = vec![0.0; n];
+                    render_sine(&mut got, fs, f, phase, |o, s| *o = s);
+                    let want: Vec<f64> = (0..n)
+                        .map(|i| (tau * f * (i as f64 / fs) + phase).sin())
+                        .collect();
+                    let what = format!("{f} Hz phase {phase} at {fs} Hz, n {n}");
+                    assert_anchored(&got, &want, |i| sine_bound(f, fs, phase, i), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wander_and_powerline_match_their_per_sample_oracles() {
+        let tau = core::f64::consts::TAU;
+        // Bounds summed over the components with their largest amplitude,
+        // frequency and phase: three wander terms of amplitude ≤ 1.5;
+        // mains `env·(s50 + 0.2·s150)` with |env| ≤ 1.3 and
+        // |s50 + 0.2·s150| ≤ 1.2 against the drift's 0.3.
+        let wander_bound = |fs: f64| move |i| 4.5 * sine_bound(0.4, fs, tau, i);
+        let mains_bound = |fs: f64| {
+            move |i| {
+                1.3 * (sine_bound(50.0, fs, tau, i) + 0.2 * sine_bound(150.0, fs, 3.0 * tau, i))
+                    + 0.36 * sine_bound(0.3, fs, 0.0, i)
+            }
+        };
+        for seed in [0u64, 7, 0xC0FFEE] {
+            for fs in RATES {
+                for n in LENGTHS {
+                    let what = format!("seed {seed} at {fs} Hz, n {n}");
+                    let (mut a, mut b) = (rng(seed), rng(seed));
+                    let got = baseline_wander(n, fs, &mut a);
+                    let want = baseline_wander_oracle(n, fs, &mut b);
+                    assert_anchored(&got, &want, wander_bound(fs), &format!("wander {what}"));
+                    let got = powerline(n, fs, &mut a);
+                    let want = powerline_oracle(n, fs, &mut b);
+                    assert_anchored(&got, &want, mains_bound(fs), &format!("mains {what}"));
+                    // Both forms drew the same numbers.
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{what}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn snr_target_is_hit() {
         let cfg = NoiseConfig::ambulatory(10.0);
@@ -279,7 +450,7 @@ mod tests {
     fn baseline_wander_is_slow() {
         // Mean absolute first difference must be far smaller than for EMG.
         let bw = baseline_wander(5000, 250.0, &mut rng(3));
-        let em = emg(5000, 250.0, &mut rng(4));
+        let em = emg(5000, &mut rng(4));
         let diff = |x: &[f64]| {
             x.windows(2).map(|w| (w[1] - w[0]).abs()).sum::<f64>()
                 / ((x.len() - 1) as f64 * power(x).sqrt())
@@ -308,8 +479,7 @@ mod tests {
         for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
             for n in [0usize, 1, 2, 3, 7, 250, 7500] {
                 let (mut a, mut b) = (rng(seed), rng(seed));
-                let streamed: Vec<u64> =
-                    emg(n, 250.0, &mut a).iter().map(|v| v.to_bits()).collect();
+                let streamed: Vec<u64> = emg(n, &mut a).iter().map(|v| v.to_bits()).collect();
                 let buffered: Vec<u64> = emg_buffered(n, &mut b)
                     .iter()
                     .map(|v| v.to_bits())

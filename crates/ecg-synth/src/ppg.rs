@@ -8,9 +8,10 @@
 //! tracking experiments — and exposes the exact per-beat PTT as ground
 //! truth.
 
+use crate::noise::gauss;
 use crate::record::Record;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Pulse-transit time profile over the record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,10 +119,7 @@ impl PpgSignal {
             let p_noise = p_sig / 10f64.powf(snr / 10.0);
             let g = p_noise.sqrt();
             for s in &mut samples {
-                let u1: f64 = rng.gen::<f64>().max(1e-12);
-                let u2: f64 = rng.gen();
-                let z = (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos();
-                *s += g * z;
+                *s += g * gauss(&mut rng);
             }
         }
         PpgSignal {

@@ -9,6 +9,7 @@
 //! (reference \[25\]) keys on.
 
 use crate::model::BeatType;
+use crate::noise::gauss;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -368,13 +369,6 @@ fn fix_rr(beats: &mut [ScheduledBeat]) {
     for i in 1..beats.len() {
         beats[i].rr_prev_s = beats[i].r_time_s - beats[i - 1].r_time_s;
     }
-}
-
-/// Standard normal via Box–Muller.
-fn gauss(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(1e-12);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]

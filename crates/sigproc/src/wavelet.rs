@@ -577,22 +577,6 @@ impl AtrousQspline {
             core::mem::swap(approx, next);
         }
     }
-
-    /// RMS magnitude of each scale's detail signal — the adaptive
-    /// thresholds of the delineator are proportional to these.
-    pub fn scale_rms(details: &[Vec<i32>]) -> Vec<f64> {
-        details
-            .iter()
-            .map(|w| {
-                if w.is_empty() {
-                    0.0
-                } else {
-                    let ss: f64 = w.iter().map(|&v| (v as f64) * (v as f64)).sum();
-                    (ss / w.len() as f64).sqrt()
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -847,7 +831,13 @@ mod tests {
             .collect();
         let t = AtrousQspline::new(5).unwrap();
         let d = t.transform(&x);
-        let rms = AtrousQspline::scale_rms(&d);
+        let rms: Vec<f64> = d
+            .iter()
+            .map(|w| {
+                (w.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>() / w.len() as f64)
+                    .sqrt()
+            })
+            .collect();
         // Noise energy is strongest at scale 1-2 and must drop by scale 5.
         assert!(
             rms[4] < rms[0],
