@@ -8,7 +8,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::joint::{GroupFista, GroupFistaConfig};
 use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch};
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
@@ -76,13 +75,16 @@ fn bench_cs(c: &mut Criterion) {
         .collect();
     let xf: Vec<f64> = x.iter().map(|&v| v as f64).collect();
     let ys: Vec<Vec<f64>> = phis.iter().map(|p| p.apply(&xf)).collect();
-    let joint = GroupFista::new(GroupFistaConfig {
-        max_iters: 50,
-        ..GroupFistaConfig::default()
-    });
-    g.bench_function("group_fista_50it_3x512", |b| {
-        let refs: Vec<&SparseTernaryMatrix> = phis.iter().collect();
-        b.iter(|| joint.reconstruct(black_box(&refs), black_box(&ys)).unwrap())
+    // Three leads of one window solved jointly: 50 iterations on a
+    // reused scratch with each lead's Lipschitz constant computed once.
+    let lips: Vec<f64> = phis.iter().map(|p| fista.lipschitz(p).unwrap()).collect();
+    let refs: Vec<&SparseTernaryMatrix> = phis.iter().collect();
+    g.bench_function("joint_fista_50it_3x512", |b| {
+        b.iter(|| {
+            fista
+                .solve_joint(&mut scratch, black_box(&refs), black_box(&ys), &lips)
+                .unwrap()
+        })
     });
     g.finish();
 }

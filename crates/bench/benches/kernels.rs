@@ -9,8 +9,7 @@ use std::hint::black_box;
 use wbsn_sigproc::matrix::SparseTernaryMatrix;
 use wbsn_sigproc::morphology::{dilate, erode, mmd_transform_unscaled, MorphologicalFilter};
 use wbsn_sigproc::wavelet::{
-    wavedec, wavedec_into, wavedec_lanes, waverec, waverec_into, waverec_lanes, AtrousQspline,
-    DwtScratch, Wavelet,
+    wavedec_into, wavedec_lanes, waverec_into, waverec_lanes, AtrousQspline, DwtScratch, Wavelet,
 };
 
 fn signal(n: usize) -> Vec<i32> {
@@ -31,16 +30,11 @@ fn bench_kernels(c: &mut Criterion) {
     let t = AtrousQspline::new(4).unwrap();
     g.bench_function("atrous_l4_10s", |b| b.iter(|| t.transform(black_box(&x))));
     let xf: Vec<f64> = (0..512).map(|i| (i as f64 * 0.13).sin()).collect();
-    g.bench_function("wavedec_db4_512", |b| {
-        b.iter(|| wavedec(black_box(&xf), Wavelet::Db4, 5).unwrap())
-    });
-    let coeffs = wavedec(&xf, Wavelet::Db4, 5).unwrap();
-    g.bench_function("waverec_db4_512", |b| {
-        b.iter(|| waverec(black_box(&coeffs), Wavelet::Db4, 5).unwrap())
-    });
     // The `_into` forms with warm scratch: the FISTA inner-loop kernels.
     let mut scratch = DwtScratch::default();
     let mut out = Vec::new();
+    let mut coeffs = Vec::new();
+    wavedec_into(&xf, Wavelet::Db4, 5, &mut scratch, &mut coeffs).unwrap();
     g.bench_function("wavedec_into_db4_512", |b| {
         b.iter(|| wavedec_into(black_box(&xf), Wavelet::Db4, 5, &mut scratch, &mut out).unwrap())
     });

@@ -27,7 +27,6 @@ fn main() {
     let mut cfg = SweepConfig::default();
     if fast {
         cfg.fista.max_iters = 60;
-        cfg.group.max_iters = 60;
     }
     let crs: Vec<f64> = if fast {
         vec![30.0, 50.0, 65.0, 75.0, 85.0]

@@ -9,12 +9,15 @@
 //!   ternary Φ, computed entirely in integer additions. This is the
 //!   ultra-low-power part whose cost appears in the Figure 6 energy
 //!   breakdown.
-//! * [`solver`] — the **base-station side**: single-lead recovery by
-//!   FISTA over a Daubechies wavelet synthesis dictionary, with an
-//!   optional wavelet-tree model constraint (reference \[17\]).
-//! * [`joint`] — joint multi-lead recovery with an ℓ₂,₁ group-sparsity
-//!   penalty tying the shared wavelet support across leads
-//!   (reference \[6\]) — the "Multi-Lead CS" series of Figure 5.
+//! * [`solver`] — the **base-station side**: recovery by FISTA over a
+//!   Daubechies wavelet synthesis dictionary, with an optional
+//!   wavelet-tree model constraint (reference \[17\]).
+//!   [`Fista::solve_with`] and [`Fista::solve_stream`] recover each
+//!   window of a single lead alone. [`Fista::solve_joint`] recovers the
+//!   leads of one window together with an ℓ₂,₁ group-sparsity penalty
+//!   that ties their shared wavelet support (reference \[6\]): the
+//!   "Multi-Lead CS" series of Figure 5. Both run the same lane
+//!   iteration, on one [`FistaConfig`].
 //! * [`sweep`] — the SNR-vs-CR experiment machinery that regenerates
 //!   Figure 5.
 //!
@@ -45,12 +48,10 @@
 #![warn(missing_docs)]
 
 pub mod encoder;
-pub mod joint;
 pub mod solver;
 pub mod sweep;
 
 pub use encoder::CsEncoder;
-pub use joint::{GroupFista, GroupFistaConfig};
 pub use solver::{Continuation, Fista, FistaConfig, FistaScratch, FistaSolve};
 
 /// Errors produced by the CS pipeline.

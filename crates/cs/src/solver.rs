@@ -1,4 +1,5 @@
-//! Single-lead CS reconstruction: FISTA over a wavelet dictionary.
+//! CS reconstruction: FISTA over a wavelet dictionary, one lead at a
+//! time or the leads of one window jointly.
 //!
 //! Solves `min_a ½‖y − ΦΨa‖² + λ‖a‖₁` where Ψ is an orthonormal
 //! Daubechies synthesis operator, then returns `x̂ = Ψâ`. The fast
@@ -21,6 +22,11 @@
 //! the dictionary, so [`Fista::solve_with`] takes it from the caller:
 //! the gateway's matrix cache computes it once per matrix
 //! ([`Fista::lipschitz`]).
+//!
+//! [`Fista::solve_joint`] recovers the leads of one window together
+//! (Mamaghanian et al., reference \[6\]): their wavelet supports
+//! coincide, so an ℓ₂,₁ penalty shrinks coefficient `i` of every lead
+//! as one group, and a wave strong in one lead rescues its siblings.
 
 use crate::encoder::CsEncoder;
 use crate::{CsError, Result};
@@ -77,14 +83,25 @@ pub struct Continuation {
 
 impl FistaConfig {
     /// `Ok` when the configuration describes a solve that can run:
-    /// `levels` at least 1 and small enough for `2^levels` to fit a
-    /// `usize`, `max_iters` at least 1, `lambda_rel` and `tol`
-    /// finite and non-negative, and a continuation schedule that
+    /// `levels` in `1..usize::BITS` (so `1 << levels` cannot overflow),
+    /// `max_iters` at least 1, `lambda_rel` and `tol` finite and
+    /// non-negative, and a continuation schedule that
     /// [`validate_continuation`] accepts. `tol == 0` is valid: it runs
     /// every one of `max_iters` unless the iterate reaches an exact
     /// fixed point.
     fn validate(&self) -> Result<()> {
-        validate_iteration(self.levels, self.max_iters, self.lambda_rel, self.tol)?;
+        if self.levels == 0 || self.levels >= usize::BITS as usize {
+            return invalid("levels", "must be at least 1 and below the word size");
+        }
+        if self.max_iters == 0 {
+            return invalid("max_iters", "must be at least 1");
+        }
+        if !(self.lambda_rel.is_finite() && self.lambda_rel >= 0.0) {
+            return invalid("lambda_rel", "must be finite and non-negative");
+        }
+        if !(self.tol.is_finite() && self.tol >= 0.0) {
+            return invalid("tol", "must be finite and non-negative");
+        }
         match &self.continuation {
             Some(c) => validate_continuation(c, self.lambda_rel),
             None => Ok(()),
@@ -97,31 +114,6 @@ fn invalid(what: &'static str, detail: &str) -> Result<()> {
         what,
         detail: detail.to_string(),
     })
-}
-
-/// The checks [`FistaConfig`] and
-/// [`GroupFista`](crate::joint::GroupFista)'s configuration share: `levels`
-/// in `1..usize::BITS` (so `1 << levels` cannot overflow), `max_iters`
-/// at least 1, `lambda_rel` and `tol` finite and non-negative.
-pub(crate) fn validate_iteration(
-    levels: usize,
-    max_iters: usize,
-    lambda_rel: f64,
-    tol: f64,
-) -> Result<()> {
-    if levels == 0 || levels >= usize::BITS as usize {
-        return invalid("levels", "must be at least 1 and below the word size");
-    }
-    if max_iters == 0 {
-        return invalid("max_iters", "must be at least 1");
-    }
-    if !(lambda_rel.is_finite() && lambda_rel >= 0.0) {
-        return invalid("lambda_rel", "must be finite and non-negative");
-    }
-    if !(tol.is_finite() && tol >= 0.0) {
-        return invalid("tol", "must be finite and non-negative");
-    }
-    Ok(())
 }
 
 /// A continuation schedule can run when `factor` lies in `(0, 1)` (so
@@ -159,7 +151,8 @@ impl Default for FistaConfig {
     }
 }
 
-/// Windows a stream solve ([`Fista::solve_stream`]) steps side by side.
+/// Windows a stream solve ([`Fista::solve_stream`]) steps side by side,
+/// and the most leads a joint solve ([`Fista::solve_joint`]) takes.
 /// Four `f64` lanes per coefficient fill two 128-bit registers on the
 /// baseline x86-64 target, and every coefficient row of Φ, Ψ and the
 /// shrinkage is read once for all of them.
@@ -172,9 +165,10 @@ const LANES: usize = 4;
 /// so one or two windows finish sooner alone.
 const DEMOTE_BELOW: usize = 3;
 
-/// Reusable working memory for [`Fista::solve_with`] and
-/// [`Fista::solve_stream`]: the state of one window, the state of
-/// four windows solved side by side, and one window's temporaries.
+/// Reusable working memory for [`Fista::solve_with`],
+/// [`Fista::solve_stream`] and [`Fista::solve_joint`]: the state of one
+/// window, the state of four windows (or leads) solved side by side,
+/// and one window's temporaries.
 /// One scratch serves any number of streams and shapes in turn (a
 /// gateway keeps one per solver thread, not per session); once warm,
 /// the iteration loop allocates nothing.
@@ -182,10 +176,11 @@ const DEMOTE_BELOW: usize = 3;
 pub struct FistaScratch {
     /// One lane: [`Fista::solve_with`] and the short tails of a stream.
     one: LaneBufs,
-    /// [`LANES`] lanes: the body of a stream.
+    /// [`LANES`] lanes: the body of a stream, or a joint solve.
     wide: LaneBufs,
     /// One window's temporaries: `Aᵀy` when it enters a lane, its
-    /// coefficients and `Ψa` when it leaves.
+    /// coefficients and `Ψa` when it leaves, and one lead's Φ and Φᵀ
+    /// in a joint step.
     temp: WindowTemp,
 }
 
@@ -217,7 +212,8 @@ struct LaneBufs {
     y: Vec<f64>,
 }
 
-/// One window's temporaries while it enters or leaves a lane.
+/// One window's temporaries while it enters or leaves a lane, or
+/// while one lead's Φ or Φᵀ runs.
 #[derive(Debug, Clone, Default)]
 struct WindowTemp {
     dwt: DwtScratch,
@@ -256,7 +252,8 @@ fn apply_at(
 }
 
 /// One busy lane's scalar state: the caller's id for its window and
-/// FISTA's bookkeeping, exactly the scalars of a one-window solve.
+/// FISTA's bookkeeping, exactly the scalars of a one-window solve. A
+/// joint solve keeps one for all its leads, in lane 0.
 #[derive(Debug, Clone, Copy)]
 struct Lane {
     id: usize,
@@ -270,9 +267,93 @@ struct Lane {
     target: f64,
 }
 
-/// `K` windows that share Φ and the step, one per lane. Every
-/// vector operation runs on all `K` lanes; an idle lane holds zeros,
-/// which every step maps to zeros.
+impl Lane {
+    /// A cold start whose λ schedule scales with `scale`: `‖Aᵀy‖∞` for
+    /// one window, the largest group norm of `Aᵀy` for a joint one.
+    fn start(id: usize, scale: f64, cfg: &FistaConfig) -> Self {
+        let target = cfg.lambda_rel * scale;
+        let lambda = match &cfg.continuation {
+            Some(c) => target.max(c.start_rel * scale),
+            None => target,
+        };
+        Lane {
+            id,
+            iters: 0,
+            t: 1.0,
+            prev_norm: 0.0,
+            from_a: true,
+            lambda,
+            target,
+        }
+    }
+}
+
+/// Φ as the lanes of a step see it, and so how they couple. One matrix
+/// serves lanes that are windows of their own (the stream solve); a
+/// slice holds one matrix per lane for the leads of one window (the
+/// joint solve). As a type, the coupling leaves no trace in the stream
+/// step.
+trait LanePhi<const K: usize> {
+    /// Whether the lanes are the leads of one window.
+    const JOINT: bool;
+    /// `out = Φ x`, lane by lane.
+    fn apply(&self, x: &[[f64; K]], out: &mut [[f64; K]], temp: &mut WindowTemp);
+    /// `out = Φᵀ r`, lane by lane.
+    fn apply_t(&self, r: &[[f64; K]], out: &mut [[f64; K]], temp: &mut WindowTemp);
+}
+
+impl<const K: usize> LanePhi<K> for SparseTernaryMatrix {
+    const JOINT: bool = false;
+
+    fn apply(&self, x: &[[f64; K]], out: &mut [[f64; K]], _: &mut WindowTemp) {
+        self.apply_lanes(x, out);
+    }
+
+    fn apply_t(&self, r: &[[f64; K]], out: &mut [[f64; K]], _: &mut WindowTemp) {
+        self.apply_t_lanes(r, out);
+    }
+}
+
+impl<const K: usize> LanePhi<K> for [&SparseTernaryMatrix] {
+    const JOINT: bool = true;
+
+    fn apply(&self, x: &[[f64; K]], out: &mut [[f64; K]], temp: &mut WindowTemp) {
+        per_lane(self, x, out, temp, SparseTernaryMatrix::apply_into);
+    }
+
+    fn apply_t(&self, r: &[[f64; K]], out: &mut [[f64; K]], temp: &mut WindowTemp) {
+        per_lane(self, r, out, temp, SparseTernaryMatrix::apply_t_into);
+    }
+}
+
+/// Lane `l` of `out` is `op(phis[l], lane l of x)`, through `temp`'s
+/// one-window buffers; a lane with no matrix gets zeros.
+fn per_lane<const K: usize>(
+    phis: &[&SparseTernaryMatrix],
+    x: &[[f64; K]],
+    out: &mut [[f64; K]],
+    temp: &mut WindowTemp,
+    op: fn(&SparseTernaryMatrix, &[f64], &mut Vec<f64>),
+) {
+    for l in 0..K {
+        let Some(phi) = phis.get(l) else {
+            for row in out.iter_mut() {
+                row[l] = 0.0;
+            }
+            continue;
+        };
+        temp.sig.clear();
+        temp.sig.extend(x.iter().map(|row| row[l]));
+        op(phi, &temp.sig, &mut temp.coeffs);
+        for (row, &v) in out.iter_mut().zip(&temp.coeffs) {
+            row[l] = v;
+        }
+    }
+}
+
+/// `K` windows that share Φ and the step, one per lane, or the `K` or
+/// fewer leads of one window. Every vector operation runs on all `K`
+/// lanes; an idle lane holds zeros, which every step maps to zeros.
 struct Lanes<'s, const K: usize> {
     bufs: &'s mut LaneBufs,
     lanes: [Option<Lane>; K],
@@ -330,29 +411,19 @@ impl<'s, const K: usize> Lanes<'s, K> {
             &mut temp.coeffs,
         )?;
         let linf = temp.coeffs.iter().fold(0.0f64, |mx, &v| mx.max(v.abs()));
-        let target = cfg.lambda_rel * linf;
-        let lambda = match &cfg.continuation {
-            Some(c) => target.max(c.start_rel * linf),
-            None => target,
-        };
-        for (row, &v) in self.bufs.y.as_chunks_mut::<K>().0.iter_mut().zip(y) {
-            row[l] = v;
-        }
-        self.lanes[l] = Some(Lane {
-            id,
-            iters: 0,
-            t: 1.0,
-            prev_norm: 0.0,
-            from_a: true,
-            lambda,
-            target,
-        });
+        self.put_y(l, y);
+        self.lanes[l] = Some(Lane::start(id, linf, cfg));
         Ok(())
     }
 
-    /// Frees lane `l` (zeroing it) and returns its window's id and
-    /// solve, `x̂ = Ψa`, synthesised through the one-lane kernel into a
-    /// fresh vector.
+    /// Copies measurements `y` into lane `l`.
+    fn put_y(&mut self, l: usize, y: &[f64]) {
+        for (row, &v) in self.bufs.y.as_chunks_mut::<K>().0.iter_mut().zip(y) {
+            row[l] = v;
+        }
+    }
+
+    /// Frees lane `l` and returns its window's id and solve.
     fn take(
         &mut self,
         l: usize,
@@ -360,22 +431,28 @@ impl<'s, const K: usize> Lanes<'s, K> {
         temp: &mut WindowTemp,
     ) -> Option<(usize, Result<FistaSolve>)> {
         let lane = self.lanes[l].take()?;
+        let solve = self.drain(l, cfg, temp).map(|x| FistaSolve {
+            x,
+            iters: lane.iters,
+        });
+        Some((lane.id, solve))
+    }
+
+    /// Lane `l`'s samples, `x̂ = Ψa`, synthesised through the one-lane
+    /// kernel into a fresh vector; the lane is zeroed either way.
+    fn drain(&mut self, l: usize, cfg: &FistaConfig, temp: &mut WindowTemp) -> Result<Vec<f64>> {
         temp.coeffs.clear();
         temp.coeffs
             .extend(self.bufs.a.as_chunks::<K>().0.iter().map(|row| row[l]));
         let mut x = Vec::with_capacity(temp.coeffs.len());
-        let solve = waverec_into(&temp.coeffs, cfg.wavelet, cfg.levels, &mut temp.dwt, &mut x)
-            .map(|()| FistaSolve {
-                x,
-                iters: lane.iters,
-            })
-            .map_err(CsError::from);
+        let synth = waverec_into(&temp.coeffs, cfg.wavelet, cfg.levels, &mut temp.dwt, &mut x);
         for buf in [&mut self.bufs.a, &mut self.bufs.z, &mut self.bufs.y] {
             for row in buf.as_chunks_mut::<K>().0 {
                 row[l] = 0.0;
             }
         }
-        Some((lane.id, solve))
+        synth?;
+        Ok(x)
     }
 
     /// Moves lane `l`'s window to a one-lane solve over `one` and runs
@@ -403,7 +480,7 @@ impl<'s, const K: usize> Lanes<'s, K> {
         }
         alone.lanes[0] = Some(lane);
         loop {
-            match alone.step(cfg, phi, step) {
+            match alone.step(cfg, phi, step, temp) {
                 Ok(0) => {}
                 Ok(_) => return alone.take(0, cfg, temp),
                 Err(e) => return Some((lane.id, Err(e))),
@@ -411,12 +488,21 @@ impl<'s, const K: usize> Lanes<'s, K> {
         }
     }
 
-    /// One FISTA iteration on every lane, each lane running exactly the
-    /// scalar sequence of operations of a one-window solve. Returns the
-    /// lanes whose window stopped, one bit per lane.
-    fn step(&mut self, cfg: &FistaConfig, phi: &SparseTernaryMatrix, step: f64) -> Result<u32> {
+    /// One FISTA iteration on every lane. Independent lanes each run
+    /// exactly the scalar sequence of operations of a one-window solve.
+    /// Joint lanes share lane 0's scalars: one threshold and a group
+    /// shrink, and one momentum, restart test and stop test on sums
+    /// taken across the leads. Returns the lanes whose window stopped,
+    /// one bit per lane (lane 0 for a joint solve).
+    fn step<P: LanePhi<K> + ?Sized>(
+        &mut self,
+        cfg: &FistaConfig,
+        phi: &P,
+        step: f64,
+        temp: &mut WindowTemp,
+    ) -> Result<u32> {
         let (w, lv) = (cfg.wavelet, cfg.levels);
-        let n = phi.cols();
+        let n = self.bufs.a.len() / K;
         let LaneBufs {
             dwt,
             sig,
@@ -434,16 +520,28 @@ impl<'s, const K: usize> Lanes<'s, K> {
         let z = z.as_chunks_mut::<K>().0;
         // r = A z − y, then ∇ = Aᵀ r.
         waverec_lanes(z, w, lv, dwt, sig)?;
-        phi.apply_lanes(sig, meas);
+        phi.apply(sig, meas, temp);
         for (p, q) in meas.iter_mut().zip(y.as_chunks::<K>().0) {
             *p = core::array::from_fn(|l| p[l] - q[l]);
         }
-        phi.apply_t_lanes(meas, sig);
+        phi.apply_t(meas, sig, temp);
         wavedec_lanes(sig, w, lv, dwt, grad)?;
         let thresh: [f64; K] =
             core::array::from_fn(|l| self.lanes[l].map_or(0.0, |lane| step * lane.lambda));
-        for ((an, zi), gi) in a_next.iter_mut().zip(z.iter()).zip(grad.iter()) {
-            *an = core::array::from_fn(|l| shrink(zi[l] - step * gi[l], thresh[l]));
+        if P::JOINT {
+            // a⁺_i = v_i · max(0, 1 − step·λ/‖v_i‖₂) for v = z − step·∇,
+            // row i one group (`max` turns a zero group's NaN into 0).
+            // `+ 0.0` makes a shrunk −0.0 +0.0 and keeps any other value.
+            for ((an, zi), gi) in a_next.iter_mut().zip(z.iter()).zip(grad.iter()) {
+                let v: [f64; K] = core::array::from_fn(|l| zi[l] - step * gi[l]);
+                let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+                let scale = (1.0 - thresh[0] / norm).max(0.0);
+                *an = v.map(|x| x * scale + 0.0);
+            }
+        } else {
+            for ((an, zi), gi) in a_next.iter_mut().zip(z.iter()).zip(grad.iter()) {
+                *an = core::array::from_fn(|l| shrink(zi[l] - step * gi[l], thresh[l]));
+            }
         }
         if cfg.tree_model {
             enforce_tree(a_next, n, lv);
@@ -463,6 +561,12 @@ impl<'s, const K: usize> Lanes<'s, K> {
             change2 = core::array::from_fn(|l| change2[l] + step_taken[l] * step_taken[l]);
             norm2 = core::array::from_fn(|l| norm2[l] + an[l] * an[l]);
         }
+        if P::JOINT {
+            // Lane 0's scalars judge the sums over every lead.
+            for sum in [&mut overshoot, &mut change2, &mut norm2] {
+                sum[0] = sum.iter().sum();
+            }
+        }
         let mut beta = [0.0f64; K];
         let mut stopped = 0u32;
         for (l, slot) in self.lanes.iter_mut().enumerate() {
@@ -474,11 +578,12 @@ impl<'s, const K: usize> Lanes<'s, K> {
             let norm = norm2[l].sqrt();
             // `a⁺ == a` bit for bit (the sum is only zero when nothing
             // moved, or moved below f64's square range).
+            let mine = if P::JOINT { 0..K } else { l..l + 1 };
             let still = change2[l] == 0.0
                 && a_next
                     .iter()
                     .zip(a)
-                    .all(|(x, y)| x[l].to_bits() == y[l].to_bits());
+                    .all(|(x, y)| mine.clone().all(|k| x[k].to_bits() == y[k].to_bits()));
             let above_target = lane.lambda > lane.target;
             let tol = match &cfg.continuation {
                 Some(c) if above_target => c.stage_tol,
@@ -497,7 +602,7 @@ impl<'s, const K: usize> Lanes<'s, K> {
             let t_next = 0.5 * (1.0 + (1.0 + 4.0 * lane.t * lane.t).sqrt());
             beta[l] = (lane.t - 1.0) / t_next;
             // With β = 0 or a⁺ = a the update writes z = a⁺ exactly
-            // (soft-thresholding never yields −0.0).
+            // (neither shrink yields −0.0).
             lane.from_a = beta[l] == 0.0 || still;
             lane.t = t_next;
             let mut finished = lane.iters >= cfg.max_iters;
@@ -513,6 +618,9 @@ impl<'s, const K: usize> Lanes<'s, K> {
             if finished {
                 stopped |= 1 << l;
             }
+        }
+        if P::JOINT {
+            beta = [beta[0]; K];
         }
         for ((zi, an), ao) in z.iter_mut().zip(a_next.iter()).zip(a) {
             *zi = core::array::from_fn(|l| an[l] + beta[l] * (an[l] - ao[l]));
@@ -754,6 +862,85 @@ impl Fista {
         }
     }
 
+    /// Solves the leads of one window jointly, `phis[l]` having sensed
+    /// `ys[l]`: `min_a ½Σ_l‖y_l − Φ_lΨa_l‖² + λΣ_i‖a_i‖₂`, where group
+    /// `a_i` is coefficient `i` of every lead. The leads are the lanes of
+    /// the stream solve, each through its own Φ, and share one set of
+    /// scalars: the step `1 / max_l L_l` over the caller's per-lead
+    /// `lipschitz` constants, one λ schedule scaled by the largest group
+    /// norm of `Aᵀy` where a single lead's uses `‖Aᵀy‖∞`, and one
+    /// momentum, restart test and stop test on sums over the leads.
+    /// With a warm `scratch` it allocates only its result: one solve
+    /// per lead, in order, all with the same iteration count.
+    ///
+    /// # Errors
+    ///
+    /// All before any work: [`CsError::InvalidParameter`] for a
+    /// degenerate configuration (checked first), or for no leads or
+    /// more than four; [`CsError::ShapeMismatch`] when `ys` or
+    /// `lipschitz` does not hold one entry per lead or the leads'
+    /// matrices differ in shape; then [`Fista::check_input`] on each
+    /// lead in turn.
+    pub fn solve_joint<Y: AsRef<[f64]>>(
+        &self,
+        scratch: &mut FistaScratch,
+        phis: &[&SparseTernaryMatrix],
+        ys: &[Y],
+        lipschitz: &[f64],
+    ) -> Result<Vec<FistaSolve>> {
+        self.cfg.validate()?;
+        let leads = phis.len();
+        let Some(first) = phis.first().filter(|_| leads <= LANES) else {
+            return Err(CsError::InvalidParameter {
+                what: "leads",
+                detail: format!("{leads} leads; a joint solve takes 1 to {LANES}"),
+            });
+        };
+        let same = |what, expected, got| {
+            if expected == got {
+                return Ok(());
+            }
+            Err(CsError::ShapeMismatch {
+                what,
+                expected,
+                got,
+            })
+        };
+        same("measurement vectors per lead", leads, ys.len())?;
+        same("lipschitz constants per lead", leads, lipschitz.len())?;
+        let (n, m) = (first.cols(), first.rows());
+        for ((phi, y), &lip) in phis.iter().zip(ys).zip(lipschitz) {
+            same("window length across leads", n, phi.cols())?;
+            same("measurements across leads", m, phi.rows())?;
+            self.check_input(phi, y.as_ref(), lip)?;
+        }
+        let FistaScratch { wide, temp, .. } = scratch;
+        let mut lanes = Lanes::<LANES>::new(wide, n, m);
+        for (l, y) in ys.iter().enumerate() {
+            lanes.put_y(l, y.as_ref());
+        }
+        // `Aᵀy` of every lead at once, for the group norms that scale λ.
+        let LaneBufs {
+            dwt, sig, grad, y, ..
+        } = &mut *lanes.bufs;
+        let (sig, grad) = (sig.as_chunks_mut().0, grad.as_chunks_mut().0);
+        phis.apply_t(y.as_chunks::<LANES>().0, sig, temp);
+        wavedec_lanes(sig, self.cfg.wavelet, self.cfg.levels, dwt, grad)?;
+        let max_group2 = grad
+            .iter()
+            .fold(0.0f64, |mx, row| mx.max(row.iter().map(|v| v * v).sum()));
+        lanes.lanes[0] = Some(Lane::start(0, max_group2.sqrt(), &self.cfg));
+        let step = 1.0 / lipschitz.iter().fold(0.0f64, |mx, &lip| mx.max(lip));
+        while lanes.step(&self.cfg, phis, step, temp)? == 0 {}
+        let iters = lanes.lanes[0].take().map_or(0, |lane| lane.iters);
+        (0..leads)
+            .map(|l| {
+                let x = lanes.drain(l, &self.cfg, temp)?;
+                Ok(FistaSolve { x, iters })
+            })
+            .collect()
+    }
+
     /// Runs `first` and then every window `next` hands out through `K`
     /// lanes over `bufs` until all have stopped, passing each result to
     /// `done`. A window that fails its checks comes back at once; a
@@ -804,7 +991,7 @@ impl Fista {
                 }
                 return;
             }
-            match lanes.step(&self.cfg, phi, step) {
+            match lanes.step(&self.cfg, phi, step, temp) {
                 Ok(stopped) => {
                     for l in (0..K).filter(|l| stopped & (1 << l) != 0) {
                         if let Some((id, solve)) = lanes.take(l, &self.cfg, temp) {
@@ -1150,14 +1337,25 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut y = vec![0.0; 64];
             y[11] = bad;
-            let err = solver.solve(enc.sensing_matrix(), &y).unwrap_err();
-            assert_eq!(
-                err,
-                CsError::NonFinite {
-                    what: "measurement vector",
-                    index: 11
-                }
-            );
+            let want = CsError::NonFinite {
+                what: "measurement vector",
+                index: 11,
+            };
+            assert_eq!(solver.solve(enc.sensing_matrix(), &y).unwrap_err(), want);
+            // In any lead of a joint solve.
+            for lead in 0..3 {
+                let mut ys = vec![vec![0.0; 64]; 3];
+                ys[lead] = y.clone();
+                let err = solver
+                    .solve_joint(
+                        &mut FistaScratch::new(),
+                        &[enc.sensing_matrix(); 3],
+                        &ys,
+                        &[1.0; 3],
+                    )
+                    .unwrap_err();
+                assert_eq!(err, want, "lead {lead}");
+            }
         }
     }
 
@@ -1174,6 +1372,13 @@ mod tests {
         let cases = [
             ("levels", FistaConfig { levels: 0, ..base }),
             ("levels", FistaConfig { levels: 64, ..base }),
+            (
+                "levels",
+                FistaConfig {
+                    levels: usize::MAX,
+                    ..base
+                },
+            ),
             (
                 "max_iters",
                 FistaConfig {
@@ -1223,13 +1428,27 @@ mod tests {
                 matches!(cfg.validate(), Err(CsError::InvalidParameter { what: w, .. }) if w == what),
                 "{cfg:?}"
             );
-            // Measurements of the wrong length too: the configuration
-            // is checked before the input.
+            // Measurements of the wrong length, and a joint solve of no
+            // leads, too: the configuration is checked before the input.
             for y in [&y[..], &y[1..]] {
                 let err = Fista::new(cfg).solve(enc.sensing_matrix(), y).unwrap_err();
                 assert!(
                     matches!(err, CsError::InvalidParameter { what: w, .. } if w == what),
                     "{cfg:?}: {err:?}"
+                );
+            }
+            for ys in [vec![&y[..]], vec![&y[1..]], Vec::new()] {
+                let err = Fista::new(cfg)
+                    .solve_joint(
+                        &mut FistaScratch::new(),
+                        &[enc.sensing_matrix()],
+                        &ys,
+                        &[1.0],
+                    )
+                    .unwrap_err();
+                assert!(
+                    matches!(err, CsError::InvalidParameter { what: w, .. } if w == what),
+                    "joint {cfg:?}: {err:?}"
                 );
             }
         }
@@ -1404,6 +1623,197 @@ mod tests {
                 let b: Vec<u64> = fresh.x.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(a, b, "n={n} m={m}");
             }
+        }
+    }
+
+    /// Three correlated leads sharing wave timing, different gains.
+    fn leads(n: usize) -> Vec<Vec<f64>> {
+        let shape = |i: usize| -> f64 {
+            let qrs = 900.0 * (-((i as f64 - n as f64 * 0.4) / 6.0).powi(2) / 2.0).exp();
+            let t = 250.0 * (-((i as f64 - n as f64 * 0.62) / 20.0).powi(2) / 2.0).exp();
+            qrs + t
+        };
+        vec![
+            (0..n).map(shape).collect(),
+            (0..n).map(|i| 0.6 * shape(i)).collect(),
+            (0..n).map(|i| -0.8 * shape(i)).collect(),
+        ]
+    }
+
+    /// `count` sensing matrices of `m × n`, seeded `seed + l` as the
+    /// sweep seeds its leads.
+    fn lead_phis(count: usize, m: usize, n: usize, seed: u64) -> Vec<SparseTernaryMatrix> {
+        (0..count)
+            .map(|l| SparseTernaryMatrix::random(m, n, 4, seed + l as u64).unwrap())
+            .collect()
+    }
+
+    /// A joint solve on a fresh scratch with each lead's own constant.
+    fn solve_joint(
+        solver: &Fista,
+        phis: &[SparseTernaryMatrix],
+        ys: &[Vec<f64>],
+    ) -> Result<Vec<FistaSolve>> {
+        let refs: Vec<&SparseTernaryMatrix> = phis.iter().collect();
+        let lips = phis
+            .iter()
+            .map(|phi| solver.lipschitz(phi))
+            .collect::<Result<Vec<f64>>>()?;
+        solver.solve_joint(&mut FistaScratch::new(), &refs, ys, &lips)
+    }
+
+    #[test]
+    fn joint_beats_independent_at_high_cr() {
+        let n = 256;
+        let m = 56; // CR ≈ 78%
+        let xs = leads(n);
+        let phis = lead_phis(3, m, n, 100);
+        let ys: Vec<Vec<f64>> = (0..3).map(|l| phis[l].apply(&xs[l])).collect();
+        let solver = Fista::new(FistaConfig::default());
+        let mut snr_indep = 0.0;
+        for l in 0..3 {
+            let xr = solver.reconstruct_f64(&phis[l], &ys[l]).unwrap();
+            snr_indep += snr_db(&xs[l], &xr);
+        }
+        snr_indep /= 3.0;
+        let xr = solve_joint(&solver, &phis, &ys).unwrap();
+        let snr_joint: f64 = (0..3).map(|l| snr_db(&xs[l], &xr[l].x)).sum::<f64>() / 3.0;
+        assert!(
+            snr_joint > snr_indep,
+            "joint {snr_joint:.1} dB must beat independent {snr_indep:.1} dB"
+        );
+    }
+
+    #[test]
+    fn joint_reconstruction_is_accurate_at_moderate_cr() {
+        let n = 256;
+        let xs = leads(n);
+        let phis = lead_phis(3, 128, n, 200);
+        let ys: Vec<Vec<f64>> = (0..3).map(|l| phis[l].apply(&xs[l])).collect();
+        let xr = solve_joint(&Fista::new(FistaConfig::default()), &phis, &ys).unwrap();
+        for l in 0..3 {
+            let snr = snr_db(&xs[l], &xr[l].x);
+            assert!(snr > 18.0, "lead {l}: {snr} dB");
+            assert_eq!(xr[l].iters, xr[0].iters);
+        }
+    }
+
+    #[test]
+    fn joint_shape_validation() {
+        let phi = SparseTernaryMatrix::random(32, 128, 4, 1).unwrap();
+        let other = SparseTernaryMatrix::random(33, 128, 4, 2).unwrap();
+        let solver = Fista::new(FistaConfig::default());
+        let joint = |phis: &[&SparseTernaryMatrix], ys: &[Vec<f64>], lips: &[f64]| {
+            solver.solve_joint(&mut FistaScratch::new(), phis, ys, lips)
+        };
+        let shape = |what: &'static str, expected: usize, got: usize| {
+            Err(CsError::ShapeMismatch {
+                what,
+                expected,
+                got,
+            })
+        };
+        // Wrong measurement length.
+        assert_eq!(
+            joint(&[&phi], &[vec![0.0; 31]], &[1.0]).map(|_| ()),
+            shape("measurement vector", 32, 31)
+        );
+        // Lead count mismatches.
+        assert_eq!(
+            joint(&[&phi], &[vec![0.0; 32], vec![0.0; 32]], &[1.0]).map(|_| ()),
+            shape("measurement vectors per lead", 1, 2)
+        );
+        assert_eq!(
+            joint(&[&phi, &phi], &[vec![0.0; 32], vec![0.0; 32]], &[1.0]).map(|_| ()),
+            shape("lipschitz constants per lead", 2, 1)
+        );
+        // Leads of different shapes.
+        assert_eq!(
+            joint(&[&phi, &other], &[vec![0.0; 32], vec![0.0; 33]], &[1.0; 2]).map(|_| ()),
+            shape("measurements across leads", 32, 33)
+        );
+        // Empty.
+        assert!(matches!(
+            joint(&[], &[], &[]),
+            Err(CsError::InvalidParameter { what: "leads", .. })
+        ));
+        // A bad constant is the lead's typed error.
+        assert!(matches!(
+            joint(&[&phi, &phi], &[vec![0.0; 32], vec![0.0; 32]], &[1.0, 0.0]),
+            Err(CsError::InvalidParameter {
+                what: "lipschitz",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn more_leads_than_lanes_are_a_typed_error() {
+        let phi = SparseTernaryMatrix::random(32, 128, 4, 1).unwrap();
+        let solver = Fista::new(FistaConfig::default());
+        for leads in [LANES + 1, 2 * LANES] {
+            let phis = vec![&phi; leads];
+            let ys = vec![vec![1.0; 32]; leads];
+            let err = solver
+                .solve_joint(&mut FistaScratch::new(), &phis, &ys, &vec![1.0; leads])
+                .unwrap_err();
+            assert!(
+                matches!(err, CsError::InvalidParameter { what: "leads", .. }),
+                "{leads} leads: {err:?}"
+            );
+        }
+        // Four leads solve.
+        let ys = vec![vec![1.0; 32]; LANES];
+        assert!(solver
+            .solve_joint(&mut FistaScratch::new(), &[&phi; LANES], &ys, &[1.0; LANES])
+            .is_ok());
+    }
+
+    #[test]
+    fn warm_joint_scratch_matches_fresh_solves() {
+        // One scratch through stream, single and joint solves of
+        // different shapes and lead counts gives the same bits as a
+        // fresh scratch per joint solve.
+        for continuation in [None, Some(schedule())] {
+            let solver = Fista::new(FistaConfig {
+                max_iters: 60,
+                restart: true,
+                continuation,
+                ..FistaConfig::default()
+            });
+            let mut scratch = FistaScratch::new();
+            for (n, m, count) in [(256, 100, 3), (128, 48, 2), (512, 192, 3), (256, 64, 1)] {
+                let phis = lead_phis(count, m, n, 40);
+                let ys: Vec<Vec<f64>> = leads(n)
+                    .iter()
+                    .zip(&phis)
+                    .map(|(x, phi)| phi.apply(x))
+                    .collect();
+                let refs: Vec<&SparseTernaryMatrix> = phis.iter().collect();
+                let lips: Vec<f64> = phis.iter().map(|p| solver.lipschitz(p).unwrap()).collect();
+                solver
+                    .solve_with(&mut scratch, &phis[0], &ys[0], lips[0])
+                    .unwrap();
+                let warm = solver.solve_joint(&mut scratch, &refs, &ys, &lips).unwrap();
+                let fresh = solve_joint(&solver, &phis, &ys).unwrap();
+                assert_eq!(warm.len(), count);
+                for (w, f) in warm.iter().zip(&fresh) {
+                    assert_eq!(w.iters, f.iters);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&w.x), bits(&f.x), "n={n} m={m} leads={count}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_measurements_give_zero_leads_at_once() {
+        let phis = lead_phis(3, 64, 128, 3);
+        let ys = vec![vec![0.0; 64]; 3];
+        let xr = solve_joint(&Fista::new(FistaConfig::default()), &phis, &ys).unwrap();
+        for solve in xr {
+            assert_eq!(solve.iters, 1);
+            assert!(solve.x.iter().all(|&v| v.to_bits() == 0));
         }
     }
 }

@@ -6,9 +6,8 @@
 //! exactly as the figure's y-axis label says.
 
 use crate::encoder::CsEncoder;
-use crate::joint::{GroupFista, GroupFistaConfig};
 use crate::measurements_for_cr;
-use crate::solver::{Fista, FistaConfig};
+use crate::solver::{Fista, FistaConfig, FistaScratch};
 use crate::Result;
 use wbsn_ecg_synth::Record;
 use wbsn_sigproc::stats::snr_db;
@@ -23,10 +22,8 @@ pub struct SweepConfig {
     pub d_per_col: usize,
     /// Base seed for sensing matrices.
     pub seed: u64,
-    /// Single-lead solver settings.
+    /// Solver settings, single- and multi-lead.
     pub fista: FistaConfig,
-    /// Multi-lead solver settings.
-    pub group: GroupFistaConfig,
 }
 
 impl Default for SweepConfig {
@@ -36,7 +33,6 @@ impl Default for SweepConfig {
             d_per_col: 4,
             seed: 0xC5,
             fista: FistaConfig::default(),
-            group: GroupFistaConfig::default(),
         }
     }
 }
@@ -90,7 +86,9 @@ pub fn snr_vs_cr_single(
 }
 
 /// Averaged joint multi-lead SNR at each CR (the "Multi-Lead CS"
-/// series). Each lead gets its own sensing matrix (rotated seed).
+/// series), each window's leads solved together by
+/// [`Fista::solve_joint`]. Each lead gets its own sensing matrix
+/// (rotated seed).
 ///
 /// # Errors
 ///
@@ -100,7 +98,8 @@ pub fn snr_vs_cr_joint(
     crs: &[f64],
     cfg: &SweepConfig,
 ) -> Result<Vec<SweepPoint>> {
-    let solver = GroupFista::new(cfg.group);
+    let solver = Fista::new(cfg.fista);
+    let mut scratch = FistaScratch::new();
     let mut out = Vec::with_capacity(crs.len());
     for &cr in crs {
         let m = measurements_for_cr(cfg.window, cr);
@@ -119,6 +118,10 @@ pub fn snr_vs_cr_joint(
                 })
                 .collect::<core::result::Result<_, _>>()?;
             let phi_refs: Vec<&SparseTernaryMatrix> = phis.iter().collect();
+            let lips = phis
+                .iter()
+                .map(|phi| solver.lipschitz(phi))
+                .collect::<Result<Vec<f64>>>()?;
             let n_wins = rec.n_samples() / cfg.window;
             for wi in 0..n_wins {
                 let lo = wi * cfg.window;
@@ -127,12 +130,12 @@ pub fn snr_vs_cr_joint(
                     .map(|l| rec.lead(l)[lo..hi].iter().map(|&v| v as f64).collect())
                     .collect();
                 let ys: Vec<Vec<f64>> = (0..n_leads).map(|l| phis[l].apply(&xs[l])).collect();
-                let xr = solver.reconstruct(&phi_refs, &ys)?;
+                let xr = solver.solve_joint(&mut scratch, &phi_refs, &ys, &lips)?;
                 for l in 0..n_leads {
                     if xs[l].iter().all(|&v| v == 0.0) {
                         continue;
                     }
-                    snr_sum += snr_db(&xs[l], &xr[l]);
+                    snr_sum += snr_db(&xs[l], &xr[l].x);
                     count += 1;
                 }
             }
@@ -183,7 +186,6 @@ mod tests {
             ..SweepConfig::default()
         };
         cfg.fista.max_iters = 80;
-        cfg.group.max_iters = 80;
         cfg
     }
 

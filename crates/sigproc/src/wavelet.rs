@@ -3,7 +3,7 @@
 //!
 //! Two distinct consumers in the pipeline:
 //!
-//! * **Compressed sensing** ([`wavedec`]/[`waverec`]) needs an
+//! * **Compressed sensing** ([`wavedec_into`]/[`waverec_into`]) needs an
 //!   orthonormal sparsifying basis Ψ — ECG is highly compressible in
 //!   Daubechies wavelets, which is what makes CS recovery work
 //!   (references \[4\], \[16\] of the paper).
@@ -133,25 +133,12 @@ fn check_lane_out(n: usize, out: usize, what: &'static str) -> Result<()> {
     Ok(())
 }
 
-/// Multi-level periodized DWT (analysis). Returns coefficients packed
-/// as `[a_L | d_L | d_{L-1} | ... | d_1]`, total length = input length.
-///
-/// This is the orthonormal analysis operator Ψᵀ; [`waverec`] is its
-/// exact inverse (and adjoint) Ψ. Allocates; repeated transforms
-/// should prefer [`wavedec_into`].
-///
-/// # Errors
-///
-/// The input length must be divisible by `2^levels` and `levels ≥ 1`.
-pub fn wavedec(x: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    wavedec_into(x, wavelet, levels, &mut DwtScratch::default(), &mut out)?;
-    Ok(out)
-}
-
-/// [`wavedec`] into a caller-owned buffer (resized to `x.len()`), with
-/// reusable `scratch`: a warm caller allocates nothing. This is
-/// [`wavedec_lanes`] at one lane.
+/// Multi-level periodized DWT (analysis) into a caller-owned buffer
+/// (resized to `x.len()`), with reusable `scratch`: a warm caller
+/// allocates nothing. Coefficients are packed as
+/// `[a_L | d_L | d_{L-1} | ... | d_1]`, total length = input length.
+/// It is the orthonormal analysis operator Ψᵀ, [`waverec_into`] its
+/// exact inverse (and adjoint) Ψ, and [`wavedec_lanes`] at one lane.
 ///
 /// Each level copies its input into a periodically extended buffer,
 /// so every filter tap is a plain forward read with no `% n` wrap;
@@ -160,7 +147,7 @@ pub fn wavedec(x: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
 ///
 /// # Errors
 ///
-/// Same length constraints as [`wavedec`].
+/// The input length must be divisible by `2^levels` and `levels ≥ 1`.
 pub fn wavedec_into(
     x: &[f64],
     wavelet: Wavelet,
@@ -185,7 +172,7 @@ pub fn wavedec_into(
 ///
 /// # Errors
 ///
-/// Same length constraints as [`wavedec`], plus
+/// Same length constraints as [`wavedec_into`], plus
 /// [`SigprocError::ShapeMismatch`] when `out.len() != x.len()`.
 pub fn wavedec_lanes<const K: usize>(
     x: &[[f64; K]],
@@ -250,26 +237,9 @@ fn analysis_bank<const L: usize, const K: usize>(
 }
 
 /// Multi-level periodized inverse DWT (synthesis), inverse of
-/// [`wavedec`] with the same `wavelet` and `levels`. Allocates;
-/// repeated transforms should prefer [`waverec_into`].
-///
-/// # Errors
-///
-/// Same length constraints as [`wavedec`].
-pub fn waverec(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
-    let mut out = Vec::new();
-    waverec_into(
-        coeffs,
-        wavelet,
-        levels,
-        &mut DwtScratch::default(),
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-/// [`waverec`] into a caller-owned buffer (resized to `coeffs.len()`),
-/// with reusable `scratch`: a warm caller allocates nothing. This is
+/// [`wavedec_into`] with the same `wavelet` and `levels`, into a
+/// caller-owned buffer (resized to `coeffs.len()`), with reusable
+/// `scratch`: a warm caller allocates nothing. This is
 /// [`waverec_lanes`] at one lane.
 ///
 /// Each level gathers: every output keeps one register accumulator
@@ -280,7 +250,7 @@ pub fn waverec(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f6
 ///
 /// # Errors
 ///
-/// Same length constraints as [`wavedec`].
+/// Same length constraints as [`wavedec_into`].
 pub fn waverec_into(
     coeffs: &[f64],
     wavelet: Wavelet,
@@ -305,7 +275,7 @@ pub fn waverec_into(
 ///
 /// # Errors
 ///
-/// Same length constraints as [`wavedec`], plus
+/// Same length constraints as [`wavedec_into`], plus
 /// [`SigprocError::ShapeMismatch`] when `out.len() != coeffs.len()`.
 pub fn waverec_lanes<const K: usize>(
     coeffs: &[[f64; K]],
@@ -615,7 +585,7 @@ mod tests {
         }
     }
 
-    /// [`waverec`] through [`scatter_level`].
+    /// [`waverec_into`] through [`scatter_level`].
     fn scatter_waverec(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Vec<f64> {
         fn bank<const L: usize>(c: &[f64], h: &[f64; L], g: &[f64; L], levels: usize) -> Vec<f64> {
             let n = c.len();
@@ -639,6 +609,26 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// [`wavedec_into`] into a fresh vector.
+    fn wavedec_fresh(x: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
+        wavedec_into(x, wavelet, levels, &mut DwtScratch::default(), &mut out)?;
+        Ok(out)
+    }
+
+    /// [`waverec_into`] into a fresh vector.
+    fn waverec_fresh(coeffs: &[f64], wavelet: Wavelet, levels: usize) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
+        waverec_into(
+            coeffs,
+            wavelet,
+            levels,
+            &mut DwtScratch::default(),
+            &mut out,
+        )?;
+        Ok(out)
     }
 
     proptest! {
@@ -674,8 +664,8 @@ mod tests {
         let x = [1.0; 512];
         for levels in [64, 73, usize::MAX] {
             for got in [
-                wavedec(&x, Wavelet::Db4, levels),
-                waverec(&x, Wavelet::Db4, levels),
+                wavedec_fresh(&x, Wavelet::Db4, levels),
+                waverec_fresh(&x, Wavelet::Db4, levels),
             ] {
                 assert!(
                     matches!(
@@ -703,8 +693,8 @@ mod tests {
         let x = test_signal(256);
         for w in [Wavelet::Haar, Wavelet::Db2, Wavelet::Db4] {
             for levels in 1..=5 {
-                let c = wavedec(&x, w, levels).unwrap();
-                let y = waverec(&c, w, levels).unwrap();
+                let c = wavedec_fresh(&x, w, levels).unwrap();
+                let y = waverec_fresh(&c, w, levels).unwrap();
                 let err: f64 = x
                     .iter()
                     .zip(&y)
@@ -719,7 +709,7 @@ mod tests {
     fn transform_preserves_energy() {
         // Orthonormality: ||Wx|| == ||x||.
         let x = test_signal(512);
-        let c = wavedec(&x, Wavelet::Db4, 5).unwrap();
+        let c = wavedec_fresh(&x, Wavelet::Db4, 5).unwrap();
         let ex: f64 = x.iter().map(|v| v * v).sum();
         let ec: f64 = c.iter().map(|v| v * v).sum();
         assert!((ex - ec).abs() / ex < 1e-10);
@@ -730,8 +720,8 @@ mod tests {
         // <Wx, y> == <x, W^T y> where W^T = waverec (orthonormal).
         let x = test_signal(128);
         let y: Vec<f64> = (0..128).map(|i| ((i * 29 + 7) % 13) as f64 - 6.0).collect();
-        let wx = wavedec(&x, Wavelet::Db4, 4).unwrap();
-        let wty = waverec(&y, Wavelet::Db4, 4).unwrap();
+        let wx = wavedec_fresh(&x, Wavelet::Db4, 4).unwrap();
+        let wty = waverec_fresh(&y, Wavelet::Db4, 4).unwrap();
         let lhs: f64 = wx.iter().zip(&y).map(|(a, b)| a * b).sum();
         let rhs: f64 = x.iter().zip(&wty).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-9, "{lhs} vs {rhs}");
@@ -748,7 +738,7 @@ mod tests {
                 (-d * d / 2.0).exp()
             })
             .collect();
-        let mut c = wavedec(&x, Wavelet::Db4, 5).unwrap();
+        let mut c = wavedec_fresh(&x, Wavelet::Db4, 5).unwrap();
         let total: f64 = c.iter().map(|v| v * v).sum();
         c.sort_by(|a, b| (b * b).partial_cmp(&(a * a)).unwrap());
         let top32: f64 = c[..32].iter().map(|v| v * v).sum();
@@ -782,10 +772,10 @@ mod tests {
     #[test]
     fn rejects_bad_lengths() {
         let x = vec![0.0; 100]; // not divisible by 2^3
-        assert!(wavedec(&x, Wavelet::Haar, 3).is_err());
-        assert!(wavedec(&[], Wavelet::Haar, 1).is_err());
-        assert!(wavedec(&x, Wavelet::Haar, 0).is_err());
-        assert!(waverec(&x, Wavelet::Haar, 3).is_err());
+        assert!(wavedec_fresh(&x, Wavelet::Haar, 3).is_err());
+        assert!(wavedec_fresh(&[], Wavelet::Haar, 1).is_err());
+        assert!(wavedec_fresh(&x, Wavelet::Haar, 0).is_err());
+        assert!(waverec_fresh(&x, Wavelet::Haar, 3).is_err());
     }
 
     #[test]

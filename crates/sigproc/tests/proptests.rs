@@ -14,8 +14,22 @@ use wbsn_sigproc::matrix::{PackedTernaryMatrix, SparseTernaryMatrix};
 use wbsn_sigproc::morphology::{close, dilate, erode, open, sliding_extreme_naive};
 use wbsn_sigproc::stats::{isqrt_u64, prd_percent, snr_db};
 use wbsn_sigproc::wavelet::{
-    wavedec, wavedec_into, wavedec_lanes, waverec, waverec_into, waverec_lanes, DwtScratch, Wavelet,
+    wavedec_into, wavedec_lanes, waverec_into, waverec_lanes, DwtScratch, Wavelet,
 };
+
+/// [`wavedec_into`] on a fresh scratch into a fresh vector.
+fn wavedec_fresh(x: &[f64], w: Wavelet, levels: usize) -> Vec<f64> {
+    let mut out = Vec::new();
+    wavedec_into(x, w, levels, &mut DwtScratch::default(), &mut out).unwrap();
+    out
+}
+
+/// [`waverec_into`] on a fresh scratch into a fresh vector.
+fn waverec_fresh(coeffs: &[f64], w: Wavelet, levels: usize) -> Vec<f64> {
+    let mut out = Vec::new();
+    waverec_into(coeffs, w, levels, &mut DwtScratch::default(), &mut out).unwrap();
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -54,8 +68,8 @@ proptest! {
         levels in 1usize..6,
     ) {
         for w in [Wavelet::Haar, Wavelet::Db2, Wavelet::Db4] {
-            let c = wavedec(&x, w, levels).unwrap();
-            let y = waverec(&c, w, levels).unwrap();
+            let c = wavedec_fresh(&x, w, levels);
+            let y = waverec_fresh(&c, w, levels);
             for (a, b) in x.iter().zip(&y) {
                 prop_assert!((a - b).abs() < 1e-6);
             }
@@ -327,13 +341,13 @@ proptest! {
                 let want_c = ref_wavedec(x, w, levels);
                 wavedec_into(x, w, levels, &mut scratch, &mut coeffs).unwrap();
                 prop_assert_eq!(bits(&want_c), bits(&coeffs), "{:?} L{} n={} dec", w, levels, n);
-                prop_assert_eq!(bits(&want_c), bits(&wavedec(x, w, levels).unwrap()));
+                prop_assert_eq!(bits(&want_c), bits(&wavedec_fresh(x, w, levels)));
                 // Synthesis of arbitrary coefficients (not only of
                 // analysis outputs) exercises every accumulation order.
                 let want_x = ref_waverec(x, w, levels);
                 waverec_into(x, w, levels, &mut scratch, &mut rec).unwrap();
                 prop_assert_eq!(bits(&want_x), bits(&rec), "{:?} L{} n={} rec", w, levels, n);
-                prop_assert_eq!(bits(&want_x), bits(&waverec(x, w, levels).unwrap()));
+                prop_assert_eq!(bits(&want_x), bits(&waverec_fresh(x, w, levels)));
             }
         }
     }
@@ -424,13 +438,10 @@ fn check_lanes<const K: usize>(
             for l in 0..K {
                 let one = lane(&x, l);
                 prop_assert_eq!(
-                    bits(&wavedec(&one, w, levels).unwrap()),
+                    bits(&wavedec_fresh(&one, w, levels)),
                     bits(&lane(&coeffs, l))
                 );
-                prop_assert_eq!(
-                    bits(&waverec(&one, w, levels).unwrap()),
-                    bits(&lane(&rec, l))
-                );
+                prop_assert_eq!(bits(&waverec_fresh(&one, w, levels)), bits(&lane(&rec, l)));
             }
         }
     }
@@ -485,11 +496,11 @@ fn dwt_wraps_more_than_once_at_n32_db4() {
         .map(|i| ((i * 37 % 23) as f64 - 11.0) * 0.7)
         .collect();
     for levels in 1..=5 {
-        let c = wavedec(&x, Wavelet::Db4, levels).unwrap();
+        let c = wavedec_fresh(&x, Wavelet::Db4, levels);
         assert_eq!(bits(&ref_wavedec(&x, Wavelet::Db4, levels)), bits(&c));
         assert_eq!(
             bits(&ref_waverec(&c, Wavelet::Db4, levels)),
-            bits(&waverec(&c, Wavelet::Db4, levels).unwrap())
+            bits(&waverec_fresh(&c, Wavelet::Db4, levels))
         );
     }
 }

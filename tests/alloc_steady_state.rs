@@ -20,7 +20,9 @@
 //! solve on a warm `FistaScratch` allocates a small constant (its
 //! returned samples), the same at 20 iterations as at 400. The
 //! gateway's solve phase makes it per window: a warm phase solving N
-//! windows in lanes allocates exactly its N returned sample vectors.
+//! windows in lanes allocates exactly its N returned sample vectors,
+//! and a warm joint solve of L leads its L sample vectors and the one
+//! vector that holds them.
 //!
 //! All scenarios live in ONE `#[test]` so the counter is never
 //! polluted by a concurrently running test.
@@ -317,6 +319,63 @@ fn steady_state_ingest_is_allocation_free() {
             "a warm solve phase over 8 windows allocated {short} times at 20 iterations \
              and {long} at 400 (continuation: {continuation:?}); it must allocate only \
              the 8 returned sample vectors"
+        );
+    }
+
+    // ---- 6. Joint solve: a warm joint solve of three leads allocates
+    // only its result (three sample vectors and the vector holding
+    // them), the same at 20 iterations as at 400. ----
+    let rec = RecordBuilder::new(0x101E7)
+        .duration_s(3.0)
+        .n_leads(3)
+        .noise(NoiseConfig::ambulatory(24.0))
+        .build();
+    let lead_encs: Vec<CsEncoder> = (0..3)
+        .map(|l| CsEncoder::new(512, 160, 4, 0x101E7 + l).expect("valid encoder"))
+        .collect();
+    let phis: Vec<&wbsn_sigproc::SparseTernaryMatrix> =
+        lead_encs.iter().map(CsEncoder::sensing_matrix).collect();
+    let ys: Vec<Vec<f64>> = lead_encs
+        .iter()
+        .enumerate()
+        .map(|(l, enc)| {
+            let y = enc.encode(&rec.lead(l)[..512]).expect("encodes");
+            y.iter().map(|&v| v as f64).collect()
+        })
+        .collect();
+    let joint_allocs = |max_iters: usize, continuation: Option<Continuation>| -> (u64, usize) {
+        let fista = Fista::new(FistaConfig {
+            max_iters,
+            tol: 0.0,
+            restart: true,
+            continuation,
+            ..FistaConfig::default()
+        });
+        let lips: Vec<f64> = phis
+            .iter()
+            .map(|phi| fista.lipschitz(phi).expect("lipschitz"))
+            .collect();
+        let mut scratch = FistaScratch::new();
+        // Warm-up: sizes the lanes and the temporaries.
+        fista
+            .solve_joint(&mut scratch, &phis, &ys, &lips)
+            .expect("solves");
+        let before = allocs();
+        let solves = fista
+            .solve_joint(&mut scratch, &phis, &ys, &lips)
+            .expect("solves");
+        (allocs() - before, solves.iter().map(|s| s.iters).sum())
+    };
+    for continuation in [None, Some(schedule)] {
+        let (short, short_iters) = joint_allocs(20, continuation);
+        let (long, long_iters) = joint_allocs(400, continuation);
+        assert_eq!((short_iters, long_iters), (3 * 20, 3 * 400));
+        assert_eq!(
+            (short, long),
+            (4, 4),
+            "a warm joint solve of 3 leads allocated {short} times at 20 iterations \
+             and {long} at 400 (continuation: {continuation:?}); it must allocate only \
+             its result"
         );
     }
 }

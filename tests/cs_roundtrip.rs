@@ -5,9 +5,8 @@ use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::MonitorBuilder;
 use wbsn_core::payload::Payload;
 use wbsn_cs::encoder::CsEncoder;
-use wbsn_cs::joint::{GroupFista, GroupFistaConfig};
 use wbsn_cs::measurements_for_cr;
-use wbsn_cs::solver::{Fista, FistaConfig};
+use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch};
 use wbsn_ecg_synth::noise::NoiseConfig;
 use wbsn_ecg_synth::RecordBuilder;
 use wbsn_sigproc::stats::snr_db;
@@ -84,10 +83,12 @@ fn joint_multi_lead_beats_independent_at_high_cr() {
         let xr = single.reconstruct_f64(&phis[l], &ys[l]).unwrap();
         snr_single += snr_db(&xs[l], &xr) / 3.0;
     }
-    let joint = GroupFista::new(GroupFistaConfig::default());
     let refs: Vec<&SparseTernaryMatrix> = phis.iter().collect();
-    let xr = joint.reconstruct(&refs, &ys).unwrap();
-    let snr_joint: f64 = (0..3).map(|l| snr_db(&xs[l], &xr[l])).sum::<f64>() / 3.0;
+    let lips: Vec<f64> = phis.iter().map(|p| single.lipschitz(p).unwrap()).collect();
+    let xr = single
+        .solve_joint(&mut FistaScratch::new(), &refs, &ys, &lips)
+        .unwrap();
+    let snr_joint: f64 = (0..3).map(|l| snr_db(&xs[l], &xr[l].x)).sum::<f64>() / 3.0;
     assert!(
         snr_joint > snr_single + 1.0,
         "joint {snr_joint:.1} dB vs single {snr_single:.1} dB"
