@@ -1359,17 +1359,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn degenerate_configs_are_typed_errors_before_any_work() {
-        let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
-        let y: Vec<f64> = enc
-            .encode(&ecg_like(128))
-            .unwrap()
-            .iter()
-            .map(|&v| v as f64)
-            .collect();
+    /// One configuration per way a [`FistaConfig`] can be degenerate,
+    /// each with the parameter its error names.
+    fn degenerate_configs() -> [(&'static str, FistaConfig); 10] {
         let base = FistaConfig::default();
-        let cases = [
+        [
             ("levels", FistaConfig { levels: 0, ..base }),
             ("levels", FistaConfig { levels: 64, ..base }),
             (
@@ -1422,14 +1416,25 @@ mod tests {
                     ..base
                 },
             ),
-        ];
-        for (what, cfg) in cases {
+        ]
+    }
+
+    #[test]
+    fn degenerate_configs_are_typed_errors_before_any_work() {
+        let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
+        let y: Vec<f64> = enc
+            .encode(&ecg_like(128))
+            .unwrap()
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        for (what, cfg) in degenerate_configs() {
             assert!(
                 matches!(cfg.validate(), Err(CsError::InvalidParameter { what: w, .. }) if w == what),
                 "{cfg:?}"
             );
-            // Measurements of the wrong length, and a joint solve of no
-            // leads, too: the configuration is checked before the input.
+            // Measurements of the wrong length too: the configuration
+            // is checked before the input.
             for y in [&y[..], &y[1..]] {
                 let err = Fista::new(cfg).solve(enc.sensing_matrix(), y).unwrap_err();
                 assert!(
@@ -1437,6 +1442,21 @@ mod tests {
                     "{cfg:?}: {err:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn joint_degenerate_configs_are_typed_errors_before_any_work() {
+        let enc = CsEncoder::new(128, 64, 4, 3).unwrap();
+        let y: Vec<f64> = enc
+            .encode(&ecg_like(128))
+            .unwrap()
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        for (what, cfg) in degenerate_configs() {
+            // Mis-sized measurements, and a joint solve of no leads, too:
+            // the configuration is checked before the input.
             for ys in [vec![&y[..]], vec![&y[1..]], Vec::new()] {
                 let err = Fista::new(cfg)
                     .solve_joint(
@@ -1452,6 +1472,17 @@ mod tests {
                 );
             }
         }
+        // The base configuration itself solves.
+        let fista = Fista::new(FistaConfig::default());
+        let lip = fista.lipschitz(enc.sensing_matrix()).unwrap();
+        assert!(fista
+            .solve_joint(
+                &mut FistaScratch::new(),
+                &[enc.sensing_matrix()],
+                &[&y[..]],
+                &[lip]
+            )
+            .is_ok());
     }
 
     #[test]
