@@ -9,7 +9,9 @@
 //! moves. `cohort/synth_smoke` renders every script of the same plans
 //! with `Script::record` and nothing else, so the synthetic workload's
 //! share of `cohort/smoke` reads off as its own line: it is the input
-//! the system is fed, not cost of the system.
+//! the system is fed, not cost of the system. `cohort/noise_emg_7500`
+//! prices the largest noise source alone: one 30 s, 250 Hz EMG trace
+//! through `NoiseConfig::generate`.
 //!
 //! Alongside the timings, one measured run prints the cohort-level
 //! quality numbers as `{"bench": "cohort/<metric>", "value": ...}`
@@ -21,7 +23,10 @@
 //! just slower.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use wbsn::cohort::{CohortReport, CohortRunConfig, CohortRunner, SessionPlan};
+use wbsn::ecg_synth::noise::{NoiseConfig, NoiseKind};
 
 fn run_smoke(workers: usize) -> CohortReport {
     let cfg = CohortRunConfig {
@@ -90,6 +95,14 @@ fn bench_cohort(c: &mut Criterion) {
     g.bench_function("smoke", |b| b.iter(|| run_smoke(black_box(2))));
     let plans = CohortRunner::new(CohortRunConfig::smoke()).plans();
     g.bench_function("synth_smoke", |b| b.iter(|| synthesize(black_box(&plans))));
+    let emg = NoiseConfig {
+        sources: vec![(NoiseKind::Emg, 1.0)],
+        snr_db: Some(18.0),
+    };
+    let mut rng = StdRng::seed_from_u64(7);
+    g.bench_function("noise_emg_7500", |b| {
+        b.iter(|| emg.generate(black_box(7_500), 250.0, 0.04, &mut rng))
+    });
     for workers in [1usize, 4] {
         g.bench_function(format!("smoke_w{workers}"), |b| {
             b.iter(|| run_smoke(black_box(workers)))

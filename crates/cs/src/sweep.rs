@@ -47,6 +47,10 @@ pub struct SweepPoint {
 }
 
 /// Averaged single-lead SNR at each CR (the "Single-Lead CS" series).
+/// Φ is fixed per CR, so its Lipschitz constant is computed once per CR
+/// and every window is solved by [`Fista::solve_with`] on one reused
+/// scratch: the same samples, bit for bit, as [`Fista::reconstruct`]
+/// per window.
 ///
 /// # Errors
 ///
@@ -57,17 +61,22 @@ pub fn snr_vs_cr_single(
     cfg: &SweepConfig,
 ) -> Result<Vec<SweepPoint>> {
     let solver = Fista::new(cfg.fista);
+    let mut scratch = FistaScratch::new();
+    let mut y = Vec::new();
     let mut out = Vec::with_capacity(crs.len());
     for &cr in crs {
         let m = measurements_for_cr(cfg.window, cr);
         let enc = CsEncoder::new(cfg.window, m, cfg.d_per_col, cfg.seed)?;
+        let phi = enc.sensing_matrix();
+        let lip = solver.lipschitz(phi)?;
         let mut snr_sum = 0.0;
         let mut count = 0usize;
         for rec in records {
             for lead_idx in 0..rec.n_leads() {
                 for win in windows(rec.lead(lead_idx), cfg.window) {
-                    let y = enc.encode(win)?;
-                    let xr = solver.reconstruct(&enc, &y)?;
+                    enc.encode_into(win, &mut y)?;
+                    let yf: Vec<f64> = y.iter().map(|&v| v as f64).collect();
+                    let xr = solver.solve_with(&mut scratch, phi, &yf, lip)?.x;
                     let xf: Vec<f64> = win.iter().map(|&v| v as f64).collect();
                     if xf.iter().all(|&v| v == 0.0) {
                         continue;
@@ -88,7 +97,8 @@ pub fn snr_vs_cr_single(
 /// Averaged joint multi-lead SNR at each CR (the "Multi-Lead CS"
 /// series), each window's leads solved together by
 /// [`Fista::solve_joint`]. Each lead gets its own sensing matrix
-/// (rotated seed).
+/// (rotated seed), built with its Lipschitz constant once per CR for
+/// the most leads any record has.
 ///
 /// # Errors
 ///
@@ -100,28 +110,29 @@ pub fn snr_vs_cr_joint(
 ) -> Result<Vec<SweepPoint>> {
     let solver = Fista::new(cfg.fista);
     let mut scratch = FistaScratch::new();
+    let max_leads = records.iter().map(Record::n_leads).max().unwrap_or(0);
     let mut out = Vec::with_capacity(crs.len());
     for &cr in crs {
         let m = measurements_for_cr(cfg.window, cr);
+        let phis: Vec<SparseTernaryMatrix> = (0..max_leads)
+            .map(|l| {
+                SparseTernaryMatrix::random(
+                    m,
+                    cfg.window,
+                    cfg.d_per_col,
+                    cfg.seed.wrapping_add(l as u64),
+                )
+            })
+            .collect::<core::result::Result<_, _>>()?;
+        let phi_refs: Vec<&SparseTernaryMatrix> = phis.iter().collect();
+        let lips = phis
+            .iter()
+            .map(|phi| solver.lipschitz(phi))
+            .collect::<Result<Vec<f64>>>()?;
         let mut snr_sum = 0.0;
         let mut count = 0usize;
         for rec in records {
             let n_leads = rec.n_leads();
-            let phis: Vec<SparseTernaryMatrix> = (0..n_leads)
-                .map(|l| {
-                    SparseTernaryMatrix::random(
-                        m,
-                        cfg.window,
-                        cfg.d_per_col,
-                        cfg.seed.wrapping_add(l as u64),
-                    )
-                })
-                .collect::<core::result::Result<_, _>>()?;
-            let phi_refs: Vec<&SparseTernaryMatrix> = phis.iter().collect();
-            let lips = phis
-                .iter()
-                .map(|phi| solver.lipschitz(phi))
-                .collect::<Result<Vec<f64>>>()?;
             let n_wins = rec.n_samples() / cfg.window;
             for wi in 0..n_wins {
                 let lo = wi * cfg.window;
@@ -130,7 +141,12 @@ pub fn snr_vs_cr_joint(
                     .map(|l| rec.lead(l)[lo..hi].iter().map(|&v| v as f64).collect())
                     .collect();
                 let ys: Vec<Vec<f64>> = (0..n_leads).map(|l| phis[l].apply(&xs[l])).collect();
-                let xr = solver.solve_joint(&mut scratch, &phi_refs, &ys, &lips)?;
+                let xr = solver.solve_joint(
+                    &mut scratch,
+                    &phi_refs[..n_leads],
+                    &ys,
+                    &lips[..n_leads],
+                )?;
                 for l in 0..n_leads {
                     if xs[l].iter().all(|&v| v == 0.0) {
                         continue;
@@ -178,7 +194,9 @@ fn windows(x: &[i32], w: usize) -> impl Iterator<Item = &[i32]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wbsn_ecg_synth::noise::NoiseConfig;
     use wbsn_ecg_synth::suite::cs_eval_suite;
+    use wbsn_ecg_synth::RecordBuilder;
 
     fn tiny_cfg() -> SweepConfig {
         let mut cfg = SweepConfig {
@@ -199,6 +217,67 @@ mod tests {
             pts[0].snr_db,
             pts[1].snr_db
         );
+    }
+
+    /// `snr_vs_cr_single` as it was: every window through
+    /// [`Fista::reconstruct`], with its own Lipschitz constant and
+    /// scratch.
+    fn snr_vs_cr_single_per_window(
+        records: &[Record],
+        crs: &[f64],
+        cfg: &SweepConfig,
+    ) -> Vec<SweepPoint> {
+        let solver = Fista::new(cfg.fista);
+        crs.iter()
+            .map(|&cr| {
+                let m = measurements_for_cr(cfg.window, cr);
+                let enc = CsEncoder::new(cfg.window, m, cfg.d_per_col, cfg.seed).unwrap();
+                let mut snr_sum = 0.0;
+                let mut count = 0usize;
+                for rec in records {
+                    for lead_idx in 0..rec.n_leads() {
+                        for win in windows(rec.lead(lead_idx), cfg.window) {
+                            let y = enc.encode(win).unwrap();
+                            let xr = solver.reconstruct(&enc, &y).unwrap();
+                            let xf: Vec<f64> = win.iter().map(|&v| v as f64).collect();
+                            if xf.iter().all(|&v| v == 0.0) {
+                                continue;
+                            }
+                            snr_sum += snr_db(&xf, &xr);
+                            count += 1;
+                        }
+                    }
+                }
+                SweepPoint {
+                    cr_percent: enc.cr_percent(),
+                    snr_db: snr_sum / count.max(1) as f64,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hoisted_single_sweep_matches_per_window_reconstruct_bit_for_bit() {
+        // Two short 3-lead records: 30 windows per CR.
+        let recs: Vec<Record> = (0..2)
+            .map(|i| {
+                RecordBuilder::new(11 + i)
+                    .duration_s(3.6)
+                    .n_leads(3)
+                    .noise(NoiseConfig::ambulatory(40.0))
+                    .build()
+            })
+            .collect();
+        let cfg = tiny_cfg();
+        let crs = [30.0, 80.0];
+        let bits = |pts: &[SweepPoint]| -> Vec<(u64, u64)> {
+            pts.iter()
+                .map(|p| (p.cr_percent.to_bits(), p.snr_db.to_bits()))
+                .collect()
+        };
+        let got = snr_vs_cr_single(&recs, &crs, &cfg).unwrap();
+        let want = snr_vs_cr_single_per_window(&recs, &crs, &cfg);
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

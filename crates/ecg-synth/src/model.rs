@@ -311,17 +311,31 @@ impl Default for AdcModel {
 }
 
 impl AdcModel {
-    /// Quantizes a millivolt value, saturating at full scale.
+    /// Quantizes a millivolt value: `mv·gain` rounded half away from
+    /// zero, saturating at full scale (NaN reads 0).
+    ///
+    /// The rounding is done without libm's `round`, which the baseline
+    /// x86-64 target reaches only through a call: the value is clamped
+    /// to `±(full + 1)`, truncated, and moved one count away from zero
+    /// when the fraction cut off (exact, `x − trunc x`) is at least a
+    /// half. That is `round` for every input, NaN and ±∞ included.
+    #[inline]
     pub fn quantize(&self, mv: f64) -> i32 {
         let full = (1i32 << (self.bits - 1)) - 1;
-        let v = (mv * self.gain).round();
-        if v > full as f64 {
-            full
-        } else if v < -(full as f64) {
-            -full
+        let limit = f64::from(full) + 1.0;
+        let x = mv * self.gain;
+        // NaN fails both tests and stays NaN; `as` then reads it as 0.
+        let x = if x > limit {
+            limit
+        } else if x < -limit {
+            -limit
         } else {
-            v as i32
-        }
+            x
+        };
+        let t = x as i64;
+        let frac = x - t as f64;
+        let v = t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5);
+        v.clamp(-i64::from(full), i64::from(full)) as i32
     }
 
     /// Converts counts back to millivolts.
@@ -419,6 +433,85 @@ mod tests {
         assert_eq!(adc.quantize(100.0), 2047);
         assert_eq!(adc.quantize(-100.0), -2047);
         assert!((adc.to_mv(200) - 1.0).abs() < 1e-12);
+    }
+
+    /// `quantize` as it was, through libm's `round`: the oracle.
+    fn quantize_round(adc: &AdcModel, mv: f64) -> i32 {
+        let full = (1i32 << (adc.bits - 1)) - 1;
+        let v = (mv * adc.gain).round();
+        if v > full as f64 {
+            full
+        } else if v < -(full as f64) {
+            -full
+        } else {
+            v as i32
+        }
+    }
+
+    /// ADC widths checked: the default 12 bits used by every record,
+    /// and every width the shift admits.
+    const WIDTHS: core::ops::Range<u32> = 1..32;
+
+    #[test]
+    fn quantize_matches_libm_round_on_the_edges() {
+        for bits in WIDTHS {
+            // Gain 1 puts the edges at the given count values exactly.
+            let adc = AdcModel { gain: 1.0, bits };
+            let full = f64::from((1i32 << (bits - 1)) - 1);
+            let mut xs = vec![
+                0.0,
+                -0.0,
+                f64::MIN_POSITIVE,
+                -f64::MIN_POSITIVE,
+                f64::from_bits(1),
+                -f64::from_bits(1),
+                f64::MAX,
+                f64::MIN,
+                1e300,
+                -1e300,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                -f64::NAN,
+                0.49999999999999994,
+                -0.49999999999999994,
+            ];
+            let halves = (0..40).map(f64::from).chain([
+                full - 1.0,
+                full,
+                full + 1.0,
+                2f64.powi(52) - 1.0,
+                2f64.powi(52),
+                2f64.powi(53),
+            ]);
+            for k in halves {
+                for x in [k + 0.5, k, full + 0.5, full - 0.5, full + 1.0] {
+                    for x in [x, -x] {
+                        xs.extend([x.next_down(), x, x.next_up()]);
+                    }
+                }
+            }
+            for x in xs {
+                assert_eq!(
+                    adc.quantize(x),
+                    quantize_round(&adc, x),
+                    "{bits} bits, x = {x:e}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn quantize_matches_libm_round(mv in -30.0f64..30.0, bits in WIDTHS) {
+            let adc = AdcModel { bits, ..AdcModel::default() };
+            proptest::prop_assert_eq!(adc.quantize(mv), quantize_round(&adc, mv));
+            // The same value nudged onto a half-count boundary.
+            let on_half = ((mv * adc.gain).trunc() + 0.5) / adc.gain;
+            proptest::prop_assert_eq!(adc.quantize(on_half), quantize_round(&adc, on_half));
+        }
     }
 
     #[test]

@@ -23,6 +23,18 @@
 //! count, so no digitized sample moves. The per-sample forms are kept
 //! as test oracles; the fibrillatory and flutter waves add to the
 //! clean trace and are rendered per sample.
+//!
+//! # Which Gaussian draw feeds what
+//!
+//! Both draws are Box–Muller on the same `(u1, u2)` pairs in the same
+//! order, so they consume the generator alike. EMG noise, which only
+//! reaches a record through the ADC, draws through `gauss_fill`: a
+//! block of pairs at a time, through branch-free `ln` and `cos` kernels
+//! after fdlibm, within `4·ε·(|g| + 1)` of the libm draw `g` and
+//! independent of the platform's libm. The scalar `gauss` keeps libm
+//! for the RR jitter of `rhythm.rs` and the PPG noise of `ppg.rs`:
+//! jitter sets beat times and so the pinned clean trace, where an ulp
+//! could move a sample.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -205,20 +217,25 @@ fn powerline(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
 
 /// Broadband EMG: white Gaussian noise high-passed by first difference
 /// then lightly smoothed (concentrates energy in the 20–100 Hz band).
-/// The `n + 2` white samples are drawn in order through a rolling
-/// three-value window, so no white-noise buffer is kept.
+/// The `n + 2` white samples are drawn in order by [`gauss_fill`], at
+/// most [`GAUSS_BLOCK`] at a time into a stack block, and pass through
+/// a rolling three-value window, so no white-noise buffer is kept.
 fn emg(n: usize, rng: &mut StdRng) -> Vec<f64> {
-    let mut w0 = gauss(rng);
-    let mut w1 = gauss(rng);
-    (0..n)
-        .map(|_| {
-            let w2 = gauss(rng);
+    let mut out = Vec::with_capacity(n);
+    let mut white = [0.0; GAUSS_BLOCK];
+    gauss_fill(rng, &mut white[..2]);
+    let [mut w0, mut w1] = [white[0], white[1]];
+    for start in (0..n).step_by(GAUSS_BLOCK) {
+        let block = &mut white[..(n - start).min(GAUSS_BLOCK)];
+        gauss_fill(rng, block);
+        for &w2 in &*block {
             let d1 = w1 - w0;
             let d2 = w2 - w1;
             (w0, w1) = (w1, w2);
-            0.5 * (d1 + d2)
-        })
-        .collect()
+            out.push(0.5 * (d1 + d2));
+        }
+    }
+    out
 }
 
 /// Sparse smooth transients at Poisson times (electrode motion).
@@ -246,11 +263,138 @@ fn electrode_motion(n: usize, fs_hz: f64, rng: &mut StdRng) -> Vec<f64> {
 }
 
 /// Standard normal via Box–Muller: draws `u1` then `u2`, uses only the
-/// cosine branch. The one Gaussian draw of the crate.
+/// cosine branch, through libm `ln` and `cos`. The RR jitter of
+/// `rhythm.rs` and the PPG noise of `ppg.rs` draw here; EMG noise draws
+/// the same pairs through [`gauss_fill`] (the module docs say why).
 pub(crate) fn gauss(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen::<f64>().max(1e-12);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
+}
+
+/// Gaussians per block of [`gauss_fill`]: one block's uniforms sit on
+/// the stack between the draw and the transform.
+const GAUSS_BLOCK: usize = 64;
+
+/// Fills `out` with standard normals, [`GAUSS_BLOCK`] at a time: each
+/// block first draws its `(u1, u2)` pairs in [`gauss`]'s order, then
+/// maps them all through `sqrt(−2·ln u1)·cos(τ·u2)` with the
+/// branch-free [`ln_unit`] and [`cos_reduced`] in place of libm. So it
+/// consumes the generator exactly as `out.len()` calls of [`gauss`]
+/// would, and each value lies within `4·ε·(|g| + 1)` of that call's
+/// `g` (the tests hold it there). It feeds the EMG source, whose
+/// noise only ever reaches a record through the ADC.
+fn gauss_fill(rng: &mut StdRng, out: &mut [f64]) {
+    let mut u2 = [0.0; GAUSS_BLOCK];
+    for block in out.chunks_mut(GAUSS_BLOCK) {
+        for (u1, u2) in block.iter_mut().zip(&mut u2) {
+            *u1 = rng.gen::<f64>().max(1e-12);
+            *u2 = rng.gen();
+        }
+        for (g, &u2) in block.iter_mut().zip(&u2) {
+            *g = (-2.0 * ln_unit(*g)).sqrt() * cos_reduced(core::f64::consts::TAU * u2);
+        }
+    }
+}
+
+/// `ln 2` split as in fdlibm: `LN2_HI` has its low 32 bits zero, so
+/// `k·LN2_HI` is exact for any exponent `k`.
+const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000);
+const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76);
+/// fdlibm's minimax coefficients of `(ln(1+f) − f + f²/2)/s` in
+/// `z = s²`, `s = f/(2+f)`.
+const LG: [f64; 7] = [
+    f64::from_bits(0x3FE5_5555_5555_5593),
+    f64::from_bits(0x3FD9_9999_9997_FA04),
+    f64::from_bits(0x3FD2_4924_9422_9359),
+    f64::from_bits(0x3FCC_71C5_1D8E_78AF),
+    f64::from_bits(0x3FC7_4664_96CB_03DE),
+    f64::from_bits(0x3FC3_9A09_D078_C69F),
+    f64::from_bits(0x3FC2_F112_DF3E_5244),
+];
+
+/// Natural log of a positive normal `x`, after fdlibm's `log` as musl
+/// writes it: `x = 2^k·(1 + f)` with `1 + f` in `[√2/2, √2)`, found by
+/// integer arithmetic on the high word, then
+/// `ln x = k·ln 2 + f − f²/2 + s·(f²/2 + R(s²))`. Error under one ulp.
+/// No branch: zero, negatives, subnormals, ∞ and NaN are not handled,
+/// and [`gauss_fill`] passes only `u1` in `[1e-12, 1)`.
+fn ln_unit(x: f64) -> f64 {
+    let bits = x.to_bits();
+    // The offset carries into the exponent exactly when the significand
+    // is at least √2, which halves it into [√2/2, 1) and bumps `k`.
+    let hx = ((bits >> 32) as u32).wrapping_add(0x3FF0_0000 - 0x3FE6_A09E);
+    let k = f64::from((hx >> 20) as i32 - 0x3FF);
+    let hx = (hx & 0x000F_FFFF) + 0x3FE6_A09E;
+    let f = f64::from_bits(u64::from(hx) << 32 | (bits & 0xFFFF_FFFF)) - 1.0;
+    let hfsq = 0.5 * f * f;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG[1] + w * (LG[3] + w * LG[5]));
+    let t2 = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
+    let r = t2 + t1;
+    s * (hfsq + r) + k * LN2_LO - hfsq + f + k * LN2_HI
+}
+
+/// `2/π`, and `π/2` split for Cody–Waite reduction: `PIO2_1` is its
+/// first 33 bits, so `n·PIO2_1` is exact for small `n`, and
+/// `PIO2_1T = π/2 − PIO2_1` to double precision.
+const INV_PIO2: f64 = f64::from_bits(0x3FE4_5F30_6DC9_C883);
+const PIO2_1: f64 = f64::from_bits(0x3FF9_21FB_5440_0000);
+const PIO2_1T: f64 = f64::from_bits(0x3DD0_B461_1A62_6331);
+/// fdlibm's `__cos` and `__sin` kernel coefficients, valid on
+/// `|r| ≤ π/4`.
+const COS_C: [f64; 6] = [
+    f64::from_bits(0x3FA5_5555_5555_554C),
+    f64::from_bits(0xBF56_C16C_16C1_5177),
+    f64::from_bits(0x3EFA_01A0_19CB_1590),
+    f64::from_bits(0xBE92_7E4F_809C_52AD),
+    f64::from_bits(0x3E21_EE9E_BDB4_B1C4),
+    f64::from_bits(0xBDA8_FAE9_BE88_38D4),
+];
+const SIN_S: [f64; 6] = [
+    f64::from_bits(0xBFC5_5555_5555_5549),
+    f64::from_bits(0x3F81_1111_1110_F8A6),
+    f64::from_bits(0xBF2A_01A0_19C1_61D5),
+    f64::from_bits(0x3EC7_1DE3_57B1_FE7D),
+    f64::from_bits(0xBE5A_E5E6_8A2B_9CEB),
+    f64::from_bits(0x3DE5_D93A_5ACF_D57C),
+];
+
+/// `cos x` for `0 ≤ x ≤ τ`, after fdlibm/musl: the one-round Cody–Waite
+/// reduction `x = n·π/2 + (y0 + y1)` (musl's `__rem_pio2` medium case,
+/// good to ≈85 bits here), then both the `__cos` and `__sin` kernels on
+/// `y0 + y1`. The quadrant `n mod 4` picks the kernel (`sin` when `n`
+/// is odd) and the sign (negative for `n mod 4` in {1, 2}) by bit
+/// masks, so no branch depends on `x`. Error about one ulp of the
+/// result.
+fn cos_reduced(x: f64) -> f64 {
+    // Adding 1.5·2^52 rounds `x·2/π` to an integer held in the low
+    // mantissa bits: `n mod 4` is their last two bits.
+    const TOINT: f64 = 1.5 / f64::EPSILON;
+    let t = x * INV_PIO2 + TOINT;
+    let n = t.to_bits();
+    let fnum = t - TOINT;
+    let r = x - fnum * PIO2_1;
+    let w = fnum * PIO2_1T;
+    let y0 = r - w;
+    let y1 = (r - y0) - w;
+    let z = y0 * y0;
+    let zz = z * z;
+    // __cos(y0, y1)
+    let rc = z * (COS_C[0] + z * (COS_C[1] + z * COS_C[2]))
+        + zz * zz * (COS_C[3] + z * (COS_C[4] + z * COS_C[5]));
+    let hz = 0.5 * z;
+    let one_hz = 1.0 - hz;
+    let c = one_hz + (((1.0 - one_hz) - hz) + (z * rc - y0 * y1));
+    // __sin(y0, y1, 1)
+    let rs = SIN_S[1] + z * (SIN_S[2] + z * SIN_S[3]) + z * zz * (SIN_S[4] + z * SIN_S[5]);
+    let v = z * y0;
+    let s = y0 - ((z * (0.5 * y1 - v * rs) - y1) - v * SIN_S[0]);
+    let odd = 0u64.wrapping_sub(n & 1);
+    let negate = (n.wrapping_add(1) & 2) << 62;
+    f64::from_bits(((c.to_bits() & !odd) | (s.to_bits() & odd)) ^ negate)
 }
 
 /// Continuous fibrillatory wave (f-wave) replacing the P wave during
@@ -465,9 +609,11 @@ mod tests {
 
     #[test]
     fn streamed_emg_matches_the_buffered_form_bit_for_bit() {
-        // The buffered form `emg` replaced, kept as the oracle.
+        // The buffered form `emg` replaced, kept as the oracle: all
+        // `n + 2` white values drawn by one `gauss_fill` call.
         fn emg_buffered(n: usize, rng: &mut StdRng) -> Vec<f64> {
-            let white: Vec<f64> = (0..n + 2).map(|_| gauss(rng)).collect();
+            let mut white = vec![0.0; n + 2];
+            gauss_fill(rng, &mut white);
             (0..n)
                 .map(|i| {
                     let d1 = white[i + 1] - white[i];
@@ -477,7 +623,7 @@ mod tests {
                 .collect()
         }
         for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
-            for n in [0usize, 1, 2, 3, 7, 250, 7500] {
+            for n in [0usize, 1, 2, 3, 7, 62, 63, 64, 65, 250, 7500] {
                 let (mut a, mut b) = (rng(seed), rng(seed));
                 let streamed: Vec<u64> = emg(n, &mut a).iter().map(|v| v.to_bits()).collect();
                 let buffered: Vec<u64> = emg_buffered(n, &mut b)
@@ -487,6 +633,72 @@ mod tests {
                 assert_eq!(streamed, buffered, "seed {seed} n {n}");
                 // Both drew exactly n + 2 Gaussians.
                 assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "seed {seed} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn block_gaussians_stay_within_bound_of_the_libm_draw() {
+        // Each value within 4·ε·(|g| + 1) of the scalar libm draw `g`,
+        // and both forms consume the generator alike.
+        let mut worst = 0.0f64;
+        for seed in [0u64, 1, 42, 0xDEAD_BEEF, 0xC0FFEE] {
+            for n in [0usize, 1, 63, 64, 65, 7_500] {
+                let (mut a, mut b) = (rng(seed), rng(seed));
+                let mut got = vec![0.0; n + 2];
+                gauss_fill(&mut a, &mut got);
+                for (i, &v) in got.iter().enumerate() {
+                    let g = gauss(&mut b);
+                    let bound = 4.0 * f64::EPSILON * (g.abs() + 1.0);
+                    let d = (v - g).abs();
+                    worst = worst.max(d / bound);
+                    assert!(
+                        d <= bound,
+                        "seed {seed} n {n} draw {i}: |{v} − {g}| = {d:e}"
+                    );
+                }
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "seed {seed} n {n}");
+            }
+        }
+        // The kernels are not the libm calls: some draw must differ,
+        // or this test compares libm with itself.
+        assert!(worst > 0.0);
+    }
+
+    #[test]
+    fn ln_and_cos_kernels_track_libm() {
+        // Over the arguments `gauss_fill` passes: `u1` on the generator's
+        // 2^-53 grid in [1e-12, 1), and τ·u2 over [0, τ), plus the ends
+        // and the quadrant boundaries. `ln` within an ulp; `cos` within
+        // an ulp plus 2^-80, the one-round reduction's absolute error,
+        // which shows where the result cancels near a multiple of π/2.
+        let tau = core::f64::consts::TAU;
+        let cos_ok = |x: f64| {
+            let (got, want) = (cos_reduced(x), x.cos());
+            let d = (got - want).abs();
+            assert!(
+                d <= f64::EPSILON * want.abs() + 2f64.powi(-80),
+                "cos({x:e}) = {got:e}, libm {want:e}"
+            );
+        };
+        let mut r = rng(9);
+        let mut us: Vec<f64> = (0..200_000).map(|_| r.gen::<f64>()).collect();
+        us.extend([0.0, 1e-12, 0.25, 0.5, 0.75, 1.0 - f64::EPSILON / 2.0]);
+        for &u in &us {
+            let u1 = u.max(1e-12);
+            let (got, want) = (ln_unit(u1), u1.ln());
+            assert!(
+                (got - want).abs() <= f64::EPSILON * want.abs(),
+                "ln({u1:e}) = {got:e}, libm {want:e}"
+            );
+            cos_ok(tau * u);
+        }
+        for q in 0..=4 {
+            let x = f64::from(q) * core::f64::consts::FRAC_PI_2;
+            for x in [x.next_down(), x, x.next_up()] {
+                if (0.0..=tau).contains(&x) {
+                    cos_ok(x);
+                }
             }
         }
     }
