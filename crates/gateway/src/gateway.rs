@@ -1276,7 +1276,10 @@ mod tests {
             )
             .unwrap();
         uplink.frame(1, &payloads, &mut packets).unwrap();
-        let mut gw = Gateway::default();
+        let mut gw = Gateway::new(GatewayConfig {
+            tap: true,
+            ..GatewayConfig::default()
+        });
         let mut events = Vec::new();
         for p in &packets {
             events.extend(gw.ingest(p).unwrap());
@@ -1285,9 +1288,377 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, GatewayEvent::AfAlert { session: 1, .. })));
-        let rhythm = gw.rhythm(1).unwrap();
-        assert!(!rhythm.alerts.is_empty());
-        assert!(rhythm.events_seen > 0);
+        let tap = gw.drain_tap();
+        let rhythm: Vec<&TapItem> = tap
+            .iter()
+            .filter(|(session, _)| *session == 1)
+            .flat_map(|(_, items)| items)
+            .filter(|item| matches!(item, TapItem::Rhythm { .. }))
+            .collect();
+        assert!(!rhythm.is_empty());
+        assert!(rhythm.iter().any(|item| matches!(
+            item,
+            TapItem::Rhythm {
+                af_active: true,
+                ..
+            }
+        )));
+    }
+
+    /// Session of the decode-path pin and its handshake.
+    const PIN_SESSION: u64 = 7;
+
+    fn pin_handshake() -> SessionHandshake {
+        SessionHandshake {
+            version: wbsn_core::link::PROTOCOL_VERSION,
+            session: PIN_SESSION,
+            fs_hz: 250,
+            n_leads: 1,
+            cs_window: 256,
+            cs_measurements: 128,
+            cs_d_per_col: 4,
+            seed: 11,
+        }
+    }
+
+    fn pin_events(mean_hr_x10: u16, af_active: bool) -> Payload {
+        Payload::Events {
+            n_beats: 3,
+            class_counts: [3, 0, 0, 0],
+            mean_hr_x10,
+            af_burden_pct: if af_active { 40 } else { 0 },
+            af_active,
+        }
+    }
+
+    fn pin_rhythm(msg_seq: u32, mean_hr_x10: u16, af_active: bool) -> TapItem {
+        TapItem::Rhythm {
+            msg_seq,
+            n_beats: 3,
+            mean_hr_x10,
+            af_burden_pct: if af_active { 40 } else { 0 },
+            af_active,
+        }
+    }
+
+    /// A gateway with a short reorder window (a message is declared
+    /// lost once two later ones arrived) and recovery on.
+    fn pin_gateway() -> Gateway {
+        Gateway::new(GatewayConfig {
+            reorder_window: 2,
+            recovery_window: 8,
+            tap: true,
+            ..GatewayConfig::default()
+        })
+    }
+
+    /// Ingests `order` (indices into `packets`, one packet per
+    /// message) and flushes; returns the events and the drained tap.
+    fn pin_ingest(
+        gw: &mut Gateway,
+        packets: &[Vec<u8>],
+        order: &[usize],
+    ) -> (Vec<GatewayEvent>, Vec<(u64, Vec<TapItem>)>) {
+        let mut events = Vec::new();
+        for &i in order {
+            events.extend(gw.ingest(&packets[i]).unwrap());
+        }
+        events.extend(gw.flush_sessions());
+        (events, gw.drain_tap())
+    }
+
+    #[test]
+    fn decode_path_is_pinned() {
+        let s = PIN_SESSION;
+        let hs = pin_handshake();
+
+        // (a) An in-order handshake and payload.
+        let mut framer = wbsn_core::link::LinkFramer::new(s);
+        let mut packets = Vec::new();
+        framer.frame_handshake(&hs, &mut packets).unwrap();
+        framer
+            .frame_payload(&pin_events(700, false), &mut packets)
+            .unwrap();
+        let mut gw = pin_gateway();
+        let (events, tap) = pin_ingest(&mut gw, &packets, &[0, 1]);
+        assert_eq!(events, vec![GatewayEvent::SessionOpened { session: s }]);
+        assert_eq!(
+            tap,
+            vec![(s, vec![TapItem::Handshake(hs), pin_rhythm(1, 700, false)])]
+        );
+        assert_eq!(
+            gw.stats(),
+            GatewayStats {
+                packets: 2,
+                payloads: 1,
+                ..GatewayStats::default()
+            }
+        );
+
+        // (b) A lost-then-recovered `Events` payload: it counts as a
+        // payload and a recovery, its own items follow the recovery,
+        // and the next pump's ACK covers it.
+        let mut framer = wbsn_core::link::LinkFramer::new(s);
+        let mut packets = Vec::new();
+        framer.frame_handshake(&hs, &mut packets).unwrap();
+        framer
+            .frame_payload(&pin_events(710, true), &mut packets)
+            .unwrap();
+        framer
+            .frame_payload(&pin_events(720, false), &mut packets)
+            .unwrap();
+        framer
+            .frame_payload(&pin_events(730, false), &mut packets)
+            .unwrap();
+        let mut gw = pin_gateway();
+        let (events, tap) = pin_ingest(&mut gw, &packets, &[0, 2, 3]);
+        assert_eq!(
+            events,
+            vec![
+                GatewayEvent::SessionOpened { session: s },
+                GatewayEvent::MessageLost {
+                    session: s,
+                    first_seq: 1,
+                    count: 1
+                },
+            ]
+        );
+        assert_eq!(
+            tap,
+            vec![(
+                s,
+                vec![
+                    TapItem::Handshake(hs),
+                    TapItem::Lost {
+                        first_seq: 1,
+                        count: 1
+                    },
+                    pin_rhythm(2, 720, false),
+                    pin_rhythm(3, 730, false),
+                ]
+            )]
+        );
+        let nack = DownlinkFrame::Nack {
+            cum_ack: 1,
+            missing: vec![1],
+        };
+        assert_eq!(gw.pump_downlink(), vec![(s, vec![nack.to_wire(s, 0)])]);
+        let (events, tap) = pin_ingest(&mut gw, &packets, &[1]);
+        assert_eq!(
+            events,
+            vec![
+                GatewayEvent::MessageRecovered {
+                    session: s,
+                    msg_seq: 1
+                },
+                GatewayEvent::AfAlert {
+                    session: s,
+                    msg_seq: 1,
+                    af_burden_pct: 40
+                },
+            ]
+        );
+        assert_eq!(
+            tap,
+            vec![(
+                s,
+                vec![TapItem::Recovered { msg_seq: 1 }, pin_rhythm(1, 710, true)]
+            )]
+        );
+        let ack = DownlinkFrame::Ack { cum_ack: 4 };
+        assert_eq!(gw.pump_downlink(), vec![(s, vec![ack.to_wire(s, 1)])]);
+        assert_eq!(
+            gw.stats(),
+            GatewayStats {
+                packets: 4,
+                payloads: 3,
+                messages_lost: 1,
+                messages_recovered: 1,
+                acks_sent: 1,
+                nacks_sent: 1,
+                retransmits_requested: 1,
+                ..GatewayStats::default()
+            }
+        );
+
+        // (c) A lost-then-recovered handshake opens the session after
+        // its recovery.
+        let mut framer = wbsn_core::link::LinkFramer::new(s);
+        let mut packets = Vec::new();
+        framer.frame_handshake(&hs, &mut packets).unwrap();
+        framer
+            .frame_payload(&pin_events(700, false), &mut packets)
+            .unwrap();
+        framer
+            .frame_payload(&pin_events(700, false), &mut packets)
+            .unwrap();
+        let mut gw = pin_gateway();
+        let (events, tap) = pin_ingest(&mut gw, &packets, &[1, 2, 0]);
+        assert_eq!(
+            events,
+            vec![
+                GatewayEvent::MessageLost {
+                    session: s,
+                    first_seq: 0,
+                    count: 1
+                },
+                GatewayEvent::MessageRecovered {
+                    session: s,
+                    msg_seq: 0
+                },
+                GatewayEvent::SessionOpened { session: s },
+            ]
+        );
+        assert_eq!(
+            tap,
+            vec![(
+                s,
+                vec![
+                    TapItem::Lost {
+                        first_seq: 0,
+                        count: 1
+                    },
+                    pin_rhythm(1, 700, false),
+                    pin_rhythm(2, 700, false),
+                    TapItem::Recovered { msg_seq: 0 },
+                    TapItem::Handshake(hs),
+                ]
+            )]
+        );
+        assert_eq!(gw.handshake(s), Some(&hs));
+        assert_eq!(
+            gw.stats(),
+            GatewayStats {
+                packets: 3,
+                payloads: 2,
+                messages_lost: 1,
+                messages_recovered: 1,
+                ..GatewayStats::default()
+            }
+        );
+
+        // (d) A lost-then-recovered message whose header kind (Beats)
+        // disagrees with its payload tag (Events): only a rejection,
+        // no recovery.
+        let mut framer = wbsn_core::link::LinkFramer::new(s);
+        let mut packets = Vec::new();
+        framer.frame_handshake(&hs, &mut packets).unwrap();
+        framer
+            .frame_message(0x03, &pin_events(700, false).encode(), &mut packets)
+            .unwrap();
+        framer
+            .frame_payload(&pin_events(700, false), &mut packets)
+            .unwrap();
+        framer
+            .frame_payload(&pin_events(700, false), &mut packets)
+            .unwrap();
+        let mut gw = pin_gateway();
+        let (events, tap) = pin_ingest(&mut gw, &packets, &[0, 2, 3, 1]);
+        assert_eq!(
+            events,
+            vec![
+                GatewayEvent::SessionOpened { session: s },
+                GatewayEvent::MessageLost {
+                    session: s,
+                    first_seq: 1,
+                    count: 1
+                },
+                GatewayEvent::PayloadRejected {
+                    session: s,
+                    msg_seq: 1,
+                    error: WbsnError::Malformed {
+                        what: "message kind",
+                        detail: "header kind 0x03 disagrees with payload tag".into(),
+                    },
+                },
+            ]
+        );
+        assert_eq!(
+            tap,
+            vec![(
+                s,
+                vec![
+                    TapItem::Handshake(hs),
+                    TapItem::Lost {
+                        first_seq: 1,
+                        count: 1
+                    },
+                    pin_rhythm(2, 700, false),
+                    pin_rhythm(3, 700, false),
+                ]
+            )]
+        );
+        assert_eq!(
+            gw.stats(),
+            GatewayStats {
+                packets: 4,
+                items_rejected: 1,
+                payloads: 2,
+                messages_lost: 1,
+                ..GatewayStats::default()
+            }
+        );
+
+        // (e) An AF episode that spans a re-registration raises one
+        // alert, not two, and clears once.
+        let mut packets = Vec::new();
+        let mut framer = wbsn_core::link::LinkFramer::new(s);
+        framer.frame_handshake(&hs, &mut packets).unwrap();
+        framer
+            .frame_payload(&pin_events(900, true), &mut packets)
+            .unwrap();
+        let mut reborn = wbsn_core::link::LinkFramer::new(s);
+        reborn.frame_handshake(&hs, &mut packets).unwrap();
+        reborn
+            .frame_payload(&pin_events(910, true), &mut packets)
+            .unwrap();
+        reborn
+            .frame_payload(&pin_events(700, false), &mut packets)
+            .unwrap();
+        let mut gw = pin_gateway();
+        let (mut events, mut tap) = pin_ingest(&mut gw, &packets, &[0, 1]);
+        gw.register(hs).unwrap();
+        let (after, after_tap) = pin_ingest(&mut gw, &packets, &[2, 3, 4]);
+        events.extend(after);
+        tap.extend(after_tap);
+        assert_eq!(
+            events,
+            vec![
+                GatewayEvent::SessionOpened { session: s },
+                GatewayEvent::AfAlert {
+                    session: s,
+                    msg_seq: 1,
+                    af_burden_pct: 40
+                },
+                GatewayEvent::SessionOpened { session: s },
+                GatewayEvent::AfCleared {
+                    session: s,
+                    msg_seq: 2
+                },
+            ]
+        );
+        assert_eq!(
+            tap,
+            vec![
+                (s, vec![TapItem::Handshake(hs), pin_rhythm(1, 900, true)]),
+                (
+                    s,
+                    vec![
+                        TapItem::Handshake(hs),
+                        pin_rhythm(1, 910, true),
+                        pin_rhythm(2, 700, false),
+                    ]
+                ),
+            ]
+        );
+        assert_eq!(
+            gw.stats(),
+            GatewayStats {
+                packets: 5,
+                payloads: 3,
+                ..GatewayStats::default()
+            }
+        );
     }
 
     #[test]
