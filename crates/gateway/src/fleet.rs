@@ -26,8 +26,8 @@
 //! directly, and the cheap cross-session merges walk the shards in
 //! turn.
 //!
-//! Sessions are fully isolated (separate reassemblers, decoders,
-//! rhythm state, sensing matrices) and every per-session computation
+//! Sessions are fully isolated (separate reassemblers, AF flags,
+//! sensing matrices) and every per-session computation
 //! is deterministic, so the merges only restore the sequential order:
 //! ingest results by batch index, flushes and reports by ascending
 //! session id, counters by commutative sums. The result is
@@ -44,9 +44,7 @@ use wbsn_core::workers::map_on_workers;
 use wbsn_core::WbsnError;
 
 use crate::cache::{MatrixCache, MatrixCacheStats};
-use crate::gateway::{
-    put, Gateway, GatewayConfig, GatewayEvent, GatewayStats, RhythmState, SessionReport,
-};
+use crate::gateway::{put, Gateway, GatewayConfig, GatewayEvent, GatewayStats, SessionReport};
 use crate::record::TapItem;
 use crate::solve::SolvePhase;
 use crate::Result;
@@ -389,11 +387,6 @@ impl ShardedGateway {
         let mut all: Vec<u64> = self.shards.iter().flat_map(Gateway::session_ids).collect();
         all.sort_unstable();
         all
-    }
-
-    /// Rhythm/alert state of one session — see [`Gateway::rhythm`].
-    pub fn rhythm(&self, session: u64) -> Option<&RhythmState> {
-        self.owner(session).rhythm(session)
     }
 
     /// The handshake of one session — see [`Gateway::handshake`].

@@ -2,16 +2,18 @@
 //!
 //! A base station terminates the radio uplinks of a whole fleet. The
 //! [`Gateway`] routes every received packet to its session's
-//! [`SessionDecoder`], then acts on what comes out:
+//! [`Reassembler`], decodes each message it releases into a handshake
+//! or a [`Payload`], then acts on what comes out:
 //!
 //! * **Handshakes** open the session: they carry the CS sensing
 //!   parameters (window, measurement count, column density, seed), so
 //!   the gateway can regenerate the node's `SparseTernaryMatrix` per
 //!   lead (`seed + lead`, exactly as the node's `CsStage` builds them)
 //!   and reconstruct.
-//! * **`Events` payloads** drive per-session rhythm state: AF episode
-//!   onsets surface as [`GatewayEvent::AfAlert`]s and are kept in an
-//!   audit log, mirroring what a monitoring service would page on.
+//! * **`Events` payloads** drive the session's AF flag: episode onsets
+//!   and ends surface as [`GatewayEvent::AfAlert`] and
+//!   [`GatewayEvent::AfCleared`], what a monitoring service would page
+//!   on.
 //! * **`CsWindow` payloads** are reconstructed through the `wbsn-cs`
 //!   FISTA solver, in a solve phase after the call has decoded
 //!   everything ([`SolvePhase`]); when a reference signal is attached
@@ -23,7 +25,9 @@
 //!   keeps no copy, and its recording tap carries the measurements
 //!   and the PRD, from which archive replay re-solves bit for bit.
 //! * **Losses** (gaps the reassembler proves) surface as
-//!   [`GatewayEvent::MessageLost`].
+//!   [`GatewayEvent::MessageLost`], and a lost message recovered from a
+//!   retransmission as [`GatewayEvent::MessageRecovered`] before its
+//!   own events.
 //!
 //! Everything is deterministic: same packet stream, same events, same
 //! reconstructed samples — the end-to-end scenario test replays the
@@ -31,14 +35,15 @@
 
 use crate::cache::{MatrixCache, MatrixCacheStats, SessionMatrices};
 use crate::controller::{ControllerConfig, LinkController};
-use crate::decoder::{SessionDecoder, SessionItem};
+use crate::reassembler::{LinkEvent, Reassembler};
 use crate::record::TapItem;
 use crate::solve::SolvePhase;
 use crate::Result;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wbsn_core::link::{
-    DirectiveFrame, DownlinkFrame, LinkError, LinkPacket, SessionHandshake, NACK_MAX_MISSING,
+    DirectiveFrame, DownlinkFrame, LinkError, LinkPacket, SessionHandshake, KIND_HANDSHAKE,
+    NACK_MAX_MISSING,
 };
 use wbsn_core::{Payload, WbsnError};
 use wbsn_cs::solver::{Continuation, FistaConfig, FistaSolve};
@@ -76,8 +81,8 @@ pub struct GatewayConfig {
     /// Buffer a [`TapItem`] per decoded
     /// observation for an external recorder to drain
     /// ([`Gateway::drain_tap`]). Off by default: with the flag off no
-    /// item is ever constructed and the gateway's numeric behaviour
-    /// is unchanged.
+    /// item is ever buffered, and the gateway's numeric behaviour is
+    /// the same either way.
     pub tap: bool,
 }
 
@@ -122,35 +127,6 @@ impl Default for GatewayConfig {
             tap: false,
         }
     }
-}
-
-/// One AF alert surfaced by the gateway, kept in the session's audit
-/// log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AlertEvent {
-    /// Message sequence number of the `Events` payload that raised it.
-    pub msg_seq: u32,
-    /// AF burden reported by the node at that point (percent).
-    pub af_burden_pct: u8,
-}
-
-/// Per-session rhythm state, driven by the node's `Events` payloads.
-#[derive(Debug, Clone, Default)]
-pub struct RhythmState {
-    /// Whether an AF episode is currently flagged.
-    pub af_active: bool,
-    /// Last reported AF burden (percent).
-    pub af_burden_pct: u8,
-    /// Last reported mean heart rate (bpm ×10).
-    pub mean_hr_x10: u16,
-    /// Beats reported across all `Events` payloads.
-    pub beats_reported: u64,
-    /// `Events` payloads seen.
-    pub events_seen: u64,
-    /// Delineated beats received via `Beats` payloads.
-    pub beats_received: u64,
-    /// Every AF episode onset, in arrival order.
-    pub alerts: Vec<AlertEvent>,
 }
 
 /// What the gateway tells its caller per ingested packet.
@@ -386,13 +362,16 @@ struct LeadReference {
 
 #[derive(Debug)]
 struct SessionState {
-    decoder: SessionDecoder,
+    reassembler: Reassembler,
     feedback: LinkFeedback,
     // The link counters of the session's earlier incarnations, banked
-    // when a re-registration replaces the decoder and the feedback.
+    // when a re-registration replaces the reassembler and the feedback.
     banked: LinkTotals,
     controller: Option<LinkController>,
-    rhythm: RhythmState,
+    // Whether the node's last `Events` payload flagged AF. Kept across
+    // re-registration: an episode the node reports again after a
+    // reboot is the same episode, not a new alert.
+    af_active: bool,
     // The installed handshake and the per-lead sensing matrices it
     // names, shared out of the gateway's MatrixCache on first use.
     matrices: SessionMatrices,
@@ -403,7 +382,7 @@ struct SessionState {
 impl SessionState {
     /// The link counters over every incarnation so far.
     fn totals(&self) -> LinkTotals {
-        let r = self.decoder.stats();
+        let r = self.reassembler.stats();
         let fb = &self.feedback;
         let b = &self.banked;
         LinkTotals {
@@ -417,13 +396,13 @@ impl SessionState {
         }
     }
 
-    fn new(session: u64, window: u32, recovery: u32) -> Result<Self> {
+    fn new(window: u32, recovery: u32) -> Result<Self> {
         Ok(SessionState {
-            decoder: SessionDecoder::with_windows(session, window, recovery)?,
+            reassembler: Reassembler::with_windows(window, recovery)?,
             feedback: LinkFeedback::default(),
             banked: LinkTotals::default(),
             controller: None,
-            rhythm: RhythmState::default(),
+            af_active: false,
             matrices: SessionMatrices::default(),
             references: BTreeMap::new(),
         })
@@ -481,6 +460,28 @@ struct PendingWindow {
 pub(crate) fn put(events: Option<&mut Vec<GatewayEvent>>, at: usize, event: GatewayEvent) {
     if let Some(slot) = events.and_then(|events| events.get_mut(at)) {
         *slot = event;
+    }
+}
+
+/// One released message, decoded.
+enum Message {
+    Handshake(SessionHandshake),
+    Payload(Payload),
+}
+
+/// Decodes a released message by its header kind. A payload's header
+/// kind is advisory routing metadata, so one that disagrees with the
+/// payload's own tag is a malformed sender.
+fn decode_message(kind: u8, bytes: &[u8]) -> Result<Message> {
+    if kind == KIND_HANDSHAKE {
+        SessionHandshake::decode(bytes).map(Message::Handshake)
+    } else if bytes.first() != Some(&kind) {
+        Err(WbsnError::Malformed {
+            what: "message kind",
+            detail: format!("header kind {kind:#04x} disagrees with payload tag"),
+        })
+    } else {
+        Payload::decode(bytes).map(Message::Payload)
     }
 }
 
@@ -575,20 +576,21 @@ impl Gateway {
     /// reborn stream's sequence numbers must not collide with old
     /// recovery bookkeeping. Without the reset, a long-lived
     /// reassembler would treat the reborn stream as stale stragglers
-    /// forever. The rhythm/alert history is kept (it is an audit log
-    /// of the subject, not of the link), and so are the link counters:
-    /// [`Gateway::session_report`] sums them over every incarnation.
+    /// forever. The session's AF flag is kept (an episode the reborn
+    /// node reports again raises no second [`GatewayEvent::AfAlert`]),
+    /// and so are the link counters: [`Gateway::session_report`] sums
+    /// them over every incarnation.
     ///
     /// # Errors
     ///
-    /// Propagates decoder construction failures.
+    /// Propagates reassembler construction failures.
     pub fn register(&mut self, hs: SessionHandshake) -> Result<()> {
         let window = self.cfg.reorder_window;
         let recovery = self.cfg.recovery_window;
         let state = self.session_state(hs.session)?;
-        let decoder = SessionDecoder::with_windows(hs.session, window, recovery)?;
+        let reassembler = Reassembler::with_windows(window, recovery)?;
         state.banked = state.totals();
-        state.decoder = decoder;
+        state.reassembler = reassembler;
         state.feedback = LinkFeedback::default();
         state.controller = None;
         state.matrices.install(hs);
@@ -603,7 +605,7 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Propagates decoder construction failures for a new session.
+    /// Propagates reassembler construction failures for a new session.
     pub fn attach_reference(&mut self, session: u64, lead: u8, samples: Vec<f64>) -> Result<()> {
         self.attach_reference_at(session, lead, 0, samples)
     }
@@ -619,7 +621,7 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Propagates decoder construction failures for a new session.
+    /// Propagates reassembler construction failures for a new session.
     pub fn attach_reference_at(
         &mut self,
         session: u64,
@@ -636,11 +638,6 @@ impl Gateway {
             },
         );
         Ok(())
-    }
-
-    /// Rhythm/alert state of one session.
-    pub fn rhythm(&self, session: u64) -> Option<&RhythmState> {
-        self.sessions.get(&session).map(|s| &s.rhythm)
     }
 
     /// The handshake of one session, when received.
@@ -692,7 +689,7 @@ impl Gateway {
         };
         let state = self.session_state(pkt.session)?;
         let mut items = Vec::new();
-        if let Err(e) = state.decoder.accept(&pkt, &mut items) {
+        if let Err(e) = state.reassembler.accept(&pkt, &mut items) {
             self.stats.rejected += 1;
             return Err(e);
         }
@@ -727,7 +724,7 @@ impl Gateway {
             .map(|(list, id)| {
                 let mut items = Vec::new();
                 if let Some(state) = self.sessions.get_mut(&id) {
-                    state.decoder.flush(&mut items);
+                    state.reassembler.flush(&mut items);
                 }
                 (id, self.handle_items(id, items, list))
             })
@@ -876,7 +873,7 @@ impl Gateway {
                 .missing
                 .first_key_value()
                 .map(|(&s, _)| s)
-                .unwrap_or_else(|| state.decoder.next_seq());
+                .unwrap_or_else(|| state.reassembler.next_seq());
             let mut request: Vec<u32> = Vec::new();
             for (&seq, m) in fb.missing.iter_mut() {
                 if request.len() >= NACK_MAX_MISSING {
@@ -978,7 +975,7 @@ impl Gateway {
     }
 
     /// Closes one session: drains its reassembler tail, processes it,
-    /// and drops all per-session state (decoder, rhythm log, sensing
+    /// and drops all per-session state (reassembler, AF flag, sensing
     /// matrices, references). Returns the tail's events,
     /// or `None` for a session this gateway never saw.
     pub fn close_session(&mut self, session: u64) -> Option<Vec<GatewayEvent>> {
@@ -994,7 +991,7 @@ impl Gateway {
     pub(crate) fn decode_close(&mut self, session: u64) -> Option<Vec<GatewayEvent>> {
         let state = self.sessions.get_mut(&session)?;
         let mut items = Vec::new();
-        state.decoder.flush(&mut items);
+        state.reassembler.flush(&mut items);
         Some(self.handle_items(session, items, 0))
     }
 
@@ -1009,21 +1006,30 @@ impl Gateway {
         Ok(match self.sessions.entry(session) {
             std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(SessionState::new(session, window, recovery)?)
+                v.insert(SessionState::new(window, recovery)?)
             }
+        })
+    }
+
+    /// Buffers one tap item when the tap is on; returns its position.
+    fn tap(&mut self, session: u64, item: TapItem) -> Option<usize> {
+        self.cfg.tap.then(|| {
+            self.tap.push((session, item));
+            self.tap.len() - 1
         })
     }
 
     fn handle_items(
         &mut self,
         session: u64,
-        items: Vec<SessionItem>,
+        items: Vec<LinkEvent>,
         list: usize,
     ) -> Vec<GatewayEvent> {
         let mut events = Vec::new();
         for item in items {
+            let recovered = matches!(item, LinkEvent::Recovered { .. });
             match item {
-                SessionItem::Lost { first_seq, count } => {
+                LinkEvent::Lost { first_seq, count } => {
                     self.stats.messages_lost += u64::from(count);
                     let bound = self.cfg.recovery_window;
                     if let Some(state) = self.sessions.get_mut(&session) {
@@ -1034,69 +1040,21 @@ impl Gateway {
                         first_seq,
                         count,
                     });
-                    if self.cfg.tap {
-                        self.tap.push((session, TapItem::Lost { first_seq, count }));
-                    }
+                    self.tap(session, TapItem::Lost { first_seq, count });
                 }
-                SessionItem::Rejected { msg_seq, error } => {
-                    self.stats.items_rejected += 1;
-                    events.push(GatewayEvent::PayloadRejected {
-                        session,
-                        msg_seq,
-                        error,
-                    });
+                LinkEvent::Message {
+                    msg_seq,
+                    kind,
+                    bytes,
                 }
-                SessionItem::Handshake(hs) => {
-                    if let Some(state) = self.sessions.get_mut(&session) {
-                        state.matrices.install(hs);
-                        events.push(GatewayEvent::SessionOpened { session });
-                        if self.cfg.tap {
-                            self.tap.push((session, TapItem::Handshake(hs)));
-                        }
-                    }
-                }
-                SessionItem::Payload { msg_seq, payload } => {
-                    self.stats.payloads += 1;
-                    if let Some(state) = self.sessions.get_mut(&session) {
-                        state.feedback.delivered_since += 1;
-                    }
-                    if let Err(error) =
-                        self.handle_payload(session, msg_seq, payload, list, &mut events)
-                    {
-                        self.stats.items_rejected += 1;
-                        events.push(GatewayEvent::PayloadRejected {
-                            session,
-                            msg_seq,
-                            error,
-                        });
-                    }
-                }
-                SessionItem::RecoveredHandshake { msg_seq, hs } => {
-                    self.stats.messages_recovered += 1;
-                    if let Some(state) = self.sessions.get_mut(&session) {
-                        state.feedback.missing.remove(&msg_seq);
-                        events.push(GatewayEvent::MessageRecovered { session, msg_seq });
-                        state.matrices.install(hs);
-                        events.push(GatewayEvent::SessionOpened { session });
-                        if self.cfg.tap {
-                            self.tap.push((session, TapItem::Recovered { msg_seq }));
-                            self.tap.push((session, TapItem::Handshake(hs)));
-                        }
-                    }
-                }
-                SessionItem::Recovered { msg_seq, payload } => {
-                    self.stats.payloads += 1;
-                    self.stats.messages_recovered += 1;
-                    if let Some(state) = self.sessions.get_mut(&session) {
-                        state.feedback.missing.remove(&msg_seq);
-                    }
-                    if self.cfg.tap {
-                        self.tap.push((session, TapItem::Recovered { msg_seq }));
-                    }
-                    events.push(GatewayEvent::MessageRecovered { session, msg_seq });
-                    if let Err(error) =
-                        self.handle_payload(session, msg_seq, payload, list, &mut events)
-                    {
+                | LinkEvent::Recovered {
+                    msg_seq,
+                    kind,
+                    bytes,
+                } => {
+                    if let Err(error) = decode_message(kind, &bytes).and_then(|message| {
+                        self.handle_message(session, msg_seq, message, recovered, list, &mut events)
+                    }) {
                         self.stats.items_rejected += 1;
                         events.push(GatewayEvent::PayloadRejected {
                             session,
@@ -1108,6 +1066,48 @@ impl Gateway {
             }
         }
         events
+    }
+
+    /// One decoded message. A recovered one is out of order relative
+    /// to the released stream, so its recovery is booked and reported
+    /// first; a recovered payload does not count as delivered since
+    /// the last pump, which the controller's loss rate reads.
+    fn handle_message(
+        &mut self,
+        session: u64,
+        msg_seq: u32,
+        message: Message,
+        recovered: bool,
+        list: usize,
+        events: &mut Vec<GatewayEvent>,
+    ) -> Result<()> {
+        if recovered {
+            self.stats.messages_recovered += 1;
+            if let Some(state) = self.sessions.get_mut(&session) {
+                state.feedback.missing.remove(&msg_seq);
+            }
+            events.push(GatewayEvent::MessageRecovered { session, msg_seq });
+            self.tap(session, TapItem::Recovered { msg_seq });
+        }
+        match message {
+            Message::Handshake(hs) => {
+                if let Some(state) = self.sessions.get_mut(&session) {
+                    state.matrices.install(hs);
+                }
+                events.push(GatewayEvent::SessionOpened { session });
+                self.tap(session, TapItem::Handshake(hs));
+                Ok(())
+            }
+            Message::Payload(payload) => {
+                self.stats.payloads += 1;
+                if !recovered {
+                    if let Some(state) = self.sessions.get_mut(&session) {
+                        state.feedback.delivered_since += 1;
+                    }
+                }
+                self.handle_payload(session, msg_seq, payload, list, events)
+            }
+        }
     }
 
     fn handle_payload(
@@ -1132,29 +1132,8 @@ impl Gateway {
                 af_active,
                 ..
             } => {
-                if self.cfg.tap {
-                    self.tap.push((
-                        session,
-                        TapItem::Rhythm {
-                            msg_seq,
-                            n_beats,
-                            mean_hr_x10,
-                            af_burden_pct,
-                            af_active,
-                        },
-                    ));
-                }
-                let was_active = state.rhythm.af_active;
-                state.rhythm.af_active = af_active;
-                state.rhythm.af_burden_pct = af_burden_pct;
-                state.rhythm.mean_hr_x10 = mean_hr_x10;
-                state.rhythm.beats_reported += u64::from(n_beats);
-                state.rhythm.events_seen += 1;
+                let was_active = core::mem::replace(&mut state.af_active, af_active);
                 if af_active && !was_active {
-                    state.rhythm.alerts.push(AlertEvent {
-                        msg_seq,
-                        af_burden_pct,
-                    });
                     events.push(GatewayEvent::AfAlert {
                         session,
                         msg_seq,
@@ -1163,12 +1142,19 @@ impl Gateway {
                 } else if !af_active && was_active {
                     events.push(GatewayEvent::AfCleared { session, msg_seq });
                 }
+                self.tap(
+                    session,
+                    TapItem::Rhythm {
+                        msg_seq,
+                        n_beats,
+                        mean_hr_x10,
+                        af_burden_pct,
+                        af_active,
+                    },
+                );
             }
             Payload::Beats { beats } => {
-                state.rhythm.beats_received += beats.len() as u64;
-                if self.cfg.tap {
-                    self.tap.push((session, TapItem::Beats { msg_seq, beats }));
-                }
+                self.tap(session, TapItem::Beats { msg_seq, beats });
             }
             Payload::CsWindow {
                 lead,
@@ -1180,19 +1166,17 @@ impl Gateway {
                 };
                 if !probes_window(window_seq, self.cfg.reconstruct_every) {
                     self.stats.windows_skipped += 1;
-                    if self.cfg.tap {
-                        // Skipped windows are still archived — the
-                        // measurements are what replay re-solves from.
-                        self.tap.push((
-                            session,
-                            TapItem::CsWindow {
-                                lead,
-                                window_seq,
-                                prd: None,
-                                measurements,
-                            },
-                        ));
-                    }
+                    // Skipped windows are still archived — the
+                    // measurements are what replay re-solves from.
+                    self.tap(
+                        session,
+                        TapItem::CsWindow {
+                            lead,
+                            window_seq,
+                            prd: None,
+                            measurements,
+                        },
+                    );
                     return Ok(());
                 }
                 let (enc, lip) = state
@@ -1204,20 +1188,15 @@ impl Gateway {
                 // reserved here, in order, and completed afterwards.
                 self.phase
                     .push(&enc, lip, measurements.iter().map(|&v| v as i64 as f64))?;
-                let tap = if self.cfg.tap {
-                    self.tap.push((
-                        session,
-                        TapItem::CsWindow {
-                            lead,
-                            window_seq,
-                            prd: None,
-                            measurements,
-                        },
-                    ));
-                    Some(self.tap.len() - 1)
-                } else {
-                    None
-                };
+                let tap = self.tap(
+                    session,
+                    TapItem::CsWindow {
+                        lead,
+                        window_seq,
+                        prd: None,
+                        measurements,
+                    },
+                );
                 self.pending.push(PendingWindow {
                     session,
                     msg_seq,

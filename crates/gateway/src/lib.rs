@@ -9,9 +9,9 @@
 //!
 //! ```text
 //!  node fleet ──► link framer ──► LossyChannel ──► Gateway
-//!  (payloads)     (wbsn-core       (seeded drop /   ├─ Reassembler  per session
-//!                  link packets)    reorder /       ├─ SessionDecoder → Payloads
-//!      ▲           corruption)                      ├─ rhythm / alert state
+//!  (payloads)     (wbsn-core       (seeded drop /   ├─ Reassembler per session
+//!                  link packets)    reorder /       │    → handshakes, Payloads
+//!      ▲           corruption)                      ├─ AF alert edges
 //!      │                                            ├─ CS reconstruction (Φ by
 //!      │                                            │    seed from the handshake)
 //!      └──────── ACK / NACK / CR directives ◄───────┘  pump_downlink()
@@ -30,12 +30,12 @@
 //!   duplicate/out-of-order handling, in-order message release and
 //!   gap detection, failing with typed
 //!   [`LinkError`](wbsn_core::link::LinkError)s.
-//! * [`decoder`] — [`SessionDecoder`]: reassembled messages back into
-//!   [`Payload`](wbsn_core::Payload)s and
-//!   [`SessionHandshake`](wbsn_core::link::SessionHandshake)s.
 //! * [`gateway`] — the [`Gateway`] service: routes packets from many
-//!   interleaved sessions, keeps per-session rhythm/alert state from
-//!   `Events` payloads, and reconstructs CS windows through the
+//!   interleaved sessions to their reassemblers, decodes each released
+//!   message into a
+//!   [`SessionHandshake`](wbsn_core::link::SessionHandshake) or a
+//!   [`Payload`](wbsn_core::Payload), raises AF alerts from `Events`
+//!   payloads, and reconstructs CS windows through the
 //!   `wbsn-cs` solvers (FISTA with λ-continuation by default) using
 //!   the sensing matrix regenerated by seed from the session
 //!   handshake, reporting per-window PRD against an attached
@@ -108,7 +108,6 @@
 pub mod cache;
 pub mod channel;
 pub mod controller;
-pub mod decoder;
 pub mod fleet;
 pub mod gateway;
 pub mod reassembler;
@@ -118,11 +117,10 @@ pub mod solve;
 pub use cache::{LeadMatrix, MatrixCache, MatrixCacheStats, MatrixKey, SessionMatrices};
 pub use channel::{ChannelConfig, ChannelStats, DuplexChannel, LossyChannel};
 pub use controller::{ControlDecision, ControllerConfig, LinkController};
-pub use decoder::{SessionDecoder, SessionItem};
 pub use fleet::ShardedGateway;
 pub use gateway::{
     probes_window, reference_window, Gateway, GatewayConfig, GatewayEvent, GatewayStats,
-    RhythmState, SessionReport,
+    SessionReport,
 };
 pub use reassembler::{LinkEvent, Reassembler, ReassemblyStats};
 pub use record::TapItem;

@@ -17,8 +17,8 @@
 //! the runner scores every session by folding these items, the same
 //! items its recordings archive (as `wbsn_archive::EpochItem::Gateway`)
 //! and its replays fold again. With the flag off (the default) no item
-//! is ever constructed, and the tap never changes the gateway's
-//! events, downlink bytes or counters either way.
+//! is ever buffered, and the tap never changes the gateway's events,
+//! downlink bytes or counters either way.
 //!
 //! [`Gateway::drain_tap`]: crate::Gateway::drain_tap
 //! [`ShardedGateway::drain_tap`]: crate::ShardedGateway::drain_tap
