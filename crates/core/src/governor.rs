@@ -716,8 +716,6 @@ impl GovernedMonitor {
     ///   decisions and is recorded in the switch log with
     ///   [`SwitchReason::Directive`]; its boundary flush payloads are
     ///   returned and their wire bytes priced with the running epoch.
-    /// * `SetMtu` is a no-op here: the MTU lives in the uplink framer
-    ///   ([`crate::link::Uplink::set_mtu`]), which the caller owns.
     ///
     /// # Errors
     ///
@@ -769,7 +767,6 @@ impl GovernedMonitor {
                 });
                 Ok(boundary)
             }
-            DirectiveAction::SetMtu { .. } => Ok(Vec::new()),
         }
     }
 
@@ -1042,13 +1039,10 @@ mod tests {
         assert_eq!(log[0].reason, SwitchReason::Directive);
         assert_eq!(log[0].from, from);
         // A CR directive updates the config without a stage rebuild
-        // or a switch-log entry; MTU directives are a node-link
-        // concern and a no-op here.
+        // or a switch-log entry.
         s.apply_directive(DirectiveAction::SetCr { cr_x10: 500 })
             .unwrap();
         assert!((s.monitor().config().cs_cr_percent - 50.0).abs() < 1e-12);
-        s.apply_directive(DirectiveAction::SetMtu { mtu: 64 })
-            .unwrap();
         assert_eq!(s.switch_log().len(), 1);
         // Hostile input: unknown ladder index is a typed error, the
         // session untouched.

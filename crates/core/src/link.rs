@@ -473,17 +473,11 @@ pub enum DirectiveAction {
         /// Powered acquisition leads.
         active_leads: u8,
     },
-    /// Renegotiate the uplink MTU to `mtu` bytes per packet.
-    SetMtu {
-        /// New per-packet MTU in bytes.
-        mtu: u16,
-    },
 }
 
 // Wire tags of the directive actions.
 const DIRECTIVE_SET_CR: u8 = 0x01;
 const DIRECTIVE_SET_MODE: u8 = 0x02;
-const DIRECTIVE_SET_MTU: u8 = 0x03;
 
 /// One numbered directive: `directive_seq` increases per session so a
 /// node can drop duplicates and stale reorderings (latest wins).
@@ -561,10 +555,6 @@ impl DownlinkFrame {
                         out.push(DIRECTIVE_SET_MODE);
                         out.push(level);
                         out.push(active_leads);
-                    }
-                    DirectiveAction::SetMtu { mtu } => {
-                        out.push(DIRECTIVE_SET_MTU);
-                        out.extend(mtu.to_le_bytes());
                     }
                 }
                 out
@@ -682,15 +672,6 @@ impl DownlinkFrame {
                             7,
                         )
                     }
-                    DIRECTIVE_SET_MTU => {
-                        need(7, "directive frame")?;
-                        (
-                            DirectiveAction::SetMtu {
-                                mtu: u16::from_le_bytes(le_array(body, 5)),
-                            },
-                            7,
-                        )
-                    }
                     other => {
                         return Err(WbsnError::Malformed {
                             what: "directive frame",
@@ -778,25 +759,6 @@ impl LinkFramer {
     /// MTU in effect.
     pub fn mtu(&self) -> usize {
         self.mtu
-    }
-
-    /// Renegotiates the MTU mid-stream (a [`DirectiveAction::SetMtu`]
-    /// landing between messages). Already-framed packets are
-    /// untouched; the next message fragments at the new size.
-    ///
-    /// # Errors
-    ///
-    /// [`WbsnError::InvalidParameter`] when `mtu` leaves no room for
-    /// body bytes; the framer is unchanged on error.
-    pub fn set_mtu(&mut self, mtu: usize) -> Result<()> {
-        if mtu <= LINK_OVERHEAD_BYTES {
-            return Err(WbsnError::InvalidParameter {
-                what: "mtu",
-                detail: format!("{mtu} does not exceed the packet overhead {LINK_OVERHEAD_BYTES}"),
-            });
-        }
-        self.mtu = mtu;
-        Ok(())
     }
 
     /// Sequence number the next message will carry.
@@ -914,7 +876,6 @@ impl LinkFramer {
 /// ```
 #[derive(Debug, Default)]
 pub struct Uplink {
-    mtu: Option<usize>,
     framers: BTreeMap<u64, LinkFramer>,
     payload_bytes: u64,
     // Totals of sessions closed by `close_session`, so lifetime wire
@@ -927,21 +888,6 @@ impl Uplink {
     /// Uplink at the default radio MTU.
     pub fn new() -> Self {
         Uplink::default()
-    }
-
-    /// Uplink with an explicit per-packet MTU.
-    ///
-    /// # Errors
-    ///
-    /// [`WbsnError::InvalidParameter`] when `mtu` leaves no room for
-    /// body bytes.
-    pub fn with_mtu(mtu: usize) -> Result<Self> {
-        // Validate once via a throwaway framer.
-        LinkFramer::with_mtu(0, mtu)?;
-        Ok(Uplink {
-            mtu: Some(mtu),
-            ..Uplink::default()
-        })
     }
 
     /// Registered sessions.
@@ -968,10 +914,7 @@ impl Uplink {
                 detail: format!("session {} is already on the uplink", hs.session),
             });
         }
-        let mut framer = match self.mtu {
-            Some(mtu) => LinkFramer::with_mtu(hs.session, mtu)?,
-            None => LinkFramer::new(hs.session),
-        };
+        let mut framer = LinkFramer::new(hs.session);
         framer.frame_handshake(hs, out)?;
         self.framers.insert(hs.session, framer);
         Ok(())
@@ -1059,19 +1002,6 @@ impl Uplink {
             .get_mut(&hs.session)
             .ok_or(WbsnError::UnknownSession { id: hs.session })?;
         framer.frame_handshake(hs, out)
-    }
-
-    /// Renegotiates one session's MTU ([`LinkFramer::set_mtu`]).
-    ///
-    /// # Errors
-    ///
-    /// [`WbsnError::UnknownSession`] for an unregistered session,
-    /// [`WbsnError::InvalidParameter`] for an unusable MTU.
-    pub fn set_mtu(&mut self, session: u64, mtu: usize) -> Result<()> {
-        self.framers
-            .get_mut(&session)
-            .ok_or(WbsnError::UnknownSession { id: session })?
-            .set_mtu(mtu)
     }
 
     /// Application payload bytes accepted so far (before framing).
@@ -1281,10 +1211,6 @@ mod tests {
                     active_leads: 1,
                 },
             }),
-            DownlinkFrame::Directive(DirectiveFrame {
-                directive_seq: 5,
-                action: DirectiveAction::SetMtu { mtu: 64 },
-            }),
         ];
         for (i, frame) in frames.iter().enumerate() {
             let wire = frame.to_wire(17, i as u32);
@@ -1322,26 +1248,6 @@ mod tests {
             DownlinkFrame::from_packet(&pkt),
             Err(WbsnError::Malformed { .. })
         ));
-    }
-
-    #[test]
-    fn mtu_renegotiation_applies_to_the_next_message() {
-        let mut uplink = Uplink::new();
-        let hs = SessionHandshake::for_config(4, &crate::monitor::MonitorConfig::default());
-        let mut packets = Vec::new();
-        uplink.open_session(&hs, &mut packets).unwrap();
-        assert!(uplink.set_mtu(4, LINK_OVERHEAD_BYTES).is_err());
-        assert!(matches!(
-            uplink.set_mtu(99, 64),
-            Err(WbsnError::UnknownSession { id: 99 })
-        ));
-        uplink.set_mtu(4, 40).unwrap(); // 17-byte bodies
-        packets.clear();
-        let p = sample_payload();
-        let seq = uplink.frame_one(4, &p, &mut packets).unwrap();
-        assert_eq!(seq, 1); // message 0 was the handshake
-        assert_eq!(packets.len(), fragments_for(p.byte_len(), 40));
-        assert!(packets.iter().all(|b| b.len() <= 40));
     }
 
     #[test]

@@ -427,6 +427,31 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_directive_tag_is_a_lost_frame() {
+        let mut node = cs_node(3);
+        node.push_block(&[1i32; 256], 256).unwrap();
+        let cr = node.config().cs_cr_percent;
+        // Action tag 0x03 is not assigned: the frame is malformed.
+        let mut pkt = DownlinkFrame::Directive(DirectiveFrame {
+            directive_seq: 0,
+            action: DirectiveAction::SetCr { cr_x10: 450 },
+        })
+        .to_packet(3, 0);
+        pkt.body[4] = 0x03;
+        assert!(matches!(
+            DownlinkFrame::from_packet(&pkt),
+            Err(crate::WbsnError::Malformed { .. })
+        ));
+        assert_eq!(node.take_downlink(&pkt.encode()).unwrap(), None);
+        assert_eq!(node.directives().accepted(), 0);
+        assert_eq!(node.config().cs_cr_percent, cr);
+        assert!(
+            node.push_block(&[], 0).unwrap().is_empty(),
+            "nothing queued"
+        );
+    }
+
+    #[test]
     fn a_reboot_discards_the_buffer_and_restarts_at_sequence_zero() {
         let mut node = cs_node(9);
         // Ten windows: one full 10 s governor epoch, so energy is booked.

@@ -24,8 +24,7 @@
 //! [`DirectiveAction`] onto the existing
 //! [`CardiacMonitor::switch_mode`](crate::CardiacMonitor::switch_mode)
 //! / [`CardiacMonitor::switch_cs_cr`](crate::CardiacMonitor::switch_cs_cr)
-//! / [`Uplink::set_mtu`](crate::link::Uplink::set_mtu) plumbing at a
-//! deterministic stream boundary.
+//! plumbing at a deterministic stream boundary.
 
 use crate::link::{DirectiveAction, DirectiveFrame, DownlinkFrame};
 use crate::{Result, WbsnError};
