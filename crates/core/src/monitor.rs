@@ -462,19 +462,6 @@ impl CardiacMonitor {
         Ok(applied)
     }
 
-    /// Switches the processing level, keeping the powered lead count —
-    /// see [`Self::switch_mode`] for the boundary semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::switch_mode`].
-    pub fn switch_level(&mut self, level: ProcessingLevel) -> Result<Vec<Payload>> {
-        self.switch_mode(OperatingMode {
-            level,
-            active_leads: self.active_leads,
-        })
-    }
-
     /// Pushes one simultaneous sample per lead; returns any payloads
     /// that became ready.
     ///
@@ -663,8 +650,12 @@ mod tests {
         assert!(!m.switch_cs_cr(50.0).unwrap());
         assert!((m.config().cs_cr_percent - 50.0).abs() < 1e-12);
         // A later switch down to a CS level builds at the new ratio.
-        m.switch_level(ProcessingLevel::CompressedSingleLead)
-            .unwrap();
+        let leads = m.mode().active_leads;
+        m.switch_mode(OperatingMode::new(
+            ProcessingLevel::CompressedSingleLead,
+            leads,
+        ))
+        .unwrap();
         let hs = crate::link::SessionHandshake::for_config(1, m.config());
         assert_eq!(
             hs.cs_measurements as usize,

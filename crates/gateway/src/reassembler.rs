@@ -184,15 +184,6 @@ impl Reassembler {
         }
     }
 
-    /// Reassembler with an explicit reorder window (≥ 1).
-    ///
-    /// # Errors
-    ///
-    /// [`WbsnError::InvalidParameter`] for a zero window.
-    pub fn with_window(window: u32) -> Result<Self> {
-        Reassembler::with_windows(window, 0)
-    }
-
     /// Reassembler with an explicit reorder window (≥ 1) and a
     /// recovery window: up to `recovery` of the most recently
     /// declared-lost sequence numbers stay eligible for late recovery
@@ -516,7 +507,7 @@ mod tests {
         let messages: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 4]).collect();
         let refs: Vec<&[u8]> = messages.iter().map(Vec::as_slice).collect();
         let pkts = packets_of(&mut framer, &refs); // 1 packet per message
-        let mut r = Reassembler::with_window(4).unwrap();
+        let mut r = Reassembler::with_windows(4, 0).unwrap();
         let mut out = Vec::new();
         // Drop message 2 entirely.
         for (i, p) in pkts.iter().enumerate() {
@@ -557,7 +548,7 @@ mod tests {
         // Simulate the long-running node: same packet, far-future seq.
         let mut pkt = LinkPacket::decode(&raw[0]).unwrap();
         pkt.msg_seq = 10_000_000;
-        let mut r = Reassembler::with_window(64).unwrap();
+        let mut r = Reassembler::with_windows(64, 0).unwrap();
         let mut out = Vec::new();
         r.accept(&pkt, &mut out).unwrap();
         // One ranged loss covering the whole gap; the jumped-to message
@@ -599,7 +590,7 @@ mod tests {
         framer.frame_message(0x01, &[7; 4], &mut raw).unwrap();
         let mut pkt = LinkPacket::decode(&raw[0]).unwrap();
         pkt.msg_seq = u32::MAX;
-        let mut r = Reassembler::with_window(4).unwrap();
+        let mut r = Reassembler::with_windows(4, 0).unwrap();
         let mut out = Vec::new();
         r.accept(&pkt, &mut out).unwrap();
         let mut tail = Vec::new();
