@@ -61,7 +61,7 @@
 //! those samples and the rhythm spans before rendering the next),
 //! per-segment PRD references supersede each other on the gateway
 //! ([`attach_reference_at`](wbsn_gateway::ShardedGateway::attach_reference_at)
-//! prunes windows behind the new offset), and finished sessions are
+//! replaces the lead's previous reference), and finished sessions are
 //! [`close_session`](wbsn_gateway::ShardedGateway::close_session)ed
 //! before the next batch starts.
 
