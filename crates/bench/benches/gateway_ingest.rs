@@ -62,7 +62,7 @@ fn mixed_stream(sessions: u64, secs: f64) -> Vec<Vec<u8>> {
             .noise(NoiseConfig::ambulatory(22.0))
             .build();
         let mut node = MonitorBuilder::new().level(level).build().unwrap();
-        let payloads = node.process_record(&rec).unwrap();
+        let payloads = node.process_record(rec.leads()).unwrap();
         uplink
             .open_session(
                 &SessionHandshake::for_config(s, node.config()),
@@ -92,7 +92,7 @@ fn cs_stream(sessions: u64, secs: f64) -> Vec<Vec<u8>> {
             .cs_compression_ratio(50.0)
             .build()
             .unwrap();
-        let payloads = node.process_record(&rec).unwrap();
+        let payloads = node.process_record(rec.leads()).unwrap();
         uplink
             .open_session(
                 &SessionHandshake::for_config(s, node.config()),

@@ -35,7 +35,7 @@ fn packet_stream() -> Vec<Vec<u8>> {
             .noise(NoiseConfig::ambulatory(22.0))
             .build();
         let mut node = MonitorBuilder::new().level(level).build().unwrap();
-        let payloads = node.process_record(&rec).unwrap();
+        let payloads = node.process_record(rec.leads()).unwrap();
         uplink
             .open_session(
                 &SessionHandshake::for_config(s, node.config()),
@@ -81,7 +81,7 @@ fn bench_gateway(c: &mut Criterion) {
         .cs_compression_ratio(50.0)
         .build()
         .unwrap();
-    let payloads = node.process_record(&rec).unwrap();
+    let payloads = node.process_record(rec.leads()).unwrap();
     uplink
         .open_session(
             &SessionHandshake::for_config(0, node.config()),

@@ -42,7 +42,7 @@ fn main() {
             .cs_compression_ratio(cr)
             .build()
             .unwrap();
-        let _ = node.process_record(&rec).unwrap();
+        let _ = node.process_record(rec.leads()).unwrap();
         let c = node.counters();
         let r = node.energy_report();
         let bytes_per_s = c.payload_bytes as f64 / c.seconds;

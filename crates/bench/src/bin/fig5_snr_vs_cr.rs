@@ -7,8 +7,8 @@
 //!
 //! Usage: `fig5_snr_vs_cr [n_records] [fast]`
 
+use wbsn_bench::sweep::{cr_at_snr, snr_vs_cr_joint, snr_vs_cr_single, SweepConfig};
 use wbsn_bench::{ascii_plot, header};
-use wbsn_cs::sweep::{cr_at_snr, snr_vs_cr_joint, snr_vs_cr_single, SweepConfig};
 use wbsn_ecg_synth::suite::cs_eval_suite;
 
 fn main() {

@@ -47,7 +47,7 @@ fn main() {
             builder = builder.cs_compression_ratio(cr);
         }
         let mut node = builder.build().unwrap();
-        let _ = node.process_record(&rec).unwrap();
+        let _ = node.process_record(rec.leads()).unwrap();
         let r = node.energy_report();
         let b = r.breakdown;
         println!(

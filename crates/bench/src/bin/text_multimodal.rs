@@ -9,9 +9,9 @@
 //!   stiffness and BP."
 
 use wbsn_bench::header;
-use wbsn_core::apps::BpTrendApp;
 use wbsn_ecg_synth::ppg::{PpgConfig, PpgSignal, PttProfile};
 use wbsn_ecg_synth::{RecordBuilder, Rhythm};
+use wbsn_multimodal::pat::{BpEstimator, PatDetector};
 use wbsn_multimodal::{Aicf, EnsembleAverager};
 use wbsn_sigproc::stats::{correlation, mean};
 
@@ -102,8 +102,15 @@ fn main() {
         },
         3,
     );
-    let mut app = BpTrendApp::new(rec.fs());
-    let pats = app.measure_pats(&ppg_bp.samples, &anchors);
+    let detector = PatDetector {
+        fs_hz: rec.fs() as f64,
+        ..PatDetector::default()
+    };
+    let pats: Vec<f64> = detector
+        .measure(&ppg_bp.samples, &anchors)
+        .iter()
+        .map(|m| m.pat_s)
+        .collect();
     // Ground-truth BP from the generator's PTT via the standard
     // surrogate model bp = 40 + 22/ptt.
     let truth_bp: Vec<f64> = ppg_bp.ptt_s.iter().map(|&p| 40.0 + 22.0 / p).collect();
@@ -112,8 +119,8 @@ fn main() {
     let cal_idx: Vec<usize> = (0..pats.len().min(truth_bp.len())).step_by(15).collect();
     let cal_pats: Vec<f64> = cal_idx.iter().map(|&i| pats[i]).collect();
     let cal_bp: Vec<f64> = cal_idx.iter().map(|&i| truth_bp[i]).collect();
-    app.calibrate(&cal_pats, &cal_bp).unwrap();
-    let est: Vec<f64> = pats.iter().map(|&p| app.estimate(p).unwrap()).collect();
+    let bp = BpEstimator::calibrate(&cal_pats, &cal_bp).unwrap();
+    let est: Vec<f64> = pats.iter().map(|&p| bp.estimate(p)).collect();
     let n_eval = est.len().min(truth_bp.len());
     let errs: Vec<f64> = est[..n_eval]
         .iter()

@@ -1,14 +1,16 @@
-//! Shared helpers for the figure-regeneration binaries.
+//! Shared helpers for the figure-regeneration binaries, and the
+//! Figure 5 SNR-vs-CR sweep.
 //!
-//! Each binary regenerates one figure or text claim of the DAC'14
-//! paper (see DESIGN.md §3 for the full index) and prints the paper's
-//! value next to the measured one so EXPERIMENTS.md can be filled by
-//! running them.
+//! Each binary in `src/bin` regenerates one figure or text claim of
+//! the DAC'14 paper and prints the paper's value next to the measured
+//! one. [`sweep`] is the SNR-vs-CR machinery behind `fig5_snr_vs_cr`.
 
 // Every public item carries documentation; rustdoc runs with
 // `-D warnings` in CI, so a gap fails the build.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod sweep;
 
 /// Prints a standard experiment header.
 pub fn header(id: &str, what: &str, paper_expectation: &str) {

@@ -5,10 +5,10 @@
 //! reconstructed, and the output SNR is averaged "over all records"
 //! exactly as the figure's y-axis label says.
 
-use crate::encoder::CsEncoder;
-use crate::measurements_for_cr;
-use crate::solver::{Fista, FistaConfig, FistaScratch};
-use crate::Result;
+use wbsn_cs::encoder::CsEncoder;
+use wbsn_cs::measurements_for_cr;
+use wbsn_cs::solver::{Fista, FistaConfig, FistaScratch};
+use wbsn_cs::Result;
 use wbsn_ecg_synth::Record;
 use wbsn_sigproc::stats::snr_db;
 use wbsn_sigproc::SparseTernaryMatrix;
@@ -157,7 +157,7 @@ pub fn snr_vs_cr_joint(
             }
         }
         out.push(SweepPoint {
-            cr_percent: crate::compression_ratio(cfg.window, m),
+            cr_percent: wbsn_cs::compression_ratio(cfg.window, m),
             snr_db: snr_sum / count.max(1) as f64,
         });
     }

@@ -241,7 +241,7 @@ mod tests {
             .noise(NoiseConfig::ambulatory(22.0))
             .build();
         let mut m = CardiacMonitor::builder().level(level).build().unwrap();
-        let _ = m.process_record(&rec).unwrap();
+        let _ = m.process_record(rec.leads()).unwrap();
         m.energy_report()
     }
 

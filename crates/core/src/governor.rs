@@ -51,7 +51,7 @@
 
 use crate::energy::{workload_from_counters, CycleCosts};
 use crate::level::{OperatingMode, ProcessingLevel};
-use crate::monitor::{ActivityCounters, CardiacMonitor, MonitorBuilder, MonitorConfig};
+use crate::monitor::{interleave, ActivityCounters, CardiacMonitor, MonitorBuilder, MonitorConfig};
 use crate::payload::Payload;
 use crate::{Result, WbsnError};
 use wbsn_classify::af::{AfBeat, AfConfig, AfDetector};
@@ -771,25 +771,29 @@ impl GovernedMonitor {
     }
 
     /// Convenience driver shared by the scenario example and its
-    /// acceptance test: replays an entire synthetic record (batched
-    /// ingestion plus [`Self::finish`]). Block size never affects
-    /// results — epoch boundaries are handled inside
-    /// [`Self::push_block`] — so the whole record goes down in one
+    /// acceptance test: replays a whole recording, one `Vec` per lead
+    /// (batched ingestion plus [`Self::finish`]). Block size never
+    /// affects results — epoch boundaries are handled inside
+    /// [`Self::push_block`] — so the whole recording goes down in one
     /// call.
     ///
     /// # Errors
     ///
-    /// [`WbsnError::LeadMismatch`] when the record carries a different
-    /// lead count than the session, plus stage failures.
-    pub fn process_record(&mut self, record: &wbsn_ecg_synth::Record) -> Result<Vec<Payload>> {
-        if record.n_leads() != self.monitor.config().n_leads {
+    /// [`WbsnError::LeadMismatch`] when the recording carries a
+    /// different lead count than the session,
+    /// [`WbsnError::InvalidParameter`] when its leads differ in length,
+    /// plus stage failures.
+    pub fn process_record(&mut self, leads: &[Vec<i32>]) -> Result<Vec<Payload>> {
+        let n_leads = self.monitor.config().n_leads;
+        if leads.len() != n_leads {
             return Err(WbsnError::LeadMismatch {
-                expected: self.monitor.config().n_leads,
-                got: record.n_leads(),
+                expected: n_leads,
+                got: leads.len(),
             });
         }
-        let frames = record.interleaved_frames();
-        let mut payloads = self.push_block(&frames, record.n_samples())?;
+        let mut frames = Vec::new();
+        let n = interleave(leads, &mut frames)?;
+        let mut payloads = self.push_block(&frames, n)?;
         payloads.extend(self.finish()?);
         Ok(payloads)
     }
@@ -1220,6 +1224,26 @@ mod tests {
             .n_leads(3)
             .cs_window(256);
         assert!(GovernedMonitor::new(builder, cfg, NodeModel::default()).is_ok());
+    }
+
+    #[test]
+    fn process_record_takes_exactly_the_session_leads() {
+        let mut s = GovernedMonitor::new(
+            MonitorBuilder::new().n_leads(3),
+            GovernorConfig::for_leads(3),
+            NodeModel::default(),
+        )
+        .unwrap();
+        for n in [2, 4] {
+            assert_eq!(
+                s.process_record(&vec![vec![0; 500]; n]).unwrap_err(),
+                WbsnError::LeadMismatch {
+                    expected: 3,
+                    got: n
+                }
+            );
+        }
+        assert!(s.process_record(&vec![vec![0; 500]; 3]).is_ok());
     }
 
     #[test]

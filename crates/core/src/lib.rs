@@ -40,9 +40,6 @@
 //!   monitor, its uplink framer, retransmit buffer and directive
 //!   handler, and takes and returns wire bytes; the cohort runner,
 //!   the closed-loop tests and benches all drive it.
-//! * [`apps`] — the application layer the paper motivates: arrhythmia
-//!   /AF monitoring, sleep/HRV analysis, and PAT-based blood-pressure
-//!   trending.
 //! * [`workers`] — [`workers::map_on_workers`], the workspace's one
 //!   thread model: every library thread — the cohort runner's node
 //!   side, the sharded gateway's decode and the gateway's solve phase
@@ -64,7 +61,7 @@
 //!     .n_leads(3)
 //!     .build()
 //!     .unwrap();
-//! let payloads = node.process_record(&record).unwrap();
+//! let payloads = node.process_record(record.leads()).unwrap();
 //! assert!(!payloads.is_empty());
 //! let report = node.energy_report();
 //! assert!(report.breakdown.avg_power_mw() < 5.0);
@@ -98,7 +95,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apps;
 pub mod energy;
 pub mod governor;
 pub mod level;
@@ -126,7 +122,6 @@ pub use stage::{ActivityCounters, PayloadSink, PipelineStage};
 use wbsn_classify::ClassifyError;
 use wbsn_cs::CsError;
 use wbsn_delineation::DelineationError;
-use wbsn_multimodal::MultimodalError;
 use wbsn_platform::PlatformError;
 use wbsn_sigproc::SigprocError;
 
@@ -208,8 +203,6 @@ pub enum WbsnError {
     Delineation(DelineationError),
     /// Classification error.
     Classify(ClassifyError),
-    /// Multi-modal estimation error.
-    Multimodal(MultimodalError),
     /// Platform-model error.
     Platform(PlatformError),
 }
@@ -247,7 +240,6 @@ impl core::fmt::Display for WbsnError {
             WbsnError::Cs(e) => write!(f, "cs: {e}"),
             WbsnError::Delineation(e) => write!(f, "delineation: {e}"),
             WbsnError::Classify(e) => write!(f, "classify: {e}"),
-            WbsnError::Multimodal(e) => write!(f, "multimodal: {e}"),
             WbsnError::Platform(e) => write!(f, "platform: {e}"),
         }
     }
@@ -260,7 +252,6 @@ impl std::error::Error for WbsnError {
             WbsnError::Cs(e) => Some(e),
             WbsnError::Delineation(e) => Some(e),
             WbsnError::Classify(e) => Some(e),
-            WbsnError::Multimodal(e) => Some(e),
             WbsnError::Platform(e) => Some(e),
             WbsnError::Link(e) => Some(e),
             _ => None,
@@ -291,7 +282,6 @@ from_sub_error!(
     CsError => Cs,
     DelineationError => Delineation,
     ClassifyError => Classify,
-    MultimodalError => Multimodal,
     PlatformError => Platform,
 );
 

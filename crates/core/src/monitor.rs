@@ -33,7 +33,6 @@ use crate::stage::{
 };
 use crate::{Result, WbsnError};
 use wbsn_classify::fuzzy::FuzzyClassifier;
-use wbsn_ecg_synth::Record;
 
 /// Node configuration.
 ///
@@ -322,7 +321,7 @@ pub struct CardiacMonitor {
     // `switch_mode`, so session counters survive live reconfiguration.
     retired: ActivityCounters,
     // Reusable interleave buffer for `process_record`, so repeated
-    // record replays allocate nothing in the steady state.
+    // recording replays allocate nothing in the steady state.
     interleave_scratch: Vec<i32>,
     // Reusable lead-gating buffer for `push_block` when fewer leads
     // are active than the frame width carries.
@@ -541,32 +540,26 @@ impl CardiacMonitor {
         Ok(self.sink.drain())
     }
 
-    /// Convenience: processes an entire synthetic record (batched
-    /// ingestion plus a final flush).
+    /// Convenience: processes a whole recording, one `Vec` per lead
+    /// (batched ingestion plus a final flush). Leads past the
+    /// session's `n_leads` are ignored.
     ///
     /// # Errors
     ///
-    /// [`WbsnError::LeadMismatch`] when the record carries fewer leads
-    /// than the session is configured for — earlier releases silently
-    /// duplicated the record's last lead instead.
-    pub fn process_record(&mut self, record: &Record) -> Result<Vec<Payload>> {
-        if record.n_leads() < self.cfg.n_leads {
-            return Err(WbsnError::LeadMismatch {
-                expected: self.cfg.n_leads,
-                got: record.n_leads(),
-            });
-        }
-        let n = record.n_samples();
+    /// [`WbsnError::LeadMismatch`] when fewer leads are given than the
+    /// session is configured for, and [`WbsnError::InvalidParameter`]
+    /// when the used leads differ in length.
+    pub fn process_record(&mut self, leads: &[Vec<i32>]) -> Result<Vec<Payload>> {
         let n_leads = self.cfg.n_leads;
+        let Some(used) = leads.get(..n_leads) else {
+            return Err(WbsnError::LeadMismatch {
+                expected: n_leads,
+                got: leads.len(),
+            });
+        };
         let mut interleaved = core::mem::take(&mut self.interleave_scratch);
-        interleaved.clear();
-        interleaved.resize(n * n_leads, 0);
-        for (l, lead) in (0..n_leads).map(|l| (l, record.lead(l))) {
-            for (i, &s) in lead.iter().enumerate() {
-                interleaved[i * n_leads + l] = s;
-            }
-        }
-        let result = self.push_block(&interleaved, n);
+        let result =
+            interleave(used, &mut interleaved).and_then(|n| self.push_block(&interleaved, n));
         self.interleave_scratch = interleaved;
         let mut payloads = result?;
         payloads.extend(self.flush()?);
@@ -582,6 +575,31 @@ impl CardiacMonitor {
         self.stage.flush(&mut self.sink)?;
         Ok(self.sink.drain())
     }
+}
+
+/// Writes `leads` into `out` as interleaved frames, the layout
+/// [`CardiacMonitor::push_block`] takes (`out[i * leads.len() + l]` is
+/// lead `l` at instant `i`), and returns the frame count.
+///
+/// # Errors
+///
+/// [`WbsnError::InvalidParameter`] when the leads differ in length.
+pub(crate) fn interleave(leads: &[Vec<i32>], out: &mut Vec<i32>) -> Result<usize> {
+    let n = leads.first().map_or(0, Vec::len);
+    if let Some(l) = leads.iter().position(|lead| lead.len() != n) {
+        return Err(WbsnError::InvalidParameter {
+            what: "leads",
+            detail: format!("lead {l} differs in length from lead 0"),
+        });
+    }
+    out.clear();
+    out.resize(n * leads.len(), 0);
+    for (l, lead) in leads.iter().enumerate() {
+        for (frame, &s) in out.chunks_exact_mut(leads.len()).zip(lead) {
+            frame[l] = s;
+        }
+    }
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -601,7 +619,7 @@ mod tests {
     fn run_level(level: ProcessingLevel, secs: f64) -> (Vec<Payload>, ActivityCounters) {
         let rec = record(42, secs);
         let mut m = MonitorBuilder::new().level(level).build().unwrap();
-        let p = m.process_record(&rec).unwrap();
+        let p = m.process_record(rec.leads()).unwrap();
         (p, m.counters())
     }
 
@@ -755,7 +773,7 @@ mod tests {
             .level(ProcessingLevel::Classified)
             .build()
             .unwrap();
-        let payloads = m.process_record(&rec).unwrap();
+        let payloads = m.process_record(rec.leads()).unwrap();
         let af_seen = payloads.iter().any(|p| match p {
             Payload::Events {
                 af_active,
@@ -786,7 +804,7 @@ mod tests {
             .classifier(clf)
             .build()
             .unwrap();
-        let _ = m.process_record(&rec).unwrap();
+        let _ = m.process_record(rec.leads()).unwrap();
         assert!(m.counters().classified_beats > 10);
     }
 
@@ -873,7 +891,7 @@ mod tests {
     fn process_record_rejects_narrow_records() {
         let rec = RecordBuilder::new(5).duration_s(5.0).n_leads(1).build();
         let mut m = MonitorBuilder::new().n_leads(3).build().unwrap();
-        let err = m.process_record(&rec).unwrap_err();
+        let err = m.process_record(rec.leads()).unwrap_err();
         assert_eq!(
             err,
             WbsnError::LeadMismatch {
@@ -881,6 +899,20 @@ mod tests {
                 got: 1
             }
         );
+    }
+
+    #[test]
+    fn process_record_rejects_ragged_leads() {
+        let mut m = MonitorBuilder::new().n_leads(2).build().unwrap();
+        let err = m.process_record(&[vec![0; 10], vec![0; 9]]).unwrap_err();
+        assert!(
+            matches!(err, WbsnError::InvalidParameter { what: "leads", .. }),
+            "{err}"
+        );
+        // Leads past the session's are ignored, whatever their length.
+        assert!(m
+            .process_record(&[vec![0; 10], vec![0; 10], vec![0; 3]])
+            .is_ok());
     }
 
     #[test]

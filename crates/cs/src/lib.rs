@@ -18,8 +18,9 @@
 //!   that ties their shared wavelet support (reference \[6\]): the
 //!   "Multi-Lead CS" series of Figure 5. Both run the same lane
 //!   iteration, on one [`FistaConfig`].
-//! * [`sweep`] — the SNR-vs-CR experiment machinery that regenerates
-//!   Figure 5.
+//!
+//! The SNR-vs-CR sweep that regenerates Figure 5 from synthetic
+//! records lives in `wbsn_bench::sweep`, beside the figure binary.
 //!
 //! ## Example
 //!
@@ -49,7 +50,6 @@
 
 pub mod encoder;
 pub mod solver;
-pub mod sweep;
 
 pub use encoder::CsEncoder;
 pub use solver::{Continuation, Fista, FistaConfig, FistaScratch, FistaSolve};

@@ -710,7 +710,8 @@ impl Fista {
         Ok(())
     }
 
-    /// Float-measurement variant (used by the sweep machinery).
+    /// Float-measurement variant: [`Fista::reconstruct`] runs it on
+    /// the encoder's integer measurements.
     ///
     /// # Errors
     ///
@@ -1672,7 +1673,7 @@ mod tests {
     }
 
     /// `count` sensing matrices of `m × n`, seeded `seed + l` as the
-    /// sweep seeds its leads.
+    /// Figure 5 sweep (`wbsn_bench::sweep`) seeds its leads.
     fn lead_phis(count: usize, m: usize, n: usize, seed: u64) -> Vec<SparseTernaryMatrix> {
         (0..count)
             .map(|l| SparseTernaryMatrix::random(m, n, 4, seed + l as u64).unwrap())

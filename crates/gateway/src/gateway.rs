@@ -272,6 +272,8 @@ struct LinkFeedback {
     pump_idx: u64,
     downlink_seq: u32,
     directive_seq: u32,
+    // Lost messages recovered and decoded.
+    recovered: u64,
     acks_sent: u64,
     nacks_sent: u64,
     retransmits_requested: u64,
@@ -317,7 +319,8 @@ pub struct SessionReport {
     pub messages: u64,
     /// Messages declared lost on the uplink.
     pub lost: u64,
-    /// Lost messages later recovered from retransmissions.
+    /// Lost messages later recovered from retransmissions and decoded;
+    /// a recovered message that fails to decode stays lost.
     pub recovered: u64,
     /// Unrecovered loss as a fraction of all resolved messages
     /// (`(lost − recovered) / (messages + lost)`), 0 for an idle
@@ -388,7 +391,7 @@ impl SessionState {
         LinkTotals {
             messages: b.messages + r.messages,
             lost: b.lost + r.lost,
-            recovered: b.recovered + r.recovered,
+            recovered: b.recovered + fb.recovered,
             acks_sent: b.acks_sent + fb.acks_sent,
             nacks_sent: b.nacks_sent + fb.nacks_sent,
             retransmits_requested: b.retransmits_requested + fb.retransmits_requested,
@@ -1084,6 +1087,7 @@ impl Gateway {
         if recovered {
             self.stats.messages_recovered += 1;
             if let Some(state) = self.sessions.get_mut(&session) {
+                state.feedback.recovered += 1;
                 state.feedback.missing.remove(&msg_seq);
             }
             events.push(GatewayEvent::MessageRecovered { session, msg_seq });
@@ -1245,7 +1249,7 @@ mod tests {
             .level(ProcessingLevel::Classified)
             .build()
             .unwrap();
-        let payloads = node.process_record(&rec).unwrap();
+        let payloads = node.process_record(rec.leads()).unwrap();
         let mut uplink = Uplink::new();
         let mut packets = Vec::new();
         uplink
@@ -1577,6 +1581,10 @@ mod tests {
                 ..GatewayStats::default()
             }
         );
+        // The session report agrees: the rejected message stays lost.
+        let report = gw.session_report(s).unwrap();
+        assert_eq!((report.lost, report.recovered), (1, 0));
+        assert!(report.loss_rate > 0.0, "{report:?}");
 
         // (e) An AF episode that spans a re-registration raises one
         // alert, not two, and clears once.
@@ -1653,7 +1661,7 @@ mod tests {
             .cs_compression_ratio(50.0)
             .build()
             .unwrap();
-        let payloads = node.process_record(&rec).unwrap();
+        let payloads = node.process_record(rec.leads()).unwrap();
         let mut uplink = Uplink::new();
         let mut packets = Vec::new();
         uplink
@@ -1705,7 +1713,7 @@ mod tests {
             .cs_compression_ratio(50.0)
             .build()
             .unwrap();
-        let payloads = node.process_record(&rec).unwrap();
+        let payloads = node.process_record(rec.leads()).unwrap();
         let mut uplink = Uplink::new();
         let mut packets = Vec::new();
         uplink
@@ -1837,7 +1845,7 @@ mod tests {
             .cs_compression_ratio(50.0)
             .build()
             .unwrap();
-        let payloads = node.process_record(&rec).unwrap();
+        let payloads = node.process_record(rec.leads()).unwrap();
         let mut uplink = Uplink::new();
         let mut packets = Vec::new();
         uplink

@@ -74,8 +74,6 @@ pub struct ReassemblyStats {
     pub stale: u64,
     /// Messages declared lost.
     pub lost: u64,
-    /// Lost messages later recovered from retransmissions.
-    pub recovered: u64,
 }
 
 #[derive(Debug)]
@@ -288,7 +286,6 @@ impl Reassembler {
         if self.late.get(&seq).is_some_and(Partial::complete) {
             if let Some(p) = self.late.remove(&seq) {
                 self.recoverable.remove(&seq);
-                self.stats.recovered += 1;
                 out.push(LinkEvent::Recovered {
                     msg_seq: seq,
                     kind: p.kind,
@@ -663,7 +660,6 @@ mod tests {
         };
         assert_eq!(*msg_seq, 2);
         assert_eq!(bytes, &messages[2]);
-        assert_eq!(r.stats().recovered, 1);
         assert_eq!(r.stats().stale, 0);
         // A second copy of the same retransmission is stale again: the
         // sequence left the recovery set when it recovered.

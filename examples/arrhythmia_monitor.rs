@@ -11,9 +11,9 @@
 //!
 //! Run with: `cargo run --example arrhythmia_monitor`
 
+use wbsn::apps::AfMonitorApp;
 use wbsn_classify::features::{BeatFeatureExtractor, FeatureConfig};
 use wbsn_classify::fuzzy::{FuzzyClassifier, MembershipMode};
-use wbsn_core::apps::AfMonitorApp;
 use wbsn_core::level::ProcessingLevel;
 use wbsn_core::monitor::MonitorBuilder;
 use wbsn_core::payload::Payload;
@@ -78,7 +78,7 @@ fn main() {
         .event_interval_s(30.0)
         .build()
         .expect("valid config");
-    let payloads = node.process_record(&record).expect("3-lead record");
+    let payloads = node.process_record(record.leads()).expect("3-lead record");
 
     println!("\nevent stream ({} payloads):", payloads.len());
     for p in &payloads {
@@ -104,7 +104,7 @@ fn main() {
     }
 
     // ---- server-side episode extraction from the same beat stream ----
-    let mut app = AfMonitorApp::new(record.fs());
+    let mut app = AfMonitorApp::new(record.fs()).expect("default AF config");
     let lead = record.lead(0);
     let rs =
         wbsn_delineation::QrsDetector::detect(lead, wbsn_delineation::qrs::QrsConfig::default())

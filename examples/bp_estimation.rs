@@ -11,9 +11,9 @@
 //!
 //! Run with: `cargo run --example bp_estimation`
 
-use wbsn_core::apps::BpTrendApp;
 use wbsn_ecg_synth::ppg::{PpgConfig, PpgSignal, PttProfile};
 use wbsn_ecg_synth::{RecordBuilder, Rhythm};
+use wbsn_multimodal::pat::{BpEstimator, PatDetector};
 use wbsn_sigproc::stats::{correlation, mean};
 
 fn main() {
@@ -36,8 +36,15 @@ fn main() {
     );
     let anchors: Vec<usize> = record.beats().iter().map(|b| b.r_sample).collect();
 
-    let mut app = BpTrendApp::new(record.fs());
-    let pats = app.measure_pats(&ppg.samples, &anchors);
+    let detector = PatDetector {
+        fs_hz: record.fs() as f64,
+        ..PatDetector::default()
+    };
+    let pats: Vec<f64> = detector
+        .measure(&ppg.samples, &anchors)
+        .iter()
+        .map(|m| m.pat_s)
+        .collect();
     // Ground truth via the standard surrogate model.
     let truth: Vec<f64> = ppg.ptt_s.iter().map(|&p| 42.0 + 21.0 / p).collect();
     let n = pats.len().min(truth.len());
@@ -46,8 +53,7 @@ fn main() {
     let cal_idx = [5usize, n / 2, n - 5];
     let cal_pats: Vec<f64> = cal_idx.iter().map(|&i| pats[i]).collect();
     let cal_bp: Vec<f64> = cal_idx.iter().map(|&i| truth[i]).collect();
-    app.calibrate(&cal_pats, &cal_bp)
-        .expect("3 spread readings");
+    let bp = BpEstimator::calibrate(&cal_pats, &cal_bp).expect("3 spread readings");
     println!(
         "calibrated on 3 cuff readings: {:.0} / {:.0} / {:.0} mmHg",
         cal_bp[0], cal_bp[1], cal_bp[2]
@@ -58,7 +64,7 @@ fn main() {
         "t [s]", "PAT [ms]", "BP est", "BP truth"
     );
     for i in (0..n).step_by(20) {
-        let est = app.estimate(pats[i]).expect("calibrated");
+        let est = bp.estimate(pats[i]);
         println!(
             "{:>8.0} {:>10.0} {:>12.1} {:>12.1}",
             anchors[i] as f64 / record.fs() as f64,
@@ -67,10 +73,7 @@ fn main() {
             truth[i]
         );
     }
-    let est: Vec<f64> = pats[..n]
-        .iter()
-        .map(|&p| app.estimate(p).unwrap())
-        .collect();
+    let est: Vec<f64> = pats[..n].iter().map(|&p| bp.estimate(p)).collect();
     let errs: Vec<f64> = est
         .iter()
         .zip(&truth[..n])

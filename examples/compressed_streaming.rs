@@ -43,7 +43,7 @@ fn main() {
             .cs_compression_ratio(cr)
             .build()
             .expect("valid config");
-        let payloads = node.process_record(&record).expect("3-lead record");
+        let payloads = node.process_record(record.leads()).expect("3-lead record");
 
         // Frame handshake + payloads, pass the (ideal) channel, ingest.
         let mut packets = Vec::new();
@@ -109,7 +109,9 @@ fn main() {
         .level(ProcessingLevel::RawStreaming)
         .build()
         .expect("valid config");
-    let _ = raw_node.process_record(&record).expect("3-lead record");
+    let _ = raw_node
+        .process_record(record.leads())
+        .expect("3-lead record");
     let p_cs = node.energy_report();
     let p_raw = raw_node.energy_report();
     println!(

@@ -32,7 +32,7 @@ fn run(cfg: GovernorConfig, rec: &Record) -> GovernedMonitor {
         Default::default(),
     )
     .expect("valid configuration");
-    gm.process_record(rec).expect("well-formed record");
+    gm.process_record(rec.leads()).expect("well-formed record");
     gm
 }
 

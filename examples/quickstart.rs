@@ -38,7 +38,7 @@ fn main() {
 
     // 3. Stream the record through the node.
     let payloads = node
-        .process_record(&record)
+        .process_record(record.leads())
         .expect("record matches the configured lead count");
     let beats: usize = payloads
         .iter()

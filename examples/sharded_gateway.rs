@@ -48,7 +48,7 @@ fn packet_stream() -> Vec<Vec<u8>> {
             .cs_compression_ratio(50.0)
             .build()
             .expect("valid node config");
-        let payloads = node.process_record(&rec).expect("lead counts match");
+        let payloads = node.process_record(rec.leads()).expect("lead counts match");
         uplink
             .open_session(
                 &SessionHandshake::for_config(s, node.config()),

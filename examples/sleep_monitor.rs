@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --example sleep_monitor`
 
-use wbsn_core::apps::HrvAnalyzer;
+use wbsn::apps::HrvAnalyzer;
 use wbsn_delineation::qrs::QrsConfig;
 use wbsn_delineation::QrsDetector;
 use wbsn_ecg_synth::noise::NoiseConfig;

@@ -1,9 +1,10 @@
-//! Application layer: the monitoring scenarios the paper motivates.
+//! Application layer: monitoring scenarios the paper motivates, run
+//! on the stream a node delivers.
 //!
 //! Section II: "applications that extract behavioural information
 //! typically only require processing of beat-to-beat intervals, while
 //! the diagnosis of heart problems requires … detailed morphological
-//! information". Three representative applications are provided:
+//! information". Two representative applications are provided:
 //!
 //! * [`HrvAnalyzer`] — beat-to-beat interval analytics (SDNN, RMSSD,
 //!   pNN50) plus a simple autonomic-balance score, the substrate of
@@ -11,19 +12,23 @@
 //!   abstract).
 //! * [`AfMonitorApp`] — rhythm-level arrhythmia reporting on top of the
 //!   classified pipeline.
-//! * [`BpTrendApp`] — PAT-based blood-pressure trending from the
-//!   ECG+PPG pair (Section IV-C).
+//!
+//! PAT-based blood-pressure trending (Section IV-C) needs no wrapper:
+//! [`multimodal::pat::PatDetector`](crate::multimodal::pat::PatDetector)
+//! measures the arrival times and
+//! [`multimodal::pat::BpEstimator`](crate::multimodal::pat::BpEstimator)
+//! calibrates and estimates.
 //!
 //! Applications consume the payload stream of a session at whatever
 //! fidelity the node currently transmits. Under the
-//! [power governor](crate::governor) that fidelity moves at runtime:
-//! an [`AfMonitorApp`] sees per-beat fiducials while an episode keeps
-//! the session escalated, and sparse event summaries once the governor
-//! steps the node back down — the application-level view of the
-//! energy/diagnostic-detail trade the governor arbitrates.
+//! [power governor](crate::core::governor) that fidelity moves at
+//! runtime: an [`AfMonitorApp`] sees per-beat fiducials while an
+//! episode keeps the session escalated, and sparse event summaries
+//! once the governor steps the node back down — the application-level
+//! view of the energy/diagnostic-detail trade the governor arbitrates.
 
 use wbsn_classify::af::{AfBeat, AfConfig, AfDetector};
-use wbsn_multimodal::pat::{BpEstimator, PatDetector};
+use wbsn_classify::Result;
 use wbsn_sigproc::stats;
 
 /// Classic time-domain heart-rate-variability metrics over a window of
@@ -122,16 +127,19 @@ pub struct AfEpisode {
 
 impl AfMonitorApp {
     /// New monitor at the given sampling rate.
-    pub fn new(fs_hz: u32) -> Self {
-        AfMonitorApp {
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`AfDetector::new`]'s configuration check.
+    pub fn new(fs_hz: u32) -> Result<Self> {
+        Ok(AfMonitorApp {
             detector: AfDetector::new(AfConfig {
                 fs_hz,
                 ..AfConfig::default()
-            })
-            .expect("default AF config is valid"),
+            })?,
             beats: Vec::new(),
             fs_hz: fs_hz as f64,
-        }
+        })
     }
 
     /// Adds a delineated beat.
@@ -170,50 +178,6 @@ impl AfMonitorApp {
     /// AF burden (fraction of windows flagged).
     pub fn burden(&self) -> f64 {
         AfDetector::af_burden(&self.detector.analyze(&self.beats))
-    }
-}
-
-/// PAT-based blood-pressure trending.
-#[derive(Debug, Clone)]
-pub struct BpTrendApp {
-    detector: PatDetector,
-    estimator: Option<BpEstimator>,
-}
-
-impl BpTrendApp {
-    /// New app at the given sampling rate.
-    pub fn new(fs_hz: u32) -> Self {
-        BpTrendApp {
-            detector: PatDetector {
-                fs_hz: fs_hz as f64,
-                ..PatDetector::default()
-            },
-            estimator: None,
-        }
-    }
-
-    /// Measures PAT for each R peak over a PPG trace.
-    pub fn measure_pats(&self, ppg: &[f64], r_peaks: &[usize]) -> Vec<f64> {
-        self.detector
-            .measure(ppg, r_peaks)
-            .into_iter()
-            .map(|m| m.pat_s)
-            .collect()
-    }
-
-    /// Calibrates against reference cuff readings.
-    ///
-    /// # Errors
-    ///
-    /// Propagates calibration failures (too few points, constant PAT).
-    pub fn calibrate(&mut self, pat_s: &[f64], bp_mmhg: &[f64]) -> crate::Result<()> {
-        self.estimator = Some(BpEstimator::calibrate(pat_s, bp_mmhg)?);
-        Ok(())
-    }
-
-    /// Estimates BP for a PAT value; `None` before calibration.
-    pub fn estimate(&self, pat_s: f64) -> Option<f64> {
-        self.estimator.map(|e| e.estimate(pat_s))
     }
 }
 
@@ -278,7 +242,7 @@ mod tests {
 
     #[test]
     fn af_monitor_extracts_episode() {
-        let mut app = AfMonitorApp::new(250);
+        let mut app = AfMonitorApp::new(250).unwrap();
         let mut t = 0usize;
         // 60 regular sinus beats with P.
         for _ in 0..60 {
@@ -302,17 +266,5 @@ mod tests {
         let eps = app.episodes();
         assert_eq!(eps.len(), 1, "episodes {eps:?}");
         assert!(app.burden() > 0.1 && app.burden() < 0.7);
-    }
-
-    #[test]
-    fn bp_app_requires_calibration() {
-        let mut app = BpTrendApp::new(250);
-        assert!(app.estimate(0.22).is_none());
-        app.calibrate(&[0.20, 0.24, 0.28], &[135.0, 124.0, 116.0])
-            .unwrap();
-        let bp = app.estimate(0.22).unwrap();
-        assert!((110.0..145.0).contains(&bp), "bp {bp}");
-        // Shorter PAT -> higher BP.
-        assert!(app.estimate(0.18).unwrap() > app.estimate(0.30).unwrap());
     }
 }

@@ -22,17 +22,17 @@
 //!   the retransmit buffer ([`core::Node`]) and the one scoped-thread
 //!   helper every library thread comes from ([`core::workers`]).
 //! * [`gateway`] — the base-station side: lossy-channel simulation,
-//!   per-session reassembly/decoding, rhythm/alert state and CS
-//!   reconstruction ([`gateway::Gateway`]).
-//!
+//!   per-session reassembly/decoding, AF alerts, the ACK/NACK
+//!   downlink and CS reconstruction ([`gateway::Gateway`]).
 //! * [`archive`] — gateway recording: a streaming, CRC-protected
 //!   epoch-block archive format with lossless delta/varint signal
 //!   codecs, plus solver and policy replay straight off a recording.
 //!
-//! On top of the re-exports, the umbrella owns the [`cohort`] module —
-//! the population-scale evaluation engine that drives 200+ scripted
-//! patients end to end and folds the run into one
-//! [`cohort::CohortReport`] — and the [`replay`] module, which
+//! On top of the re-exports, the umbrella owns three modules:
+//! [`apps`], the HRV/sleep and AF-episode applications that run on a
+//! session's beat stream; [`cohort`], the population-scale evaluation
+//! engine that drives 200+ scripted patients end to end and folds the
+//! run into one [`cohort::CohortReport`]; and [`replay`], which
 //! regenerates that report **bit-identically** from a recorded run
 //! ([`cohort::CohortRunner::run_recorded`] →
 //! [`replay::CohortReplayer`]).
@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod apps;
 pub mod cohort;
 pub mod replay;
 

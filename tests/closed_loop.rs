@@ -604,7 +604,7 @@ fn probe_prd_per_cr_rung() {
             .cs_compression_ratio(cr)
             .build()
             .unwrap();
-        let payloads = node.process_record(&rec).unwrap();
+        let payloads = node.process_record(rec.leads()).unwrap();
         let mut uplink = Uplink::new();
         let mut packets = Vec::new();
         uplink

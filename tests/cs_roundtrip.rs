@@ -25,7 +25,7 @@ fn single_lead_roundtrip_reaches_20db_at_moderate_cr() {
         .cs_compression_ratio(cr)
         .build()
         .unwrap();
-    let payloads = node.process_record(&rec).unwrap();
+    let payloads = node.process_record(rec.leads()).unwrap();
     let cfg = node.config();
     let m = measurements_for_cr(cfg.cs_window, cr);
     let solver = Fista::new(FistaConfig::default());

@@ -36,7 +36,7 @@ fn monitor_level_delineation_meets_quality_floor() {
         .beats_per_payload(1)
         .build()
         .unwrap();
-    let payloads = node.process_record(&rec).unwrap();
+    let payloads = node.process_record(rec.leads()).unwrap();
     let detected: Vec<BeatFiducials> = payloads
         .iter()
         .filter_map(|p| match p {

@@ -18,7 +18,7 @@ fn report_for(level: ProcessingLevel, cr: f64) -> wbsn_core::EnergyReport {
         builder = builder.cs_compression_ratio(cr);
     }
     let mut node = builder.build().unwrap();
-    let _ = node.process_record(&rec).unwrap();
+    let _ = node.process_record(rec.leads()).unwrap();
     node.energy_report()
 }
 

@@ -29,7 +29,7 @@ fn run(cfg: GovernorConfig) -> GovernedMonitor {
         Default::default(),
     )
     .unwrap();
-    gm.process_record(&rec).unwrap();
+    gm.process_record(rec.leads()).unwrap();
     gm
 }
 

@@ -61,7 +61,7 @@ fn gateway_cached_phi_reproduces_the_nodes_measurements_exactly() {
         .cs_compression_ratio(50.0)
         .build()
         .unwrap();
-    let payloads = node.process_record(&rec).unwrap();
+    let payloads = node.process_record(rec.leads()).unwrap();
     let hs = SessionHandshake::for_config(1, node.config());
     let cache = MatrixCache::new();
     let n = hs.cs_window as usize;

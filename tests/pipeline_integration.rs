@@ -21,7 +21,7 @@ fn every_level_produces_decodable_payloads() {
     let rec = record(1);
     for level in ProcessingLevel::ALL {
         let mut node = MonitorBuilder::new().level(level).build().unwrap();
-        let payloads = node.process_record(&rec).unwrap();
+        let payloads = node.process_record(rec.leads()).unwrap();
         assert!(!payloads.is_empty(), "{level}: no payloads");
         for p in &payloads {
             let bytes = p.encode();
@@ -40,7 +40,7 @@ fn delineated_beats_match_ground_truth_rate() {
         .level(ProcessingLevel::Delineated)
         .build()
         .unwrap();
-    let payloads = node.process_record(&rec).unwrap();
+    let payloads = node.process_record(rec.leads()).unwrap();
     let beats: usize = payloads
         .iter()
         .map(|p| match p {
@@ -63,7 +63,7 @@ fn transmitted_r_peaks_are_accurate() {
         .level(ProcessingLevel::Delineated)
         .build()
         .unwrap();
-    let payloads = node.process_record(&rec).unwrap();
+    let payloads = node.process_record(rec.leads()).unwrap();
     let truth: Vec<usize> = rec.beats().iter().map(|b| b.r_sample).collect();
     let mut matched = 0usize;
     let mut total = 0usize;
@@ -91,7 +91,7 @@ fn monitor_is_deterministic() {
     let rec = record(4);
     let run = || {
         let mut node = MonitorBuilder::new().build().unwrap();
-        node.process_record(&rec)
+        node.process_record(rec.leads())
             .unwrap()
             .iter()
             .flat_map(|p| p.encode())
@@ -108,7 +108,7 @@ fn single_lead_monitor_works_with_single_lead_records() {
         .level(ProcessingLevel::Delineated)
         .build()
         .unwrap();
-    let payloads = node.process_record(&rec).unwrap();
+    let payloads = node.process_record(rec.leads()).unwrap();
     assert!(!payloads.is_empty());
 }
 
@@ -118,7 +118,7 @@ fn monitor_rejects_records_with_too_few_leads() {
     let rec = RecordBuilder::new(6).duration_s(5.0).n_leads(1).build();
     let mut node = MonitorBuilder::new().n_leads(3).build().unwrap();
     assert_eq!(
-        node.process_record(&rec).unwrap_err(),
+        node.process_record(rec.leads()).unwrap_err(),
         WbsnError::LeadMismatch {
             expected: 3,
             got: 1
@@ -133,7 +133,7 @@ fn wider_records_use_the_first_configured_leads() {
     let rec = record(7);
     let mut via_record = MonitorBuilder::new().build().unwrap();
     let a: Vec<u8> = via_record
-        .process_record(&rec)
+        .process_record(rec.leads())
         .unwrap()
         .iter()
         .flat_map(|p| p.encode())
