@@ -1,5 +1,15 @@
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// The node or the gateway runs this crate: outside tests, failures are
+// typed errors, not `unwrap`, `expect`, `panic!` or `unreachable!`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 //! Archival storage and deterministic replay for the WBSN gateway.
 //!

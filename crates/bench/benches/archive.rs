@@ -13,6 +13,11 @@
 //! overhead, per-codec compression ratios, writer throughput in MB/s,
 //! and the replay-vs-live speedup.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a benchmark harness times itself with the wall clock"
+)]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use wbsn::cohort::{CohortReport, CohortRunConfig, CohortRunner};

@@ -75,7 +75,7 @@ impl KnnClassifier {
         // `total_cmp` orders NaN distances (a NaN feature) after every
         // number, so a NaN input still gets a deterministic vote.
         dists.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut votes = std::collections::HashMap::new();
+        let mut votes = std::collections::BTreeMap::new();
         for &(_, y) in dists.iter().take(self.k) {
             *votes.entry(y).or_insert(0usize) += 1;
         }

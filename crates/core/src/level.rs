@@ -116,8 +116,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        // wbsn-allow(no-unordered-map): insert-only membership probe in a test; never iterated, so order cannot leak anywhere
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for l in ProcessingLevel::ALL {
             assert!(seen.insert(l.label()), "{l}");
         }

@@ -90,10 +90,18 @@
 //! assert_eq!(node.retransmit_stats().acked, sent);
 //! ```
 
-// Every public item carries documentation; rustdoc runs with
-// `-D warnings` in CI, so a gap fails the build.
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// The node or the gateway runs this crate: outside tests, failures are
+// typed errors, not `unwrap`, `expect`, `panic!` or `unreachable!`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod energy;
 pub mod governor;

@@ -489,8 +489,11 @@ impl CardiacMonitor {
     /// Panics when `frame.len()` differs from the configured lead
     /// count; streaming callers that cannot guarantee framing should
     /// use [`Self::try_push`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented infallible wrapper: the lead-count panic is this API's contract; wire-facing callers use try_push"
+    )]
     pub fn push(&mut self, frame: &[i32]) -> Vec<Payload> {
-        // wbsn-allow(no-panic): documented infallible wrapper — the lead-count panic is this API's contract; wire-facing callers use try_push
         self.try_push(frame).expect("lead count")
     }
 

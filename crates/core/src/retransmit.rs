@@ -15,8 +15,8 @@
 //! Everything here is deterministic by construction: no wall clocks,
 //! no randomness — `epoch` advances only when the caller calls
 //! [`RetransmitBuffer::tick`], so identically-scripted runs replay
-//! bit-identically (the workspace's `wbsn-analyze` no-wallclock gate
-//! covers this module).
+//! bit-identically (clippy's `disallowed_types` gate keeps wall
+//! clocks out of the whole workspace).
 //!
 //! [`DirectiveHandler`] is the companion for the third downlink kind:
 //! it orders [`DirectiveFrame`]s per session (latest wins, stale

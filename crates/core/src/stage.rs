@@ -418,10 +418,11 @@ impl CsStage {
     /// Encodes and emits one full window per lead (the buffers fill in
     /// lockstep), clearing the buffers for the next window. Shared by
     /// the per-frame and block paths so their payloads are identical.
-    fn emit_full_windows(&mut self, sink: &mut PayloadSink) {
+    /// Construction keeps the buffers at the encoders' window length,
+    /// so the encoder's shape error cannot arise.
+    fn emit_full_windows(&mut self, sink: &mut PayloadSink) -> Result<()> {
         for (lead, (buf, enc)) in self.buffers.iter_mut().zip(&self.encoders).enumerate() {
-            enc.encode_into(buf, &mut self.y_scratch)
-                .expect("window length enforced by construction");
+            enc.encode_into(buf, &mut self.y_scratch)?;
             buf.clear();
             self.cs_windows += 1;
             self.cs_adds += enc.adds_per_window() as u64;
@@ -436,6 +437,7 @@ impl CsStage {
             });
         }
         self.window_seq += 1;
+        Ok(())
     }
 }
 
@@ -473,7 +475,7 @@ impl PipelineStage for CsStage {
             self.buffers[lead].push(s);
         }
         if self.buffers[0].len() >= self.window {
-            self.emit_full_windows(sink);
+            self.emit_full_windows(sink)?;
         }
         Ok(())
     }
@@ -496,7 +498,7 @@ impl PipelineStage for CsStage {
                 buf.extend(sub[lead..].iter().step_by(n_leads));
             }
             if self.buffers[0].len() >= self.window {
-                self.emit_full_windows(sink);
+                self.emit_full_windows(sink)?;
             }
         }
         Ok(())

@@ -388,7 +388,10 @@ impl<'s, const K: usize> Lanes<'s, K> {
     /// Starts window `id` in idle lane `l`: checks `y`, finds its
     /// `‖Aᵀy‖∞` (and so its λ schedule) through the one-lane kernels,
     /// and copies `y` in. The lane's iterates are already zero.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a lane start takes the solver, Φ, its Lipschitz constant, scratch, the lane, the window id and its measurements"
+    )]
     fn load(
         &mut self,
         fista: &Fista,
@@ -947,7 +950,10 @@ impl Fista {
     /// `done`. A window that fails its checks comes back at once; a
     /// step that fails (which the checks rule out) fails every busy
     /// lane and ends the run.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the lane loop takes its buffers, scratch, Φ, the Lipschitz constant, the first window and both callbacks"
+    )]
     fn stream_lanes<'y, const K: usize>(
         &self,
         bufs: &mut LaneBufs,

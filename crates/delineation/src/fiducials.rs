@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in FiducialKind::ALL {
             assert!(seen.insert(k.label()), "duplicate label {k}");
         }

@@ -42,10 +42,19 @@
 //! assert!(record.beats().len() >= 10);
 //! ```
 
-// Every public item carries documentation; rustdoc runs with
-// `-D warnings` in CI, so a gap fails the build.
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// The cohort runner renders records on its worker threads with this
+// crate: outside tests, failures are typed errors, not `unwrap`,
+// `expect`, `panic!` or `unreachable!`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod cohort;
 pub mod generator;

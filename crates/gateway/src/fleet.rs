@@ -175,7 +175,6 @@ impl ShardedGateway {
     ///
     /// [`WbsnError::WorkerLost`] when a thread decoding shards
     /// panicked.
-    #[allow(clippy::type_complexity)]
     pub fn ingest_batch(&mut self, packets: &[Vec<u8>]) -> Result<Vec<Result<Vec<GatewayEvent>>>> {
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (batch_idx, raw) in packets.iter().enumerate() {
@@ -301,7 +300,6 @@ impl ShardedGateway {
     /// # Errors
     ///
     /// None: the `Result` matches the fan-out calls.
-    #[allow(clippy::type_complexity)]
     pub fn pump_downlink(&mut self) -> Result<Vec<(u64, Vec<Vec<u8>>)>> {
         Ok(by_session(
             self.shards.iter_mut().map(Gateway::pump_downlink),

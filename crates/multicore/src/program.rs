@@ -2,7 +2,7 @@
 
 use crate::isa::{Cond, Instr, Reg};
 use crate::{MulticoreError, Result};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// An assembled program (shared by all cores — SPMD execution).
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +54,7 @@ impl Program {
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
     instrs: Vec<Instr>,
-    labels: HashMap<String, usize>,
+    labels: BTreeMap<String, usize>,
     /// (instruction index, label) pairs awaiting resolution.
     fixups: Vec<(usize, String)>,
 }

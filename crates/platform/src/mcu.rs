@@ -68,7 +68,8 @@ impl McuModel {
     ///
     /// # Errors
     ///
-    /// Fails when no points are given or any point is non-positive.
+    /// Fails when no points are given or any point is non-finite or
+    /// non-positive.
     pub fn new(points: Vec<OperatingPoint>, c_eff_f: f64, sleep_power_w: f64) -> Result<Self> {
         if points.is_empty() {
             return Err(PlatformError::InvalidParameter {
@@ -76,14 +77,15 @@ impl McuModel {
                 detail: "need at least one operating point".into(),
             });
         }
-        if points.iter().any(|p| p.f_hz <= 0.0 || p.vdd_v <= 0.0) {
+        let valid = |v: f64| v.is_finite() && v > 0.0;
+        if !points.iter().all(|p| valid(p.f_hz) && valid(p.vdd_v)) {
             return Err(PlatformError::InvalidParameter {
                 what: "operating point",
-                detail: "frequency and voltage must be positive".into(),
+                detail: "frequency and voltage must be finite and positive".into(),
             });
         }
         let mut points = points;
-        points.sort_by(|a, b| a.f_hz.partial_cmp(&b.f_hz).expect("no NaN"));
+        points.sort_by(|a, b| a.f_hz.total_cmp(&b.f_hz));
         Ok(McuModel {
             points,
             c_eff_f,
@@ -105,12 +107,11 @@ impl McuModel {
     /// or the fastest point if the demand exceeds all (reported as
     /// saturated).
     pub fn point_for_load(&self, cycles_per_s: f64) -> OperatingPoint {
-        for &p in &self.points {
-            if p.f_hz >= cycles_per_s {
-                return p;
-            }
+        match self.points.iter().find(|p| p.f_hz >= cycles_per_s) {
+            Some(&p) => p,
+            // `new` and `Default` keep at least one point.
+            None => self.points[self.points.len() - 1],
         }
-        *self.points.last().expect("non-empty")
     }
 
     /// Average power for a periodic workload of `cycles_per_s` at the
@@ -199,5 +200,20 @@ mod tests {
             1e-6
         )
         .is_err());
+        // Non-finite points are typed errors, also when a sort would
+        // have to order them against a valid point.
+        let good = OperatingPoint {
+            f_hz: 1e6,
+            vdd_v: 1.8,
+        };
+        for bad in [f64::NAN, f64::INFINITY] {
+            for point in [
+                OperatingPoint { f_hz: bad, ..good },
+                OperatingPoint { vdd_v: bad, ..good },
+            ] {
+                assert!(McuModel::new(vec![point], 1e-12, 1e-6).is_err());
+                assert!(McuModel::new(vec![good, point], 1e-12, 1e-6).is_err());
+            }
+        }
     }
 }

@@ -349,8 +349,11 @@ impl PackedTernaryMatrix {
     }
 
     /// Expands to a dense matrix (for verification).
+    #[expect(
+        clippy::expect_used,
+        reason = "rows/cols are >= 1 by construction (checked in the constructor), and this expand is a verification-only helper"
+    )]
     pub fn to_dense(&self) -> DenseMatrix {
-        // wbsn-allow(no-panic): rows/cols are >= 1 by construction (checked in the constructor), and this expand is a verification-only helper
         let mut m = DenseMatrix::zeros(self.rows, self.cols).expect("non-zero dims");
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -734,8 +737,11 @@ impl SparseTernaryMatrix {
     }
 
     /// Expands to dense (verification only).
+    #[expect(
+        clippy::expect_used,
+        reason = "rows/cols are >= 1 by construction (checked in the constructor), and this expand is a verification-only helper"
+    )]
     pub fn to_dense(&self) -> DenseMatrix {
-        // wbsn-allow(no-panic): rows/cols are >= 1 by construction (checked in the constructor), and this expand is a verification-only helper
         let mut m = DenseMatrix::zeros(self.rows, self.cols).expect("non-zero dims");
         for col in 0..self.cols {
             let (pos, neg) = self.column(col);

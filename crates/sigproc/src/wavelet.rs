@@ -27,9 +27,10 @@ pub enum Wavelet {
     Db4,
 }
 
-// `len` is the filter length of a wavelet family; an "empty wavelet"
-// does not exist, so no `is_empty` counterpart.
-#[allow(clippy::len_without_is_empty)]
+#[expect(
+    clippy::len_without_is_empty,
+    reason = "`len` is the filter length of a wavelet family; an empty wavelet does not exist"
+)]
 impl Wavelet {
     /// Scaling (low-pass decomposition) filter coefficients.
     pub fn scaling_filter(self) -> &'static [f64] {

@@ -37,10 +37,19 @@
 //! ([`cohort::CohortRunner::run_recorded`] →
 //! [`replay::CohortReplayer`]).
 
-// Every public item carries documentation; rustdoc runs with
-// `-D warnings` in CI, so a gap fails the build.
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// The cohort runner and replayer drive the node and the gateway:
+// outside tests, failures are typed errors, not `unwrap`, `expect`,
+// `panic!` or `unreachable!`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod apps;
 pub mod cohort;

@@ -28,11 +28,14 @@
 //! polluted by a concurrently running test.
 //!
 //! This file is the single workspace-wide exception to the
-//! unsafe-freedom policy (`[workspace.lints]` denies `unsafe_code`;
-//! `analyze.toml` allow-lists exactly this path): a `GlobalAlloc`
-//! wrapper cannot be written without `unsafe`.
+//! unsafe-freedom policy (`[workspace.lints]` denies `unsafe_code`,
+//! and this is the only `expect` of it): a `GlobalAlloc` wrapper
+//! cannot be written without `unsafe`.
 
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "a counting GlobalAlloc wrapper cannot be written without unsafe"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
